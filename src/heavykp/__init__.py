@@ -63,11 +63,9 @@ from .rng import (
 )
 from .spectrum import (
     BoxProblem,
-    EigenResult,
     boundary_phase,
     count_below,
     decay_fit,
-    eigen_result,
     find_eigenvalues,
     phase_trace,
 )
@@ -111,8 +109,8 @@ __all__ = [
     "nonlinear_samples", "model3_joint_samples", "darling_ratio",
     "chain_mixing", "sweep_chains",
     # spectrum
-    "BoxProblem", "EigenResult", "boundary_phase", "phase_trace",
-    "count_below", "find_eigenvalues", "decay_fit", "eigen_result",
+    "BoxProblem", "boundary_phase", "phase_trace",
+    "count_below", "find_eigenvalues", "decay_fit",
     # stats
     "Ecdf", "LinearFit", "MeanCi", "ks_distance", "linear_fit", "mean_ci",
 ]

@@ -25,6 +25,14 @@ All branch arrangements below are cancellation-free; in particular the
 hyperbolic mode uses expm1 so pieces with tiny a agree with the shear limit
 to machine precision.  All phases are reduced with respect to float pi, so
 windings stay consistent across every routine in the package.
+
+The scalar flow (_advance_scalar, advance_interval) advances one piece at a
+time and is the per-piece reference; phase_fold is its batch twin across
+many chains.  The box spectrum walks whole chains at one energy with
+walk_chain instead: it pushes the solution vector through the piece matrices
+of the transfer module and recovers the winding from the boundary vectors,
+with the closed forms above serving only as increment estimates, so it agrees
+with a chain of scalar steps to rounding.
 """
 from __future__ import annotations
 
@@ -35,7 +43,7 @@ from typing import Iterable, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .potentials import Piece, PieceKind, Realization
-from .transfer import EnergyFrame
+from .transfer import EnergyFrame, SaturationError, _piece_entries_batch
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -376,3 +384,101 @@ def phase_fold(thetas: np.ndarray, values, lengths, frame: EnergyFrame,
         thetas[deg] = th + delta
         if logs is not None:
             logs[deg] += 0.5 * np.log(psi * psi + c0 * c0)
+
+
+# ── Single-energy chain walk ─────────────────────────────────────────────────
+
+
+def _dead_direction(p: float, q: float, value: float, length: float,
+                    lam: float, k: float) -> Tuple[float, float, float]:
+    """(psi, psi'/k, log gain) of a unit vector a factored bump annihilates.
+
+    Same arithmetic as the dead branch of _advance_scalar: the vector sits
+    exactly on the contracting direction and exp(-2a) has underflowed.
+    """
+    u = (lam - value) * length * length
+    a = math.sqrt(-u)
+    bok = a / (k * length)
+    qd = p - q / bok
+    return qd, -bok * qd, -a + math.log(0.5 * math.hypot(qd, bok * qd))
+
+
+def walk_chain(values: np.ndarray, lengths: np.ndarray, frame: EnergyFrame,
+               theta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Unwound phase and log radius at every piece boundary of one chain.
+
+    Starts from phase theta with log radius 0 and returns (thetas, log_rs),
+    each of length len(values) + 1 with the start first.  Agrees with a chain
+    of advance_interval calls to rounding, in three stages:
+
+    1. every piece's k-frame matrix comes from one _piece_entries_batch call;
+    2. a loop over Python floats pushes the unit vector (psi, psi'/k) through
+       the matrices, renormalizing at every step and keeping every boundary
+       vector;
+    3. the winding is counted in numpy.  The increment across a piece is the
+       difference of its boundary-vector angles plus the multiple of 2 pi
+       that brings it nearest an estimate from the piece's closed form.  An
+       oscillatory piece turns the conjugate angle atan2(rho psi, psi'/k) by
+       exactly omega l; both ends of that angle are read from the boundary
+       vectors, so they share a branch with the vector angles.  Hyperbolic
+       increments lie in (-pi, pi) and degenerate ones in [0, pi).
+
+    log r sums the exp(a) prescales and the logs of the normalizations; a
+    zero-potential gap at lam > 0 is an exact rotation and gains exactly 0.
+    """
+    lam = frame.lam
+    k = frame.k_norm
+    values = np.asarray(values, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
+    diag, upper, lower, pre = _piece_entries_batch(values, lengths, lam, k)
+
+    p = math.sin(theta)
+    q = math.cos(theta)
+    psi_list = [p]
+    psik_list = [q]
+    norms: List[float] = []
+    dead = {}  # piece index -> log gain of a dead-direction step
+    hypot = math.hypot
+    for c, b, e in zip(diag.tolist(), upper.tolist(), lower.tolist()):
+        x = c * p + b * q
+        y = e * p + c * q
+        nrm = hypot(x, y)
+        if nrm == 0.0:
+            j = len(norms)
+            x, y, dead[j] = _dead_direction(p, q, float(values[j]), float(lengths[j]), lam, k)
+            nrm = hypot(x, y)
+        p = x / nrm
+        q = y / nrm
+        psi_list.append(p)
+        psik_list.append(q)
+        norms.append(nrm)
+
+    norm_arr = np.array(norms)
+    if not np.all(np.isfinite(norm_arr)):
+        raise SaturationError("chain walk left representable range")
+    gains = pre + np.log(norm_arr)
+    if lam > 0.0:
+        gains[values == 0.0] = 0.0
+    for j, gain in dead.items():
+        gains[j] = gain
+    log_rs = np.concatenate(([0.0], np.cumsum(gains)))
+
+    psi = np.array(psi_list)
+    psik = np.array(psik_list)
+    angle = np.arctan2(psi, psik)
+    phi = angle.copy()
+    phi[0] = theta
+    diff = np.diff(phi)
+    u = (lam - values) * lengths * lengths
+    estimate = np.where(u == 0.0, 0.5 * _PI, 0.0)
+    osc = np.flatnonzero(u > 0.0)
+    if osc.size:
+        w = np.sqrt(u[osc])
+        rho = w / (k * lengths[osc])
+        conj0 = np.arctan2(rho * psi[osc], psik[osc])
+        conj1 = np.arctan2(rho * psi[osc + 1], psik[osc + 1])
+        estimate[osc] = (angle[osc + 1] - angle[osc]
+                         + _TWO_PI * np.round((conj0 + w - conj1) / _TWO_PI))
+    turns = np.round((estimate - diff) / _TWO_PI)
+    thetas = phi + _TWO_PI * np.concatenate(([0.0], np.cumsum(turns)))
+    return thetas, log_rs

@@ -415,8 +415,7 @@ def _run_spectrum(spec: TaskSpec, rows, summary) -> None:
         problem = BoxProblem(realization=real, theta0=cfg.theta0, L_box=real.total_length)
         lam_min = opts.lambda_min
         if lam_min is None:
-            floor_v = min((p.value for p in real.pieces), default=0.0)
-            lam_min = min(0.0, floor_v) - 1.0
+            lam_min = min(0.0, float(problem.values.min())) - 1.0
         lam_max = opts.lambda_max if opts.lambda_max is not None else cfg.energy
         found = find_eigenvalues(problem, lam_min, lam_max,
                                  max_count=opts.max_eigenvalues)

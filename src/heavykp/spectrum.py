@@ -6,21 +6,33 @@ theta_lambda(L_box) is continuous and strictly increasing in lambda, equals a
 multiple of pi exactly at eigenvalues, and counts eigenvalues through its
 winding: floor(theta/pi) is the number of eigenvalues below lambda.  That
 turns eigenvalue location into one-dimensional bisection, with no matrices
-and no mesh.
+to diagonalize and no mesh.
 
-Eigenfunction decay is measured from the Dirichlet end: sweeping the phase
-flow inward from (L_box, psi = 0), the log radius grows along the expanding
+Every phase evaluation is one walk of the truncated chain at a single energy
+(prufer.walk_chain): all piece matrices are built in one vectorized call, a
+plain float loop carries the unit solution vector across them, and the
+winding is counted in bulk from the stored boundary vectors.  A BoxProblem
+keeps its truncated (values, lengths) arrays, so the bisection rebuilds
+nothing between evaluations.
+
+Eigenfunction decay is measured from the Dirichlet end: walking the reflected
+chain inward from (L_box, psi = 0), the log radius grows along the expanding
 direction of the product, so at localized eigenvalues the fitted slope of
 log r against x**scale_exponent is negative with high r-squared.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .potentials import Realization
-from .prufer import PruferState, TraceRecord, advance_interval, boundary_theta
+# advance_interval is not called here.  It stays bound because the
+# benchmark's tracer (bench/spans.py) wraps heavykp.spectrum.advance_interval
+# by module attribute.
+from .prufer import TraceRecord, advance_interval, boundary_theta, walk_chain
 from .stats import linear_fit
 from .transfer import EnergyFrame
 
@@ -39,12 +51,15 @@ class BoxProblem:
 
     theta0 is the boundary parameter at 0, in [0, pi), same convention as
     ModelConfig.theta0 (0 is Dirichlet).  The box must not extend past the
-    sampled chain.
+    sampled chain.  values and lengths are the pieces truncated to exactly
+    [0, L_box], computed once at construction.
     """
 
     realization: Realization
     theta0: float
     L_box: float
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.theta0 < _PI):
@@ -53,40 +68,46 @@ class BoxProblem:
             raise ValueError("L_box must be positive and finite")
         if self.L_box > self.realization.total_length * (1.0 + 1e-12):
             raise ValueError("L_box exceeds the sampled chain")
+        values, lengths = _truncated_pieces(self.realization, self.L_box)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "lengths", lengths)
 
 
-def _truncated_pieces(problem: BoxProblem) -> List[Tuple[float, float]]:
-    """(value, length) pairs covering exactly [0, L_box]."""
-    out: List[Tuple[float, float]] = []
+def _truncated_pieces(realization: Realization,
+                      L_box: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, lengths) arrays of the pieces covering exactly [0, L_box]."""
+    values: List[float] = []
+    lengths: List[float] = []
     left = 0.0
-    for p in problem.realization.pieces:
-        if left >= problem.L_box:
+    for p in realization.pieces:
+        if left >= L_box:
             break
-        length = min(p.length, problem.L_box - left)
+        length = min(p.length, L_box - left)
         if length > 0.0:
-            out.append((p.value, length))
+            values.append(p.value)
+            lengths.append(length)
         left += length
-    return out
+    return np.array(values, dtype=float), np.array(lengths, dtype=float)
+
+
+def _walk(problem: BoxProblem, lam: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(theta, log_r) at 0 and at every piece boundary up to L_box."""
+    frame = EnergyFrame.from_lambda(lam)
+    return walk_chain(problem.values, problem.lengths, frame,
+                      boundary_theta(problem.theta0, frame))
 
 
 def boundary_phase(problem: BoxProblem, lam: float) -> float:
     """Unwound phase theta_lambda(L_box) of the left-boundary solution."""
-    frame = EnergyFrame.from_lambda(lam)
-    state = PruferState(theta=boundary_theta(problem.theta0, frame), log_r=0.0, x=0.0)
-    for value, length in _truncated_pieces(problem):
-        state = advance_interval(state, value, length, frame)
-    return state.theta
+    return float(_walk(problem, lam)[0][-1])
 
 
 def phase_trace(problem: BoxProblem, lam: float) -> Tuple[TraceRecord, ...]:
     """(x, theta, log_r) at 0 and at every piece boundary up to L_box."""
-    frame = EnergyFrame.from_lambda(lam)
-    state = PruferState(theta=boundary_theta(problem.theta0, frame), log_r=0.0, x=0.0)
-    records = [TraceRecord(x=0.0, theta=state.theta, log_r=0.0)]
-    for value, length in _truncated_pieces(problem):
-        state = advance_interval(state, value, length, frame)
-        records.append(TraceRecord(x=state.x, theta=state.theta, log_r=state.log_r))
-    return tuple(records)
+    thetas, log_rs = _walk(problem, lam)
+    xs = np.concatenate(([0.0], np.cumsum(problem.lengths)))
+    return tuple(TraceRecord(x, t, r) for x, t, r in
+                 zip(xs.tolist(), thetas.tolist(), log_rs.tolist()))
 
 
 def count_below(problem: BoxProblem, lam: float) -> int:
@@ -158,47 +179,11 @@ def decay_fit(
     """
     if not (scale_exponent > 0.0):
         raise ValueError("scale_exponent must be positive")
-    frame = EnergyFrame.from_lambda(lambda_eigen)
-    pieces = _truncated_pieces(problem)
-    state = PruferState(theta=0.0, log_r=0.0, x=0.0)
-    xs: List[float] = []
-    logs: List[float] = []
-    lo = 0.25 * problem.L_box
-    hi = 0.75 * problem.L_box
-    for value, length in reversed(pieces):
-        state = advance_interval(state, value, length, frame)
-        x = problem.L_box - state.x
-        if lo <= x <= hi:
-            xs.append(x)
-            logs.append(state.log_r)
-    if len(xs) < 10:
+    _, log_rs = walk_chain(problem.values[::-1], problem.lengths[::-1],
+                           EnergyFrame.from_lambda(lambda_eigen), 0.0)
+    xs = problem.L_box - np.cumsum(problem.lengths[::-1])
+    middle = (0.25 * problem.L_box <= xs) & (xs <= 0.75 * problem.L_box)
+    if np.count_nonzero(middle) < 10:
         raise ValueError("need at least 10 piece boundaries in the middle half of the box")
-    fit = linear_fit([x ** scale_exponent for x in xs], logs)
+    fit = linear_fit(xs[middle] ** scale_exponent, log_rs[1:][middle])
     return fit.slope, fit.r_squared
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """One located eigenvalue with its phase trace and decay fit."""
-
-    lam: float
-    theta_trace: Tuple[TraceRecord, ...]
-    decay: Optional[Tuple[float, float]]
-
-
-def eigen_result(
-    problem: BoxProblem,
-    lam: float,
-    scale_exponent: float = 1.0,
-) -> EigenResult:
-    """Bundle the trace and decay fit of an already-located eigenvalue.
-
-    The decay fit is omitted (None) when the box has too few interior piece
-    boundaries to support one.
-    """
-    trace = phase_trace(problem, lam)
-    try:
-        decay = decay_fit(problem, lam, scale_exponent)
-    except ValueError:
-        decay = None
-    return EigenResult(lam=lam, theta_trace=trace, decay=decay)

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from heavykp.potentials import Model, ModelConfig, generate, realization_from_csv
+from heavykp.prufer import PruferState, advance_interval, boundary_theta
 from heavykp.rng import RngStream, split_stream
 from heavykp.spectrum import (
     BoxProblem,
-    EigenResult,
     boundary_phase,
     count_below,
     decay_fit,
-    eigen_result,
     find_eigenvalues,
     phase_trace,
 )
+from heavykp.stats import linear_fit
 from heavykp.transfer import EnergyFrame
 
 _PI = math.pi
@@ -116,6 +116,152 @@ def test_below_spectrum_bottom_counts_zero():
     assert boundary_phase(prob, 0.0) < _PI
 
 
+# ── Chain walk versus the scalar flow ────────────────────────────────────────
+#
+# The spectrum module walks the truncated chain at one energy in bulk.  The
+# oracle is the scalar closed-form flow, one advance_interval call per
+# truncated piece.
+#
+# Tolerances.  theta: 1e-12 relative (1e-15 absolute near 0).  log r: 1e-11
+# relative to max(1, |log r|): the oracle carries the unwound phase as one
+# float, whose absolute error grows with |theta|, and every later piece turns
+# that error into a log-gain error, while the walk carries the unit vector
+# itself.  decay_fit: 1e-11 relative on the slope and absolute on r-squared,
+# the same log r error passed through a least-squares fit.  x positions:
+# exact (both sum the piece lengths left to right).  Measured worst cases on
+# these chains: theta 7.5e-15, log r 6.3e-13, slope 8.1e-13, r-squared 7.4e-14.
+
+_THETA_REL = 1e-12
+_THETA_ABS = 1e-15
+_LOG_R_REL = 1e-11
+_FIT_TOL = 1e-11
+
+
+def _oracle_pieces(problem: BoxProblem):
+    """(value, length) of the pieces covering exactly [0, L_box]."""
+    out = []
+    left = 0.0
+    for p in problem.realization.pieces:
+        if left >= problem.L_box:
+            break
+        length = min(p.length, problem.L_box - left)
+        if length > 0.0:
+            out.append((p.value, length))
+        left += length
+    return out
+
+
+def _oracle_records(pieces, frame, theta):
+    state = PruferState(theta=theta, log_r=0.0, x=0.0)
+    records = [(0.0, theta, 0.0)]
+    for value, length in pieces:
+        state = advance_interval(state, value, length, frame)
+        records.append((state.x, state.theta, state.log_r))
+    return records
+
+
+def _oracle_trace(problem: BoxProblem, lam: float):
+    frame = EnergyFrame.from_lambda(lam)
+    return _oracle_records(_oracle_pieces(problem), frame,
+                           boundary_theta(problem.theta0, frame))
+
+
+def _oracle_decay(problem: BoxProblem, lam: float, scale_exponent: float):
+    records = _oracle_records(reversed(_oracle_pieces(problem)),
+                              EnergyFrame.from_lambda(lam), 0.0)[1:]
+    xs, logs = [], []
+    for x_swept, _, log_r in records:
+        x = problem.L_box - x_swept
+        if 0.25 * problem.L_box <= x <= 0.75 * problem.L_box:
+            xs.append(x)
+            logs.append(log_r)
+    if len(xs) < 10:
+        return None  # too few boundaries in the middle half for a fit
+    fit = linear_fit([x ** scale_exponent for x in xs], logs)
+    return fit.slope, fit.r_squared
+
+
+def _assert_trace_matches_oracle(problem: BoxProblem, lam: float) -> None:
+    want = _oracle_trace(problem, lam)
+    got = phase_trace(problem, lam)
+    assert len(got) == len(want)
+    for rec, (x, theta, log_r) in zip(got, want):
+        assert rec.x == x
+        assert rec.theta == pytest.approx(theta, rel=_THETA_REL, abs=_THETA_ABS)
+        assert abs(rec.log_r - log_r) <= _LOG_R_REL * max(1.0, abs(log_r))
+    assert boundary_phase(problem, lam) == got[-1].theta
+    assert boundary_phase(problem, lam) == pytest.approx(
+        want[-1][1], rel=_THETA_REL, abs=_THETA_ABS)
+
+
+_WALK_MODELS = [
+    (Model.I, {"alpha1": 0.8}),
+    (Model.II, {"alpha1": 0.8}),
+    (Model.III, {"alpha2": 0.8}),
+    (Model.IV, {"alpha1": 0.8, "alpha2": 0.8}),
+]
+
+
+@pytest.mark.parametrize("model,kw", _WALK_MODELS)
+@pytest.mark.parametrize("lam", [-0.7, 0.0, 2.0])
+@pytest.mark.parametrize("theta0", [0.0, 1.1, 3.0])
+def test_walk_matches_scalar_flow(model, kw, lam, theta0):
+    cfg = ModelConfig(model=model, energy=1.0, **kw)
+    parent = RngStream(4041)
+    for i in range(3):
+        r = generate(cfg, 30, split_stream(parent, i))
+        prob = BoxProblem(realization=r, theta0=theta0, L_box=r.total_length)
+        _assert_trace_matches_oracle(prob, lam)
+        # a box that cuts the last piece short
+        cut = BoxProblem(realization=r, theta0=theta0, L_box=0.9 * r.total_length)
+        _assert_trace_matches_oracle(cut, lam)
+        want = _oracle_decay(prob, lam, 1.5)
+        if want is None:
+            with pytest.raises(ValueError, match="middle half"):
+                decay_fit(prob, lam, 1.5)
+            continue
+        want_slope, want_r2 = want
+        slope, r2 = decay_fit(prob, lam, 1.5)
+        assert slope == pytest.approx(want_slope, rel=_FIT_TOL, abs=_FIT_TOL)
+        assert r2 == pytest.approx(want_r2, abs=_FIT_TOL)
+
+
+def test_walk_degenerate_piece():
+    # lam equal to a piece's value gives u == 0: the parabolic shear, whose
+    # increment lies in [0, pi).  From theta0 = 3.0 the long first piece turns
+    # the phase by more than pi/2, past the middle of that range.
+    real = _csv_realization(["0,bump,2.0,6.0\n", "1,gap,0.0,0.7\n",
+                             "2,bump,2.0,0.4\n", "3,bump,-1.0,1.0\n"])
+    for theta0 in (0.0, 1.1, 3.0):
+        prob = BoxProblem(realization=real, theta0=theta0, L_box=real.total_length)
+        _assert_trace_matches_oracle(prob, 2.0)
+    prob = BoxProblem(realization=real, theta0=3.0, L_box=real.total_length)
+    trace = phase_trace(prob, 2.0)
+    assert trace[1].theta - trace[0].theta > 0.5 * _PI
+    # lam = 0 on a gap (k = 1 frame) is degenerate too
+    prob = BoxProblem(realization=real, theta0=1.1, L_box=real.total_length)
+    _assert_trace_matches_oracle(prob, 0.0)
+
+
+def test_walk_dead_direction():
+    # A bump with a = sqrt(V - lam) * l > 372 has exp(-2a) underflowed, so its
+    # matrix is rank one in floats.  At lam = 1 and theta0 = 2.35 the boundary
+    # vector lies exactly on this bump's contracting direction: the value was
+    # found by scanning V ulp by ulp until both the scalar flow's and the
+    # walk's products of that vector vanish.
+    real = _csv_realization(["0,bump,1.975525874775178,400.0\n",
+                             "1,gap,0.0,0.5\n", "2,bump,3.0,1.0\n"])
+    prob = BoxProblem(realization=real, theta0=2.35, L_box=real.total_length)
+    frame = EnergyFrame.from_lambda(1.0)
+    t = boundary_theta(2.35, frame)
+    bok = math.sqrt((1.975525874775178 - 1.0) * 400.0 * 400.0) / 400.0
+    assert math.sin(t) + math.cos(t) / bok == 0.0
+    assert bok * math.sin(t) + math.cos(t) == 0.0
+    _assert_trace_matches_oracle(prob, 1.0)
+    # the dead branch contracts: log r falls by about a ~ 395 on the bump
+    assert phase_trace(prob, 1.0)[1].log_r < -390.0
+
+
 # ── Winding count versus dense sign changes ──────────────────────────────────
 
 
@@ -133,15 +279,7 @@ def _dense_zero_count(problem: BoxProblem, lam: float) -> int:
     psi0 = math.sin(trace[0].theta)
     if psi0 != 0.0:
         signs.append(math.copysign(1.0, psi0))
-    left = 0.0
-    pieces = []
-    for p in problem.realization.pieces:
-        if left >= problem.L_box:
-            break
-        length = min(p.length, problem.L_box - left)
-        pieces.append((p.value, length))
-        left += length
-    for rec, (value, length) in zip(trace, pieces):
+    for rec, (value, length) in zip(trace, _oracle_pieces(problem)):
         s0 = math.sin(rec.theta)
         c0 = math.cos(rec.theta)
         if lam > value:
@@ -165,14 +303,19 @@ def _dense_zero_count(problem: BoxProblem, lam: float) -> int:
     (Model.I, {"alpha1": 0.8}, 0.0),
     (Model.III, {"alpha2": 0.8}, 0.0),
     (Model.I, {"alpha1": 0.8}, 0.3),
+    # wells and signed bumps, below and above the gap potential
+    *[(Model.II, {"alpha1": 0.8, "energy": lam}, 1.1) for lam in (-0.7, 0.3, 2.0)],
+    *[(Model.IV, {"alpha1": 0.8, "alpha2": 0.8, "energy": lam}, 1.1)
+      for lam in (-0.7, 0.3, 2.0)],
 ])
 def test_winding_count_matches_dense_signs(model, kw, theta0):
-    cfg = ModelConfig(model=model, energy=2.0, **kw)
+    # kw may override the energy the winding is counted at (default 2)
+    cfg = ModelConfig(model=model, **{"energy": 2.0, **kw})
     parent = RngStream(2024)
     for i in range(10):
         r = generate(cfg, 8, split_stream(parent, i))
         prob = BoxProblem(realization=r, theta0=theta0, L_box=r.total_length)
-        assert count_below(prob, 2.0) == _dense_zero_count(prob, 2.0)
+        assert count_below(prob, cfg.energy) == _dense_zero_count(prob, cfg.energy)
 
 
 def test_count_monotone_in_box_size():
@@ -227,7 +370,7 @@ def test_tolerance_consistency():
         assert a == pytest.approx(b, abs=1e-5 * max(1.0, abs(b)))
 
 
-# ── Traces and bundles ───────────────────────────────────────────────────────
+# ── Traces ───────────────────────────────────────────────────────────────────
 
 
 def test_phase_trace_structure():
@@ -243,24 +386,6 @@ def test_phase_trace_structure():
     # all pieces oscillatory at lam = 2: theta increases along the chain
     thetas = [rec.theta for rec in trace]
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
-
-
-def test_eigen_result_bundles_trace_and_decay():
-    free = _free_realization([0.2] * 60)
-    prob = BoxProblem(realization=free, theta0=0.0, L_box=12.0)
-    lam = (3 * _PI / 12.0) ** 2
-    res = eigen_result(prob, lam)
-    assert isinstance(res, EigenResult)
-    assert res.lam == lam
-    assert res.theta_trace == phase_trace(prob, lam)
-    assert res.decay == (0.0, 1.0)
-
-
-def test_eigen_result_decay_none_when_box_too_coarse():
-    free = _free_realization([2.0])
-    prob = BoxProblem(realization=free, theta0=0.0, L_box=2.0)
-    res = eigen_result(prob, (_PI / 2.0) ** 2)
-    assert res.decay is None
 
 
 def test_decay_fit_needs_interior_boundaries():
