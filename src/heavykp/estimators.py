@@ -1,14 +1,18 @@
 """Monte Carlo estimators for the chain limit objects.
 
-Everything here reduces to two sweeps over sampled chains:
+Everything here reduces to one sweep over sampled chains, sweep_chains.  It
+walks many independent chains at once, segment by segment, the way
+prufer.walk_chain walks one chain: piece matrices in bulk, a lean loop over
+the bumps that pushes unit vectors (numpy across seeds), and the results
+read off the stored vectors.  Its lanes give
 
-    phase sweep     unwound Prufer phase (and optionally log radius) of many
-                    independent chains, advanced piece by piece;
-    product sweep   log norm of the accumulated transfer-matrix product.
+    theta       the unwound Prufer phase of the boundary-condition vector;
+    log norm    log||M|| of the transfer-matrix product, from its columns
+                M e1 and M e2.
 
-Both sweeps are vectorized across seeds and sequential along the chain, and
-both reproduce the scalar single-chain paths exactly (same draw order, same
-branch arrangements), which is what the cross-consistency tests pin down.
+The sweep draws in the canonical order of potentials.generate, so the
+single-chain references (prufer.walk_chain, lyapunov_trace, ids_trace) see
+the same chains, which is what the oracle tests pin down.
 
 Estimated objects:
 
@@ -32,10 +36,29 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .potentials import Model, ModelConfig, PieceKind, generate
-from .prufer import PhaseChainState, PruferState, advance_piece, boundary_theta, phase_fold
+from .prufer import (
+    PhaseChainState,
+    PruferState,
+    _dead_direction,
+    _unwind_boundaries,
+    advance_piece,
+    boundary_theta,
+    phase_fold,
+)
 from .rng import RngStream, sample_bump_height, sample_gap_length, split_stream
 from .stats import ks_distance
-from .transfer import BatchProducts, EnergyFrame, accumulate, identity_mat, log_norm, push_piece, push_rotation, transfer_matrix
+from .transfer import (
+    LOG_SCALE_CEILING,
+    SaturationError,
+    _piece_entries_batch,
+    accumulate,
+    identity_mat,
+    log_norm,
+    transfer_matrix,
+)
+# The sweeps no longer call the batch piece kernels; these two names stay
+# bound here because bench/spans.py wraps the kernels at this module too.
+from .transfer import push_piece, push_rotation  # noqa: F401
 
 _PI = math.pi
 
@@ -128,6 +151,199 @@ def _draw_blocks(config: ModelConfig, streams: Sequence[RngStream], n: int):
     return x, y, eps
 
 
+# Element budget of one walk segment, bumps x seeds.  The bulk stages (piece
+# matrices, winding) work on arrays of about this size and the lane buffers
+# on a small multiple of it, so a sweep's memory stays flat in n_bumps, while
+# the numpy calls of a segment still share their fixed cost over thousands of
+# elements.
+_SEGMENT_ELEMENTS = 3072
+
+# Norm band of the fast step: inside it sqrt(x*x + y*y) neither overflows
+# nor loses digits to underflow.  A lane whose step norm falls outside is
+# redone on its own with hypot, and a norm that is then exactly 0 marks a
+# dead-direction lane.
+_NORM_BAND = (1e-150, 1e150)
+
+
+def _bump_values(model: Model, x, eps, j0: int, j1: int) -> Optional[np.ndarray]:
+    """Potentials of bumps j0..j1-1 as (bumps, seeds); None for model III's unit bumps."""
+    if model is Model.III:
+        return None
+    v = np.ascontiguousarray(x[:, j0:j1].T)
+    if model is Model.II:
+        np.negative(v, out=v)
+    elif model is Model.IV:
+        v *= 1.0 - 2.0 * eps[:, j0:j1].T
+    return v
+
+
+def _step_matrices(mats, values, gaps, unit, lam: float, k: float):
+    """Fill mats (bumps, 2, 2, 1, seeds) with a segment's step matrices.
+
+    Without gaps a step is the bump's piece matrix.  With gaps it is the bump
+    matrix times the matrix of the gap before it, and the gap's own entries
+    (diagonal, upper, lower, prescale) come back for recovering the vector
+    between the two; unit holds model III's one bump matrix.  Returns the
+    steps' log prescales and the gap entries (None without gaps).
+    """
+    if gaps is None:
+        c, b, e, pre = _piece_entries_batch(values, 1.0, lam, k)
+        entries = (c, b, e, c)
+        gap = None
+    else:
+        if values is None:
+            gc, gb, ge, gpre = _piece_entries_batch(0.0, gaps, lam, k)
+            bc, bb, be, bpre = unit
+        else:
+            # one call over the segment's gap pieces and bump pieces
+            both_v = np.zeros((2,) + gaps.shape)
+            both_v[1] = values
+            both_l = np.ones((2,) + gaps.shape)
+            both_l[0] = gaps
+            entries = _piece_entries_batch(both_v, both_l, lam, k)
+            (gc, bc), (gb, bb), (ge, be), (gpre, bpre) = entries
+        entries = (bc * gc + bb * ge, bc * gb + bb * gc, be * gc + bc * ge, be * gb + bc * gc)
+        pre = gpre + bpre
+        gap = (gc, gb, ge, gpre)
+    for m, (i, j) in zip(entries, ((0, 0), (0, 1), (1, 0), (1, 1))):
+        mats[:, i, j, 0] = m
+    return pre, gap
+
+
+class _LaneWalk:
+    """The lanes of one seed block and their buffers, reused from segment to segment.
+
+    vecs holds (steps + 1, 2, lanes, seeds) unit vectors (psi, psi'/k) with
+    the entering ones in row 0, norms (steps, lanes, seeds) the norm of every
+    step and mats (steps, 2, 2, 1, seeds) the step matrices.
+    """
+
+    def __init__(self, starts, n_steps: int, n_seeds: int):
+        n_lanes = len(starts)
+        self.vecs = np.empty((n_steps + 1, 2, n_lanes, n_seeds))
+        self.norms = np.empty((n_steps, n_lanes, n_seeds))
+        self.mats = np.empty((n_steps, 2, 2, 1, n_seeds))
+        self._prod = np.empty((2, 2, n_lanes, n_seeds))
+        for lane, (p, q) in enumerate(starts):
+            self.vecs[0, 0, lane] = p
+            self.vecs[0, 1, lane] = q
+
+    def walk(self, n_steps: int, values, gaps, unit, lam: float, k: float):
+        """Walk the lanes through a segment of n_steps bumps.
+
+        Returns the steps' log prescales, the gap entries and the log gains
+        of dead-direction steps by (step, lane, seed).  Steps run on the fast
+        norm.  At the first step where a lane's norm left _NORM_BAND, each
+        such lane is redone alone as in walk_chain, with hypot, and the walk
+        resumes after that step; every lane's values therefore depend on that
+        lane alone.  A lane whose norm is then exactly 0 sits on the
+        contracting direction of a factored bump and takes the scalar flow's
+        dead-direction arithmetic, after its gap if there is one.  NaN norms
+        (lanes fed an infinite height) pass.
+        """
+        mats = self.mats[:n_steps]
+        vecs = self.vecs[:n_steps + 1]
+        norms = self.norms[:n_steps]
+        pre, gap = _step_matrices(mats, values, gaps, unit, lam, k)
+        lo, hi = _NORM_BAND
+        dead: Dict[tuple, float] = {}
+        first = 0
+        while first < n_steps:
+            self._push(mats, vecs, norms, first)
+            rest = norms[first:]
+            out_of_band = (rest <= lo) | (rest >= hi)
+            hits = np.flatnonzero(out_of_band.any(axis=(1, 2)))
+            if hits.size == 0:
+                break
+            j = first + int(hits[0])
+            for lane, seed in np.argwhere(out_of_band[j - first]):
+                (m00, m01), (m10, m11) = mats[j, :, :, 0, seed].tolist()
+                p, q = vecs[j, :, lane, seed].tolist()
+                x = m00 * p + m01 * q
+                y = m10 * p + m11 * q
+                size = math.hypot(x, y)
+                if size == 0.0:
+                    x, y, dead[(j, int(lane), int(seed))] = _dead_step(gap, values, j, seed,
+                                                                        p, q, lam, k)
+                    size = math.hypot(x, y)
+                vecs[j + 1, :, lane, seed] = (x / size, y / size)
+                norms[j, lane, seed] = size
+            first = j + 1
+        return pre, gap, dead
+
+    def _push(self, mats, vecs, norms, first: int) -> None:
+        """Push every lane through the steps from first on: the lean loop."""
+        prod = self._prod
+        sq = prod[0]  # free again once a step's products are summed
+        prod0, prod1, sq0, sq1 = prod[:, 0], prod[:, 1], sq[0], sq[1]
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            for mat, vec, nxt, nrm in zip(mats[first:], vecs[first:-1], vecs[first + 1:],
+                                          norms[first:]):
+                np.multiply(mat, vec, out=prod)
+                np.add(prod0, prod1, out=nxt)
+                np.multiply(nxt, nxt, out=sq)
+                np.add(sq0, sq1, out=nrm)
+                np.sqrt(nrm, out=nrm)
+                np.divide(nxt, nrm, out=nxt)
+
+    def carry(self, n_steps: int) -> None:
+        """Make the vectors after step n_steps the next segment's start."""
+        self.vecs[0] = self.vecs[n_steps]
+
+
+def _dead_step(gap, values, j: int, seed: int, p: float, q: float, lam: float, k: float):
+    """(psi, psi'/k, log gain) of step j for a vector its bump annihilates."""
+    gain = 0.0
+    if gap is not None:
+        gc, gb, ge, gpre = (float(g[j, seed]) for g in gap)
+        p, q = gc * p + gb * q, ge * p + gc * q
+        size = math.hypot(p, q)
+        p, q = p / size, q / size
+        if lam <= 0.0:  # a gap at lam > 0 is a rotation and gains 0
+            gain = gpre + math.log(size)
+    value = 1.0 if values is None else float(values[j, seed])
+    x, y, dead_gain = _dead_direction(p, q, value, 1.0, lam, k)
+    return x, y, gain + dead_gain
+
+
+def _running_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """start and its running sums with the rows of terms, added in row order."""
+    out = np.empty((terms.shape[0] + 1,) + start.shape)
+    out[0] = start
+    for prev, term, cur in zip(out[:-1], terms, out[1:]):
+        np.add(prev, term, out=cur)
+    return out
+
+
+def _unwind_segment(vecs, gap, values, lengths, lam: float, k: float, start):
+    """Unwound theta at the start and after every bump of a segment (theta lane 0).
+
+    The vector after each gap is recovered from the vector before it, so the
+    winding rule sees every piece boundary; it is scaled to a largest
+    component of 1, which keeps the conjugate angles clear of overflow.
+    lengths holds the gap and bump lengths interleaved (None without gaps).
+    """
+    p = vecs[:, 0, 0]
+    q = vecs[:, 1, 0]
+    if gap is None:
+        return _unwind_boundaries(np.ascontiguousarray(p), np.ascontiguousarray(q), values,
+                                  np.ones_like(values), lam, k, start)
+    nj = lengths.shape[0] // 2
+    gc, gb, ge, _ = gap
+    gp = gc * p[:-1] + gb * q[:-1]
+    gq = ge * p[:-1] + gc * q[:-1]
+    size = np.maximum(np.abs(gp), np.abs(gq))
+    psi = np.empty((2 * nj + 1,) + p.shape[1:])
+    psik = np.empty_like(psi)
+    psi[0::2] = p
+    psi[1::2] = gp / size
+    psik[0::2] = q
+    psik[1::2] = gq / size
+    piece_v = np.zeros((2 * nj,) + p.shape[1:])
+    piece_v[1::2] = 1.0 if values is None else values
+    return _unwind_boundaries(psi, psik, piece_v, lengths, lam, k, start)[0::2]
+
+
 def sweep_chains(
     config: ModelConfig,
     n_bumps: int,
@@ -147,17 +363,37 @@ def sweep_chains(
     stored; the final bump count is always included.  want_aux_sqrt
     accumulates the per-seed rotation benchmark sum: sqrt(lam + X) for model
     II, sqrt(X - lam) over hyperbolic bumps for model I.
+
+    The chains are walked as in prufer.walk_chain, across seeds and one
+    segment of bumps at a time.  The lanes are unit vectors (psi, psi'/k):
+    the boundary-condition vector of every seed for theta, and the two
+    columns M e1, M e2 of every seed's transfer-matrix product for the log
+    norm.  Per segment:
+
+    1. the piece matrices of all its bumps and seeds come from one
+       _piece_entries_batch call; each gap is multiplied into the bump after
+       it, so that one step covers one bump;
+    2. a loop over the bumps pushes every lane through its step matrix, in
+       numpy across lanes, renormalizing into preallocated buffers;
+    3. theta is unwound from the stored boundary vectors by walk_chain's
+       winding rule, and log|M e_i| adds up the prescales and the logs of the
+       norms; log||M|| (Frobenius) is log sqrt(|M e1|**2 + |M e2|**2).
+
+    Positions, log norms and sums are added in piece order and theta carries
+    whole turns across segments, so no value depends on the segment length,
+    and each lane depends on its own seed only.  A log-norm lane that leaves float range
+    raises SaturationError; a theta lane fed an infinite bump height turns
+    NaN.  Gap models accept any energy: at lam <= 0 gaps are ordinary
+    hyperbolic or degenerate pieces.
     """
     if n_bumps < 1 or n_seeds < 1:
         raise ValueError("n_bumps and n_seeds must be positive")
+    model = config.model
+    if want_aux_sqrt and model not in (Model.I, Model.II):
+        raise ValueError("aux sqrt sums are defined for models I and II")
     frame = config.frame()
     lam = frame.lam
     k = frame.k_norm
-    model = config.model
-    # the vectorized gap step is the lam > 0 rotation shortcut; below that the
-    # scalar trace paths are the only correct route through gap models
-    if model in (Model.III, Model.IV) and lam <= 0.0:
-        raise ValueError("chain sweeps over gap models require energy > 0")
     cps = sorted(set(int(c) for c in checkpoint_bumps) | {n_bumps})
     if cps[0] < 1 or cps[-1] > n_bumps:
         raise ValueError("checkpoint bump counts must lie in [1, n_bumps]")
@@ -174,63 +410,77 @@ def sweep_chains(
     }
     aux = np.zeros(n_seeds) if want_aux_sqrt else None
 
-    streams = _seed_streams(stream, n_seeds)
-    sign_iv = None
-    for lo, hi in _chunk_sizes(n_seeds, n_bumps):
-        block = streams[lo:hi]
-        s = len(block)
-        x, y, eps = _draw_blocks(config, block, n_bumps)
-        if model is Model.IV:
-            sign_iv = 1.0 - 2.0 * eps
-        thetas = np.full(s, theta_start) if want_theta else None
-        prods = BatchProducts(s) if want_log_norm else None
-        pos = np.zeros(s)
-        aux_blk = np.zeros(s) if want_aux_sqrt else None
+    gap_model = model in (Model.III, Model.IV)
+    unit = None
+    if model is Model.III:
+        unit = tuple(float(e[0]) for e in _piece_entries_batch(np.ones(1), np.ones(1), lam, k))
+    # lanes: the theta vector, then the columns e1 and e2
+    starts = ([(math.sin(theta_start), math.cos(theta_start))] if want_theta else []) \
+        + ([(1.0, 0.0), (0.0, 1.0)] if want_log_norm else [])
+    n_lanes = len(starts)
+    first_col = 1 if want_theta else 0
 
-        for j in range(n_bumps):
-            if model in (Model.III, Model.IV):
-                gap_col = y[:, j]
-                if want_theta:
-                    thetas += k * gap_col  # exact gap rotation
-                if want_log_norm:
-                    push_rotation(prods, gap_col, frame)
-                pos = pos + gap_col
-            if model is Model.I:
-                v_col = x[:, j]
-            elif model is Model.II:
-                v_col = -x[:, j]
-            elif model is Model.III:
-                v_col = None  # unit bump
+    streams = _seed_streams(stream, n_seeds)
+    for lo, hi in _chunk_sizes(n_seeds, n_bumps):
+        x, y, eps = _draw_blocks(config, streams[lo:hi], n_bumps)
+        s = hi - lo
+        seg = max(1, _SEGMENT_ELEMENTS // s)
+        lanes = _LaneWalk(starts, seg, s)
+        theta = theta_start
+        logs = np.zeros((2, s))
+        pos = np.zeros(s)
+        aux_blk = np.zeros(s)
+
+        for j0 in range(0, n_bumps, seg):
+            j1 = min(n_bumps, j0 + seg)
+            nj = j1 - j0
+            values = _bump_values(model, x, eps, j0, j1)
+            gaps = np.ascontiguousarray(y[:, j0:j1].T) if gap_model else None
+
+            lengths = None
+            if gap_model:
+                lengths = np.ones((2 * nj, s))  # the gap and bump pieces in order
+                lengths[0::2] = gaps
+                pos_run = _running_sums(pos, lengths)[0::2]
             else:
-                v_col = x[:, j] * sign_iv[:, j]
-            if want_theta:
-                if model is Model.III:
-                    phase_fold(thetas, 1.0, 1.0, frame)
-                else:
-                    phase_fold(thetas, v_col, 1.0, frame)
-            if want_log_norm:
-                if model is Model.III:
-                    push_piece(prods, 1.0, 1.0, frame)
-                else:
-                    push_piece(prods, v_col, 1.0, frame)
+                pos_run = pos + np.arange(nj + 1.0)[:, None]
+            pos = pos_run[-1]
             if want_aux_sqrt:
                 if model is Model.II:
-                    aux_blk += np.sqrt(lam + x[:, j])
-                elif model is Model.I:
-                    exc = x[:, j] - lam
-                    aux_blk += np.sqrt(np.where(exc > 0.0, exc, 0.0))
+                    terms = np.sqrt(lam - values)
                 else:
-                    raise ValueError("aux sqrt sums are defined for models I and II")
-            pos = pos + 1.0
+                    exc = values - lam
+                    terms = np.sqrt(np.where(exc > 0.0, exc, 0.0))
+                aux_blk = _running_sums(aux_blk, terms)[-1]
 
-            nb = j + 1
-            if nb in records:
-                rec = records[nb]
-                rec.x[lo:hi] = pos
-                if want_theta:
-                    rec.theta[lo:hi] = thetas
-                if want_log_norm:
-                    rec.log_norm[lo:hi] = prods.log_norms()
+            if n_lanes:
+                pre, gap, dead = lanes.walk(nj, values, gaps, unit, lam, k)
+            if want_theta:
+                thetas = _unwind_segment(lanes.vecs[:nj + 1], gap, values, lengths, lam, k, theta)
+                theta = thetas[-1]
+            if want_log_norm:
+                gains = pre[:, None, :] + np.log(lanes.norms[:nj, first_col:])
+                for (j, lane, seed), gain in dead.items():
+                    if lane >= first_col:
+                        gains[j, lane - first_col, seed] = gain
+                if not np.all(np.isfinite(gains)):
+                    raise SaturationError("chain sweep product left representable range")
+                log_run = _running_sums(logs, gains)
+                if log_run.max() > LOG_SCALE_CEILING:
+                    raise SaturationError("accumulated log scale exceeds representable range")
+                logs = log_run[-1]
+
+            for nb in cps:
+                if j0 < nb <= j1:
+                    r = nb - j0
+                    rec = records[nb]
+                    rec.x[lo:hi] = pos_run[r]
+                    if want_theta:
+                        rec.theta[lo:hi] = thetas[r]
+                    if want_log_norm:
+                        rec.log_norm[lo:hi] = 0.5 * np.logaddexp(2.0 * log_run[r, 0],
+                                                                 2.0 * log_run[r, 1])
+            lanes.carry(nj)
         if want_aux_sqrt:
             aux[lo:hi] = aux_blk
 
@@ -328,7 +578,11 @@ def estimate_lyapunov(
 ) -> LyapunovEstimate:
     """Per-seed scaled log norms ln||M([0, x_n])|| / normalizer."""
     res = sweep_chains(config, n_bumps, n_seeds, stream, want_log_norm=True)
-    rec = res.final()
+    return _lyapunov_estimate(config, n_bumps, res.final(), scale)
+
+
+def _lyapunov_estimate(config: ModelConfig, n_bumps: int, rec: SweepRecord,
+                       scale: LyapunovScale) -> LyapunovEstimate:
     if scale is LyapunovScale.LINEAR_X:
         values = rec.log_norm / rec.x
         desc = "chain length x_n"
@@ -350,7 +604,11 @@ def estimate_ids(
 ) -> IdsEstimate:
     """Per-seed rotation numbers theta(x_n) / (pi * normalizer)."""
     res = sweep_chains(config, n_bumps, n_seeds, stream, want_theta=True)
-    rec = res.final()
+    return _ids_estimate(config, n_bumps, res.final(), scale)
+
+
+def _ids_estimate(config: ModelConfig, n_bumps: int, rec: SweepRecord,
+                  scale: IdsScale) -> IdsEstimate:
     if scale is IdsScale.LINEAR:
         values = rec.theta / (_PI * rec.x)
         desc = "pi * chain length x_n"
@@ -359,6 +617,25 @@ def estimate_ids(
         values = rec.theta / (_PI * norm)
         desc = "pi * " + desc
     return IdsEstimate(scale=scale, values=values, normalizer_desc=desc, n_bumps=n_bumps)
+
+
+def estimate_lyapunov_and_ids(
+    config: ModelConfig,
+    n_bumps: int,
+    n_seeds: int,
+    stream: RngStream,
+    lyapunov_scale: LyapunovScale = LyapunovScale.LINEAR_X,
+    ids_scale: IdsScale = IdsScale.LINEAR,
+) -> Tuple[LyapunovEstimate, IdsEstimate]:
+    """estimate_lyapunov and estimate_ids on the same chains from one sweep.
+
+    Every lane of a sweep depends on its own seed and lane only, so both
+    estimates equal the separate calls bit for bit.
+    """
+    res = sweep_chains(config, n_bumps, n_seeds, stream, want_theta=True, want_log_norm=True)
+    rec = res.final()
+    return (_lyapunov_estimate(config, n_bumps, rec, lyapunov_scale),
+            _ids_estimate(config, n_bumps, rec, ids_scale))
 
 
 def nonlinear_samples(

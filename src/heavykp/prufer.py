@@ -28,11 +28,13 @@ windings stay consistent across every routine in the package.
 
 The scalar flow (_advance_scalar, advance_interval) advances one piece at a
 time and is the per-piece reference; phase_fold is its batch twin across
-many chains.  The box spectrum walks whole chains at one energy with
-walk_chain instead: it pushes the solution vector through the piece matrices
-of the transfer module and recovers the winding from the boundary vectors,
-with the closed forms above serving only as increment estimates, so it agrees
-with a chain of scalar steps to rounding.
+many chains, used by the phase-chain mixing estimator.  The box spectrum
+walks whole chains at one energy with walk_chain instead: it pushes the
+solution vector through the piece matrices of the transfer module and
+recovers the winding from the boundary vectors (_unwind_boundaries), with the
+closed forms above serving only as increment estimates, so it agrees with a
+chain of scalar steps to rounding.  The estimator sweeps walk many chains the
+same way, with the same winding rule.
 """
 from __future__ import annotations
 
@@ -297,6 +299,10 @@ def tan_update_G(t: float, y: float, frame: EnergyFrame) -> float:
 
 
 # ── Vectorized phase folds ───────────────────────────────────────────────────
+#
+# phase_fold runs chain_mixing and serves the tests as a batch reference for
+# the scalar flow.  The estimator sweeps no longer call it; it also stays
+# bound in heavykp.estimators because bench/spans.py wraps it there.
 
 
 def phase_fold(thetas: np.ndarray, values, lengths, frame: EnergyFrame,
@@ -463,22 +469,39 @@ def walk_chain(values: np.ndarray, lengths: np.ndarray, frame: EnergyFrame,
         gains[j] = gain
     log_rs = np.concatenate(([0.0], np.cumsum(gains)))
 
-    psi = np.array(psi_list)
-    psik = np.array(psik_list)
+    thetas = _unwind_boundaries(np.array(psi_list), np.array(psik_list), values, lengths,
+                               lam, k, theta)
+    return thetas, log_rs
+
+
+def _unwind_boundaries(psi: np.ndarray, psik: np.ndarray, values: np.ndarray,
+                      lengths: np.ndarray, lam: float, k: float, start) -> np.ndarray:
+    """Unwound phases of boundary vectors (psi, psi'/k) along runs of pieces.
+
+    The piece axis comes first: psi and psik have one row more than values
+    and lengths, and any trailing axes hold independent chains.  start is the
+    unwound phase of row 0 (a scalar or one value per chain).  Each increment
+    is the difference of the boundary-vector angles plus the multiple of 2 pi
+    that brings it nearest the piece's closed-form estimate (see walk_chain);
+    the vectors need not be normalized.
+    """
     angle = np.arctan2(psi, psik)
     phi = angle.copy()
-    phi[0] = theta
-    diff = np.diff(phi)
+    phi[0] = start
+    diff = np.diff(phi, axis=0)
     u = (lam - values) * lengths * lengths
     estimate = np.where(u == 0.0, 0.5 * _PI, 0.0)
     osc = np.flatnonzero(u > 0.0)
     if osc.size:
-        w = np.sqrt(u[osc])
-        rho = w / (k * lengths[osc])
-        conj0 = np.arctan2(rho * psi[osc], psik[osc])
-        conj1 = np.arctan2(rho * psi[osc + 1], psik[osc + 1])
-        estimate[osc] = (angle[osc + 1] - angle[osc]
-                         + _TWO_PI * np.round((conj0 + w - conj1) / _TWO_PI))
+        # flat indices: the boundary after piece i sits one row further on
+        nxt = osc + psi[0].size
+        psi_f, psik_f, angle_f = psi.reshape(-1), psik.reshape(-1), angle.reshape(-1)
+        w = np.sqrt(u.reshape(-1)[osc])
+        rho = w / (k * lengths.reshape(-1)[osc])
+        conj0 = np.arctan2(rho * psi_f[osc], psik_f[osc])
+        conj1 = np.arctan2(rho * psi_f[nxt], psik_f[nxt])
+        estimate.reshape(-1)[osc] = (angle_f[nxt] - angle_f[osc]
+                                     + _TWO_PI * np.round((conj0 + w - conj1) / _TWO_PI))
     turns = np.round((estimate - diff) / _TWO_PI)
-    thetas = phi + _TWO_PI * np.concatenate(([0.0], np.cumsum(turns)))
-    return thetas, log_rs
+    phi[1:] += _TWO_PI * np.cumsum(turns, axis=0)
+    return phi

@@ -35,7 +35,7 @@ from .estimators import (
     chain_mixing,
     darling_ratio,
     estimate_ids,
-    estimate_lyapunov,
+    estimate_lyapunov_and_ids,
     sweep_chains,
 )
 from .potentials import Model, ModelConfig, generate
@@ -345,10 +345,9 @@ def _run_ids(spec: TaskSpec, rows, summary) -> None:
 
 
 def _run_nonlinear(spec: TaskSpec, rows, summary) -> None:
-    lya = estimate_lyapunov(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec),
-                            LyapunovScale.NONLINEAR_ALPHA)
-    ids = estimate_ids(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec),
-                       IdsScale.NONLINEAR_ALPHA)
+    lya, ids = estimate_lyapunov_and_ids(spec.cell_config, spec.n, spec.n_seeds,
+                                         _task_stream(spec), LyapunovScale.NONLINEAR_ALPHA,
+                                         IdsScale.NONLINEAR_ALPHA)
     for seed in range(spec.n_seeds):
         rows.append((seed, "lyapunov_scaled", float(lya.values[seed])))
         rows.append((seed, "ids_scaled", float(ids.values[seed])))

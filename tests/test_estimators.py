@@ -1,9 +1,27 @@
-"""Monte Carlo estimator sweeps: scalar/vector consistency and limit behavior."""
+"""Monte Carlo estimator sweeps: oracle agreement, failure cases and limit behavior.
+
+Sweep oracles and their tolerances:
+
+    theta     prufer.walk_chain on the pieces of potentials.generate, same
+              seed stream: |dtheta| <= 1e-12 * max(1, |theta|).  Measured
+              worst 2.0e-16 over models I-IV, lam in {2, 1, 0.3, 0, -0.7},
+              n = 1000, with the default and a 37-bump segment length.
+              A wrong winding count would miss by pi or more.
+    log norm  lyapunov_trace (scalar ScaledMat products): |d log||M|||
+              <= 1e-11 * max(1, |log||M|||).  Measured worst 3.7e-14.
+    x         bit-identical to lyapunov_trace.
+
+ids_trace is not used as a theta oracle at n = 1000: the scalar flow works
+from sin/cos of the unwound theta and drifts once theta is large.
+"""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import heavykp.estimators as estimators
 from heavykp.estimators import (
     IdsScale,
     LyapunovScale,
@@ -11,17 +29,22 @@ from heavykp.estimators import (
     darling_ratio,
     estimate_ids,
     estimate_lyapunov,
+    estimate_lyapunov_and_ids,
     ids_trace,
     lyapunov_trace,
     model3_joint_samples,
     nonlinear_samples,
     sweep_chains,
 )
-from heavykp.potentials import Model, ModelConfig
-from heavykp.rng import RngStream, sample_bump_height, split_stream
+from heavykp.potentials import Model, ModelConfig, generate
+from heavykp.prufer import boundary_theta, walk_chain
+from heavykp.rng import RngStream, sample_bump_height, sample_gap_length, split_stream
 from heavykp.stats import mean_ci
+from heavykp.transfer import SaturationError
 
 _PI = math.pi
+THETA_TOL = 1e-12
+LOG_NORM_TOL = 1e-11
 
 
 def _cfg(model: Model, **kw) -> ModelConfig:
@@ -78,10 +101,194 @@ def test_sweep_checkpoints_consistent_with_shorter_sweep(name):
     assert np.array_equal(a.log_norm, b.log_norm)
 
 
-def test_sweep_gap_models_require_positive_energy():
-    cfg = _cfg(Model.IV, alpha1=0.5, alpha2=0.5, energy=-1.0)
-    with pytest.raises(ValueError, match="require energy > 0"):
-        sweep_chains(cfg, 10, 2, RngStream(1), want_theta=True)
+# ── Sweep against the chain-walk and product oracles ────────────────────────
+
+
+def _walk_thetas(cfg: ModelConfig, n_bumps: int, stream: RngStream, edit=None) -> np.ndarray:
+    """walk_chain's theta after each bump (index 0 = start) of the generated chain."""
+    real = generate(cfg, n_bumps, stream)
+    values = np.array([p.value for p in real.pieces])
+    lengths = np.array([p.length for p in real.pieces])
+    if edit is not None:
+        edit(values, lengths)
+    frame = cfg.frame()
+    thetas, _ = walk_chain(values, lengths, frame, boundary_theta(cfg.theta0, frame))
+    per_bump = 1 if cfg.model in (Model.I, Model.II) else 2
+    return thetas[::per_bump]
+
+
+def _check_against_oracles(cfg: ModelConfig, n_bumps: int, n_seeds: int, parent: RngStream,
+                           checkpoints) -> None:
+    res = sweep_chains(cfg, n_bumps, n_seeds, parent, want_theta=True, want_log_norm=True,
+                       checkpoint_bumps=checkpoints)
+    for i in range(n_seeds):
+        child = split_stream(parent, i)
+        thetas = _walk_thetas(cfg, n_bumps, child)
+        products = lyapunov_trace(cfg, n_bumps, checkpoints, child)
+        for (x, ln), nb in zip(products, sorted(res.records)):
+            rec = res.records[nb]
+            want = thetas[nb]
+            assert abs(rec.theta[i] - want) <= THETA_TOL * max(1.0, abs(want)), (nb, i)
+            assert rec.x[i] == x
+            assert abs(rec.log_norm[i] - ln) <= LOG_NORM_TOL * max(1.0, abs(ln)), (nb, i)
+
+
+ORACLE_CONFIGS = {
+    "I": _cfg(Model.I, alpha1=0.5, energy=2.0, theta0=1.1),
+    "II": _cfg(Model.II, alpha1=0.5, energy=-0.7, theta0=1.1),
+    "III": _cfg(Model.III, alpha2=0.6, energy=0.3, theta0=1.1),
+    "IV": _cfg(Model.IV, alpha1=0.5, alpha2=0.6, energy=1.0, theta0=1.1),
+}
+
+
+@pytest.mark.parametrize("budget", ["default", "short"])
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
+def test_sweep_matches_walk_and_product_oracles(name, budget, monkeypatch):
+    # n = 1000 with checkpoints on both sides of a segment boundary: the
+    # default segments of 8 seeds, or 37-bump segments (a boundary every 37)
+    n_seeds = 8
+    if budget == "short":
+        n_seeds = 4
+        monkeypatch.setattr(estimators, "_SEGMENT_ELEMENTS", 37 * n_seeds)
+    seg = estimators._SEGMENT_ELEMENTS // n_seeds
+    assert seg < 1000
+    checkpoints = [c for c in (seg - 1, seg, seg + 1, 2 * seg + 1) if c < 1000]
+    _check_against_oracles(ORACLE_CONFIGS[name], 1000, n_seeds, RngStream(55, stream_id=3),
+                           checkpoints)
+
+
+def test_sweep_gap_models_at_nonpositive_energy():
+    # gaps at lam <= 0 are ordinary hyperbolic (lam < 0) or degenerate
+    # (lam = 0) pieces of the walk; model IV accepts any real energy
+    for energy in (-0.7, 0.0):
+        cfg = _cfg(Model.IV, alpha1=0.5, alpha2=0.5, energy=energy)
+        _check_against_oracles(cfg, 300, 3, RngStream(1), [150])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from(list(Model)),
+    alpha=st.floats(0.3, 0.95),
+    energy=st.floats(-1.0, 3.0),
+    theta0=st.floats(0.0, _PI, exclude_max=True),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_sweep_theta_property(model, alpha, energy, theta0, seed):
+    # models I and III need energy > 0; II and IV take any real energy
+    if model in (Model.I, Model.III) and energy <= 0.0:
+        energy = 0.5 + abs(energy)
+    kw = {"alpha1": alpha} if model is not Model.III else {}
+    if model in (Model.III, Model.IV):
+        kw["alpha2"] = alpha
+    cfg = ModelConfig(model=model, energy=energy, theta0=theta0, **kw)
+    parent = RngStream(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_SEGMENT_ELEMENTS", 3 * 7)  # 7-bump segments
+        res = sweep_chains(cfg, 40, 3, parent, want_theta=True, checkpoint_bumps=[13])
+    for i in range(3):
+        thetas = _walk_thetas(cfg, 40, split_stream(parent, i))
+        for nb in (13, 40):
+            got, want = res.records[nb].theta[i], thetas[nb]
+            assert abs(got - want) <= THETA_TOL * max(1.0, abs(want))
+
+
+# ── Failure cases ────────────────────────────────────────────────────────────
+
+
+def test_theta_sweep_marks_infinite_heights_nan():
+    # alpha1 = 0.02 squares Frechet variates past float range on some
+    # draws: exactly the chains fed an infinite height turn NaN, the others
+    # stay finite, and nothing raises
+    cfg = _cfg(Model.II, alpha1=0.02, energy=1.0)
+    parent = RngStream(11)
+    n, n_seeds = 128, 40
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = sweep_chains(cfg, n, n_seeds, parent, want_theta=True)
+        heights = np.array([sample_bump_height(cfg.bump_law(), split_stream(parent, i).generator(),
+                                               size=n) for i in range(n_seeds)])
+    fed_inf = np.isinf(heights).any(axis=1)
+    assert 0 < fed_inf.sum() < n_seeds
+    assert np.array_equal(np.isnan(res.final().theta), fed_inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SaturationError):
+            sweep_chains(cfg, n, n_seeds, parent, want_log_norm=True)
+
+
+# (V, theta0) at lam = 1: the boundary vector of theta0 lies exactly on the
+# contracting direction of a unit bump of height V, whose factored matrix
+# maps it to (0, 0) in floating point; hypot of that vector is exactly 1
+DEAD_HEIGHT = 2256465.4763044724
+DEAD_THETA0 = 3.140926942662913
+
+
+def _dead_draws(monkeypatch, seed_index: int):
+    """Put DEAD_HEIGHT first (after a 1e-300 gap) in seed seed_index's draws."""
+    calls = {"x": 0, "y": 0}
+
+    def height(law, gen, size=None):
+        out = sample_bump_height(law, gen, size=size)
+        if calls["x"] == seed_index:
+            out[0] = DEAD_HEIGHT
+        calls["x"] += 1
+        return out
+
+    def gap(law, gen, size=None):
+        out = sample_gap_length(law, gen, size=size)
+        if calls["y"] == seed_index:
+            out[0] = 1e-300
+        calls["y"] += 1
+        return out
+
+    monkeypatch.setattr(estimators, "sample_bump_height", height)
+    monkeypatch.setattr(estimators, "sample_gap_length", gap)
+
+
+@pytest.mark.parametrize("model", [Model.I, Model.IV])
+def test_sweep_dead_direction_lane(model, monkeypatch):
+    cfg = _cfg(model, alpha1=0.5, alpha2=0.6 if model is Model.IV else None,
+               energy=1.0, theta0=DEAD_THETA0)
+    parent = RngStream(12)
+    n, n_seeds = 60, 3
+    # a seed whose first bump is positive (model IV draws its signs last)
+    dead = 1
+    if model is Model.IV:
+        signs = []
+        for i in range(n_seeds):
+            gen = split_stream(parent, i).generator()
+            sample_bump_height(cfg.bump_law(), gen, size=n)
+            sample_gap_length(cfg.gap_law(), gen, size=n)
+            signs.append(gen.integers(0, 2, size=n)[0])
+        dead = signs.index(0)
+    _dead_draws(monkeypatch, dead)
+    res = sweep_chains(cfg, n, n_seeds, parent, want_theta=True, want_log_norm=True,
+                       checkpoint_bumps=[1])
+
+    def edit(values, lengths):
+        first_bump = 0 if model is Model.I else 1
+        values[first_bump] = DEAD_HEIGHT
+        if model is Model.IV:
+            lengths[0] = 1e-300
+
+    for i in range(n_seeds):
+        thetas = _walk_thetas(cfg, n, split_stream(parent, i), edit if i == dead else None)
+        for nb in (1, n):
+            got, want = res.records[nb].theta[i], thetas[nb]
+            assert abs(got - want) <= THETA_TOL * max(1.0, abs(want)), (nb, i)
+    assert np.all(np.isfinite(res.final().log_norm))
+
+
+def test_joint_sweep_equals_separate_estimates_bitwise():
+    # one sweep with both lane kinds gives each estimate bit for bit
+    for cfg in (CONFIGS["II"], CONFIGS["IV"]):
+        lya, ids = estimate_lyapunov_and_ids(cfg, 300, 40, RngStream(5),
+                                             LyapunovScale.NONLINEAR_ALPHA,
+                                             IdsScale.NONLINEAR_ALPHA)
+        lya1 = estimate_lyapunov(cfg, 300, 40, RngStream(5), LyapunovScale.NONLINEAR_ALPHA)
+        ids1 = estimate_ids(cfg, 300, 40, RngStream(5), IdsScale.NONLINEAR_ALPHA)
+        assert np.array_equal(lya.values, lya1.values)
+        assert np.array_equal(ids.values, ids1.values)
+        assert (lya.normalizer_desc, ids.normalizer_desc) == (lya1.normalizer_desc,
+                                                              ids1.normalizer_desc)
 
 
 def test_sweep_validation():

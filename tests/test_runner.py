@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from heavykp import __version__, runner
+from heavykp.estimators import IdsScale, LyapunovScale, estimate_ids, estimate_lyapunov
 from heavykp.potentials import Model
+from heavykp.rng import RngStream, split_stream
 from heavykp.runner import (
     ConfigError,
     build_tasks,
@@ -386,6 +388,34 @@ def test_nonlinear_summary_pairs_sample_sizes(tmp_path):
     assert entry["n"] == 32
     assert 0.0 <= entry["ks_lyapunov"] <= 1.0
     assert 0.0 <= entry["ks_ids"] <= 1.0
+
+
+def test_nonlinear_rows_equal_separate_estimates_bitwise(tmp_path):
+    # one sweep per cell wanting theta and the log norm writes exactly the
+    # values of the two separate estimates on the cell's stream
+    out = str(tmp_path / "out")
+    path = _write_config(
+        tmp_path,
+        experiment="nonlinear",
+        model={"model": "IV", "energy": 1.0, "alpha1": 0.5, "alpha2": 0.6},
+        n_grid=[40, 160],
+        n_seeds=12,
+        master_seed=78,
+        output_dir=out,
+    )
+    assert runner.main(["run", path]) == 0
+    rows = _read_rows(out)
+    for task in build_tasks(load_config(path)):
+        stream = split_stream(RngStream(task.master_seed), task.index)
+        lya = estimate_lyapunov(task.cell_config, task.n, task.n_seeds, stream,
+                                LyapunovScale.NONLINEAR_ALPHA)
+        ids = estimate_ids(task.cell_config, task.n, task.n_seeds, stream,
+                           IdsScale.NONLINEAR_ALPHA)
+        cell = [r for r in rows if int(r[4]) == task.n]
+        got_lya = [float(r[7]) for r in cell if r[6] == "lyapunov_scaled"]
+        got_ids = [float(r[7]) for r in cell if r[6] == "ids_scaled"]
+        assert got_lya == lya.values.tolist()
+        assert got_ids == ids.values.tolist()
 
 
 def test_darling_rows_stay_in_unit_interval(tmp_path):
