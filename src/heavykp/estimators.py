@@ -10,9 +10,11 @@ read off the stored vectors.  Its lanes give
     log norm    log||M|| of the transfer-matrix product, from its columns
                 M e1 and M e2.
 
-The sweep draws in the canonical order of potentials.generate, so the
-single-chain references (prufer.walk_chain, lyapunov_trace, ids_trace) see
-the same chains, which is what the oracle tests pin down.
+The sweep draws each block of seeds at once through potentials._draw_blocks,
+the one statement of the canonical draw order, which potentials.generate
+draws through too, so the single-chain references (prufer.walk_chain,
+lyapunov_trace, ids_trace) see the same chains, which is what the oracle
+tests pin down.
 
 Estimated objects:
 
@@ -35,17 +37,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .potentials import Model, ModelConfig, PieceKind, generate
+from .potentials import Model, ModelConfig, PieceKind, _draw_blocks, generate
 from .prufer import (
     PhaseChainState,
     PruferState,
     _dead_direction,
+    _running_sums,
     _unwind_boundaries,
     advance_piece,
     boundary_theta,
     phase_fold,
 )
-from .rng import RngStream, sample_bump_height, sample_gap_length, split_stream
+from .rng import RngStream, split_ids
 from .stats import ks_distance
 from .transfer import (
     LOG_SCALE_CEILING,
@@ -56,8 +59,9 @@ from .transfer import (
     log_norm,
     transfer_matrix,
 )
-# The sweeps no longer call the batch piece kernels; these two names stay
-# bound here because bench/spans.py wraps the kernels at this module too.
+# The sweeps no longer call the batch piece kernels or the samplers; these
+# names stay bound here because bench/spans.py wraps them at this module too.
+from .rng import sample_bump_height, sample_gap_length  # noqa: F401
 from .transfer import push_piece, push_rotation  # noqa: F401
 
 _PI = math.pi
@@ -112,10 +116,6 @@ class SweepResult:
         return self.records[max(self.records)]
 
 
-def _seed_streams(stream: RngStream, n_seeds: int) -> List[RngStream]:
-    return [split_stream(stream, i) for i in range(n_seeds)]
-
-
 def _chunk_sizes(n_seeds: int, n_bumps: int) -> List[Tuple[int, int]]:
     chunk = max(64, (1 << 23) // max(n_bumps, 1))
     out = []
@@ -125,30 +125,6 @@ def _chunk_sizes(n_seeds: int, n_bumps: int) -> List[Tuple[int, int]]:
         out.append((lo, hi))
         lo = hi
     return out
-
-
-def _draw_blocks(config: ModelConfig, streams: Sequence[RngStream], n: int):
-    """Structural draws for a block of seeds, in the canonical per-seed order."""
-    model = config.model
-    s = len(streams)
-    x = y = eps = None
-    if model in (Model.I, Model.II, Model.IV):
-        x = np.empty((s, n))
-    if model in (Model.III, Model.IV):
-        y = np.empty((s, n))
-    if model is Model.IV:
-        eps = np.empty((s, n), dtype=np.int64)
-    bump_law = config.bump_law() if model is not Model.III else None
-    gap_law = config.gap_law() if model in (Model.III, Model.IV) else None
-    for i, st in enumerate(streams):
-        gen = st.generator()
-        if model in (Model.I, Model.II, Model.IV):
-            x[i] = sample_bump_height(bump_law, gen, size=n)
-        if model in (Model.III, Model.IV):
-            y[i] = sample_gap_length(gap_law, gen, size=n)
-        if model is Model.IV:
-            eps[i] = gen.integers(0, 2, size=n)
-    return x, y, eps
 
 
 # Element budget of one walk segment, bumps x seeds.  The bulk stages (piece
@@ -306,15 +282,6 @@ def _dead_step(gap, values, j: int, seed: int, p: float, q: float, lam: float, k
     return x, y, gain + dead_gain
 
 
-def _running_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """start and its running sums with the rows of terms, added in row order."""
-    out = np.empty((terms.shape[0] + 1,) + start.shape)
-    out[0] = start
-    for prev, term, cur in zip(out[:-1], terms, out[1:]):
-        np.add(prev, term, out=cur)
-    return out
-
-
 def _unwind_segment(vecs, gap, values, lengths, lam: float, k: float, start):
     """Unwound theta at the start and after every bump of a segment (theta lane 0).
 
@@ -357,10 +324,11 @@ def sweep_chains(
 ) -> SweepResult:
     """Advance n_seeds independent chains for n_bumps bumps.
 
-    Seed i draws from split_stream(stream, i) in the canonical order of
-    ``potentials.generate``, so scalar and vectorized runs see identical
-    chains.  checkpoint_bumps are bump counts at which per-seed snapshots are
-    stored; the final bump count is always included.  want_aux_sqrt
+    Seed i draws from split_stream(stream, i) through
+    ``potentials._draw_blocks``, a block of seeds at a time, so scalar and
+    vectorized runs see identical chains.  checkpoint_bumps are bump counts
+    at which per-seed snapshots are stored; the final bump count is always
+    included.  want_aux_sqrt
     accumulates the per-seed rotation benchmark sum: sqrt(lam + X) for model
     II, sqrt(X - lam) over hyperbolic bumps for model I.
 
@@ -420,9 +388,8 @@ def sweep_chains(
     n_lanes = len(starts)
     first_col = 1 if want_theta else 0
 
-    streams = _seed_streams(stream, n_seeds)
     for lo, hi in _chunk_sizes(n_seeds, n_bumps):
-        x, y, eps = _draw_blocks(config, streams[lo:hi], n_bumps)
+        x, y, eps = _draw_blocks(config, stream.seed, split_ids(stream, lo, hi), n_bumps)
         s = hi - lo
         seg = max(1, _SEGMENT_ELEMENTS // s)
         lanes = _LaneWalk(starts, seg, s)
@@ -684,12 +651,16 @@ def model3_joint_samples(
 
 def darling_ratio(values) -> float:
     """max / sum of a positive sample: the maximal term's share."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
+    return float(darling_ratios(np.asarray(values, dtype=float).reshape(1, -1))[0])
+
+
+def darling_ratios(samples: np.ndarray) -> np.ndarray:
+    """darling_ratio of each row of a (samples, n) array, the same bits as row by row."""
+    if samples.shape[1] == 0:
         raise ValueError("values must be nonempty")
-    if not np.all(arr > 0.0):
+    if not np.all(samples > 0.0):
         raise ValueError("values must be positive")
-    return float(arr.max() / arr.sum())
+    return samples.max(axis=1) / samples.sum(axis=1)
 
 
 def chain_mixing(
@@ -718,11 +689,7 @@ def chain_mixing(
     m = len(initial_points)
     theta0 = np.array([PhaseChainState.from_tangent(t).theta_mod for t in initial_points])
 
-    law = config.bump_law()
-    streams = _seed_streams(stream, n_seeds)
-    x = np.empty((n_seeds, n_steps))
-    for i, st in enumerate(streams):
-        x[i] = sample_bump_height(law, st.generator(), size=n_steps)
+    x = _draw_blocks(config, stream.seed, split_ids(stream, 0, n_seeds), n_steps)[0]
 
     thetas = np.repeat(theta0, n_seeds)  # layout: m blocks of n_seeds chains
     out = np.zeros((n_steps, m, m))

@@ -11,8 +11,9 @@ constant pieces:
 
 A Realization materializes the piece list together with the raw structural
 draws, so every downstream consumer (flows, products, spectra) reads the
-identical geometry.  Draw order per model is fixed and documented on
-``generate``; the vectorized estimator sweeps reproduce it exactly.
+identical geometry.  The draw order per model is stated once, in
+``_draw_blocks``; ``generate``, the estimator sweeps and the phase-chain
+mixing all draw through it.
 """
 from __future__ import annotations
 
@@ -23,7 +24,10 @@ from typing import IO, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rng import RngStream, TailKind, TailLaw, sample_bump_height, sample_gap_length
+from .rng import RngStream, TailKind, TailLaw, draw_block
+# generate draws through draw_block; the samplers stay bound here because
+# bench/spans.py wraps them at this module too.
+from .rng import sample_bump_height, sample_gap_length  # noqa: F401
 from .transfer import EnergyFrame
 
 
@@ -193,36 +197,46 @@ def _assemble(config: ModelConfig, pieces: Sequence[Piece]) -> Realization:
     )
 
 
-def generate(config: ModelConfig, n_bumps: int, stream: RngStream) -> Realization:
-    """Sample a chain with n_bumps bumps.
+def _draw_blocks(config: ModelConfig, seed: int, stream_ids, n: int):
+    """Structural draws of the chains RngStream(seed, i), i in stream_ids.
 
-    Canonical draw order (the vectorized sweeps must and do match it):
-    models I and II draw the n bump heights as one block; model III draws the
-    n gap lengths as one block; model IV draws bump heights, then gap
-    lengths, then signs, each as one block.
+    The canonical draw order, and the only statement of it: each chain's
+    stream draws n bump heights X (models I, II, IV), then n gap lengths Y
+    (models III, IV), then n fair signs eps in {0, 1} (model IV), each as one
+    block.  Returns (x, y, eps) as (chains, n) arrays, row r from stream
+    stream_ids[r], with None for what the model does not draw.
     """
+    x = y = eps = None
+    if config.model is Model.III:
+        (y,) = draw_block(seed, stream_ids, n, [config.gap_law()])
+    elif config.model is Model.IV:
+        x, y, eps = draw_block(seed, stream_ids, n, [config.bump_law(), config.gap_law()],
+                               signs=True)
+    else:
+        (x,) = draw_block(seed, stream_ids, n, [config.bump_law()])
+    return x, y, eps
+
+
+def generate(config: ModelConfig, n_bumps: int, stream: RngStream) -> Realization:
+    """Sample a chain with n_bumps bumps from stream, drawn as _draw_blocks states."""
     if n_bumps < 1:
         raise ValueError("n_bumps must be at least 1")
-    gen = stream.generator()
+    x, y, eps = _draw_blocks(config, stream.seed, [stream.stream_id], n_bumps)
     model = config.model
     pieces = []
     if model in (Model.I, Model.II):
-        x = np.asarray(sample_bump_height(config.bump_law(), gen, size=n_bumps))
         sign = 1.0 if model is Model.I else -1.0
         for i in range(n_bumps):
-            pieces.append(Piece(value=sign * float(x[i]), length=1.0, index=i, kind=PieceKind.BUMP))
+            pieces.append(Piece(value=sign * float(x[0, i]), length=1.0, index=i,
+                                kind=PieceKind.BUMP))
     elif model is Model.III:
-        y = np.asarray(sample_gap_length(config.gap_law(), gen, size=n_bumps))
         for i in range(n_bumps):
-            pieces.append(Piece(value=0.0, length=float(y[i]), index=2 * i, kind=PieceKind.GAP))
+            pieces.append(Piece(value=0.0, length=float(y[0, i]), index=2 * i, kind=PieceKind.GAP))
             pieces.append(Piece(value=1.0, length=1.0, index=2 * i + 1, kind=PieceKind.BUMP))
     elif model is Model.IV:
-        x = np.asarray(sample_bump_height(config.bump_law(), gen, size=n_bumps))
-        y = np.asarray(sample_gap_length(config.gap_law(), gen, size=n_bumps))
-        eps = gen.integers(0, 2, size=n_bumps)
-        values = x * (1.0 - 2.0 * eps)
+        values = x[0] * (1.0 - 2.0 * eps[0])
         for i in range(n_bumps):
-            pieces.append(Piece(value=0.0, length=float(y[i]), index=2 * i, kind=PieceKind.GAP))
+            pieces.append(Piece(value=0.0, length=float(y[0, i]), index=2 * i, kind=PieceKind.GAP))
             pieces.append(
                 Piece(value=float(values[i]), length=1.0, index=2 * i + 1, kind=PieceKind.BUMP)
             )

@@ -503,5 +503,19 @@ def _unwind_boundaries(psi: np.ndarray, psik: np.ndarray, values: np.ndarray,
         estimate.reshape(-1)[osc] = (angle_f[nxt] - angle_f[osc]
                                      + _TWO_PI * np.round((conj0 + w - conj1) / _TWO_PI))
     turns = np.round((estimate - diff) / _TWO_PI)
-    phi[1:] += _TWO_PI * np.cumsum(turns, axis=0)
+    if turns.ndim == 1:
+        phi[1:] += _TWO_PI * np.cumsum(turns)
+    else:
+        # numpy's accumulate along axis 0 of a 2-D array is several times
+        # slower than adding its rows in order, which sums the same
+        phi[1:] += _TWO_PI * _running_sums(turns[0], turns[1:])
     return phi
+
+
+def _running_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """start and its running sums with the rows of terms, added in row order."""
+    out = np.empty((terms.shape[0] + 1,) + start.shape)
+    out[0] = start
+    for prev, term, cur in zip(out[:-1], terms, out[1:]):
+        np.add(prev, term, out=cur)
+    return out

@@ -8,13 +8,31 @@ Streams are value-like handles (seed, stream_id).  Two handles with equal
 fields always reproduce the same variate sequence, independent of process,
 thread, or how many other streams were consumed in between.  That property
 is what makes chunked and multiprocess sweeps bit-reproducible.
+
+``RngStream.generator()`` defines a stream: a Philox generator keyed by
+numpy's SeedSequence(entropy=seed, spawn_key=(stream_id,)), counter 0.  The
+estimators draw whole blocks of streams at once with ``draw_block``, which
+gives the same variates without building a SeedSequence or a Generator per
+stream:
+
+1. ``_philox_keys`` runs SeedSequence's hash mixing and ``generate_state(2,
+   uint64)`` in numpy over all stream ids of the block.  The streams share
+   their entropy words, so the pool mixing of the seed runs once per block,
+   and only the one or two spawn-key words of each id are mixed per stream.
+2. One Philox, reused for the whole block, is reset to each stream's key
+   (counter 0, empty buffer) and draws that stream's uniforms straight into
+   its row of the block, law after law, then its fair signs.
+3. The Frechet transform runs once per block, in place.
+
+The tests hold ``draw_block`` to ``generator()`` and the samplers bit for
+bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -65,6 +83,89 @@ def split_stream(stream: RngStream, task_index: int) -> RngStream:
         raise ValueError("task_index must be nonnegative")
     child = _mix64(stream.stream_id ^ _mix64((task_index + 1) * _GOLDEN))
     return RngStream(seed=stream.seed, stream_id=child)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """_mix64 over a uint64 array (numpy's uint64 products wrap like the masks)."""
+    z = z ^ (z >> 30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def split_ids(stream: RngStream, lo: int, hi: int) -> np.ndarray:
+    """stream_id of split_stream(stream, i) for i in lo..hi-1, as a uint64 array."""
+    if lo < 0:
+        raise ValueError("task_index must be nonnegative")
+    golden = _mix64_array(np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
+    return _mix64_array(np.uint64(stream.stream_id & _MASK64) ^ golden)
+
+
+# numpy's SeedSequence, as generator() builds it: a pool of four 32-bit words
+# hashed from the entropy words, then from the spawn-key words, and read out
+# by generate_state.
+_M32 = 0xFFFFFFFF
+_SS_POOL = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _ss_hash(words: np.ndarray, h: int, mult: int):
+    """SeedSequence's hashmix of uint32 words under hash constant h; returns the next h."""
+    h_next = (h * mult) & _M32
+    words = (words ^ np.uint32(h)) * np.uint32(h_next)
+    return words ^ (words >> np.uint32(16)), h_next
+
+
+def _ss_mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _philox_keys(seed: int, stream_ids) -> np.ndarray:
+    """Philox keys of RngStream(seed, i).generator() for each i, as (streams, 2) uint64.
+
+    stream_ids is a uint64 array or a sequence of ints; like generator(),
+    every id and the seed are taken modulo 2**64.  The entropy words
+    (the seed's two 32-bit words, zero-padded to the pool) are the same for
+    every stream, so their mixing runs once; an id below 2**32 is one
+    spawn-key word and any other id two.
+    """
+    ids = np.asarray(stream_ids)
+    if ids.dtype != np.uint64:
+        ids = np.array([int(i) & _MASK64 for i in stream_ids], dtype=np.uint64)
+    e = seed & _MASK64
+    entropy = np.array([[e & _M32], [e >> 32], [0], [0]], dtype=np.uint32)
+    h = _SS_INIT_A
+    pool = []
+    for word in entropy:
+        mixed, h = _ss_hash(word, h, _SS_MULT_A)
+        pool.append(mixed)
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                mixed, h = _ss_hash(pool[src], h, _SS_MULT_A)
+                pool[dst] = _ss_mix(pool[dst], mixed)
+    low = (ids & np.uint64(_M32)).astype(np.uint32)
+    high = (ids >> np.uint64(32)).astype(np.uint32)
+    for dst in range(_SS_POOL):
+        mixed, h = _ss_hash(low, h, _SS_MULT_A)
+        pool[dst] = _ss_mix(pool[dst], mixed)
+    two_words = high != 0
+    for dst in range(_SS_POOL):
+        mixed, h = _ss_hash(high, h, _SS_MULT_A)
+        pool[dst] = np.where(two_words, _ss_mix(pool[dst], mixed), pool[dst])
+    h = _SS_INIT_B
+    state = []
+    for word in pool:
+        out, h = _ss_hash(word, h, _SS_MULT_B)
+        state.append(out.astype(np.uint64))
+    keys = np.empty((ids.size, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | (state[1] << np.uint64(32))
+    keys[:, 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
 
 
 class TailKind(Enum):
@@ -145,6 +246,53 @@ def sample_gap_length(law: TailLaw, stream: StreamLike, size=None):
     if law.kind is not TailKind.GAP_LENGTH:
         raise ValueError("law.kind must be GAP_LENGTH")
     return sample_frechet(law.alpha, stream, size)
+
+
+def _frechet_in_place(alpha: float, u: np.ndarray) -> None:
+    """frechet_from_uniform on a float array of uniforms, overwriting it."""
+    np.maximum(u, _U_FLOOR, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.power(u, -1.0 / alpha, out=u)
+
+
+def draw_block(seed: int, stream_ids, n: int, laws: Sequence[TailLaw],
+               signs: bool = False) -> List[np.ndarray]:
+    """n variates of each law, then optionally n fair signs, for many streams at once.
+
+    Row r of the returned arrays belongs to the stream RngStream(seed,
+    stream_ids[r]).  Returns one (streams, n) float array per law, in order:
+    row r of the k-th is what sample_bump_height or sample_gap_length(laws[k],
+    gen, size=n) returns on that stream's generator() after the draws of
+    laws[:k].  With signs, a last (streams, n) int64 array holds
+    gen.integers(0, 2, size=n), drawn after all the laws.
+    """
+    keys = _philox_keys(seed, stream_ids)
+    m = keys.shape[0]
+    blocks = [np.empty((m, n)) for _ in laws]
+    eps = np.empty((m, n), dtype=np.int64) if signs else None
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # the state generator() starts from, with this stream's key: counter 0,
+    # buffer used up, no buffered 32-bit half
+    key = [0, 0]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for r, (k0, k1) in enumerate(keys.tolist()):
+        key[0] = k0
+        key[1] = k1
+        bitgen.state = fresh
+        for block in blocks:
+            gen.random(out=block[r])
+        if signs:
+            eps[r] = gen.integers(0, 2, size=n)
+    for law, block in zip(laws, blocks):
+        _frechet_in_place(law.alpha, block)
+        if law.kind is TailKind.BUMP_HEIGHT:
+            np.multiply(block, block, out=block)
+    if signs:
+        blocks.append(eps)
+    return blocks
 
 
 def sample_stable_oracle(alpha: float, stream: StreamLike, size=None):

@@ -10,7 +10,8 @@ grid.  Outputs land in one directory:
     manifest.json   config echo, code version, master seed
 
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numeric
-saturation (the offending task is named in the diagnostic and the summary).
+saturation (the offending task is named in the diagnostic and the summary),
+5 a worker process died (the pool broke; no output file is written).
 
 Usage:
 
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,13 +35,16 @@ from .estimators import (
     IdsScale,
     LyapunovScale,
     chain_mixing,
-    darling_ratio,
+    darling_ratios,
     estimate_ids,
     estimate_lyapunov_and_ids,
     sweep_chains,
 )
 from .potentials import Model, ModelConfig, generate
-from .rng import RngStream, TailKind, TailLaw, sample_bump_height, sample_gap_length, split_stream
+from .rng import RngStream, TailKind, TailLaw, draw_block, split_ids, split_stream
+# The darling cells draw through draw_block; the samplers stay bound here
+# because bench/spans.py wraps them at this module too.
+from .rng import sample_bump_height, sample_gap_length  # noqa: F401
 from .spectrum import BoxProblem, decay_fit, find_eigenvalues
 from .stats import ks_distance, mean_ci
 from .transfer import SaturationError
@@ -47,6 +52,10 @@ from .transfer import SaturationError
 EXPERIMENTS = ("lyapunov", "ids", "nonlinear", "darling", "mixing", "spectrum")
 
 CSV_HEADER = "experiment,model,alpha,energy,n,seed,observable,value"
+
+# Variates per darling draw: the seeds of a cell are drawn in blocks of about
+# this many elements, which keeps a worker's memory flat in n_seeds.
+_DARLING_BLOCK_ELEMENTS = 1 << 15
 
 
 class ConfigError(ValueError):
@@ -356,19 +365,24 @@ def _run_nonlinear(spec: TaskSpec, rows, summary) -> None:
 
 
 def _run_darling(spec: TaskSpec, rows, summary) -> None:
-    """Max-over-sum of the model's primary heavy-tailed block, one value per seed."""
+    """Max-over-sum of the model's primary heavy-tailed block, one value per seed.
+
+    The primary block is the first one of the chain's draws: the bump
+    heights, or model III's gap lengths.
+    """
     cfg = spec.cell_config
     if cfg.model is Model.III:
         law = TailLaw(alpha=cfg.alpha2, kind=TailKind.GAP_LENGTH)
-        draw = sample_gap_length
     else:
         law = TailLaw(alpha=cfg.alpha1, kind=TailKind.BUMP_HEIGHT)
-        draw = sample_bump_height
     base = _task_stream(spec)
     values = np.empty(spec.n_seeds)
+    chunk = max(1, _DARLING_BLOCK_ELEMENTS // spec.n)
+    for lo in range(0, spec.n_seeds, chunk):
+        hi = min(spec.n_seeds, lo + chunk)
+        (block,) = draw_block(base.seed, split_ids(base, lo, hi), spec.n, [law])
+        values[lo:hi] = darling_ratios(block)
     for seed in range(spec.n_seeds):
-        block = draw(law, split_stream(base, seed).generator(), size=spec.n)
-        values[seed] = darling_ratio(block)
         rows.append((seed, "max_over_sum", float(values[seed])))
     ci = mean_ci(values) if spec.n_seeds > 1 else None
     summary["mean_max_over_sum"] = float(values.mean())
@@ -506,9 +520,16 @@ def _nonlinear_doubling(cfg: ExperimentConfig, tasks, outcomes) -> List[Dict[str
 
 
 def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
-    """Run the grid and write outputs; returns (exit_code, diagnostic)."""
+    """Run the grid and write outputs; returns (exit_code, diagnostic).
+
+    A worker process that dies (killed, or exiting without a result) breaks
+    the pool: the run then returns exit code 5 and writes no output file.
+    """
     tasks = build_tasks(cfg)
-    outcomes = _collect(cfg, tasks)
+    try:
+        outcomes = _collect(cfg, tasks)
+    except BrokenProcessPool as exc:
+        return 5, f"worker process failed, no outputs written: {exc}"
 
     saturated = [(t, o) for t, o in zip(tasks, outcomes) if o.saturated]
     failed = [(t, o) for t, o in zip(tasks, outcomes) if o.error is not None]

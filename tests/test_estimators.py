@@ -36,9 +36,9 @@ from heavykp.estimators import (
     nonlinear_samples,
     sweep_chains,
 )
-from heavykp.potentials import Model, ModelConfig, generate
+from heavykp.potentials import Model, ModelConfig, _draw_blocks, generate
 from heavykp.prufer import boundary_theta, walk_chain
-from heavykp.rng import RngStream, sample_bump_height, sample_gap_length, split_stream
+from heavykp.rng import RngStream, sample_bump_height, sample_gap_length, split_ids, split_stream
 from heavykp.stats import mean_ci
 from heavykp.transfer import SaturationError
 
@@ -221,26 +221,18 @@ DEAD_HEIGHT = 2256465.4763044724
 DEAD_THETA0 = 3.140926942662913
 
 
-def _dead_draws(monkeypatch, seed_index: int):
-    """Put DEAD_HEIGHT first (after a 1e-300 gap) in seed seed_index's draws."""
-    calls = {"x": 0, "y": 0}
+def _dead_draws(monkeypatch, child: RngStream):
+    """Put DEAD_HEIGHT first (after a 1e-300 gap) in the sweep's draws for stream child."""
+    def draw(config, seed, stream_ids, n):
+        x, y, eps = _draw_blocks(config, seed, stream_ids, n)
+        row = np.asarray(stream_ids) == child.stream_id
+        assert seed == child.seed and row.sum() == 1
+        x[row, 0] = DEAD_HEIGHT
+        if y is not None:
+            y[row, 0] = 1e-300
+        return x, y, eps
 
-    def height(law, gen, size=None):
-        out = sample_bump_height(law, gen, size=size)
-        if calls["x"] == seed_index:
-            out[0] = DEAD_HEIGHT
-        calls["x"] += 1
-        return out
-
-    def gap(law, gen, size=None):
-        out = sample_gap_length(law, gen, size=size)
-        if calls["y"] == seed_index:
-            out[0] = 1e-300
-        calls["y"] += 1
-        return out
-
-    monkeypatch.setattr(estimators, "sample_bump_height", height)
-    monkeypatch.setattr(estimators, "sample_gap_length", gap)
+    monkeypatch.setattr(estimators, "_draw_blocks", draw)
 
 
 @pytest.mark.parametrize("model", [Model.I, Model.IV])
@@ -259,7 +251,7 @@ def test_sweep_dead_direction_lane(model, monkeypatch):
             sample_gap_length(cfg.gap_law(), gen, size=n)
             signs.append(gen.integers(0, 2, size=n)[0])
         dead = signs.index(0)
-    _dead_draws(monkeypatch, dead)
+    _dead_draws(monkeypatch, split_stream(parent, dead))
     res = sweep_chains(cfg, n, n_seeds, parent, want_theta=True, want_log_norm=True,
                        checkpoint_bumps=[1])
 
@@ -289,6 +281,67 @@ def test_joint_sweep_equals_separate_estimates_bitwise():
         assert np.array_equal(ids.values, ids1.values)
         assert (lya.normalizer_desc, ids.normalizer_desc) == (lya1.normalizer_desc,
                                                               ids1.normalizer_desc)
+
+
+# ── Bulk draws against the per-seed samplers ────────────────────────────────
+
+
+def _per_seed_draws(cfg: ModelConfig, stream: RngStream, n: int):
+    """(x, y, eps) of one chain, drawn from stream.generator() by the samplers."""
+    gen = stream.generator()
+    x = y = eps = None
+    if cfg.model is not Model.III:
+        x = sample_bump_height(cfg.bump_law(), gen, size=n)
+    if cfg.model in (Model.III, Model.IV):
+        y = sample_gap_length(cfg.gap_law(), gen, size=n)
+    if cfg.model is Model.IV:
+        eps = gen.integers(0, 2, size=n)
+    return x, y, eps
+
+
+def _assert_rows_equal(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
+def test_draw_blocks_match_per_seed_samplers(name):
+    # the sweep's seed blocks, drawn at once, against each seed's own
+    # generator(); 70 seeds at the chunk length of a 2**17-bump sweep give
+    # blocks 0..63 and 64..69, so the second block starts at lo > 0
+    cfg = CONFIGS[name]
+    parent = RngStream(2**40 + 17, stream_id=2**64 - 1)
+    n = 45
+    chunks = estimators._chunk_sizes(70, 2**17)
+    assert chunks == [(0, 64), (64, 70)]
+    for lo, hi in chunks:
+        blocks = estimators._draw_blocks(cfg, parent.seed, split_ids(parent, lo, hi), n)
+        for r, seed in enumerate(range(lo, hi)):
+            want = _per_seed_draws(cfg, split_stream(parent, seed), n)
+            for got, ref in zip(blocks, want):
+                _assert_rows_equal(None if got is None else got[r], ref)
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
+def test_generate_matches_per_seed_samplers(name):
+    cfg = CONFIGS[name]
+    for stream in (RngStream(3), RngStream(2**64 + 5, stream_id=2**32), RngStream(-1, 7)):
+        real = generate(cfg, 33, stream)
+        x, y, eps = _per_seed_draws(cfg, stream, 33)
+        values = np.array([p.value for p in real.pieces])
+        lengths = np.array([p.length for p in real.pieces])
+        if cfg.model is Model.I:
+            assert np.array_equal(values, x) and np.all(lengths == 1.0)
+        elif cfg.model is Model.II:
+            assert np.array_equal(values, -x)
+        elif cfg.model is Model.III:
+            assert np.array_equal(lengths[0::2], y) and np.all(values[1::2] == 1.0)
+        else:
+            assert np.array_equal(lengths[0::2], y)
+            assert np.array_equal(values[1::2], x * (1.0 - 2.0 * eps))
+            assert np.array_equal(real.signs, eps)
 
 
 def test_sweep_validation():

@@ -13,6 +13,8 @@ from heavykp.rng import (
     RngStream,
     TailKind,
     TailLaw,
+    _philox_keys,
+    draw_block,
     frechet_cdf,
     frechet_from_uniform,
     frechet_tail,
@@ -20,6 +22,7 @@ from heavykp.rng import (
     sample_frechet,
     sample_gap_length,
     sample_stable_oracle,
+    split_ids,
     split_stream,
 )
 from heavykp.stats import ks_distance
@@ -65,6 +68,84 @@ def test_draw_prefix_stability():
     long = g1.random(1000)
     short = g2.random(400)
     assert np.array_equal(long[:400], short)
+
+
+# ── Bulk seed blocks against generator() ────────────────────────────────────
+
+# master seeds around the one- and two-word entropy boundaries, and past 2**64
+# (generator() takes the seed modulo 2**64)
+BLOCK_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, -3]
+# stream ids around the one- and two-word spawn-key boundary
+EDGE_IDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _generator_key(seed, stream_id):
+    return RngStream(seed, stream_id).generator().bit_generator.state["state"]["key"]
+
+
+def test_philox_keys_match_generator():
+    rng = np.random.default_rng(20261018)
+    random_ids = rng.integers(0, 2**64, size=2000, dtype=np.uint64, endpoint=False)
+    checked = 0
+    for seed in BLOCK_SEEDS:
+        ids = np.concatenate([np.array(EDGE_IDS, dtype=np.uint64), random_ids])
+        keys = _philox_keys(seed, ids)
+        assert keys.shape == (ids.size, 2) and keys.dtype == np.uint64
+        for key, stream_id in zip(keys, ids.tolist()):
+            assert np.array_equal(key, _generator_key(seed, stream_id)), (seed, stream_id)
+            checked += 1
+    assert checked == 8 * 2005
+    # plain ints are taken modulo 2**64, like generator() does
+    assert np.array_equal(_philox_keys(5, [-1, 2**64 + 3]), _philox_keys(5, [2**64 - 1, 3]))
+
+
+@pytest.mark.parametrize("stream_id", EDGE_IDS + [12345])
+def test_split_ids_match_split_stream(stream_id):
+    parent = RngStream(77, stream_id=stream_id)
+    for lo, hi in ((0, 40), (3, 9), (1000, 1003)):
+        ids = split_ids(parent, lo, hi)
+        assert ids.dtype == np.uint64
+        assert ids.tolist() == [split_stream(parent, i).stream_id for i in range(lo, hi)]
+    assert split_ids(parent, 5, 5).size == 0
+    with pytest.raises(ValueError):
+        split_ids(parent, -1, 2)
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_draw_block_matches_generator(seed):
+    # each row equals the samplers, then the signs, on that stream's own
+    # generator(): uniforms, the Frechet transform and the sign draws
+    heights = TailLaw(alpha=0.45, kind=TailKind.BUMP_HEIGHT)
+    gaps = TailLaw(alpha=0.7, kind=TailKind.GAP_LENGTH)
+    parent = RngStream(seed, stream_id=2**33 + 1)
+    for lo, hi, n in ((0, 5, 64), (6, 9, 37), (250, 251, 1)):
+        ids = split_ids(parent, lo, hi)
+        x, y, eps = draw_block(seed, ids, n, [heights, gaps], signs=True)
+        (u,) = draw_block(seed, ids, n, [gaps])
+        for r, i in enumerate(range(lo, hi)):
+            gen = split_stream(parent, i).generator()
+            assert np.array_equal(x[r], sample_bump_height(heights, gen, size=n))
+            assert np.array_equal(y[r], sample_gap_length(gaps, gen, size=n))
+            assert np.array_equal(eps[r], gen.integers(0, 2, size=n))
+            gen = split_stream(parent, i).generator()
+            assert np.array_equal(u[r], sample_gap_length(gaps, gen, size=n))
+    ids = EDGE_IDS
+    (z,) = draw_block(seed, ids, 16, [heights])
+    for r, stream_id in enumerate(ids):
+        gen = RngStream(seed, stream_id).generator()
+        assert np.array_equal(z[r], sample_bump_height(heights, gen, size=16))
+
+
+def test_draw_block_floors_and_overflows_like_the_samplers():
+    # alpha = 0.02 sends the largest heights to inf; both paths agree on them
+    law = TailLaw(alpha=0.02, kind=TailKind.BUMP_HEIGHT)
+    parent = RngStream(11)
+    with np.errstate(over="ignore"):
+        (x,) = draw_block(parent.seed, split_ids(parent, 0, 40), 128, [law])
+        want = np.array([sample_bump_height(law, split_stream(parent, i).generator(), size=128)
+                         for i in range(40)])
+    assert np.isinf(want).any()
+    assert np.array_equal(x, want)
 
 
 # ── Frechet transform ────────────────────────────────────────────────────────

@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 
 from heavykp import __version__, runner
-from heavykp.estimators import IdsScale, LyapunovScale, estimate_ids, estimate_lyapunov
+from heavykp.estimators import (
+    IdsScale,
+    LyapunovScale,
+    estimate_ids,
+    estimate_lyapunov,
+)
 from heavykp.potentials import Model
-from heavykp.rng import RngStream, split_stream
+from heavykp.rng import RngStream, sample_bump_height, sample_gap_length, split_stream
 from heavykp.runner import (
     ConfigError,
     build_tasks,
@@ -335,6 +340,20 @@ def test_saturated_task_stops_the_run_with_its_identity(tmp_path, monkeypatch, c
     assert os.path.exists(os.path.join(out, "summary.json"))
 
 
+def _die_in_worker(spec):
+    os._exit(1)
+
+
+def test_dead_worker_exits_5_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a worker that dies breaks the pool (forked workers inherit the patch)
+    monkeypatch.setattr(runner, "run_task", _die_in_worker)
+    out = str(tmp_path / "out")
+    path = _write_config(tmp_path, output_dir=out, n_grid=[40, 80], workers=2)
+    assert runner.main(["run", path]) == 5
+    assert capsys.readouterr().err.startswith("worker process failed, no outputs written:")
+    assert not os.path.exists(out)
+
+
 # ── Experiment bodies through the CLI ────────────────────────────────────────
 
 
@@ -416,6 +435,34 @@ def test_nonlinear_rows_equal_separate_estimates_bitwise(tmp_path):
         got_ids = [float(r[7]) for r in cell if r[6] == "ids_scaled"]
         assert got_lya == lya.values.tolist()
         assert got_ids == ids.values.tolist()
+
+
+@pytest.mark.parametrize("model", [
+    {"model": "IV", "energy": 1.0, "alpha1": 0.5, "alpha2": 0.6},
+    {"model": "III", "energy": 1.0, "alpha2": 0.6},
+])
+def test_darling_rows_equal_per_seed_ratios(tmp_path, model):
+    # darling draws a cell's seeds in blocks (here 16 seeds of 2048 draws);
+    # each row is max / sum of the seed's own primary draw, bit for bit
+    out = str(tmp_path / "out")
+    path = _write_config(tmp_path, experiment="darling", model=model, alpha_grid=[0.4, 0.7],
+                         n_grid=[2048], n_seeds=40, master_seed=31, output_dir=out)
+    assert runner._DARLING_BLOCK_ELEMENTS // 2048 < 40
+    assert runner.main(["run", path]) == 0
+    rows = _read_rows(out)
+    for task in build_tasks(load_config(path)):
+        base = split_stream(RngStream(task.master_seed), task.index)
+        cfg = task.cell_config
+        if cfg.model is Model.III:
+            law, draw = cfg.gap_law(), sample_gap_length
+        else:
+            law, draw = cfg.bump_law(), sample_bump_height
+        want = []
+        for i in range(task.n_seeds):
+            sample = draw(law, split_stream(base, i).generator(), size=task.n)
+            want.append(float(sample.max() / sample.sum()))
+        got = [float(r[7]) for r in rows if float(r[2]) == task.alpha]
+        assert got == want
 
 
 def test_darling_rows_stay_in_unit_interval(tmp_path):
