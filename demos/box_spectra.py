@@ -2,9 +2,10 @@
 
 theta_lambda(L)/pi counts the eigenvalues of the Dirichlet box [0, L] below
 lambda (Sturm oscillation), and it is strictly increasing in lambda, so
-every eigenvalue is a bisection target.  At an eigenvalue, sweeping the flow
-backwards from the far end records ln r at each piece boundary; a straight
-line fit gives the decay rate of the eigenfunction.
+every eigenvalue is the target of a bracketed root search.  At an
+eigenvalue, sweeping the flow backwards from the far end records ln r at
+each piece boundary; a straight line fit gives the decay rate of the
+eigenfunction.
 
 Run:  python3 demos/box_spectra.py
 """

@@ -217,13 +217,16 @@ def frechet_from_uniform(alpha: float, u) -> Union[float, np.ndarray]:
 
     Accepts scalars or arrays of uniforms in (0, 1).  Exposed separately from
     the samplers so the transform itself can be pinned against known values.
+    A scalar goes through the same array power as an array element (numpy's
+    scalar power can differ from it in the last bit), so a uniform gives the
+    same bits either way.
     """
     _check_alpha(alpha)
-    arr = np.asarray(u, dtype=float)
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
     arr = np.where(arr < _U_FLOOR, _U_FLOOR, arr)
     z = (-np.log(arr)) ** (-1.0 / alpha)
     if np.ndim(u) == 0:
-        return float(z)
+        return float(z[0])
     return z
 
 

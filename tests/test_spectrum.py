@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from heavykp import spectrum
 from heavykp.potentials import Model, ModelConfig, generate, realization_from_csv
 from heavykp.prufer import PruferState, advance_interval, boundary_theta
 from heavykp.rng import RngStream, split_stream
@@ -368,6 +369,138 @@ def test_tolerance_consistency():
     assert len(rough) == len(fine)
     for a, b in zip(rough, fine):
         assert a == pytest.approx(b, abs=1e-5 * max(1.0, abs(b)))
+
+
+# ── Bracketed search versus bisection ────────────────────────────────────────
+#
+# The reference is plain bisection of theta(L_box) = m pi from the full window
+# for every eigenvalue, with the same width rule and cap.  Both return the
+# midpoint of a bracket of the crossing no wider than tol * max(1, |lo|, |hi|),
+# so they agree within 2 tol * max(1, |lambda|).
+
+
+def _bisect_eigenvalues(problem, lam_min, lam_max, tol=1e-10, max_count=None):
+    n_lo = count_below(problem, lam_min)
+    n_hi = count_below(problem, lam_max)
+    if max_count is not None:
+        n_hi = min(n_hi, n_lo + max_count)
+    out = []
+    for m in range(n_lo + 1, n_hi + 1):
+        a, b = lam_min, lam_max
+        for _ in range(240):
+            if (b - a) <= tol * max(1.0, abs(a), abs(b)):
+                break
+            mid = 0.5 * (a + b)
+            if boundary_phase(problem, mid) >= m * _PI:
+                b = mid
+            else:
+                a = mid
+        out.append(0.5 * (a + b))
+    return out
+
+
+def _search_window(model, problem):
+    """The spectrum workload's windows: below 0 for II and IV, [0.25, 1] else."""
+    if model in (Model.II, Model.IV):
+        return min(0.0, float(problem.values.min())) - 1.0, 0.0
+    return 0.25, 1.0
+
+
+@pytest.mark.parametrize("model,kw", _WALK_MODELS)
+@pytest.mark.parametrize("n", [60, 1000])
+@pytest.mark.parametrize("theta0", [0.0, 1.1])
+def test_search_matches_bisection(model, kw, n, theta0):
+    tol = 1e-10
+    cfg = ModelConfig(model=model, energy=1.0, **kw)
+    parent = RngStream(5150)
+    found = 0
+    for i in range(2):
+        r = generate(cfg, n, split_stream(parent, i))
+        prob = BoxProblem(realization=r, theta0=theta0, L_box=r.total_length)
+        lam_min, lam_max = _search_window(model, prob)
+        want = _bisect_eigenvalues(prob, lam_min, lam_max, tol, max_count=3)
+        got = find_eigenvalues(prob, lam_min, lam_max, tol, max_count=3)
+        assert len(got) == len(want)
+        for m, (a, b) in enumerate(zip(got, want), start=count_below(prob, lam_min) + 1):
+            assert abs(a - b) <= 2.0 * tol * max(1.0, abs(b))
+            # the midpoint of a bracket of the m-th crossing: half a width
+            # below it the phase is short of m pi, half a width above it is not
+            half = 0.5 * tol * max(1.0, abs(a))
+            assert boundary_phase(prob, a - half) < m * _PI <= boundary_phase(prob, a + half)
+        found += len(got)
+    assert found > 0
+
+
+# Walks per located eigenvalue, window ends included, on the spectrum
+# workload's two configurations: 3 boxes of 1000 bumps each.  Bisection takes
+# about 35; the bracketed search measured 2-7 on the deep wells and 13-17.5 on
+# the model I window (seeds 100-129), 8-10.5 over both.
+_MAX_WALKS_PER_EIGENVALUE = 15
+_MAX_WALKS_PER_EIGENVALUE_ONE_CONFIG = 20
+
+_WORKLOAD_CONFIGS = [
+    (ModelConfig(model=Model.II, energy=0.0, alpha1=0.5), None, 0.0),
+    (ModelConfig(model=Model.I, energy=1.0, alpha1=0.5), 0.25, 1.0),
+]
+
+
+def test_search_walk_count(monkeypatch):
+    walks = [0]
+    end_state = spectrum._end_state
+
+    def counted(problem, lam):
+        walks[0] += 1
+        return end_state(problem, lam)
+
+    monkeypatch.setattr(spectrum, "_end_state", counted)
+    total_walks = total_found = 0
+    for cfg, lam_min, lam_max in _WORKLOAD_CONFIGS:
+        parent = RngStream(3141)
+        walks[0] = found = 0
+        for i in range(3):
+            r = generate(cfg, 1000, split_stream(parent, i))
+            prob = BoxProblem(realization=r, theta0=0.0, L_box=r.total_length)
+            lo = lam_min if lam_min is not None else min(0.0, float(prob.values.min())) - 1.0
+            found += len(find_eigenvalues(prob, lo, lam_max, max_count=2))
+        assert found == 6
+        assert walks[0] <= _MAX_WALKS_PER_EIGENVALUE_ONE_CONFIG * found
+        total_walks += walks[0]
+        total_found += found
+    assert total_walks <= _MAX_WALKS_PER_EIGENVALUE * total_found
+
+
+def test_underflowed_residual_keeps_its_side(monkeypatch):
+    # A synthetic box whose phase crosses pi at 0.3 and whose log r is -2000
+    # below the crossing: there the scaled residual underflows to -0.0, which
+    # compares >= 0.  The side must come from the phase, not from that float.
+    crossing = 0.3
+
+    def fake_end_state(problem, lam):
+        theta = _PI + 0.5 * _PI * math.tanh((lam - crossing) / 0.05)
+        return theta, (-2000.0 if lam < crossing else 0.0)
+
+    monkeypatch.setattr(spectrum, "_end_state", fake_end_state)
+    prob = BoxProblem(realization=_free_realization([2.0]), theta0=0.0, L_box=2.0)
+    table = {lam: fake_end_state(prob, lam) for lam in (0.0, 0.29, 1.0)}
+    is_dirichlet, f = spectrum._residual(table, _PI, 0.29, 1.0)
+    assert is_dirichlet
+    assert f(0.29) == 0.0 and math.copysign(1.0, f(0.29)) < 0.0
+    assert spectrum._tightest_bracket(table, _PI, 0.0, 1.0) == (0.29, 1.0)
+    tol = 1e-10
+    (lam,) = find_eigenvalues(prob, 0.0, 1.0, tol)
+    assert abs(lam - crossing) <= tol
+
+
+def test_max_count_is_the_head_of_the_full_search():
+    # every eigenvalue of a model IV box below 0 (60 of them), then the heads
+    cfg = ModelConfig(model=Model.IV, energy=1.0, alpha1=0.8, alpha2=0.8)
+    r = generate(cfg, 60, split_stream(RngStream(5150), 0))
+    prob = BoxProblem(realization=r, theta0=1.1, L_box=r.total_length)
+    lam_min, lam_max = _search_window(Model.IV, prob)
+    full = find_eigenvalues(prob, lam_min, lam_max)
+    assert len(full) > 3
+    for k in (1, 2, 3):
+        assert find_eigenvalues(prob, lam_min, lam_max, max_count=k) == full[:k]
 
 
 # ── Traces ───────────────────────────────────────────────────────────────────
