@@ -36,7 +36,7 @@ parent = RngStream(71)
 for i in range(4):
     r = generate(cfg2, 200, split_stream(parent, i))
     p = BoxProblem(realization=r, theta0=0.0, L_box=r.total_length)
-    bottom = min(pc.value for pc in r.pieces) - 1.0
+    bottom = float(r.values.min()) - 1.0
     lam0 = find_eigenvalues(p, bottom, 0.0, max_count=1)[0]
     slope, r2 = decay_fit(p, lam0)
     print(f"  seed {i}: lambda_0 = {lam0:10.1f}, "

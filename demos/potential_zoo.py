@@ -27,9 +27,8 @@ configs = {
 
 for i, (name, cfg) in enumerate(configs.items()):
     r = generate(cfg, 8, split_stream(stream, i))
-    bump_vals = [p.value for p in r.pieces if p.value != 0.0][:4]
-    vals = ", ".join(f"{v:.3g}" for v in bump_vals)
-    print(f"Model {name:>3}: {len(r.pieces):2d} pieces, total length "
+    vals = ", ".join(f"{v:.3g}" for v in r.values[r.is_bump][:4])
+    print(f"Model {name:>3}: {r.values.size:2d} pieces, total length "
           f"{r.total_length:9.3f}, first bump values [{vals}, ...]")
 
 # heavy tails in action: the largest of a few hundred draws dwarfs the rest
@@ -50,7 +49,6 @@ r4 = generate(configs["IV"], 12, RngStream(10))
 r4.to_csv(buf)
 buf.seek(0)
 back = realization_from_csv(configs["IV"], buf)
-same = all(a.value == b.value and a.length == b.length
-           for a, b in zip(r4.pieces, back.pieces))
+same = np.array_equal(r4.values, back.values) and np.array_equal(r4.lengths, back.lengths)
 print(f"\nModel IV CSV round trip bit-exact: {same}")
 print(f"signs of the first 12 bumps: {['-' if s else '+' for s in r4.signs]}")

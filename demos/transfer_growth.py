@@ -47,7 +47,7 @@ print(f"\nworst |det - 1| across benign and heavy pieces: {worst:.2e}")
 cfg = ModelConfig(model=Model.I, energy=2.0, alpha1=0.5)
 r = generate(cfg, 1000, RngStream(21))
 acc = identity_mat()
-for p in r.pieces:
-    acc = accumulate(acc, transfer_matrix(p.value, p.length, frame))
+for value, length in zip(r.values.tolist(), r.lengths.tolist()):
+    acc = accumulate(acc, transfer_matrix(value, length, frame))
 print(f"\n1000-bump product: ln||M|| = {log_norm(acc):.1f} "
       f"(||M|| ~ 10^{log_norm(acc) / math.log(10):.0f}, no overflow)")

@@ -36,17 +36,11 @@ from .potentials import (
     realization_from_csv,
 )
 from .prufer import (
-    PhaseChainState,
     PruferState,
     TraceRecord,
     advance_interval,
-    advance_piece,
-    advance_realization,
     boundary_theta,
-    phase_chain_step,
     phase_fold,
-    tan_update_F,
-    tan_update_G,
 )
 from .rng import (
     RngStream,
@@ -76,7 +70,6 @@ from .transfer import (
     SaturationError,
     ScaledMat,
     accumulate,
-    apply,
     det_defect,
     gap_matrix,
     identity_mat,
@@ -95,14 +88,13 @@ __all__ = [
     # transfer
     "EnergyFrame", "Mat2", "ScaledMat", "SaturationError",
     "transfer_matrix", "gap_matrix", "model3_bump_matrix", "identity_mat",
-    "accumulate", "log_norm", "apply", "stored_det", "det_defect",
+    "accumulate", "log_norm", "stored_det", "det_defect",
     # potentials
     "Model", "ModelConfig", "Piece", "PieceKind", "Realization",
     "generate", "realization_from_csv",
     # prufer
-    "PruferState", "TraceRecord", "PhaseChainState",
-    "boundary_theta", "advance_piece", "advance_interval", "advance_realization",
-    "phase_chain_step", "phase_fold", "tan_update_F", "tan_update_G",
+    "PruferState", "TraceRecord",
+    "boundary_theta", "advance_interval", "phase_fold",
     # estimators
     "LyapunovScale", "IdsScale", "LyapunovEstimate", "IdsEstimate",
     "estimate_lyapunov", "estimate_ids", "lyapunov_trace", "ids_trace",

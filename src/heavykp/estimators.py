@@ -37,14 +37,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .potentials import Model, ModelConfig, PieceKind, _draw_blocks, generate
+from .potentials import Model, ModelConfig, _draw_blocks, generate
 from .prufer import (
-    PhaseChainState,
     PruferState,
     _dead_direction,
     _running_sums,
     _unwind_boundaries,
-    advance_piece,
+    advance_interval,
     boundary_theta,
     phase_fold,
 )
@@ -457,6 +456,22 @@ def sweep_chains(
 # ── Single-seed traces (scalar reference paths) ──────────────────────────────
 
 
+def _traced_pieces(config: ModelConfig, n_bumps: int, checkpoint_bumps: Sequence[int],
+                   stream: RngStream):
+    """(value, length, at_checkpoint) of each piece of generate's chain.
+
+    at_checkpoint marks the pieces that end a checkpoint bump; the last bump
+    is always a checkpoint.
+    """
+    cps = sorted(set(int(c) for c in checkpoint_bumps) | {n_bumps})
+    if cps[0] < 1 or cps[-1] > n_bumps:
+        raise ValueError("checkpoint bump counts must lie in [1, n_bumps]")
+    real = generate(config, n_bumps, stream)
+    marks = np.zeros(real.values.size, dtype=bool)
+    marks[np.flatnonzero(real.is_bump)[np.array(cps) - 1]] = True
+    return zip(real.values.tolist(), real.lengths.tolist(), marks.tolist())
+
+
 def lyapunov_trace(
     config: ModelConfig,
     n_bumps: int,
@@ -469,23 +484,16 @@ def lyapunov_trace(
     construction (coordinate x_n equals n for models I/II and the bump right
     edge for III/IV).
     """
-    cps = sorted(set(int(c) for c in checkpoint_bumps) | {n_bumps})
-    if cps[0] < 1 or cps[-1] > n_bumps:
-        raise ValueError("checkpoint bump counts must lie in [1, n_bumps]")
-    real = generate(config, n_bumps, stream)
+    pieces = _traced_pieces(config, n_bumps, checkpoint_bumps, stream)
     frame = config.frame()
     acc = identity_mat()
     out: List[Tuple[float, float]] = []
-    want = set(cps)
-    bumps_seen = 0
     x = 0.0
-    for piece in real.pieces:
-        acc = accumulate(acc, transfer_matrix(piece.value, piece.length, frame))
-        x += piece.length
-        if piece.kind is PieceKind.BUMP:
-            bumps_seen += 1
-            if bumps_seen in want:
-                out.append((x, log_norm(acc)))
+    for value, length, at_checkpoint in pieces:
+        acc = accumulate(acc, transfer_matrix(value, length, frame))
+        x += length
+        if at_checkpoint:
+            out.append((x, log_norm(acc)))
     return out
 
 
@@ -496,21 +504,14 @@ def ids_trace(
     stream: RngStream,
 ) -> List[Tuple[float, float]]:
     """One chain's (x, theta(x)/pi) at bump-count checkpoints."""
-    cps = sorted(set(int(c) for c in checkpoint_bumps) | {n_bumps})
-    if cps[0] < 1 or cps[-1] > n_bumps:
-        raise ValueError("checkpoint bump counts must lie in [1, n_bumps]")
-    real = generate(config, n_bumps, stream)
+    pieces = _traced_pieces(config, n_bumps, checkpoint_bumps, stream)
     frame = config.frame()
     state = PruferState(theta=boundary_theta(config.theta0, frame), log_r=0.0, x=0.0)
     out: List[Tuple[float, float]] = []
-    want = set(cps)
-    bumps_seen = 0
-    for piece in real.pieces:
-        state = advance_piece(state, piece, frame)
-        if piece.kind is PieceKind.BUMP:
-            bumps_seen += 1
-            if bumps_seen in want:
-                out.append((state.x, state.theta / _PI))
+    for value, length, at_checkpoint in pieces:
+        state = advance_interval(state, value, length, frame)
+        if at_checkpoint:
+            out.append((state.x, state.theta / _PI))
     return out
 
 
@@ -663,6 +664,12 @@ def darling_ratios(samples: np.ndarray) -> np.ndarray:
     return samples.max(axis=1) / samples.sum(axis=1)
 
 
+def _tangent_phase(t: float) -> float:
+    """The phase in [0, pi) with tangent t: math.atan lifted by pi when negative."""
+    theta = math.atan(t)
+    return theta + _PI if theta < 0.0 else theta
+
+
 def chain_mixing(
     config: ModelConfig,
     n_steps: int,
@@ -687,7 +694,7 @@ def chain_mixing(
         raise ValueError("n_steps and n_seeds must be positive (n_seeds >= 2)")
     frame = config.frame()
     m = len(initial_points)
-    theta0 = np.array([PhaseChainState.from_tangent(t).theta_mod for t in initial_points])
+    theta0 = np.array([_tangent_phase(t) for t in initial_points])
 
     x = _draw_blocks(config, stream.seed, split_ids(stream, 0, n_seeds), n_steps)[0]
 

@@ -9,9 +9,12 @@ constant pieces:
     IV   signed unit-length bumps (-1)^eps X_n separated by Frechet gaps,
          with fair independent signs.
 
-A Realization materializes the piece list together with the raw structural
-draws, so every downstream consumer (flows, products, spectra) reads the
-identical geometry.  The draw order per model is stated once, in
+A Realization holds the pieces as columns, values, lengths and an is_bump
+mask, which is what the chain walks read, together with the raw structural
+draws and the piece boundaries derived from them, so every downstream
+consumer (flows, products, spectra) reads the identical geometry.  generate
+fills the columns straight from one bulk draw; Piece objects are built only
+on request, for inspection.  The draw order per model is stated once, in
 ``_draw_blocks``; ``generate``, the estimator sweeps and the phase-chain
 mixing all draw through it.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Optional, Sequence, Tuple
+from typing import IO, Optional, Tuple
 
 import numpy as np
 
@@ -106,17 +109,20 @@ class Piece:
 
 @dataclass(frozen=True)
 class Realization:
-    """One sampled chain: piece list plus the raw structural draws.
+    """One sampled chain: its piece columns plus the raw structural draws.
 
-    bump_heights holds the X_n as drawn (positive even for model II, whose
-    piece values carry the sign); gap_lengths and signs are empty for models
-    without them.  bump_positions[n] is the coordinate of the right edge of
-    bump n, accumulated in piece order so that summing piece lengths
-    reproduces it bit for bit.
+    Piece i has potential values[i] on an interval of length lengths[i], and
+    is_bump[i] tells a bump from a gap.  bump_heights holds the X_n as drawn
+    (positive even for model II, whose piece values carry the sign);
+    gap_lengths and signs are empty for models without them.  boundaries[i]
+    is the right edge of piece i, summed in piece order, and bump_positions
+    holds the right edges of the bumps.
     """
 
     config: ModelConfig
-    pieces: Tuple[Piece, ...]
+    values: np.ndarray
+    lengths: np.ndarray
+    is_bump: np.ndarray
     bump_heights: np.ndarray
     gap_lengths: np.ndarray
     signs: np.ndarray
@@ -129,70 +135,75 @@ class Realization:
 
     @property
     def n_bumps(self) -> int:
-        return int(self.bump_heights.size) if self.config.model is not Model.III else int(
-            self.bump_positions.size
-        )
+        return int(self.bump_positions.size)
 
-    def l_index(self, x: float) -> int:
-        """Index of the piece whose half-open interval [left, right) contains x.
-
-        The right endpoint of the chain is assigned to the last piece so the
-        full closed interval [0, total_length] is covered.
-        """
-        if not (0.0 <= x <= self.total_length):
-            raise ValueError("x must lie in [0, total_length]")
-        idx = int(np.searchsorted(self.boundaries, x, side="right"))
-        return min(idx, len(self.pieces) - 1)
+    @property
+    def pieces(self) -> Tuple[Piece, ...]:
+        """The columns as Piece objects, built on every access."""
+        return tuple(
+            Piece(value=v, length=l, index=i, kind=PieceKind.BUMP if b else PieceKind.GAP)
+            for i, (v, l, b) in enumerate(zip(self.values.tolist(), self.lengths.tolist(),
+                                              self.is_bump.tolist())))
 
     def to_csv(self, fileobj: IO[str]) -> None:
         """Columnar piece dump (index, kind, value, length); values round-trip."""
         fileobj.write("index,kind,value,length\n")
-        for p in self.pieces:
-            fileobj.write(f"{p.index},{p.kind.value},{p.value!r},{p.length!r}\n")
+        for i, (v, l, b) in enumerate(zip(self.values.tolist(), self.lengths.tolist(),
+                                          self.is_bump.tolist())):
+            fileobj.write(f"{i},{'bump' if b else 'gap'},{v!r},{l!r}\n")
 
 
 def realization_from_csv(config: ModelConfig, fileobj: IO[str]) -> Realization:
-    """Rebuild a Realization from its to_csv dump (structural draws inferred)."""
+    """Rebuild a Realization from its to_csv dump (structural draws inferred).
+
+    Rows are the pieces in order: a row whose index is not its position, or
+    whose length is not positive and finite, is a ValueError naming the row.
+    """
     header = fileobj.readline().strip()
     if header != "index,kind,value,length":
         raise ValueError("unrecognized realization CSV header")
-    pieces = []
+    values, lengths, is_bump = [], [], []
     for line in fileobj:
         line = line.strip()
         if not line:
             continue
         idx_s, kind_s, value_s, length_s = line.split(",")
-        pieces.append(
-            Piece(value=float(value_s), length=float(length_s), index=int(idx_s), kind=PieceKind(kind_s))
-        )
-    return _assemble(config, pieces)
+        row = len(values)
+        if int(idx_s) != row:
+            raise ValueError(f"realization CSV row {row}: index {idx_s} is not the row position")
+        length = float(length_s)
+        if not (0.0 < length < math.inf):
+            raise ValueError(f"realization CSV row {row}: length {length_s} is not "
+                             "positive and finite")
+        values.append(float(value_s))
+        lengths.append(length)
+        is_bump.append(PieceKind(kind_s) is PieceKind.BUMP)
+    return _assemble(config, np.array(values, dtype=float), np.array(lengths, dtype=float),
+                     np.array(is_bump, dtype=bool))
 
 
-def _assemble(config: ModelConfig, pieces: Sequence[Piece]) -> Realization:
-    """Recompute derived arrays from a piece list, in piece order."""
-    boundaries = np.add.accumulate(np.array([p.length for p in pieces], dtype=float))
-    bump_edge = [boundaries[i] for i, p in enumerate(pieces) if p.kind is PieceKind.BUMP]
-    heights = []
-    gaps = []
-    signs = []
-    for p in pieces:
-        if p.kind is PieceKind.BUMP:
-            if config.model is Model.III:
-                continue
-            heights.append(abs(p.value))
-            if config.model is Model.IV:
-                signs.append(0 if p.value >= 0.0 else 1)
-            elif config.model is Model.II and p.value > 0.0:
-                raise ValueError("Model II bump values must be nonpositive")
-        else:
-            gaps.append(p.length)
+def _assemble(config: ModelConfig, values: np.ndarray, lengths: np.ndarray,
+              is_bump: np.ndarray) -> Realization:
+    """Derive boundaries and the structural draws from the piece columns."""
+    boundaries = np.add.accumulate(lengths)
+    model = config.model
+    bump_values = values[is_bump]
+    if model is Model.II and np.any(bump_values > 0.0):
+        raise ValueError("Model II bump values must be nonpositive")
+    heights = np.zeros(0) if model is Model.III else np.abs(bump_values)
+    if model is Model.IV:
+        signs = (~(bump_values >= 0.0)).astype(np.int64)  # NaN reads as negative
+    else:
+        signs = np.zeros(0, dtype=np.int64)
     return Realization(
         config=config,
-        pieces=tuple(pieces),
-        bump_heights=np.array(heights, dtype=float),
-        gap_lengths=np.array(gaps, dtype=float),
-        signs=np.array(signs, dtype=np.int64),
-        bump_positions=np.array(bump_edge, dtype=float),
+        values=values,
+        lengths=lengths,
+        is_bump=is_bump,
+        bump_heights=heights,
+        gap_lengths=lengths[~is_bump],
+        signs=signs,
+        bump_positions=boundaries[is_bump],
         boundaries=boundaries,
     )
 
@@ -223,23 +234,14 @@ def generate(config: ModelConfig, n_bumps: int, stream: RngStream) -> Realizatio
         raise ValueError("n_bumps must be at least 1")
     x, y, eps = _draw_blocks(config, stream.seed, [stream.stream_id], n_bumps)
     model = config.model
-    pieces = []
     if model in (Model.I, Model.II):
-        sign = 1.0 if model is Model.I else -1.0
-        for i in range(n_bumps):
-            pieces.append(Piece(value=sign * float(x[0, i]), length=1.0, index=i,
-                                kind=PieceKind.BUMP))
-    elif model is Model.III:
-        for i in range(n_bumps):
-            pieces.append(Piece(value=0.0, length=float(y[0, i]), index=2 * i, kind=PieceKind.GAP))
-            pieces.append(Piece(value=1.0, length=1.0, index=2 * i + 1, kind=PieceKind.BUMP))
-    elif model is Model.IV:
-        values = x[0] * (1.0 - 2.0 * eps[0])
-        for i in range(n_bumps):
-            pieces.append(Piece(value=0.0, length=float(y[0, i]), index=2 * i, kind=PieceKind.GAP))
-            pieces.append(
-                Piece(value=float(values[i]), length=1.0, index=2 * i + 1, kind=PieceKind.BUMP)
-            )
-    else:  # pragma: no cover - Model enum is closed
-        raise ValueError(f"unknown model {model!r}")
-    return _assemble(config, pieces)
+        values = x[0] if model is Model.I else -x[0]
+        return _assemble(config, values, np.ones(n_bumps), np.ones(n_bumps, dtype=bool))
+    # gap, bump, gap, bump, ...
+    values = np.zeros(2 * n_bumps)
+    values[1::2] = 1.0 if model is Model.III else x[0] * (1.0 - 2.0 * eps[0])
+    lengths = np.ones(2 * n_bumps)
+    lengths[0::2] = y[0]
+    is_bump = np.zeros(2 * n_bumps, dtype=bool)
+    is_bump[1::2] = True
+    return _assemble(config, values, lengths, is_bump)

@@ -26,9 +26,11 @@ hyperbolic mode uses expm1 so pieces with tiny a agree with the shear limit
 to machine precision.  All phases are reduced with respect to float pi, so
 windings stay consistent across every routine in the package.
 
-The scalar flow (_advance_scalar, advance_interval) advances one piece at a
-time and is the per-piece reference; phase_fold is its batch twin across
-many chains, used by the phase-chain mixing estimator.  The box spectrum
+Every routine here takes pieces as bare (value, length) numbers or arrays,
+the columns of a Realization.  The scalar flow (_advance_scalar,
+advance_interval) advances one piece at a time and is the per-piece
+reference; phase_fold is its batch twin across many chains, used by the
+phase-chain mixing estimator.  The box spectrum
 walks whole chains at one energy with walk_chain instead: it pushes the
 solution vector through the piece matrices of the transfer module and
 recovers the winding from the boundary vectors (_unwind_boundaries), with the
@@ -40,11 +42,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .potentials import Piece, PieceKind, Realization
 from .transfer import EnergyFrame, SaturationError, _piece_entries_batch
 
 _PI = math.pi
@@ -152,150 +153,13 @@ def _advance_scalar(theta: float, log_r: float, value: float, length: float,
     return theta + delta, log_r + gain
 
 
-def advance_piece(state: PruferState, piece: Piece, frame: EnergyFrame) -> PruferState:
-    """Advance the flow across one constant piece."""
-    theta, log_r = _advance_scalar(
-        state.theta, state.log_r, piece.value, piece.length, frame.lam, frame.k_norm
-    )
-    return PruferState(theta=theta, log_r=log_r, x=state.x + piece.length)
-
-
 def advance_interval(state: PruferState, value: float, length: float,
                      frame: EnergyFrame) -> PruferState:
-    """Advance across a bare (value, length) interval without a Piece wrapper."""
+    """Advance the flow across one constant piece of potential value and length."""
     if not (length > 0.0):
         raise ValueError("length must be positive")
     theta, log_r = _advance_scalar(state.theta, state.log_r, value, length, frame.lam, frame.k_norm)
     return PruferState(theta=theta, log_r=log_r, x=state.x + length)
-
-
-def advance_realization(
-    state: PruferState,
-    realization: Realization,
-    frame: EnergyFrame,
-    checkpoints: Sequence[float] = (),
-) -> Tuple[PruferState, List[TraceRecord]]:
-    """Walk the whole chain, recording (x, theta, log_r) at each checkpoint.
-
-    Checkpoints must be sorted, within [0, total_length]; pieces containing a
-    checkpoint are split there, which is exact because the flow restarted on
-    the remainder of a constant piece composes to the full piece.
-    """
-    if state.x != 0.0:
-        raise ValueError("advance_realization starts at x = 0")
-    cps = [float(c) for c in checkpoints]
-    if any(b < a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be sorted")
-    if cps and (cps[0] < 0.0 or cps[-1] > realization.total_length * (1.0 + 1e-12)):
-        raise ValueError("checkpoints must lie within the chain")
-
-    theta = state.theta
-    log_r = state.log_r
-    lam = frame.lam
-    k = frame.k_norm
-    records: List[TraceRecord] = []
-    ci = 0
-    nc = len(cps)
-    while ci < nc and cps[ci] <= 0.0:
-        records.append(TraceRecord(x=0.0, theta=theta, log_r=log_r))
-        ci += 1
-
-    x_left = 0.0
-    for piece in realization.pieces:
-        x_right = x_left + piece.length
-        x_cursor = x_left
-        while ci < nc and cps[ci] < x_right:
-            part = cps[ci] - x_cursor
-            if part > 0.0:
-                theta, log_r = _advance_scalar(theta, log_r, piece.value, part, lam, k)
-                x_cursor = cps[ci]
-            records.append(TraceRecord(x=x_cursor, theta=theta, log_r=log_r))
-            ci += 1
-        rest = x_right - x_cursor
-        if rest > 0.0:
-            theta, log_r = _advance_scalar(theta, log_r, piece.value, rest, lam, k)
-        x_left = x_right
-        while ci < nc and cps[ci] == x_right:
-            records.append(TraceRecord(x=x_right, theta=theta, log_r=log_r))
-            ci += 1
-
-    final = PruferState(theta=theta, log_r=log_r, x=x_left)
-    while ci < nc:  # checkpoints at total_length up to the tolerance slack
-        records.append(TraceRecord(x=final.x, theta=theta, log_r=log_r))
-        ci += 1
-    return final, records
-
-
-# ── Projective phase chain ───────────────────────────────────────────────────
-#
-# At fixed energy the phase at consecutive bump edges is a Markov chain on
-# the projective line.  The chain state carries both the tangent t = tan of
-# the phase and its mod-pi representative; poles of the tangent are ordinary
-# points of the chain and are handled through the angle representation.
-
-
-@dataclass(frozen=True)
-class PhaseChainState:
-    """Tangent t and its arctan lift theta_mod in [0, pi)."""
-
-    t: float
-    theta_mod: float
-
-    @classmethod
-    def from_tangent(cls, t: float) -> "PhaseChainState":
-        theta = math.atan(t)
-        if theta < 0.0:
-            theta += _PI
-        return cls(t=float(t), theta_mod=theta)
-
-
-def phase_chain_step(state: PhaseChainState, bump_height: float, frame: EnergyFrame) -> PhaseChainState:
-    """One unit-length bump of height X acting on the projective phase."""
-    if not (bump_height > 0.0) or not math.isfinite(bump_height):
-        raise ValueError("bump height must be positive and finite")
-    theta, _ = _advance_scalar(state.theta_mod, 0.0, bump_height, 1.0, frame.lam, frame.k_norm)
-    theta = math.fmod(theta, _PI)
-    if theta < 0.0:
-        theta += _PI
-    return PhaseChainState(t=math.tan(theta), theta_mod=theta)
-
-
-def tan_update_F(t: float, y: float, frame: EnergyFrame) -> float:
-    """Tangent map of a unit bump in the hyperbolic regime, y = sqrt(X - lam).
-
-        F(t, y) = (t + (k/y) tanh y) / (t (y/k) tanh y + 1)
-
-    At a pole of the quotient the projective limit (encoded as inf) is
-    returned; the chain re-enters the reals on the next step.
-    """
-    if not (y > 0.0):
-        raise ValueError("y must be positive")
-    k = frame.k_norm
-    th = math.tanh(y)
-    num = t + (k / y) * th
-    den = t * (y / k) * th + 1.0
-    if den == 0.0:
-        return math.inf
-    return num / den
-
-
-def tan_update_G(t: float, y: float, frame: EnergyFrame) -> float:
-    """Tangent map of a unit bump in the oscillatory regime, y = sqrt(lam - X).
-
-        G(t, y) = (t + (k/y) tan y) / (-t (y/k) tan y + 1)
-
-    y is the local frequency, positive; tan-poles of y itself and zeros of
-    the denominator are projective points, encoded as inf.
-    """
-    if not (y > 0.0):
-        raise ValueError("y must be positive")
-    k = frame.k_norm
-    ty = math.tan(y)
-    num = t + (k / y) * ty
-    den = 1.0 - t * (y / k) * ty
-    if den == 0.0:
-        return math.inf
-    return num / den
 
 
 # ── Vectorized phase folds ───────────────────────────────────────────────────

@@ -12,8 +12,11 @@ Every phase evaluation is one walk of the truncated chain at a single energy
 (prufer.walk_chain): all piece matrices are built in one vectorized call, a
 plain float loop carries the unit solution vector across them, and the
 winding is counted in bulk from the stored boundary vectors.  A BoxProblem
-keeps its truncated (values, lengths) arrays, so the search rebuilds nothing
-between evaluations.
+cuts the realization's (values, lengths) columns once, at construction, so
+the search rebuilds nothing between evaluations.  The cut keeps every piece
+that ends before L_box whole and ends the box with exactly one cut piece,
+of length L_box minus the right edge of the last whole piece; a box that
+ends on a piece boundary cuts nothing.
 
 The search is a safeguarded Brent-Dekker iteration on a bracket of the m-th
 crossing theta = m pi.  While a bracket end is a full turn or more away from
@@ -93,19 +96,21 @@ class BoxProblem:
 
 def _truncated_pieces(realization: Realization,
                       L_box: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, lengths) arrays of the pieces covering exactly [0, L_box]."""
-    values: List[float] = []
-    lengths: List[float] = []
-    left = 0.0
-    for p in realization.pieces:
-        if left >= L_box:
-            break
-        length = min(p.length, L_box - left)
-        if length > 0.0:
-            values.append(p.value)
-            lengths.append(length)
-        left += length
-    return np.array(values, dtype=float), np.array(lengths, dtype=float)
+    """(values, lengths) of the pieces covering exactly [0, L_box].
+
+    Piece n is the first whose right edge reaches L_box (the last piece when
+    L_box lies past the chain end, within the allowed slack); the pieces
+    before it are whole.  A box that ends on piece n's right edge keeps it
+    whole too, otherwise it is the one cut piece, of length
+    L_box - boundaries[n-1].
+    """
+    edges = realization.boundaries
+    n = min(int(np.searchsorted(edges, L_box)), edges.size - 1)
+    lengths = realization.lengths[:n + 1]
+    if L_box != edges[n]:
+        lengths = lengths.copy()
+        lengths[n] = L_box - (edges[n - 1] if n else 0.0)
+    return realization.values[:n + 1], lengths
 
 
 def _walk(problem: BoxProblem, lam: float) -> Tuple[np.ndarray, np.ndarray]:

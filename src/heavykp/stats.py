@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,6 @@ def mean_ci(values, level: float = 0.95) -> MeanCi:
         raise ValueError("samples must be finite")
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    z = float(ndtri(0.5 * (1.0 + level)))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     s = float(arr.std(ddof=1))
     return MeanCi(mean=float(arr.mean()), half_width=z * s / math.sqrt(arr.size), level=level)

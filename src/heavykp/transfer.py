@@ -90,9 +90,6 @@ class ScaledMat:
     m: Mat2
     log_scale: float
 
-    def to_array(self) -> np.ndarray:
-        return np.array([[self.m.a, self.m.b], [self.m.c, self.m.d]], dtype=float)
-
 
 def _frobenius(a: float, b: float, c: float, d: float) -> float:
     """Frobenius norm, safe against overflow of squared entries."""
@@ -215,25 +212,6 @@ def accumulate(acc: ScaledMat, nxt: ScaledMat) -> ScaledMat:
 def log_norm(sm: ScaledMat) -> float:
     """log of the true Frobenius norm, log_scale included."""
     return sm.log_scale + math.log(_frobenius(*sm.m))
-
-
-def apply(sm: ScaledMat, v) -> Tuple[np.ndarray, float]:
-    """Act on a nonzero 2-vector; returns (unit direction, log magnitude gain).
-
-    The magnitude gain is log(|M v| / |v|), so applying the identity yields
-    zero regardless of |v|.
-    """
-    v0 = float(v[0])
-    v1 = float(v[1])
-    nv = math.hypot(v0, v1)
-    if nv == 0.0 or not math.isfinite(nv):
-        raise ValueError("v must be a nonzero finite 2-vector")
-    w0 = sm.m.a * v0 + sm.m.b * v1
-    w1 = sm.m.c * v0 + sm.m.d * v1
-    nw = math.hypot(w0, w1)
-    if nw == 0.0:
-        raise SaturationError("matrix application annihilated the vector")
-    return np.array([w0 / nw, w1 / nw]), sm.log_scale + math.log(nw / nv)
 
 
 def stored_det(sm: ScaledMat) -> float:

@@ -125,6 +125,36 @@ def test_model4_geometry():
     assert 0 < r.signs.sum() < 200
 
 
+@pytest.mark.parametrize(
+    "model,kw",
+    [
+        ("I", {"alpha1": 0.5}),
+        ("II", {"alpha1": 0.5}),
+        ("III", {"alpha2": 0.5}),
+        ("IV", {"alpha1": 0.5, "alpha2": 0.7}),
+    ],
+)
+def test_columns_match_pieces(model, kw):
+    r = generate(_cfg(model, **kw), 20, RngStream(5))
+    assert r.values.dtype == r.lengths.dtype == float and r.is_bump.dtype == bool
+    assert [p.index for p in r.pieces] == list(range(r.values.size))
+    assert np.array_equal(r.values, [p.value for p in r.pieces])
+    assert np.array_equal(r.lengths, [p.length for p in r.pieces])
+    assert np.array_equal(r.is_bump, [p.kind is PieceKind.BUMP for p in r.pieces])
+    assert np.array_equal(r.bump_positions, r.boundaries[r.is_bump])
+
+
+def test_assemble_infinite_heights():
+    # an overflowed draw is an infinite bump: unsigned inf height, sign kept
+    text = ("index,kind,value,length\n0,gap,0.0,2.0\n1,bump,inf,1.0\n"
+            "2,gap,0.0,0.5\n3,bump,-inf,1.0\n4,gap,0.0,1.0\n5,bump,-0.0,1.0\n")
+    r = realization_from_csv(_cfg("IV", alpha1=0.5, alpha2=0.7), io.StringIO(text))
+    assert r.bump_heights.tolist() == [math.inf, math.inf, 0.0]
+    assert r.signs.tolist() == [0, 1, 0]
+    assert r.gap_lengths.tolist() == [2.0, 0.5, 1.0]
+    assert r.bump_positions.tolist() == [3.0, 4.5, 6.5]
+
+
 def test_generate_rejects_empty_chain():
     with pytest.raises(ValueError):
         generate(_cfg("I", alpha1=0.5), 0, RngStream(1))
@@ -141,22 +171,6 @@ def test_boundaries_accumulate_exactly():
     r = generate(_cfg("III", alpha2=0.5), 60, RngStream(8))
     lengths = np.array([p.length for p in r.pieces])
     assert np.array_equal(r.boundaries, np.add.accumulate(lengths))
-
-
-# ── Piece lookup ─────────────────────────────────────────────────────────────
-
-
-def test_l_index_half_open_convention():
-    r = generate(_cfg("I", alpha1=0.5), 5, RngStream(11))
-    assert r.l_index(0.0) == 0
-    assert r.l_index(0.999) == 0
-    assert r.l_index(1.0) == 1  # boundaries belong to the right piece
-    assert r.l_index(4.5) == 4
-    assert r.l_index(5.0) == 4  # chain end assigned to the last piece
-    with pytest.raises(ValueError):
-        r.l_index(-0.1)
-    with pytest.raises(ValueError):
-        r.l_index(5.1)
 
 
 # ── Tail distributions ───────────────────────────────────────────────────────
@@ -222,6 +236,19 @@ def test_csv_rejects_sign_violation():
     text = "index,kind,value,length\n0,bump,3.5,1.0\n"
     with pytest.raises(ValueError, match="nonpositive"):
         realization_from_csv(_cfg("II", alpha1=0.5), io.StringIO(text))
+
+
+def test_csv_rejects_index_out_of_position():
+    text = "index,kind,value,length\n0,gap,0.0,1.5\n2,bump,1.0,1.0\n"
+    with pytest.raises(ValueError, match="row 1: index 2 is not the row position"):
+        realization_from_csv(_cfg("III", alpha2=0.5), io.StringIO(text))
+
+
+@pytest.mark.parametrize("length", ["0.0", "-1.0", "inf", "nan"])
+def test_csv_rejects_bad_length(length):
+    text = f"index,kind,value,length\n0,bump,2.0,1.0\n1,bump,3.0,{length}\n"
+    with pytest.raises(ValueError, match=f"row 1: length {length} is not positive and finite"):
+        realization_from_csv(_cfg("I", alpha1=0.5), io.StringIO(text))
 
 
 def test_assemble_supports_synthetic_shapes():

@@ -10,22 +10,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from heavykp.potentials import Model, ModelConfig, PieceKind, generate
+from heavykp.estimators import _tangent_phase
 from heavykp.prufer import (
-    PhaseChainState,
     PruferState,
-    TraceRecord,
     _unwind_boundaries,
     advance_interval,
-    advance_piece,
-    advance_realization,
     boundary_theta,
-    phase_chain_step,
     phase_fold,
-    tan_update_F,
-    tan_update_G,
 )
-from heavykp.rng import RngStream
 from heavykp.transfer import EnergyFrame
 
 _PI = math.pi
@@ -264,58 +256,7 @@ def test_winding_count_matches_zero_count():
         assert math.floor(t_new / _PI) == _zero_count(theta0, value, length, lam, k)
 
 
-# ── Walking whole realizations ───────────────────────────────────────────────
-
-
-def _model1_cfg(**kw):
-    base = dict(model=Model.I, energy=2.0, alpha1=0.5)
-    base.update(kw)
-    return ModelConfig(**base)
-
-
-def test_advance_realization_checkpoint_splits_compose():
-    cfg = ModelConfig(model=Model.III, energy=2.0, alpha2=0.6)
-    r = generate(cfg, 40, RngStream(5))
-    frame = cfg.frame()
-    start = PruferState(theta=0.4, log_r=0.0, x=0.0)
-    plain, _ = advance_realization(start, r, frame)
-    # mid-piece checkpoints force splits; composition must be transparent
-    cps = np.linspace(0.1, r.total_length * 0.999, 23)
-    split, records = advance_realization(start, r, frame, checkpoints=cps)
-    assert split.theta == pytest.approx(plain.theta, abs=1e-10)
-    assert split.log_r == pytest.approx(plain.log_r, abs=1e-10)
-    assert split.x == plain.x == r.total_length
-    assert len(records) == 23
-    assert [rec.x for rec in records] == pytest.approx(list(cps))
-    # theta is nondecreasing along the chain at positive energy (gaps rotate forward)
-    thetas = [rec.theta for rec in records]
-    assert all(b >= a for a, b in zip(thetas, thetas[1:]))
-
-
-def test_advance_realization_endpoint_checkpoints():
-    cfg = _model1_cfg()
-    r = generate(cfg, 10, RngStream(6))
-    start = PruferState(theta=0.0, log_r=0.0, x=0.0)
-    final, records = advance_realization(start, r, cfg.frame(), checkpoints=[0.0, 10.0])
-    assert records[0] == TraceRecord(x=0.0, theta=0.0, log_r=0.0)
-    assert records[1].x == 10.0
-    assert records[1].theta == final.theta
-    assert records[1].log_r == final.log_r
-
-
-def test_advance_realization_validation():
-    cfg = _model1_cfg()
-    r = generate(cfg, 5, RngStream(7))
-    frame = cfg.frame()
-    good = PruferState(theta=0.0, log_r=0.0, x=0.0)
-    with pytest.raises(ValueError, match="sorted"):
-        advance_realization(good, r, frame, checkpoints=[2.0, 1.0])
-    with pytest.raises(ValueError, match="within"):
-        advance_realization(good, r, frame, checkpoints=[6.0])
-    with pytest.raises(ValueError, match="within"):
-        advance_realization(good, r, frame, checkpoints=[-1.0])
-    with pytest.raises(ValueError, match="x = 0"):
-        advance_realization(PruferState(0.0, 0.0, 1.0), r, frame)
+# ── Validation ───────────────────────────────────────────────────────────────
 
 
 def test_advance_interval_validation():
@@ -323,46 +264,42 @@ def test_advance_interval_validation():
         advance_interval(PruferState(0.0, 0.0, 0.0), 1.0, 0.0, EnergyFrame.from_lambda(1.0))
 
 
-def test_advance_piece_tracks_position():
-    from heavykp.potentials import Piece
+# ── Tangent-map oracles ──────────────────────────────────────────────────────
+#
+# At fixed energy the phase mod pi after a unit bump of height X is a map of
+# the tangent t = tan(theta).  The paper writes it in closed form: F in the
+# hyperbolic regime (X > lam), G in the oscillatory one (X < lam).  A pole
+# of the quotient is the projective point, encoded as inf.
 
-    piece = Piece(value=0.0, length=2.0, index=0, kind=PieceKind.GAP)
-    st = advance_piece(PruferState(0.0, 0.0, 1.0), piece, EnergyFrame.from_lambda(4.0))
-    assert st.x == 3.0
-    assert st.theta == 4.0
+
+def _tan_update_F(t: float, y: float, frame: EnergyFrame) -> float:
+    """F(t, y) = (t + (k/y) tanh y) / (t (y/k) tanh y + 1), y = sqrt(X - lam)."""
+    k = frame.k_norm
+    th = math.tanh(y)
+    den = t * (y / k) * th + 1.0
+    return math.inf if den == 0.0 else (t + (k / y) * th) / den
 
 
-# ── Projective chain and tangent maps ────────────────────────────────────────
+def _tan_update_G(t: float, y: float, frame: EnergyFrame) -> float:
+    """G(t, y) = (t + (k/y) tan y) / (-t (y/k) tan y + 1), y = sqrt(lam - X)."""
+    k = frame.k_norm
+    ty = math.tan(y)
+    den = 1.0 - t * (y / k) * ty
+    return math.inf if den == 0.0 else (t + (k / y) * ty) / den
+
+
+def _tangent_after_bump(t: float, x: float, frame: EnergyFrame) -> float:
+    """tan of the phase mod pi after advance_interval across a unit bump of height x."""
+    start = PruferState(theta=_tangent_phase(t), log_r=0.0, x=0.0)
+    return math.tan(advance_interval(start, x, 1.0, frame).theta % _PI)
 
 
 def test_from_tangent_quadrants():
-    s = PhaseChainState.from_tangent(1.0)
-    assert s.theta_mod == pytest.approx(_PI / 4)
-    s = PhaseChainState.from_tangent(-1.0)
-    assert s.theta_mod == pytest.approx(3 * _PI / 4)
-    assert math.tan(s.theta_mod) == pytest.approx(-1.0, rel=1e-12)
-
-
-def test_phase_chain_step_is_mod_pi_flow():
-    frame = EnergyFrame.from_lambda(2.0)
-    state = PhaseChainState.from_tangent(0.3)
-    for x in (0.5, 7.0, 1e5):
-        nxt = phase_chain_step(state, x, frame)
-        t_flow, _ = _advance(state.theta_mod, x, 1.0, 2.0)
-        t_flow = math.fmod(t_flow, _PI)
-        if t_flow < 0.0:
-            t_flow += _PI
-        assert nxt.theta_mod == pytest.approx(t_flow, abs=1e-12)
-        assert 0.0 <= nxt.theta_mod < _PI
-        state = nxt
-
-
-def test_phase_chain_step_validation():
-    frame = EnergyFrame.from_lambda(2.0)
-    with pytest.raises(ValueError):
-        phase_chain_step(PhaseChainState.from_tangent(0.0), 0.0, frame)
-    with pytest.raises(ValueError):
-        phase_chain_step(PhaseChainState.from_tangent(0.0), math.inf, frame)
+    # the lift chain_mixing starts its phases from
+    assert _tangent_phase(1.0) == pytest.approx(_PI / 4)
+    theta = _tangent_phase(-1.0)
+    assert theta == pytest.approx(3 * _PI / 4)
+    assert math.tan(theta) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_tangent_map_hyperbolic_matches_chain():
@@ -372,11 +309,10 @@ def test_tangent_map_hyperbolic_matches_chain():
         t = float(rng.uniform(-5.0, 5.0))
         x = float(rng.uniform(2.5, 50.0))  # X > lam: hyperbolic
         y = math.sqrt(x - 2.0)
-        mapped = tan_update_F(t, y, frame)
+        mapped = _tan_update_F(t, y, frame)
         if abs(mapped) > 1e3:
             continue  # too near the projective point for a tan comparison
-        stepped = phase_chain_step(PhaseChainState.from_tangent(t), x, frame)
-        assert mapped == pytest.approx(stepped.t, rel=1e-8, abs=1e-8)
+        assert mapped == pytest.approx(_tangent_after_bump(t, x, frame), rel=1e-8, abs=1e-8)
 
 
 def test_tangent_map_oscillatory_matches_chain():
@@ -386,18 +322,19 @@ def test_tangent_map_oscillatory_matches_chain():
         t = float(rng.uniform(-5.0, 5.0))
         x = float(rng.uniform(0.05, 1.9))  # 0 < X < lam: oscillatory
         y = math.sqrt(2.0 - x)
-        mapped = tan_update_G(t, y, frame)
+        mapped = _tan_update_G(t, y, frame)
         if abs(mapped) > 1e3:
             continue
-        stepped = phase_chain_step(PhaseChainState.from_tangent(t), x, frame)
-        assert mapped == pytest.approx(stepped.t, rel=1e-8, abs=1e-8)
+        assert mapped == pytest.approx(_tangent_after_bump(t, x, frame), rel=1e-8, abs=1e-8)
 
 
 def test_tangent_map_full_period_identity():
     # y = pi: tan(y) vanishes to rounding, so G is the identity to ~1e-12
     frame = EnergyFrame.from_lambda(1.0 + _PI * _PI)
     for t in (-2.0, 0.0, 0.4, 10.0):
-        assert tan_update_G(t, _PI, frame) == pytest.approx(t, rel=1e-10, abs=1e-12)
+        assert _tan_update_G(t, _PI, frame) == pytest.approx(t, rel=1e-10, abs=1e-12)
+        # the flow agrees: a bump of height 1 at lam = 1 + pi^2 turns the phase by pi
+        assert _tangent_after_bump(t, 1.0, frame) == pytest.approx(t, rel=1e-10, abs=1e-12)
 
 
 def test_tangent_map_pole_returns_inf():
@@ -405,15 +342,7 @@ def test_tangent_map_pole_returns_inf():
     frame = EnergyFrame.from_lambda(1.0)
     y = 0.5
     t = -1.0 / (y * math.tanh(y))
-    assert tan_update_F(t, y, frame) == math.inf
-
-
-def test_tangent_map_validation():
-    frame = EnergyFrame.from_lambda(1.0)
-    with pytest.raises(ValueError):
-        tan_update_F(0.0, 0.0, frame)
-    with pytest.raises(ValueError):
-        tan_update_G(0.0, -1.0, frame)
+    assert _tan_update_F(t, y, frame) == math.inf
 
 
 # ── Vectorized fold versus scalar ────────────────────────────────────────────

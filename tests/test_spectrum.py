@@ -139,17 +139,22 @@ _FIT_TOL = 1e-11
 
 
 def _oracle_pieces(problem: BoxProblem):
-    """(value, length) of the pieces covering exactly [0, L_box]."""
+    """(value, length) of the pieces covering exactly [0, L_box].
+
+    Whole pieces up to the first whose right edge reaches L_box (the last
+    piece if none does); that one is cut to L_box minus its left edge unless
+    its right edge is L_box itself.
+    """
     out = []
     left = 0.0
-    for p in problem.realization.pieces:
-        if left >= problem.L_box:
-            break
-        length = min(p.length, problem.L_box - left)
-        if length > 0.0:
-            out.append((p.value, length))
-        left += length
-    return out
+    pieces = problem.realization.pieces
+    for i, p in enumerate(pieces):
+        right = left + p.length
+        if right >= problem.L_box or i == len(pieces) - 1:
+            out.append((p.value, p.length if right == problem.L_box else problem.L_box - left))
+            return out
+        out.append((p.value, p.length))
+        left = right
 
 
 def _oracle_records(pieces, frame, theta):
@@ -225,6 +230,32 @@ def test_walk_matches_scalar_flow(model, kw, lam, theta0):
         slope, r2 = decay_fit(prob, lam, 1.5)
         assert slope == pytest.approx(want_slope, rel=_FIT_TOL, abs=_FIT_TOL)
         assert r2 == pytest.approx(want_r2, abs=_FIT_TOL)
+
+
+@pytest.mark.parametrize("model,kw", [(Model.I, {"alpha1": 0.8}),
+                                      (Model.III, {"alpha2": 0.6}),
+                                      (Model.IV, {"alpha1": 0.8, "alpha2": 0.6})])
+def test_box_cut_is_one_piece(model, kw):
+    cfg = ModelConfig(model=model, energy=1.0, **kw)
+    r = generate(cfg, 300, split_stream(RngStream(5), 13))
+    edges = r.boundaries
+    j = edges.size // 3
+    inside = 0.5 * (edges[j - 1] + edges[j])
+    beyond = r.total_length * (1.0 + 1e-12)
+    # on model III, 0.37 L lands where left + (L_box - left) rounds below
+    # L_box: a second piece of about one ulp used to follow the cut one
+    at_37 = 0.37 * r.total_length
+    n_37 = int(np.count_nonzero(edges < at_37))
+    for L_box, n, last in ((inside, j, inside - edges[j - 1]),
+                           (edges[j], j, r.lengths[j]),
+                           (beyond, edges.size - 1, beyond - edges[-2]),
+                           (at_37, n_37, at_37 - edges[n_37 - 1])):
+        prob = BoxProblem(realization=r, theta0=0.0, L_box=L_box)
+        assert prob.values.size == prob.lengths.size == n + 1
+        assert np.array_equal(prob.values, r.values[:n + 1])
+        assert np.array_equal(prob.lengths[:n], r.lengths[:n])
+        assert prob.lengths[n] == last
+        assert list(zip(prob.values.tolist(), prob.lengths.tolist())) == _oracle_pieces(prob)
 
 
 def test_walk_degenerate_piece():

@@ -1,9 +1,13 @@
 """Statistics primitives: empirical CDFs, KS distance, OLS, mean CIs."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import heavykp
 from heavykp.stats import Ecdf, ks_distance, linear_fit, mean_ci
 
 
@@ -152,3 +156,14 @@ def test_mean_ci_rejects_bad_input():
         mean_ci([1.0, math.inf])
     with pytest.raises(ValueError):
         mean_ci([1.0, 2.0], level=1.0)
+
+
+def test_import_does_not_load_scipy():
+    # the normal quantile comes from the standard library: importing the
+    # package must not pull in scipy, whose import costs more than the rest
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heavykp.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, heavykp; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -20,7 +20,6 @@ from heavykp.transfer import (
     ScaledMat,
     U_SERIES_WINDOW,
     accumulate,
-    apply,
     det_defect,
     gap_matrix,
     identity_mat,
@@ -296,26 +295,7 @@ def test_stored_det_weak_disorder_chain():
     assert stored_det(acc) * math.exp(2.0 * acc.log_scale) == pytest.approx(1.0, abs=1e-10)
 
 
-# ── apply, saturation ────────────────────────────────────────────────────────
-
-
-def test_apply_identity_and_gain():
-    ident = identity_mat()
-    direction, gain = apply(ident, [3.0, 4.0])
-    assert gain == 0.0
-    assert np.allclose(direction, [0.6, 0.8])
-
-    frame = EnergyFrame.from_lambda(1.0)
-    sm = transfer_matrix(101.0, 1.0, frame)  # a = 10
-    _, gain = apply(sm, [1.0, 0.0])
-    # column (cosh 10, 10 sinh 10): log magnitude from the closed form
-    want = 0.5 * math.log(math.cosh(10.0) ** 2 + (10.0 * math.sinh(10.0)) ** 2)
-    assert gain == pytest.approx(want, rel=1e-12)
-
-
-def test_apply_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        apply(identity_mat(), [0.0, 0.0])
+# ── saturation ──────────────────────────────────────────────────────────────
 
 
 def test_accumulate_saturates_on_log_ceiling():
