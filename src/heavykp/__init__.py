@@ -64,20 +64,7 @@ from .spectrum import (
     phase_trace,
 )
 from .stats import Ecdf, LinearFit, MeanCi, ks_distance, linear_fit, mean_ci
-from .transfer import (
-    EnergyFrame,
-    Mat2,
-    SaturationError,
-    ScaledMat,
-    accumulate,
-    det_defect,
-    gap_matrix,
-    identity_mat,
-    log_norm,
-    model3_bump_matrix,
-    stored_det,
-    transfer_matrix,
-)
+from .transfer import EnergyFrame, SaturationError, det_defect
 
 __all__ = [
     "__version__",
@@ -86,9 +73,7 @@ __all__ = [
     "sample_frechet", "sample_bump_height", "sample_gap_length",
     "sample_stable_oracle", "frechet_from_uniform", "frechet_tail", "frechet_cdf",
     # transfer
-    "EnergyFrame", "Mat2", "ScaledMat", "SaturationError",
-    "transfer_matrix", "gap_matrix", "model3_bump_matrix", "identity_mat",
-    "accumulate", "log_norm", "stored_det", "det_defect",
+    "EnergyFrame", "SaturationError", "det_defect",
     # potentials
     "Model", "ModelConfig", "Piece", "PieceKind", "Realization",
     "generate", "realization_from_csv",

@@ -12,9 +12,10 @@ read off the stored vectors.  Its lanes give
 
 The sweep draws each block of seeds at once through potentials._draw_blocks,
 the one statement of the canonical draw order, which potentials.generate
-draws through too, so the single-chain references (prufer.walk_chain,
-lyapunov_trace, ids_trace) see the same chains, which is what the oracle
-tests pin down.
+draws through too, so the single-chain traces (lyapunov_trace, ids_trace,
+both prufer.walk_chain on generate's chain) see the same chains, which is
+what the oracle tests pin down.  chain_mixing walks its starting points as
+lanes of the same lane walk.
 
 Estimated objects:
 
@@ -39,27 +40,20 @@ import numpy as np
 
 from .potentials import Model, ModelConfig, _draw_blocks, generate
 from .prufer import (
-    PruferState,
     _dead_direction,
     _running_sums,
     _unwind_boundaries,
-    advance_interval,
     boundary_theta,
-    phase_fold,
+    walk_chain,
 )
 from .rng import RngStream, split_ids
 from .stats import ks_distance
-from .transfer import (
-    LOG_SCALE_CEILING,
-    SaturationError,
-    _piece_entries_batch,
-    accumulate,
-    identity_mat,
-    log_norm,
-    transfer_matrix,
-)
-# The sweeps no longer call the batch piece kernels or the samplers; these
-# names stay bound here because bench/spans.py wraps them at this module too.
+from .transfer import LOG_SCALE_CEILING, SaturationError, _piece_entries_batch
+# Nothing here calls these samplers, the matrix-product folds or phase_fold.
+# The names stay bound only because the benchmark tracer (bench/spans.py)
+# wraps them at this module by attribute; the tests use the folds as
+# references from their own modules.
+from .prufer import phase_fold  # noqa: F401
 from .rng import sample_bump_height, sample_gap_length  # noqa: F401
 from .transfer import push_piece, push_rotation  # noqa: F401
 
@@ -453,23 +447,20 @@ def sweep_chains(
     return SweepResult(records=records, aux_sqrt_sum=aux)
 
 
-# ── Single-seed traces (scalar reference paths) ──────────────────────────────
+# ── Single-seed traces ───────────────────────────────────────────────────────
 
 
-def _traced_pieces(config: ModelConfig, n_bumps: int, checkpoint_bumps: Sequence[int],
-                   stream: RngStream):
-    """(value, length, at_checkpoint) of each piece of generate's chain.
+def _traced_chain(config: ModelConfig, n_bumps: int, checkpoint_bumps: Sequence[int],
+                  stream: RngStream):
+    """generate's chain and the piece indices that end each checkpoint bump.
 
-    at_checkpoint marks the pieces that end a checkpoint bump; the last bump
-    is always a checkpoint.
+    The last bump is always a checkpoint.
     """
     cps = sorted(set(int(c) for c in checkpoint_bumps) | {n_bumps})
     if cps[0] < 1 or cps[-1] > n_bumps:
         raise ValueError("checkpoint bump counts must lie in [1, n_bumps]")
     real = generate(config, n_bumps, stream)
-    marks = np.zeros(real.values.size, dtype=bool)
-    marks[np.flatnonzero(real.is_bump)[np.array(cps) - 1]] = True
-    return zip(real.values.tolist(), real.lengths.tolist(), marks.tolist())
+    return real, np.flatnonzero(real.is_bump)[np.array(cps) - 1]
 
 
 def lyapunov_trace(
@@ -482,19 +473,16 @@ def lyapunov_trace(
 
     Checkpoints are bump counts, which makes them piece boundaries by
     construction (coordinate x_n equals n for models I/II and the bump right
-    edge for III/IV).
+    edge for III/IV).  The columns M e1 and M e2 are walked with walk_chain
+    from theta = pi/2 and 0, and log||M|| (Frobenius) is
+    log sqrt(|M e1|**2 + |M e2|**2), as in sweep_chains.
     """
-    pieces = _traced_pieces(config, n_bumps, checkpoint_bumps, stream)
+    real, ends = _traced_chain(config, n_bumps, checkpoint_bumps, stream)
     frame = config.frame()
-    acc = identity_mat()
-    out: List[Tuple[float, float]] = []
-    x = 0.0
-    for value, length, at_checkpoint in pieces:
-        acc = accumulate(acc, transfer_matrix(value, length, frame))
-        x += length
-        if at_checkpoint:
-            out.append((x, log_norm(acc)))
-    return out
+    _, log_e1 = walk_chain(real.values, real.lengths, frame, 0.5 * _PI)
+    _, log_e2 = walk_chain(real.values, real.lengths, frame, 0.0)
+    log_norms = 0.5 * np.logaddexp(2.0 * log_e1[ends + 1], 2.0 * log_e2[ends + 1])
+    return list(zip(real.boundaries[ends].tolist(), log_norms.tolist()))
 
 
 def ids_trace(
@@ -503,16 +491,12 @@ def ids_trace(
     checkpoint_bumps: Sequence[int],
     stream: RngStream,
 ) -> List[Tuple[float, float]]:
-    """One chain's (x, theta(x)/pi) at bump-count checkpoints."""
-    pieces = _traced_pieces(config, n_bumps, checkpoint_bumps, stream)
+    """One chain's (x, theta(x)/pi) at bump-count checkpoints, by walk_chain."""
+    real, ends = _traced_chain(config, n_bumps, checkpoint_bumps, stream)
     frame = config.frame()
-    state = PruferState(theta=boundary_theta(config.theta0, frame), log_r=0.0, x=0.0)
-    out: List[Tuple[float, float]] = []
-    for value, length, at_checkpoint in pieces:
-        state = advance_interval(state, value, length, frame)
-        if at_checkpoint:
-            out.append((state.x, state.theta / _PI))
-    return out
+    thetas, _ = walk_chain(real.values, real.lengths, frame,
+                           boundary_theta(config.theta0, frame))
+    return list(zip(real.boundaries[ends].tolist(), (thetas[ends + 1] / _PI).tolist()))
 
 
 # ── Aggregated estimates ─────────────────────────────────────────────────────
@@ -685,6 +669,12 @@ def chain_mixing(
     per-seed bump sequence (one coupling per seed), so the distances measure
     contraction of the chain itself; each marginal law is untouched by the
     coupling.
+
+    The m starts are lanes of one walk over all seeds, as in sweep_chains,
+    so each seed's bump matrices are built once.  theta mod pi is read off
+    each lane's unit vector (psi, psi'/k) with its sign made canonical: the
+    vector is negated where psi < 0, and pi maps to 0, so antiparallel lanes,
+    which are the same phase, give the same float.
     """
     if config.model is not Model.I:
         raise ValueError("the phase chain is a Model I construction")
@@ -694,21 +684,23 @@ def chain_mixing(
         raise ValueError("n_steps and n_seeds must be positive (n_seeds >= 2)")
     frame = config.frame()
     m = len(initial_points)
-    theta0 = np.array([_tangent_phase(t) for t in initial_points])
+    starts = [(math.sin(t), math.cos(t)) for t in map(_tangent_phase, initial_points)]
 
     x = _draw_blocks(config, stream.seed, split_ids(stream, 0, n_seeds), n_steps)[0]
 
-    thetas = np.repeat(theta0, n_seeds)  # layout: m blocks of n_seeds chains
+    seg = max(1, _SEGMENT_ELEMENTS // n_seeds)
+    lanes = _LaneWalk(starts, seg, n_seeds)
     out = np.zeros((n_steps, m, m))
-    for step in range(n_steps):
-        col = np.tile(x[:, step], m)
-        phase_fold(thetas, col, 1.0, frame)
-        thetas = np.fmod(thetas, _PI)
-        thetas[thetas < 0.0] += _PI
-        rows = thetas.reshape(m, n_seeds)
-        for i in range(m):
-            for j in range(i + 1, m):
-                d = ks_distance(rows[i], rows[j])
-                out[step, i, j] = d
-                out[step, j, i] = d
+    for j0 in range(0, n_steps, seg):
+        nj = min(n_steps, j0 + seg) - j0
+        lanes.walk(nj, _bump_values(Model.I, x, None, j0, j0 + nj), None, None,
+                   frame.lam, frame.k_norm)
+        psi, psik = lanes.vecs[1:nj + 1, 0], lanes.vecs[1:nj + 1, 1]
+        phases = np.arctan2(np.abs(psi), np.where(psi < 0.0, -psik, psik))
+        phases[phases == _PI] = 0.0
+        for step, rows in enumerate(phases, start=j0):
+            for i in range(m):
+                for j in range(i + 1, m):
+                    out[step, i, j] = out[step, j, i] = ks_distance(rows[i], rows[j])
+        lanes.carry(nj)
     return out

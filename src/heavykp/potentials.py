@@ -28,8 +28,9 @@ from typing import IO, Optional, Tuple
 import numpy as np
 
 from .rng import RngStream, TailKind, TailLaw, draw_block
-# generate draws through draw_block; the samplers stay bound here because
-# bench/spans.py wraps them at this module too.
+# generate draws through draw_block; the per-seed samplers remain only as
+# test references, bound here because the benchmark tracer (bench/spans.py)
+# wraps them at this module too.
 from .rng import sample_bump_height, sample_gap_length  # noqa: F401
 from .transfer import EnergyFrame
 
@@ -156,8 +157,10 @@ class Realization:
 def realization_from_csv(config: ModelConfig, fileobj: IO[str]) -> Realization:
     """Rebuild a Realization from its to_csv dump (structural draws inferred).
 
-    Rows are the pieces in order: a row whose index is not its position, or
-    whose length is not positive and finite, is a ValueError naming the row.
+    Rows are the pieces in order: a row whose index is not its position,
+    whose value is NaN, or whose length is not positive and finite, is a
+    ValueError naming the row.  Infinite values pass: an overflowed draw is an
+    infinite bump.
     """
     header = fileobj.readline().strip()
     if header != "index,kind,value,length":
@@ -175,7 +178,10 @@ def realization_from_csv(config: ModelConfig, fileobj: IO[str]) -> Realization:
         if not (0.0 < length < math.inf):
             raise ValueError(f"realization CSV row {row}: length {length_s} is not "
                              "positive and finite")
-        values.append(float(value_s))
+        value = float(value_s)
+        if math.isnan(value):
+            raise ValueError(f"realization CSV row {row}: value {value_s} is NaN")
+        values.append(value)
         lengths.append(length)
         is_bump.append(PieceKind(kind_s) is PieceKind.BUMP)
     return _assemble(config, np.array(values, dtype=float), np.array(lengths, dtype=float),

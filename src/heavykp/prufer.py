@@ -27,16 +27,17 @@ to machine precision.  All phases are reduced with respect to float pi, so
 windings stay consistent across every routine in the package.
 
 Every routine here takes pieces as bare (value, length) numbers or arrays,
-the columns of a Realization.  The scalar flow (_advance_scalar,
-advance_interval) advances one piece at a time and is the per-piece
-reference; phase_fold is its batch twin across many chains, used by the
-phase-chain mixing estimator.  The box spectrum
-walks whole chains at one energy with walk_chain instead: it pushes the
-solution vector through the piece matrices of the transfer module and
-recovers the winding from the boundary vectors (_unwind_boundaries), with the
-closed forms above serving only as increment estimates, so it agrees with a
-chain of scalar steps to rounding.  The estimator sweeps walk many chains the
-same way, with the same winding rule.
+the columns of a Realization.  The workloads walk whole chains at one energy
+with walk_chain: it pushes the solution vector through the piece matrices of
+the transfer module and recovers the winding from the boundary vectors
+(_unwind_boundaries), with the closed forms above serving only as increment
+estimates, so it agrees with a chain of scalar steps to rounding.  The box
+spectrum and the single-chain traces call it directly; the estimator sweeps
+and the phase-chain mixing estimator walk many seeds the same way, with the
+same winding rule.  The scalar flow (_advance_scalar, advance_interval) and
+its batch twin phase_fold advance one piece at a time from the phase itself;
+no workload calls them.  They remain as the tests' per-piece
+reference and as bindings the benchmark tracer wraps.
 """
 from __future__ import annotations
 
@@ -76,10 +77,7 @@ def boundary_theta(theta0: float, frame: EnergyFrame) -> float:
     """
     if not (0.0 <= theta0 < _PI):
         raise ValueError("theta0 must lie in [0, pi)")
-    t = math.atan2(frame.k_norm * math.sin(theta0), math.cos(theta0))
-    if t < 0.0:  # unreachable for theta0 in [0, pi); kept as a guard
-        t += _PI
-    return t
+    return math.atan2(frame.k_norm * math.sin(theta0), math.cos(theta0))
 
 
 def _reduce_mod_pi(theta: float) -> Tuple[float, float]:
@@ -164,9 +162,9 @@ def advance_interval(state: PruferState, value: float, length: float,
 
 # ── Vectorized phase folds ───────────────────────────────────────────────────
 #
-# phase_fold runs chain_mixing and serves the tests as a batch reference for
-# the scalar flow.  The estimator sweeps no longer call it; it also stays
-# bound in heavykp.estimators because bench/spans.py wraps it there.
+# phase_fold is the tests' batch reference for the scalar flow; no workload
+# calls it.  It also stays bound in heavykp.estimators because the benchmark
+# tracer (bench/spans.py) wraps it there by module attribute.
 
 
 def phase_fold(thetas: np.ndarray, values, lengths, frame: EnergyFrame,

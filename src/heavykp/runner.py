@@ -42,8 +42,9 @@ from .estimators import (
 )
 from .potentials import Model, ModelConfig, generate
 from .rng import RngStream, TailKind, TailLaw, draw_block, split_ids, split_stream
-# The darling cells draw through draw_block; the samplers stay bound here
-# because bench/spans.py wraps them at this module too.
+# The darling cells draw through draw_block; the per-seed samplers remain
+# only as test references, bound here because the benchmark tracer
+# (bench/spans.py) wraps them at this module too.
 from .rng import sample_bump_height, sample_gap_length  # noqa: F401
 from .spectrum import BoxProblem, decay_fit, find_eigenvalues
 from .stats import ks_distance, mean_ci

@@ -42,9 +42,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .potentials import Realization
-# advance_interval is not called here.  It stays bound because the
-# benchmark's tracer (bench/spans.py) wraps heavykp.spectrum.advance_interval
-# by module attribute.
+# advance_interval is not called here; it remains as the tests' scalar flow
+# reference, bound here because the benchmark tracer (bench/spans.py) wraps
+# heavykp.spectrum.advance_interval by module attribute.
 from .prufer import TraceRecord, advance_interval, boundary_theta, walk_chain
 from .stats import linear_fit
 from .transfer import EnergyFrame

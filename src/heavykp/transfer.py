@@ -9,15 +9,18 @@ by the single combination u = (lam - V) l**2:
     u < 0   hyperbolic piece, growth exp(sqrt(-u)) along the expanding line,
     u ~ 0   parabolic shear, evaluated by series to avoid 0/0.
 
-Products over many pieces overflow float range quickly (a single heavy bump
-already reaches exp(700)), so matrices carry a separate log scale and are
-renormalized to moderate Frobenius norm as they are multiplied.
+_piece_entries_batch builds these matrices in bulk, with the exp(a) growth of
+a heavy piece (a single one already reaches exp(700)) moved into a separate
+log prescale.  It is the one piece kernel: prufer.walk_chain pushes one
+chain's solution vectors through its matrices, and the estimator sweeps push
+many seeds' vectors at once, so no workload forms a product matrix entry by
+entry.  det_defect checks the SL(2,R) identity analytically.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -29,10 +32,6 @@ U_SERIES_WINDOW = 1e-8
 # Frobenius computations, so the matrix is built in factored form with the
 # exp(a) growth moved directly into the log scale.
 A_FACTORED = 300.0
-
-# Renormalization band for accumulated products.
-_NORM_LO = 0.5
-_NORM_HI = 2.0
 
 # Log-scale ceiling; beyond it downstream exponentiation is meaningless.
 LOG_SCALE_CEILING = 1e300
@@ -63,76 +62,21 @@ class EnergyFrame:
     @classmethod
     def from_lambda(cls, lam: float) -> "EnergyFrame":
         lam = float(lam)
-        if not math.isfinite(lam):
-            raise ValueError("lam must be finite")
         k = math.sqrt(abs(lam)) if lam != 0.0 else 1.0
         return cls(lam=lam, k_norm=k)
 
 
-class Mat2(NamedTuple):
-    """Row-major 2x2 matrix entries."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-
-@dataclass(frozen=True)
-class ScaledMat:
-    """2x2 matrix in factored form exp(log_scale) * m.
-
-    The stored factor m is kept at moderate Frobenius norm so products over
-    arbitrarily many pieces neither overflow nor underflow; all growth lives
-    in log_scale.
-    """
-
-    m: Mat2
-    log_scale: float
-
-
-def _frobenius(a: float, b: float, c: float, d: float) -> float:
-    """Frobenius norm, safe against overflow of squared entries."""
-    peak = max(abs(a), abs(b), abs(c), abs(d))
-    if peak == 0.0:
-        return 0.0
-    if peak > 1e150 or peak < 1e-150:
-        ra, rb, rc, rd = a / peak, b / peak, c / peak, d / peak
-        return peak * math.sqrt(ra * ra + rb * rb + rc * rc + rd * rd)
-    return math.sqrt(a * a + b * b + c * c + d * d)
-
-
-def _normalized(a: float, b: float, c: float, d: float, log_scale: float) -> ScaledMat:
-    """Pull the Frobenius norm into log_scale when it leaves [1/2, 2]."""
-    f = _frobenius(a, b, c, d)
-    if f == 0.0 or not math.isfinite(f):
-        raise SaturationError("matrix norm left representable range")
-    if _NORM_LO <= f <= _NORM_HI:
-        return ScaledMat(m=Mat2(a, b, c, d), log_scale=log_scale)
-    inv = 1.0 / f
-    return ScaledMat(m=Mat2(a * inv, b * inv, c * inv, d * inv), log_scale=log_scale + math.log(f))
-
-
-def identity_mat() -> ScaledMat:
-    return ScaledMat(m=Mat2(1.0, 0.0, 0.0, 1.0), log_scale=0.0)
-
-
 def _cs_pair(u: float) -> Tuple[float, float]:
-    """Cosine-like and sinc-like factors c(u), s(u) of the piece matrix.
+    """Cosine-like and sinc-like factors c(u), s(u) inside the series window.
 
     c(u) = cos(sqrt(u)) and s(u) = sin(sqrt(u))/sqrt(u) for u > 0, with the
-    hyperbolic continuations for u < 0; both are entire in u, and the series
-    branch realizes them in the window where the closed forms lose digits.
+    hyperbolic continuations for u < 0; both are entire in u, and for
+    |u| < U_SERIES_WINDOW, where the closed forms lose digits, the truncated
+    series realizes them, as in _piece_entries_batch.
     """
-    if abs(u) < U_SERIES_WINDOW:
-        c = 1.0 - u / 2.0 + u * u / 24.0 - u * u * u / 720.0
-        s = 1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0
-        return c, s
-    if u > 0.0:
-        w = math.sqrt(u)
-        return math.cos(w), math.sin(w) / w
-    a = math.sqrt(-u)
-    return math.cosh(a), math.sinh(a) / a
+    c = 1.0 - u / 2.0 + u * u / 24.0 - u * u * u / 720.0
+    s = 1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0
+    return c, s
 
 
 def _validate_piece(value: float, length: float) -> None:
@@ -140,89 +84,6 @@ def _validate_piece(value: float, length: float) -> None:
         raise ValueError("potential value must be finite")
     if not (length > 0.0) or not math.isfinite(length):
         raise ValueError("piece length must be positive and finite")
-
-
-def transfer_matrix(value: float, length: float, frame: EnergyFrame) -> ScaledMat:
-    """Propagator of one constant piece in the k-normalized frame.
-
-    Exact solution of -psi'' + V psi = lam psi on an interval of the given
-    length, expressed on (psi, psi'/k).  The determinant is identically one;
-    growth beyond float range is carried by the log scale.
-    """
-    _validate_piece(value, length)
-    k = frame.k_norm
-    u = (frame.lam - value) * length * length
-    if u < 0.0:
-        a = math.sqrt(-u)
-        if a > A_FACTORED:
-            # cosh/sinh overflow here; factor out exp(a) analytically.
-            b_over_k = a / (k * length)
-            q = math.exp(-2.0 * a)
-            m00 = 0.5 * (1.0 + q)
-            m01 = 0.5 * (1.0 - q) / b_over_k
-            m10 = 0.5 * (1.0 - q) * b_over_k
-            return _normalized(m00, m01, m10, m00, a)
-    c, s = _cs_pair(u)
-    m01 = k * length * s
-    m10 = (value - frame.lam) * length * s / k
-    return _normalized(c, m01, m10, c, 0.0)
-
-
-def gap_matrix(gap_length: float, frame: EnergyFrame) -> ScaledMat:
-    """Propagator of a zero-potential gap: a pure rotation by k * length.
-
-    Only defined for lam > 0, where the free motion is oscillatory and the
-    k-normalized frame turns it into an exact rotation with log_scale 0.
-    """
-    if frame.lam <= 0.0:
-        raise ValueError("gap_matrix requires lam > 0")
-    if not (gap_length > 0.0) or not math.isfinite(gap_length):
-        raise ValueError("gap length must be positive and finite")
-    phi = frame.k_norm * gap_length
-    cp = math.cos(phi)
-    sp = math.sin(phi)
-    return ScaledMat(m=Mat2(cp, sp, -sp, cp), log_scale=0.0)
-
-
-def model3_bump_matrix(frame: EnergyFrame) -> ScaledMat:
-    """Unit bump propagator (V = 1 on a length-1 piece) for sparse-bump chains."""
-    if frame.lam <= 0.0:
-        raise ValueError("model3_bump_matrix requires lam > 0")
-    return transfer_matrix(1.0, 1.0, frame)
-
-
-def accumulate(acc: ScaledMat, nxt: ScaledMat) -> ScaledMat:
-    """Left-multiply the running product by the next piece: returns nxt * acc.
-
-    Order matters: the chain is traversed left to right, and each new piece
-    acts after everything accumulated so far.
-    """
-    pa, pb, pc, pd = nxt.m
-    qa, qb, qc, qd = acc.m
-    ra = pa * qa + pb * qc
-    rb = pa * qb + pb * qd
-    rc = pc * qa + pd * qc
-    rd = pc * qb + pd * qd
-    log_scale = acc.log_scale + nxt.log_scale
-    if log_scale > LOG_SCALE_CEILING or not math.isfinite(log_scale):
-        raise SaturationError("accumulated log scale exceeds representable range")
-    return _normalized(ra, rb, rc, rd, log_scale)
-
-
-def log_norm(sm: ScaledMat) -> float:
-    """log of the true Frobenius norm, log_scale included."""
-    return sm.log_scale + math.log(_frobenius(*sm.m))
-
-
-def stored_det(sm: ScaledMat) -> float:
-    """Determinant of the stored factor m (true det is this times exp(2 log_scale)).
-
-    Meaningful only while the entries carry enough relative precision: once a
-    hyperbolic piece has sqrt(-u) beyond ~18, the two products agree to all
-    stored digits and their difference is pure rounding noise.  Use
-    det_defect for a conditioning-independent check.
-    """
-    return sm.m.a * sm.m.d - sm.m.b * sm.m.c
 
 
 def det_defect(value: float, length: float, frame: EnergyFrame) -> float:
@@ -234,7 +95,7 @@ def det_defect(value: float, length: float, frame: EnergyFrame) -> float:
     defect (the rounding of exp) at full precision without ever evaluating
     exp(a) itself.  Once exp(-a) underflows the identity is enforced
     analytically by the factored construction, with the growth carried in the
-    log scale, and the defect is exactly zero.
+    log prescale, and the defect is exactly zero.
     """
     _validate_piece(value, length)
     u = (frame.lam - value) * length * length
@@ -255,12 +116,12 @@ def det_defect(value: float, length: float, frame: EnergyFrame) -> float:
 # ── Vectorized product folds ─────────────────────────────────────────────────
 #
 # BatchProducts keeps the running products of S chains as flat entry arrays
-# plus a per-chain log scale; push_piece is the vectorized counterpart of
-# transfer_matrix followed by accumulate, renormalizing every step, and
-# push_rotation the zero-potential gap at lam > 0.  They are references for
-# the tests: the estimator sweeps build their piece matrices in bulk with
-# _piece_entries_batch and push column vectors instead.  Both names also stay
-# bound in heavykp.estimators because bench/spans.py wraps them there.
+# plus a per-chain log scale; push_piece multiplies in one piece matrix per
+# chain from _piece_entries_batch and renormalizes every step, and
+# push_rotation the zero-potential gap at lam > 0.  No workload calls them:
+# they remain as the tests' matrix-product reference and as bindings the
+# benchmark tracer (bench/spans.py) wraps by module attribute, here and in
+# heavykp.estimators.
 
 
 class BatchProducts:
@@ -280,9 +141,14 @@ class BatchProducts:
         return self.log + 0.5 * np.log(quad)
 
 
-def _piece_entries_batch(value: np.ndarray, length, lam: float, k: float):
+def _piece_entries_batch(value: np.ndarray, length, lam, k):
     """Vectorized piece matrices: entry arrays plus per-chain log prescale.
 
+    Returns (diagonal, upper, lower, prescale), each with the broadcast
+    shape of the arguments.  value, length, lam and k broadcast against each
+    other, so one call covers pieces at different energies as well (lam and
+    k per piece, k = sqrt(|lam|) or 1 at lam = 0); every element comes out
+    bit for bit as from a call on that piece alone.
     Lanes are grouped by branch through flat index arrays, which gather and
     scatter several times faster than boolean masks.  Every hyperbolic lane
     takes cosh/sinh; the factored ones, where those overflow, are then
@@ -337,7 +203,7 @@ def push_piece(bp: BatchProducts, value, length, frame: EnergyFrame) -> None:
     """Multiply every chain's product by its own piece matrix, in place.
 
     value may be an array (one independent draw per chain) or a scalar;
-    length likewise.  Equivalent to transfer_matrix + accumulate per chain.
+    length likewise.
     """
     k = frame.k_norm
     ones = np.ones_like(bp.a)

@@ -1,18 +1,26 @@
 """Monte Carlo estimator sweeps: oracle agreement, failure cases and limit behavior.
 
-Sweep oracles and their tolerances:
+Sweep oracles and their tolerances, on the pieces of potentials.generate
+with the same seed stream:
 
-    theta     prufer.walk_chain on the pieces of potentials.generate, same
-              seed stream: |dtheta| <= 1e-12 * max(1, |theta|).  Measured
-              worst 2.0e-16 over models I-IV, lam in {2, 1, 0.3, 0, -0.7},
-              n = 1000, with the default and a 37-bump segment length.
-              A wrong winding count would miss by pi or more.
-    log norm  lyapunov_trace (scalar ScaledMat products): |d log||M|||
-              <= 1e-11 * max(1, |log||M|||).  Measured worst 3.7e-14.
-    x         bit-identical to lyapunov_trace.
+    theta     prufer.walk_chain: |dtheta| <= 1e-12 * max(1, |theta|).
+              Measured worst 2.0e-16 over models I-IV, lam in
+              {2, 1, 0.3, 0, -0.7}, n = 1000, with the default and a 37-bump
+              segment length.  A wrong winding count would miss by pi or
+              more.  At n = 60 also a chain of scalar advance_interval
+              steps: |dtheta/pi| <= 1e-11 * max(1, |theta/pi|).  The scalar
+              flow works from sin/cos of the unwound theta and drifts once
+              theta is large, so it is not the theta oracle at n = 1000.
+    log norm  transfer.push_piece products of the whole chain (a 2x2
+              product renormalized every piece, not a vector walk):
+              |d log||M||| <= 1e-11 * max(1, |log||M|||) at n = 1000 and
+              1e-9 at n = 60.  Measured worst 3.7e-15, sweep and
+              lyapunov_trace alike.
+    x         bit-identical to the chain's piece boundaries, as
+              lyapunov_trace and ids_trace report them.
 
-ids_trace is not used as a theta oracle at n = 1000: the scalar flow works
-from sin/cos of the unwound theta and drifts once theta is large.
+lyapunov_trace and ids_trace walk one chain with walk_chain and are checked
+against the same oracles.
 """
 import math
 
@@ -37,10 +45,10 @@ from heavykp.estimators import (
     sweep_chains,
 )
 from heavykp.potentials import Model, ModelConfig, _draw_blocks, generate
-from heavykp.prufer import boundary_theta, walk_chain
+from heavykp.prufer import PruferState, advance_interval, boundary_theta, phase_fold, walk_chain
 from heavykp.rng import RngStream, sample_bump_height, sample_gap_length, split_ids, split_stream
-from heavykp.stats import mean_ci
-from heavykp.transfer import SaturationError
+from heavykp.stats import ks_distance, mean_ci
+from heavykp.transfer import BatchProducts, SaturationError, push_piece
 
 _PI = math.pi
 THETA_TOL = 1e-12
@@ -64,24 +72,63 @@ CONFIGS = {
 # ── Vector sweep versus scalar traces ────────────────────────────────────────
 
 
+def _bump_ends(cfg: ModelConfig, n_bumps: int) -> np.ndarray:
+    """Index of the boundary after each bump (index 0 = start) in a walk's output."""
+    per_bump = 1 if cfg.model in (Model.I, Model.II) else 2
+    return np.arange(n_bumps + 1) * per_bump
+
+
+def _scalar_thetas(cfg: ModelConfig, n_bumps: int, stream: RngStream) -> np.ndarray:
+    """theta after each bump (index 0 = start) by a chain of advance_interval steps."""
+    real = generate(cfg, n_bumps, stream)
+    frame = cfg.frame()
+    state = PruferState(theta=boundary_theta(cfg.theta0, frame), log_r=0.0, x=0.0)
+    thetas = [state.theta]
+    for value, length in zip(real.values.tolist(), real.lengths.tolist()):
+        state = advance_interval(state, value, length, frame)
+        thetas.append(state.theta)
+    return np.array(thetas)[_bump_ends(cfg, n_bumps)]
+
+
+def _product_log_norms(cfg: ModelConfig, n_bumps: int, n_seeds: int,
+                       parent: RngStream) -> np.ndarray:
+    """log||M|| after each bump (row 0 = start) of every seed's chain, by push_piece."""
+    reals = [generate(cfg, n_bumps, split_stream(parent, i)) for i in range(n_seeds)]
+    values = np.stack([r.values for r in reals], axis=1)
+    lengths = np.stack([r.lengths for r in reals], axis=1)
+    frame = cfg.frame()
+    bp = BatchProducts(n_seeds)
+    log_norms = [bp.log_norms()]
+    for v, l in zip(values, lengths):
+        push_piece(bp, v, l, frame)
+        log_norms.append(bp.log_norms())
+    return np.array(log_norms)[_bump_ends(cfg, n_bumps)]
+
+
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
 def test_sweep_matches_scalar_traces(name):
-    # seed i of the sweep must retrace the single-chain scalar paths built on
-    # split_stream(parent, i): same draws, same geometry, same flow values
+    # seed i of the sweep must retrace the single-chain paths built on
+    # split_stream(parent, i): same draws, same geometry, the theta of a
+    # chain of scalar flow steps and the log norm of the matrix product;
+    # the traces must agree with the same references
     cfg = CONFIGS[name]
     parent = RngStream(321, stream_id=4)
     n_bumps, n_seeds = 60, 4
     res = sweep_chains(cfg, n_bumps, n_seeds, parent, want_theta=True, want_log_norm=True,
                        checkpoint_bumps=[20])
+    products = _product_log_norms(cfg, n_bumps, n_seeds, parent)
     for i in range(n_seeds):
         child = split_stream(parent, i)
+        thetas = _scalar_thetas(cfg, n_bumps, child)
         ids_pts = ids_trace(cfg, n_bumps, [20], child)
         lyap_pts = lyapunov_trace(cfg, n_bumps, [20], child)
         for rec_nb, (x_ids, rot), (x_ly, ln) in zip((20, 60), ids_pts, lyap_pts):
             rec = res.records[rec_nb]
             assert rec.x[i] == x_ids == x_ly
-            assert rec.theta[i] / _PI == pytest.approx(rot, rel=1e-11, abs=1e-11)
-            assert rec.log_norm[i] == pytest.approx(ln, rel=1e-9, abs=1e-9)
+            for got in (rec.theta[i] / _PI, rot):
+                assert got == pytest.approx(thetas[rec_nb] / _PI, rel=1e-11, abs=1e-11)
+            for got in (rec.log_norm[i], ln):
+                assert got == pytest.approx(products[rec_nb, i], rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["I", "II", "III"])
@@ -113,24 +160,26 @@ def _walk_thetas(cfg: ModelConfig, n_bumps: int, stream: RngStream, edit=None) -
         edit(values, lengths)
     frame = cfg.frame()
     thetas, _ = walk_chain(values, lengths, frame, boundary_theta(cfg.theta0, frame))
-    per_bump = 1 if cfg.model in (Model.I, Model.II) else 2
-    return thetas[::per_bump]
+    return thetas[_bump_ends(cfg, n_bumps)]
 
 
 def _check_against_oracles(cfg: ModelConfig, n_bumps: int, n_seeds: int, parent: RngStream,
                            checkpoints) -> None:
     res = sweep_chains(cfg, n_bumps, n_seeds, parent, want_theta=True, want_log_norm=True,
                        checkpoint_bumps=checkpoints)
+    products = _product_log_norms(cfg, n_bumps, n_seeds, parent)
     for i in range(n_seeds):
         child = split_stream(parent, i)
         thetas = _walk_thetas(cfg, n_bumps, child)
-        products = lyapunov_trace(cfg, n_bumps, checkpoints, child)
-        for (x, ln), nb in zip(products, sorted(res.records)):
+        traced = lyapunov_trace(cfg, n_bumps, checkpoints, child)
+        for (x, traced_ln), nb in zip(traced, sorted(res.records)):
             rec = res.records[nb]
             want = thetas[nb]
             assert abs(rec.theta[i] - want) <= THETA_TOL * max(1.0, abs(want)), (nb, i)
             assert rec.x[i] == x
-            assert abs(rec.log_norm[i] - ln) <= LOG_NORM_TOL * max(1.0, abs(ln)), (nb, i)
+            ln = products[nb, i]
+            for got in (rec.log_norm[i], traced_ln):
+                assert abs(got - ln) <= LOG_NORM_TOL * max(1.0, abs(ln)), (nb, i)
 
 
 ORACLE_CONFIGS = {
@@ -523,6 +572,42 @@ def test_mixing_decay_profile_mild_disorder():
     assert d20 < 0.5 * d10
     assert d40 < d20
     assert d40 < 5e-4
+
+
+def _phase_fold_mixing(config, n_steps, initial_points, n_seeds, stream):
+    """chain_mixing by the scalar flow's batch twin: theta itself advanced by phase_fold."""
+    frame = config.frame()
+    m = len(initial_points)
+    theta0 = np.array([estimators._tangent_phase(t) for t in initial_points])
+    x = _draw_blocks(config, stream.seed, split_ids(stream, 0, n_seeds), n_steps)[0]
+    thetas = np.repeat(theta0, n_seeds)  # layout: m blocks of n_seeds chains
+    out = np.zeros((n_steps, m, m))
+    for step in range(n_steps):
+        phase_fold(thetas, np.tile(x[:, step], m), 1.0, frame)
+        thetas = np.fmod(thetas, _PI)
+        thetas[thetas < 0.0] += _PI
+        rows = thetas.reshape(m, n_seeds)
+        for i in range(m):
+            for j in range(i + 1, m):
+                out[step, i, j] = out[step, j, i] = ks_distance(rows[i], rows[j])
+    return out
+
+
+@pytest.mark.parametrize("energy, alpha, n_steps, n_seeds, seed", [
+    (1.0, 0.5, 40, 2000, 7),      # the benchmark's mixing cell shape
+    (1.0, 0.5, 50, 200, 74),
+    (36.0, 0.8, 40, 20000, 75),
+])
+def test_mixing_matches_phase_fold_reference(energy, alpha, n_steps, n_seeds, seed):
+    # phases read off the lane walk's vectors against phases advanced by the
+    # closed-form flow: rounding may move a seed across a KS step, so the
+    # entries agree within one count, and a collapse to exactly 0 stays 0
+    cfg = _cfg(Model.I, alpha1=alpha, energy=energy)
+    points = [-10.0, 0.0, 10.0]
+    got = chain_mixing(cfg, n_steps, points, n_seeds, RngStream(seed))
+    want = _phase_fold_mixing(cfg, n_steps, points, n_seeds, RngStream(seed))
+    assert np.all(np.abs(got - want) <= 1.0 / n_seeds + 1e-12)
+    assert np.all(got[want == 0.0] == 0.0)
 
 
 def test_mixing_validation():

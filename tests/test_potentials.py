@@ -251,6 +251,13 @@ def test_csv_rejects_bad_length(length):
         realization_from_csv(_cfg("I", alpha1=0.5), io.StringIO(text))
 
 
+def test_csv_rejects_nan_value():
+    # an infinite value is an overflowed draw and passes; NaN is no potential
+    text = "index,kind,value,length\n0,bump,inf,1.0\n1,bump,nan,1.0\n"
+    with pytest.raises(ValueError, match="row 1: value nan is NaN"):
+        realization_from_csv(_cfg("I", alpha1=0.5), io.StringIO(text))
+
+
 def test_assemble_supports_synthetic_shapes():
     # a single free gap is a valid chain for box problems
     text = "index,kind,value,length\n0,gap,0.0,7.5\n"

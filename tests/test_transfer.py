@@ -2,8 +2,10 @@
 
 High-precision oracles are computed with mpmath directly from the defining
 formulas (cos/cosh of sqrt(u)), so they exercise none of the library's own
-branch logic: series window, factored overflow form, and renormalization all
-have to reproduce them.
+branch logic: the series window, the factored overflow form and the
+renormalization of products all have to reproduce them.  Single pieces are
+checked on the entries of _piece_entries_batch, the one piece kernel, and
+chains on the push_piece products built from it.
 """
 import math
 
@@ -11,24 +13,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from heavykp.prufer import walk_chain
 from heavykp.transfer import (
     A_FACTORED,
     BatchProducts,
     EnergyFrame,
-    Mat2,
     SaturationError,
-    ScaledMat,
     U_SERIES_WINDOW,
-    accumulate,
+    _piece_entries_batch,
     det_defect,
-    gap_matrix,
-    identity_mat,
-    log_norm,
-    model3_bump_matrix,
     push_piece,
     push_rotation,
-    stored_det,
-    transfer_matrix,
 )
 
 
@@ -52,15 +47,32 @@ def _mp_frobenius(m: mp.matrix) -> mp.mpf:
     return mp.sqrt(m[0, 0] ** 2 + m[0, 1] ** 2 + m[1, 0] ** 2 + m[1, 1] ** 2)
 
 
-def _assert_matches(sm: ScaledMat, oracle: mp.matrix, log_rel=1e-12, dir_abs=1e-12):
+def _entries(value: float, length: float, frame: EnergyFrame):
+    """Row-major entries and log prescale of one piece matrix, as floats."""
+    c, b, e, pre = _piece_entries_batch(value, length, frame.lam, frame.k_norm)
+    return (float(c), float(b), float(e), float(c)), float(pre)
+
+
+def _piece(value: float, length: float, frame: EnergyFrame):
+    """(log Frobenius norm, entries) of one piece matrix from the kernel."""
+    m, pre = _entries(value, length, frame)
+    return pre + 0.5 * math.log(sum(x * x for x in m)), m
+
+
+def _product(bp: BatchProducts, j: int = 0):
+    """(log Frobenius norm, entries) of chain j of a batch product."""
+    return float(bp.log_norms()[j]), (bp.a[j], bp.b[j], bp.c[j], bp.d[j])
+
+
+def _assert_matches(got, oracle: mp.matrix, log_rel=1e-12, dir_abs=1e-12):
     """Compare log Frobenius norm and unit-Frobenius direction against mpmath."""
+    log_norm, m = got
     f = _mp_frobenius(oracle)
-    assert log_norm(sm) == pytest.approx(float(mp.log(f)), rel=log_rel, abs=1e-11)
-    fro = math.sqrt(sm.m.a ** 2 + sm.m.b ** 2 + sm.m.c ** 2 + sm.m.d ** 2)
+    assert log_norm == pytest.approx(float(mp.log(f)), rel=log_rel, abs=1e-11)
+    fro = math.sqrt(sum(x * x for x in m))
     want = [oracle[0, 0] / f, oracle[0, 1] / f, oracle[1, 0] / f, oracle[1, 1] / f]
-    got = [sm.m.a / fro, sm.m.b / fro, sm.m.c / fro, sm.m.d / fro]
-    for g, w in zip(got, want):
-        assert g == pytest.approx(float(w), abs=dir_abs)
+    for g, w in zip(m, want):
+        assert g / fro == pytest.approx(float(w), abs=dir_abs)
 
 
 # ── Energy frame ─────────────────────────────────────────────────────────────
@@ -86,66 +98,83 @@ def test_frame_rejects_bad_input():
 
 def test_free_quarter_rotation():
     # V = 0, lam = 1, length pi/2: a quarter turn of the frame
-    sm = transfer_matrix(0.0, math.pi / 2, EnergyFrame.from_lambda(1.0))
-    assert sm.log_scale == 0.0
-    assert sm.m.a == pytest.approx(0.0, abs=1e-12)
-    assert sm.m.b == pytest.approx(1.0, abs=1e-12)
-    assert sm.m.c == pytest.approx(-1.0, abs=1e-12)
-    assert sm.m.d == pytest.approx(0.0, abs=1e-12)
+    (a, b, c, d), pre = _entries(0.0, math.pi / 2, EnergyFrame.from_lambda(1.0))
+    assert pre == 0.0
+    assert a == pytest.approx(0.0, abs=1e-12)
+    assert b == pytest.approx(1.0, abs=1e-12)
+    assert c == pytest.approx(-1.0, abs=1e-12)
+    assert d == pytest.approx(0.0, abs=1e-12)
 
 
 def test_resonant_shear():
     # V = lam gives u = 0 exactly: unit shear in the k = 1 frame
-    sm = transfer_matrix(1.0, 1.0, EnergyFrame.from_lambda(1.0))
-    assert sm.m == Mat2(1.0, 1.0, 0.0, 1.0)
-    assert sm.log_scale == 0.0
+    assert _entries(1.0, 1.0, EnergyFrame.from_lambda(1.0)) == ((1.0, 1.0, 0.0, 1.0), 0.0)
 
 
 def test_deep_well_reconstructs_cosh():
     # V = lam + 100: a = 10, comfortably inside the unfactored branch
-    sm = transfer_matrix(101.0, 1.0, EnergyFrame.from_lambda(1.0))
-    scale = math.exp(sm.log_scale)
-    assert scale * sm.m.a == pytest.approx(math.cosh(10.0), rel=1e-10)
-    assert scale * sm.m.b == pytest.approx(math.sinh(10.0) / 10.0, rel=1e-10)
-    assert scale * sm.m.c == pytest.approx(10.0 * math.sinh(10.0), rel=1e-10)
-    assert scale * sm.m.d == pytest.approx(math.cosh(10.0), rel=1e-10)
-    for entry in sm.m:
-        assert abs(entry) <= 2.0  # renormalization band
+    frame = EnergyFrame.from_lambda(1.0)
+    (a, b, c, d), pre = _entries(101.0, 1.0, frame)
+    assert pre == 0.0
+    bp = BatchProducts(1)
+    push_piece(bp, 101.0, 1.0, frame)
+    scale = math.exp(bp.log[0])
+    for entry, stored, want in ((a, bp.a, math.cosh(10.0)), (b, bp.b, math.sinh(10.0) / 10.0),
+                                (c, bp.c, 10.0 * math.sinh(10.0)), (d, bp.d, math.cosh(10.0))):
+        assert entry == pytest.approx(want, rel=1e-10)
+        assert scale * stored[0] == pytest.approx(want, rel=1e-10)
+        assert abs(stored[0]) <= 1.0  # the product is renormalized to unit norm
 
 
 def test_unit_bump_trig_form():
     # k^2 = 2: oscillatory unit bump
-    sm = model3_bump_matrix(EnergyFrame.from_lambda(2.0))
-    assert sm.log_scale == 0.0
-    assert sm.m.a == pytest.approx(math.cos(1.0), abs=1e-12)
-    assert sm.m.b == pytest.approx(math.sqrt(2.0) * math.sin(1.0), abs=1e-12)
-    assert sm.m.c == pytest.approx(-math.sin(1.0) / math.sqrt(2.0), abs=1e-12)
-    assert sm.m.d == pytest.approx(math.cos(1.0), abs=1e-12)
+    (a, b, c, d), pre = _entries(1.0, 1.0, EnergyFrame.from_lambda(2.0))
+    assert pre == 0.0
+    assert a == pytest.approx(math.cos(1.0), abs=1e-12)
+    assert b == pytest.approx(math.sqrt(2.0) * math.sin(1.0), abs=1e-12)
+    assert c == pytest.approx(-math.sin(1.0) / math.sqrt(2.0), abs=1e-12)
+    assert d == pytest.approx(math.cos(1.0), abs=1e-12)
 
 
 def test_unit_bump_resonant_and_hyperbolic():
     # k^2 = 1 degenerates to the shear; k^2 = 1/2 is hyperbolic with det 1
-    shear = model3_bump_matrix(EnergyFrame.from_lambda(1.0))
-    assert shear.m == Mat2(1.0, 1.0, 0.0, 1.0)
+    assert _entries(1.0, 1.0, EnergyFrame.from_lambda(1.0)) == ((1.0, 1.0, 0.0, 1.0), 0.0)
 
     frame = EnergyFrame.from_lambda(0.5)
-    hyp = model3_bump_matrix(frame)
-    _assert_matches(hyp, _mp_piece(1.0, 1.0, 0.5, frame.k_norm))
+    _assert_matches(_piece(1.0, 1.0, frame), _mp_piece(1.0, 1.0, 0.5, frame.k_norm))
     assert det_defect(1.0, 1.0, frame) <= 1e-12
-    with pytest.raises(ValueError):
-        model3_bump_matrix(EnergyFrame.from_lambda(-1.0))
 
 
 def test_piece_validation():
     frame = EnergyFrame.from_lambda(1.0)
     with pytest.raises(ValueError):
-        transfer_matrix(math.nan, 1.0, frame)
+        det_defect(math.nan, 1.0, frame)
     with pytest.raises(ValueError):
-        transfer_matrix(1.0, 0.0, frame)
+        det_defect(1.0, 0.0, frame)
     with pytest.raises(ValueError):
-        transfer_matrix(1.0, -2.0, frame)
+        det_defect(1.0, -2.0, frame)
     with pytest.raises(ValueError):
-        transfer_matrix(1.0, math.inf, frame)
+        det_defect(1.0, math.inf, frame)
+
+
+def test_piece_entries_broadcast_energies():
+    # one call with an energy per piece gives every piece's entries bit for
+    # bit as its own call does, on all four branches and at lam <= 0
+    lam = np.array([2.0, 2.0, 0.3, 5.0, -0.7, 0.0, 1.0, -4.0, 9.0, 0.5])
+    k = np.sqrt(np.abs(lam))
+    k[lam == 0.0] = 1.0
+    value = np.array([2.0 - 1e-9, 2.0, -3.0, 5.0 - 40.0, 1.3, 2.0, 1e6, 1e8, 9.0 + 1e7, -1.0])
+    length = np.array([1.0, 1.7, 0.8, 1.2, 0.5, 1e-5, 1.0, 2.0, 0.9, 3.0])
+    u = (lam - value) * length * length
+    series = np.abs(u) < U_SERIES_WINDOW
+    factored = -u > A_FACTORED ** 2
+    assert series.any() and factored.any()
+    assert (u >= U_SERIES_WINDOW).any() and ((u <= -U_SERIES_WINDOW) & ~factored).any()
+    together = _piece_entries_batch(value, length, lam, k)
+    for i in range(lam.size):
+        alone = _piece_entries_batch(value[i], length[i], lam[i], k[i])
+        for got, want in zip(together, alone):
+            assert got[i].tobytes() == np.asarray(want).tobytes(), i
 
 
 # ── Gap rotations ────────────────────────────────────────────────────────────
@@ -153,45 +182,42 @@ def test_piece_validation():
 
 def test_gap_is_free_transfer():
     frame = EnergyFrame.from_lambda(3.0)
-    g = gap_matrix(1.7, frame)
-    t = transfer_matrix(0.0, 1.7, frame)
-    for ge, te in zip(g.m, t.m):
-        assert ge == pytest.approx(te, abs=1e-14)
-    assert g.log_scale == 0.0
+    g = BatchProducts(1)
+    push_rotation(g, 1.7, frame)
+    t = BatchProducts(1)
+    push_piece(t, 0.0, 1.7, frame)
+    scale = math.exp(t.log[0])
+    for ge, te in zip((g.a, g.b, g.c, g.d), (t.a, t.b, t.c, t.d)):
+        assert ge[0] == pytest.approx(scale * te[0], abs=1e-14)
+    assert g.log[0] == 0.0
 
 
 def test_gap_composition():
     frame = EnergyFrame.from_lambda(2.0)
     for y1, y2 in [(0.3, 1.1), (5.0, 0.02), (12.7, 9.9)]:
-        combined = gap_matrix(y1 + y2, frame)
-        product = accumulate(gap_matrix(y1, frame), gap_matrix(y2, frame))
-        scale = math.exp(product.log_scale)
-        for pe, ce in zip(product.m, combined.m):
-            assert scale * pe == pytest.approx(ce, abs=1e-12)
-
-
-def test_gap_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gap_matrix(1.0, EnergyFrame.from_lambda(-1.0))
-    with pytest.raises(ValueError):
-        gap_matrix(1.0, EnergyFrame.from_lambda(0.0))
-    with pytest.raises(ValueError):
-        gap_matrix(0.0, EnergyFrame.from_lambda(1.0))
+        combined = BatchProducts(1)
+        push_rotation(combined, y1 + y2, frame)
+        product = BatchProducts(1)
+        push_rotation(product, y1, frame)
+        push_rotation(product, y2, frame)
+        for pe, ce in zip((product.a, product.b, product.c, product.d),
+                          (combined.a, combined.b, combined.c, combined.d)):
+            assert pe[0] == pytest.approx(ce[0], abs=1e-12)
 
 
 def test_long_rotation_chain_stays_orthogonal():
-    # 1e5 renormalized rotation products: drift must stay at rounding level
+    # 1e5 rotation products: drift must stay at rounding level
     rng = np.random.default_rng(10)
     frame = EnergyFrame.from_lambda(2.0)
     gaps = rng.random(100_000) * 3.0 + 1e-3
-    acc = identity_mat()
+    bp = BatchProducts(1)
     for y in gaps:
-        acc = accumulate(acc, gap_matrix(float(y), frame))
-    total = acc.log_scale + math.log(math.sqrt(acc.m.a ** 2 + acc.m.b ** 2 + acc.m.c ** 2 + acc.m.d ** 2))
-    assert abs(total - 0.5 * math.log(2.0)) <= 1e-9  # norm of a rotation is sqrt(2)
-    assert abs(stored_det(acc) * math.exp(2.0 * acc.log_scale) - 1.0) <= 1e-9
-    assert abs(acc.m.a - acc.m.d) <= 1e-9
-    assert abs(acc.m.b + acc.m.c) <= 1e-9
+        push_rotation(bp, y, frame)
+    a, b, c, d = bp.a[0], bp.b[0], bp.c[0], bp.d[0]
+    assert abs(bp.log_norms()[0] - 0.5 * math.log(2.0)) <= 1e-9  # norm of a rotation is sqrt(2)
+    assert abs((a * d - b * c) * math.exp(2.0 * bp.log[0]) - 1.0) <= 1e-9
+    assert abs(a - d) <= 1e-9
+    assert abs(b + c) <= 1e-9
 
 
 # ── Oracle comparisons across regimes ────────────────────────────────────────
@@ -212,8 +238,8 @@ def test_series_window_matches_oracle():
         frame = EnergyFrame.from_lambda(lam)
         u = (lam - value) * length * length
         assert abs(u) < U_SERIES_WINDOW
-        sm = transfer_matrix(value, length, frame)
-        _assert_matches(sm, _mp_piece(value, length, lam, frame.k_norm), dir_abs=1e-14)
+        _assert_matches(_piece(value, length, frame), _mp_piece(value, length, lam, frame.k_norm),
+                        dir_abs=1e-14)
 
 
 def test_factored_form_matches_oracle():
@@ -223,8 +249,8 @@ def test_factored_form_matches_oracle():
     for a in (305.0, 500.0, 1000.0, 3000.0):
         value = 1.0 + a * a
         assert math.sqrt((value - 1.0)) > A_FACTORED
-        sm = transfer_matrix(value, 1.0, frame)
-        _assert_matches(sm, _mp_piece(value, 1.0, 1.0, frame.k_norm), log_rel=1e-13)
+        _assert_matches(_piece(value, 1.0, frame), _mp_piece(value, 1.0, 1.0, frame.k_norm),
+                        log_rel=1e-13)
         assert det_defect(value, 1.0, frame) <= 1e-12
 
 
@@ -240,8 +266,8 @@ def test_moderate_pieces_match_oracle():
         frame = EnergyFrame.from_lambda(lam)
         if abs((lam - value) * length * length) < 10 * U_SERIES_WINDOW:
             continue
-        sm = transfer_matrix(value, length, frame)
-        _assert_matches(sm, _mp_piece(value, length, lam, frame.k_norm), dir_abs=5e-12)
+        _assert_matches(_piece(value, length, frame), _mp_piece(value, length, lam, frame.k_norm),
+                        dir_abs=5e-12)
 
 
 def test_random_chain_matches_oracle():
@@ -257,12 +283,12 @@ def test_random_chain_matches_oracle():
             else:
                 value = float(rng.uniform(-3.0, 1.9))  # oscillatory
             pieces.append((value, float(rng.uniform(0.1, 1.5))))
-        acc = identity_mat()
+        bp = BatchProducts(1)
         oracle = mp.matrix([[1, 0], [0, 1]])
         for value, length in pieces:
-            acc = accumulate(acc, transfer_matrix(value, length, frame))
+            push_piece(bp, value, length, frame)
             oracle = _mp_piece(value, length, 2.0, frame.k_norm) * oracle
-        _assert_matches(acc, oracle, log_rel=1e-11, dir_abs=1e-10)
+        _assert_matches(_product(bp), oracle, log_rel=1e-11, dir_abs=1e-10)
 
 
 # ── Determinant exactness ────────────────────────────────────────────────────
@@ -283,31 +309,52 @@ def test_det_defect_sweep():
     assert worst <= 1e-12
 
 
-def test_stored_det_weak_disorder_chain():
-    # stored det is reliable only while the product norm is moderate, so pin
-    # it on a weak-disorder chain whose log scale stays near zero
+def test_product_det_weak_disorder_chain():
+    # the stored det is reliable only while the product norm is moderate, so
+    # pin it on a weak-disorder chain whose log scale stays near zero
     rng = np.random.default_rng(31)
     frame = EnergyFrame.from_lambda(2.0)
-    acc = identity_mat()
+    bp = BatchProducts(1)
     for _ in range(200):
-        acc = accumulate(acc, transfer_matrix(float(rng.uniform(-0.5, 0.5)), 1.0, frame))
-    assert acc.log_scale < 12.0
-    assert stored_det(acc) * math.exp(2.0 * acc.log_scale) == pytest.approx(1.0, abs=1e-10)
+        push_piece(bp, float(rng.uniform(-0.5, 0.5)), 1.0, frame)
+    assert bp.log[0] < 12.0
+    det = bp.a[0] * bp.d[0] - bp.b[0] * bp.c[0]
+    assert det * math.exp(2.0 * bp.log[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 # ── saturation ──────────────────────────────────────────────────────────────
 
 
-def test_accumulate_saturates_on_log_ceiling():
-    big = ScaledMat(m=Mat2(1.0, 0.0, 0.0, 1.0), log_scale=9e299)
+def test_push_piece_saturates_on_log_ceiling():
+    frame = EnergyFrame.from_lambda(1.0)
+    bp = BatchProducts(1)
+    bp.log[:] = 1.8e300
     with pytest.raises(SaturationError):
-        accumulate(big, big)
+        push_piece(bp, 1.0, 1.0, frame)
+    # an infinite height leaves float range
+    with np.errstate(invalid="ignore"), pytest.raises(SaturationError):
+        push_piece(BatchProducts(1), math.inf, 1.0, frame)
 
 
-# ── Batch folds versus scalar path ───────────────────────────────────────────
+# ── Batch folds versus single-chain walks ────────────────────────────────────
+
+
+def _walked_product(values, lengths, frame: EnergyFrame):
+    """(log Frobenius norm, unit-Frobenius entries) of one chain's product.
+
+    The columns M e1 and M e2 are walked with walk_chain from theta = pi/2
+    and 0.
+    """
+    cols = [walk_chain(values, lengths, frame, theta) for theta in (0.5 * math.pi, 0.0)]
+    log_norm = float(0.5 * np.logaddexp(2.0 * cols[0][1][-1], 2.0 * cols[1][1][-1]))
+    (a, c), (b, d) = [(math.exp(lr[-1] - log_norm) * math.sin(th[-1]),
+                       math.exp(lr[-1] - log_norm) * math.cos(th[-1])) for th, lr in cols]
+    return log_norm, np.array([a, b, c, d])
 
 
 def test_batch_matches_scalar_products():
+    # the batch product against single-chain walks of its columns, in a
+    # Python float loop over the same pieces
     rng = np.random.default_rng(2718)
     n_chains, n_pieces = 64, 40
     frame = EnergyFrame.from_lambda(2.0)
@@ -327,18 +374,18 @@ def test_batch_matches_scalar_products():
         push_piece(bp, values[p], lengths[p], frame)
 
     got_logs = bp.log_norms()
+    chain_v = np.zeros((2 * n_pieces, n_chains))
+    chain_v[1::2] = values
+    chain_l = np.empty((2 * n_pieces, n_chains))
+    chain_l[0::2] = gaps
+    chain_l[1::2] = lengths
     for j in range(n_chains):
-        acc = identity_mat()
-        for p in range(n_pieces):
-            acc = accumulate(acc, gap_matrix(float(gaps[p, j]), frame))
-            acc = accumulate(acc, transfer_matrix(float(values[p, j]), float(lengths[p, j]), frame))
-        assert got_logs[j] == pytest.approx(log_norm(acc), rel=1e-10, abs=1e-10)
+        want_log, walk_dir = _walked_product(chain_v[:, j], chain_l[:, j], frame)
+        assert got_logs[j] == pytest.approx(want_log, rel=1e-10, abs=1e-10)
         # compare unit-Frobenius directions
         fro_b = math.sqrt(bp.a[j] ** 2 + bp.b[j] ** 2 + bp.c[j] ** 2 + bp.d[j] ** 2)
-        fro_s = math.sqrt(acc.m.a ** 2 + acc.m.b ** 2 + acc.m.c ** 2 + acc.m.d ** 2)
         batch_dir = np.array([bp.a[j], bp.b[j], bp.c[j], bp.d[j]]) / fro_b
-        scalar_dir = np.array([acc.m.a, acc.m.b, acc.m.c, acc.m.d]) / fro_s
-        assert np.allclose(batch_dir, scalar_dir, atol=1e-10)
+        assert np.allclose(batch_dir, walk_dir, atol=1e-10)
 
 
 def test_batch_scalar_broadcast():
@@ -346,12 +393,12 @@ def test_batch_scalar_broadcast():
     frame = EnergyFrame.from_lambda(2.0)
     bp = BatchProducts(3)
     push_piece(bp, 1.0, 1.0, frame)
-    single = transfer_matrix(1.0, 1.0, frame)
-    want = log_norm(single)
+    want, _ = _piece(1.0, 1.0, frame)
     assert np.allclose(bp.log_norms(), want, atol=1e-14)
 
 
 def test_push_rotation_requires_positive_lambda():
     bp = BatchProducts(2)
-    with pytest.raises(ValueError):
-        push_rotation(bp, np.array([1.0, 1.0]), EnergyFrame.from_lambda(-2.0))
+    for lam in (-2.0, 0.0):
+        with pytest.raises(ValueError):
+            push_rotation(bp, np.array([1.0, 1.0]), EnergyFrame.from_lambda(lam))
