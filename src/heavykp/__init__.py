@@ -57,6 +57,7 @@ from .rng import (
 )
 from .spectrum import (
     BoxProblem,
+    EigenvalueSearchError,
     boundary_phase,
     count_below,
     decay_fit,
@@ -87,7 +88,7 @@ __all__ = [
     "chain_mixing", "sweep_chains",
     # spectrum
     "BoxProblem", "boundary_phase", "phase_trace",
-    "count_below", "find_eigenvalues", "decay_fit",
+    "count_below", "find_eigenvalues", "decay_fit", "EigenvalueSearchError",
     # stats
     "Ecdf", "LinearFit", "MeanCi", "ks_distance", "linear_fit", "mean_ci",
 ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -235,6 +236,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         for nm, v in (("lambda_min", lam_min), ("lambda_max", lam_max)):
             if v is not None and (not isinstance(v, (int, float)) or isinstance(v, bool)):
                 raise ConfigError(f"spectrum.{nm} must be a number")
+            # json reads NaN and Infinity as floats
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"spectrum.{nm} must be finite, got {v!r}")
+        if lam_min is not None and lam_max is not None and not lam_min < lam_max:
+            raise ConfigError(
+                f"spectrum.lambda_min {lam_min!r} must lie below lambda_max {lam_max!r}")
+        if experiment == "spectrum" and lam_min is not None and lam_max is None:
+            for energy in energy_grid:
+                if not lam_min < energy:
+                    raise ConfigError(
+                        f"spectrum.lambda_min {lam_min!r} must lie below the cell energy "
+                        f"{energy!r}, the default lambda_max")
         max_eig = sd.get("max_eigenvalues", 1)
         if not isinstance(max_eig, int) or isinstance(max_eig, bool) or max_eig < 1:
             raise ConfigError("spectrum.max_eigenvalues must be a positive integer")

@@ -18,12 +18,13 @@ that ends before L_box whole and ends the box with exactly one cut piece,
 of length L_box minus the right edge of the last whole piece; a box that
 ends on a piece boundary cuts nothing.
 
-The search is a safeguarded Brent-Dekker iteration on a bracket of the m-th
-crossing theta = m pi.  While a bracket end is a full turn or more away from
-m pi it interpolates theta itself; after that it interpolates the Dirichlet
-residual psi(L_box) = r sin(theta), which is smooth in lambda and close to
-linear near the crossing, where theta of a localized state is a near-step
-too narrow for a secant on theta.  A point's side of the
+The search for the m-th eigenvalue keeps a bracket of the crossing theta =
+m pi.  While a bracket end is a full turn or more away from m pi it steps by
+Illinois regula falsi on theta itself.  After that theta of a localized state
+is a step too narrow to interpolate, and the search works with the Dirichlet
+residual psi(L_box) = r sin(theta) instead: near the crossing
+log|psi| = log|lambda - lambda*| + a + b lambda, with b the trend of log r
+across the bracket, and three walks fix lambda*.  A point's side of the
 crossing comes from its phase alone.  Every walk of one box goes into one
 table, and each eigenvalue starts from the tightest bracket the table
 already holds.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,9 +59,10 @@ _WINDING_GUARD = 1e-9
 # Hard cap on phase evaluations per eigenvalue.
 _MAX_EVALS = 240
 
-# The scaled Dirichlet residual caps its exponent here, so a point far
-# outside the bracket gives a large finite value instead of inf.
-_EXP_CAP = 700.0
+
+class EigenvalueSearchError(RuntimeError):
+    """A box eigenvalue whose bracket did not close within _MAX_EVALS walks."""
+
 
 # (theta, log_r) at L_box of every walk of one box, keyed by lambda.
 _Table = Dict[float, Tuple[float, float]]
@@ -172,11 +174,12 @@ def find_eigenvalues(
     The phase at L_box is strictly increasing in lambda, so the m-th
     eigenvalue is the unique crossing of theta = m pi.  Each one is the
     midpoint of a bracket [lo, hi] with theta(lo) < m pi <= theta(hi) and
-    hi - lo <= tol * max(1, |lo|, |hi|), found in at most _MAX_EVALS walks
-    by a Brent-Dekker search in two phases: on theta - m pi until both
-    bracket ends are within pi of m pi, then on the Dirichlet residual
-    psi(L_box).  A point's side is always the test theta >= m pi, never the
-    sign of a residual, which can underflow to -0.0.
+    hi - lo <= tol * max(1, |lo|, |hi|), found by _locate in at most
+    _MAX_EVALS walks: Illinois steps on theta - m pi until both bracket ends
+    are within pi of m pi, then steps from a log-distance model of the
+    Dirichlet residual psi(L_box).  A point's side is always the test
+    theta >= m pi, never the sign or size of a residual.  A bracket that has
+    not closed after _MAX_EVALS walks raises EigenvalueSearchError.
 
     Every walk of the box, the two window ends included, goes into one table
     of (theta, log_r) keyed by lambda.  The m-th search starts from the
@@ -195,7 +198,7 @@ def find_eigenvalues(
     n_hi = _winding_count(table[lam_max][0])
     if max_count is not None:
         n_hi = min(n_hi, n_lo + max_count)
-    return [_locate(problem, table, m * _PI, lam_min, lam_max, tol)
+    return [_locate(problem, table, m, lam_min, lam_max, tol)
             for m in range(n_lo + 1, n_hi + 1)]
 
 
@@ -214,99 +217,125 @@ def _tightest_bracket(table: _Table, target: float,
     return lo, hi
 
 
-def _residual(table: _Table, target: float, lo: float,
-              hi: float) -> Tuple[bool, Callable[[float], float]]:
-    """(is_dirichlet, f): the function the search interpolates on [lo, hi].
+def _log_residual(table: _Table, target: float, lam: float) -> float:
+    """log |psi(L_box)| = log r + log |sin(theta - target)| at a table point.
 
-    While either end is pi or more from target, f is theta - target.  Once
-    both are within pi, f is the Dirichlet residual (-1)**m psi(L_box) =
-    +-|sin(theta - target)| r, scaled by exp(-C) with C the larger log r of
-    the two ends and its exponent capped at _EXP_CAP.  The sign comes from
-    the test theta >= target, never from the float: a magnitude that
-    underflows is a signed zero on the side its phase says.
+    -inf where the residual vanishes (theta exactly at target).  The log
+    cannot underflow, and a point's side never comes from it: the search
+    reads sides from the test theta >= target.
     """
-    theta_lo, log_r_lo = table[lo]
-    theta_hi, log_r_hi = table[hi]
-    if abs(theta_lo - target) >= _PI or abs(theta_hi - target) >= _PI:
-        return False, lambda lam: table[lam][0] - target
-    shift = max(log_r_lo, log_r_hi)
-
-    def psi(lam: float) -> float:
-        theta, log_r = table[lam]
-        size = abs(math.sin(theta - target)) * math.exp(min(log_r - shift, _EXP_CAP))
-        return size if theta >= target else -size
-
-    return True, psi
+    theta, log_r = table[lam]
+    size = abs(math.sin(theta - target))
+    return log_r + math.log(size) if size > 0.0 else -math.inf
 
 
-def _locate(problem: BoxProblem, table: _Table, target: float,
-            lam_min: float, lam_max: float, tol: float) -> float:
-    """Midpoint of a bracket of theta = target no wider than tol * max(1, |lo|, |hi|).
+def _log_sigmoid(u: float) -> float:
+    """log(1 / (1 + exp(-u))) without overflow."""
+    return u - math.log1p(math.exp(u)) if u < 0.0 else -math.log1p(math.exp(-u))
 
-    Brent-Dekker on a bracket whose ends keep their sides by the phase test:
-    b is the end with the smaller residual, c the other, and a the b before
-    the last walk if that walk became b, else c.  It interpolates
-    inverse-quadratically through a, b, c (by the secant when a is c), and
-    bisects when the step would leave the inner three quarters of [b, c] or
-    fails to halve the step before last.  A step is at least 0.4 tol * scale,
-    so a bracket whose best end sits on the root closes on the next walk.
-    Every walk is added to the table.
+
+def _dirichlet_estimate(table: _Table, target: float, lo: float, hi: float) -> float:
+    """The crossing in [lo, hi] under log|psi| = log|lam - lam*| + a + b lam.
+
+    The model runs through the bracket ends and p, the table point nearest
+    the bracket whose phase is within pi of target.  Without p there is no
+    trend b to fit, and b = 0 (the secant on psi) puts the step next to the
+    end with the smaller residual, a near-zero step while log r trends by
+    hundreds per unit lambda; the midpoint is returned instead, as it is for
+    a residual that is not finite.  A phase that lands on target exactly
+    (seen on short model II boxes) zeroes the residual at hi, which is then
+    the crossing.
+
+    The unknown is u = log((lam* - lo) / (hi - lam*)), so a crossing a few
+    ulps from either end keeps its relative precision.  The three points give
+    H(u) = 0 with H'(u) = (p - hi) / (p - lam*) > 0, H convex for p > hi and
+    concave for p < lo, so Newton from the b = 0 solution converges from any
+    start.
     """
-    lo, hi = _tightest_bracket(table, target, lam_min, lam_max)
-    prev: Optional[float] = None  # Brent's a: the best end before the last walk
-    newest: Optional[float] = None
-    dirichlet = False
-    step = before = hi - lo  # Brent's d and e: the last step and the one before
-    for _ in range(_MAX_EVALS):
-        scale = max(1.0, abs(lo), abs(hi))
-        if hi - lo <= tol * scale:
+    outside = [(lo - lam if lam < lo else lam - hi, lam)
+               for lam, (theta, _) in table.items()
+               if not lo <= lam <= hi and abs(theta - target) < _PI]
+    if not outside:
+        return 0.5 * (lo + hi)
+    p = min(outside)[1]
+    l_lo, l_hi, l_p = (_log_residual(table, target, lam) for lam in (lo, hi, p))
+    if l_hi == -math.inf:
+        return hi
+    if not (math.isfinite(l_lo) and math.isfinite(l_hi) and math.isfinite(l_p)):
+        return 0.5 * (lo + hi)
+    width = hi - lo
+    kappa = width / (p - lo)
+    c = l_hi - l_lo - kappa * (l_p - l_lo + math.log(width))
+    u = l_lo - l_hi
+    for _ in range(100):
+        s = _log_sigmoid(u)
+        # p - lam*, formed from the end nearer p so that no digits cancel
+        if p > hi:
+            gap = (p - hi) + width * math.exp(_log_sigmoid(-u))
+        else:
+            gap = (p - lo) - width * math.exp(s)
+        du = (c + u + kappa * (math.log(abs(gap)) - s)) * gap / (p - hi)
+        u -= du
+        if abs(du) <= 1e-12 * max(1.0, abs(u)):
             break
-        min_step = 0.4 * tol * scale
-        now_dirichlet, f = _residual(table, target, lo, hi)
-        if now_dirichlet != dirichlet:  # the residual changed: drop a
-            dirichlet, prev = now_dirichlet, None
-        f_lo, f_hi = f(lo), f(hi)
-        if abs(f_hi) <= abs(f_lo):
-            b, fb, c, fc = hi, f_hi, lo, f_lo
+    if u < 0.0:
+        return lo + width * math.exp(_log_sigmoid(u))
+    return hi - width * math.exp(_log_sigmoid(-u))
+
+
+def _locate(problem: BoxProblem, table: _Table, m: int,
+            lam_min: float, lam_max: float, tol: float) -> float:
+    """Midpoint of a bracket of theta = m pi no wider than tol * max(1, |lo|, |hi|).
+
+    The bracket [lo, hi] keeps theta(lo) < m pi <= theta(hi), each walk
+    replacing the end on its side.  While an end is pi or more from m pi the
+    step is Illinois regula falsi on theta - m pi; once both are within pi it
+    is _dirichlet_estimate, and from then on the bracket must halve within
+    every two walks or the next walk bisects.  An estimate within the width
+    goal w of an end is walked once at 0.9 w past that end, which closes the
+    bracket when the crossing lies in between; after that one closing walk,
+    steps keep 0.9 w from both ends.  Every walk is added to the table.
+    """
+    target = m * _PI
+    lo, hi = _tightest_bracket(table, target, lam_min, lam_max)
+    f_lo, f_hi = table[lo][0] - target, table[hi][0] - target
+    last_side = 0  # the end the last walk replaced: -1 lo, +1 hi
+    closed = False
+    widths: List[float] = []  # bracket widths at each Dirichlet step
+    for _ in range(_MAX_EVALS):
+        goal = tol * max(1.0, abs(lo), abs(hi))
+        if hi - lo <= goal:
+            return 0.5 * (lo + hi)
+        dirichlet = table[lo][0] > target - _PI and table[hi][0] < target + _PI
+        if dirichlet:
+            widths.append(hi - lo)
+            x = _dirichlet_estimate(table, target, lo, hi)
         else:
-            b, fb, c, fc = lo, f_lo, hi, f_hi
-        if prev is None or b != newest:
-            prev = c
-        fa = f(prev)
-        half = 0.5 * (c - b)
-        if abs(before) >= min_step and abs(fa) > abs(fb) and fc != 0.0:
-            s = fb / fa
-            if prev == c:
-                p = 2.0 * half * s
-                q = 1.0 - s
-            else:
-                qa = fa / fc
-                r = fb / fc
-                p = s * (2.0 * half * qa * (qa - r) - (b - prev) * (r - 1.0))
-                q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * half * q - abs(min_step * q), abs(before * q)):
-                before, step = step, p / q
-            else:
-                before = step = half
+            x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if not closed and min(x - lo, hi - x) <= goal:
+            closed = True
+            x = lo + 0.9 * goal if x - lo <= hi - x else hi - 0.9 * goal
+        elif dirichlet and len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
+            x = 0.5 * (lo + hi)
         else:
-            before = step = half
-        x = b + step if abs(step) > min_step else b + math.copysign(min_step, half)
+            x = min(max(x, lo + 0.9 * goal), hi - 0.9 * goal)
         if not (lo < x < hi):
             x = 0.5 * (lo + hi)
             if not (lo < x < hi):  # no float strictly inside: as narrow as it gets
-                break
+                return x
         table[x] = _end_state(problem, x)
-        if table[x][0] >= target:
-            replaced, hi = hi, x
+        theta = table[x][0]
+        if theta >= target:
+            if last_side > 0:
+                f_lo *= 0.5
+            hi, f_hi, last_side = x, theta - target, 1
         else:
-            replaced, lo = lo, x
-        if replaced == c:  # the contrapoint moved: restart the step history
-            before = step = x - b
-        prev, newest = b, x
-    return 0.5 * (lo + hi)
+            if last_side < 0:
+                f_hi *= 0.5
+            lo, f_lo, last_side = x, theta - target, -1
+    raise EigenvalueSearchError(
+        f"eigenvalue {m}: bracket [{lo!r}, {hi!r}] still wider than "
+        f"{tol * max(1.0, abs(lo), abs(hi))!r} after {_MAX_EVALS} walks")
 
 
 def decay_fit(

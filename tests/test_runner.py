@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from heavykp import __version__, runner
+from heavykp import __version__, runner, spectrum
 from heavykp.estimators import (
     IdsScale,
     LyapunovScale,
@@ -151,6 +151,58 @@ def test_spectrum_options_validated():
     cfg = _base_config(experiment="spectrum", spectrum={"window": [0, 1]})
     with pytest.raises(ConfigError, match=r"unknown spectrum keys: \['window'\]"):
         config_from_dict(cfg)
+
+
+def _spectrum_config(**window):
+    return _base_config(experiment="spectrum",
+                        model={"model": "I", "energy": 1.0, "alpha1": 0.5},
+                        spectrum=dict(window, max_eigenvalues=2))
+
+
+@pytest.mark.parametrize("window,match", [
+    ({"lambda_min": 2.0, "lambda_max": 1.0}, "must lie below lambda_max"),
+    ({"lambda_min": 1.0, "lambda_max": 1.0}, "must lie below lambda_max"),
+    ({"lambda_min": math.nan, "lambda_max": 1.0}, "lambda_min must be finite"),
+    ({"lambda_min": 0.25, "lambda_max": math.inf}, "lambda_max must be finite"),
+    ({"lambda_min": -math.inf}, "lambda_min must be finite"),
+    # lambda_max defaults to the cell energy, 1.0 here
+    ({"lambda_min": 1.0}, "must lie below the cell energy 1.0"),
+    ({"lambda_min": 3.0}, "must lie below the cell energy 1.0"),
+])
+def test_spectrum_window_must_be_a_finite_interval(window, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(_spectrum_config(**window))
+
+
+def test_spectrum_default_window_end_checked_per_energy_cell():
+    cfg = _spectrum_config(lambda_min=1.5)
+    config_from_dict(dict(cfg, energy_grid=[2.0, 3.0]))
+    with pytest.raises(ConfigError, match="cell energy 1.25"):
+        config_from_dict(dict(cfg, energy_grid=[2.0, 1.25]))
+    # a data-driven lambda_min is left to the cell; an explicit pair is fine
+    config_from_dict(_spectrum_config())
+    config_from_dict(_spectrum_config(lambda_max=0.5))
+    config_from_dict(_spectrum_config(lambda_min=0.25, lambda_max=3.0))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_validate_rejects_spectrum_window_json_literals(tmp_path, capsys, literal):
+    # json accepts the NaN and Infinity literals; validate must still refuse
+    path = tmp_path / "window.json"
+    text = json.dumps(_spectrum_config(lambda_min=0.25, lambda_max=1.0))
+    path.write_text(text.replace("0.25", literal))
+    assert runner.main(["validate", str(path)]) == 2
+    assert "lambda_min must be finite" in capsys.readouterr().err
+
+
+def test_validate_rejects_reversed_spectrum_window(tmp_path, capsys):
+    path = _write_config(tmp_path, experiment="spectrum",
+                         model={"model": "I", "energy": 1.0, "alpha1": 0.5},
+                         spectrum={"lambda_min": 2.0, "lambda_max": 1.0})
+    assert runner.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:")
+    assert "must lie below lambda_max" in err
 
 
 def test_mixing_points_need_at_least_two_entries():
@@ -504,6 +556,22 @@ def test_mixing_rows_use_step_pair_names(tmp_path):
     cell = _read_summary(out)["cells"][0]
     # strong disorder collapses the chains within ten steps
     assert cell["ks_final_max"] < 0.05
+
+
+def test_unconverged_eigenvalue_search_fails_its_cell(tmp_path, monkeypatch):
+    # three walks cannot close a bracket of a 1000-bump model I box
+    monkeypatch.setattr(spectrum, "_MAX_EVALS", 3)
+    out = str(tmp_path / "out")
+    cfg = load_config(_write_config(
+        tmp_path, experiment="spectrum",
+        model={"model": "I", "energy": 1.0, "alpha1": 0.5},
+        n_grid=[1000], n_seeds=1, output_dir=out,
+        spectrum={"lambda_min": 0.25, "max_eigenvalues": 2}))
+    code, diagnostic = run_experiment(cfg)
+    assert code == 0 and diagnostic == ""
+    (failed,) = _read_summary(out)["failed_tasks"]
+    assert failed["error"].startswith("EigenvalueSearchError: eigenvalue 1: bracket [")
+    assert _read_rows(out) == []
 
 
 def test_spectrum_rows_report_localized_ground_states(tmp_path):

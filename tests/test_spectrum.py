@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heavykp import spectrum
 from heavykp.potentials import Model, ModelConfig, generate, realization_from_csv
@@ -11,6 +13,7 @@ from heavykp.prufer import PruferState, advance_interval, boundary_theta
 from heavykp.rng import RngStream, split_stream
 from heavykp.spectrum import (
     BoxProblem,
+    EigenvalueSearchError,
     boundary_phase,
     count_below,
     decay_fit,
@@ -464,10 +467,10 @@ def test_search_matches_bisection(model, kw, n, theta0):
 
 # Walks per located eigenvalue, window ends included, on the spectrum
 # workload's two configurations: 3 boxes of 1000 bumps each.  Bisection takes
-# about 35; the bracketed search measured 2-7 on the deep wells and 13-17.5 on
-# the model I window (seeds 100-129), 8-10.5 over both.
-_MAX_WALKS_PER_EIGENVALUE = 15
-_MAX_WALKS_PER_EIGENVALUE_ONE_CONFIG = 20
+# about 35.  The search measures 3.0 on the deep wells and 9.5 on the model I
+# window, 6.25 over both; the bounds leave about a quarter of headroom.
+_MAX_WALKS_PER_EIGENVALUE = 8
+_MAX_WALKS_PER_EIGENVALUE_ONE_CONFIG = 12
 
 _WORKLOAD_CONFIGS = [
     (ModelConfig(model=Model.II, energy=0.0, alpha1=0.5), None, 0.0),
@@ -475,7 +478,19 @@ _WORKLOAD_CONFIGS = [
 ]
 
 
-def test_search_walk_count(monkeypatch):
+def _workload_boxes(cfg, lam_min):
+    """The three 1000-bump RngStream(3141) boxes of a workload config, with
+    the lower window end (the data-driven one when lam_min is None)."""
+    parent = RngStream(3141)
+    for i in range(3):
+        r = generate(cfg, 1000, split_stream(parent, i))
+        prob = BoxProblem(realization=r, theta0=0.0, L_box=r.total_length)
+        lo = lam_min if lam_min is not None else min(0.0, float(prob.values.min())) - 1.0
+        yield prob, lo
+
+
+def _counted_walks(monkeypatch):
+    """Wrap spectrum._end_state; the returned one-item list counts its calls."""
     walks = [0]
     end_state = spectrum._end_state
 
@@ -484,14 +499,15 @@ def test_search_walk_count(monkeypatch):
         return end_state(problem, lam)
 
     monkeypatch.setattr(spectrum, "_end_state", counted)
+    return walks
+
+
+def test_search_walk_count(monkeypatch):
+    walks = _counted_walks(monkeypatch)
     total_walks = total_found = 0
     for cfg, lam_min, lam_max in _WORKLOAD_CONFIGS:
-        parent = RngStream(3141)
         walks[0] = found = 0
-        for i in range(3):
-            r = generate(cfg, 1000, split_stream(parent, i))
-            prob = BoxProblem(realization=r, theta0=0.0, L_box=r.total_length)
-            lo = lam_min if lam_min is not None else min(0.0, float(prob.values.min())) - 1.0
+        for prob, lo in _workload_boxes(cfg, lam_min):
             found += len(find_eigenvalues(prob, lo, lam_max, max_count=2))
         assert found == 6
         assert walks[0] <= _MAX_WALKS_PER_EIGENVALUE_ONE_CONFIG * found
@@ -502,8 +518,9 @@ def test_search_walk_count(monkeypatch):
 
 def test_underflowed_residual_keeps_its_side(monkeypatch):
     # A synthetic box whose phase crosses pi at 0.3 and whose log r is -2000
-    # below the crossing: there the scaled residual underflows to -0.0, which
-    # compares >= 0.  The side must come from the phase, not from that float.
+    # below the crossing: there r sin(theta - pi) underflows to -0.0, which
+    # compares >= 0.  The search works with log|psi|, which stays finite, and
+    # takes the side from the phase, never from a residual.
     crossing = 0.3
 
     def fake_end_state(problem, lam):
@@ -513,13 +530,176 @@ def test_underflowed_residual_keeps_its_side(monkeypatch):
     monkeypatch.setattr(spectrum, "_end_state", fake_end_state)
     prob = BoxProblem(realization=_free_realization([2.0]), theta0=0.0, L_box=2.0)
     table = {lam: fake_end_state(prob, lam) for lam in (0.0, 0.29, 1.0)}
-    is_dirichlet, f = spectrum._residual(table, _PI, 0.29, 1.0)
-    assert is_dirichlet
-    assert f(0.29) == 0.0 and math.copysign(1.0, f(0.29)) < 0.0
+    # both ends of [0.29, 1] are within pi of pi: the Dirichlet phase
+    assert 0.0 < table[0.29][0] < _PI <= table[1.0][0] < 2.0 * _PI
+    theta, log_r = table[0.29]
+    size = abs(math.sin(theta - _PI))
+    assert size * math.exp(log_r) == 0.0
+    assert spectrum._log_residual(table, _PI, 0.29) == log_r + math.log(size)
+    assert math.isfinite(spectrum._log_residual(table, _PI, 0.29))
     assert spectrum._tightest_bracket(table, _PI, 0.0, 1.0) == (0.29, 1.0)
+    # the model puts the crossing e^-2000 of the width above 0.29: at it
+    assert 0.29 <= spectrum._dirichlet_estimate(table, _PI, 0.29, 1.0) < 1.0
     tol = 1e-10
     (lam,) = find_eigenvalues(prob, 0.0, 1.0, tol)
     assert abs(lam - crossing) <= tol
+
+
+@pytest.mark.parametrize("offset", [0.1, 0.5, 0.93])
+@pytest.mark.parametrize("slope", [-300.0, 450.0])
+@pytest.mark.parametrize("log_r0", [0.0, 2.6e6])
+def test_dirichlet_step_lands_in_few_walks(monkeypatch, offset, slope, log_r0):
+    # The shape of a localized box near its m-th crossing: theta sits on a
+    # plateau 0.227 pi past (m - 1) pi and steps by pi at lam*, and
+    # log r = log|lam - lam*| + a + b lam with |b| in the hundreds.  From a
+    # bracket 1e-2 wide the model holds exactly, so the search must land
+    # within tol in at most 5 walks after the two window ends.
+    m, tol, width = 7, 1e-10, 1e-2
+    lam_min = 0.4
+    lam_star = lam_min + offset * width
+    walks = [0]
+
+    def fake_end_state(problem, lam):
+        walks[0] += 1
+        theta = (m - 1 + 0.227) * _PI + (_PI if lam >= lam_star else 0.0)
+        if lam == lam_star:
+            return theta, -math.inf
+        return theta, math.log(abs(lam - lam_star)) + log_r0 + slope * lam
+
+    monkeypatch.setattr(spectrum, "_end_state", fake_end_state)
+    prob = BoxProblem(realization=_free_realization([2.0]), theta0=0.0, L_box=2.0)
+    (lam,) = find_eigenvalues(prob, lam_min, lam_min + width, tol)
+    assert abs(lam - lam_star) <= tol * max(1.0, abs(lam_star))
+    assert walks[0] - 2 <= 5
+
+
+def test_phase_landing_on_m_pi_closes_the_bracket(monkeypatch):
+    # On this short model II box the walk at 2.0327752197831543 returns
+    # theta == 32 pi exactly, so log|psi| there is -inf.  That end is the
+    # crossing: the search closes on the next walk instead of bisecting
+    # down to tol against a residual it cannot use.
+    cfg = ModelConfig(model=Model.II, energy=1.0, alpha1=0.5)
+    r = generate(cfg, 12, split_stream(RngStream(777), 4))
+    prob = BoxProblem(realization=r, theta0=0.7, L_box=r.total_length)
+    hit = 2.0327752197831543
+    assert spectrum._end_state(prob, hit)[0] == 32 * _PI
+    table = {lam: spectrum._end_state(prob, lam) for lam in (2.03, 2.032, hit, 2.04)}
+    assert spectrum._log_residual(table, 32 * _PI, hit) == -math.inf
+    assert spectrum._dirichlet_estimate(table, 32 * _PI, 2.032, hit) == hit
+
+    walks = _counted_walks(monkeypatch)
+    found = find_eigenvalues(prob, 0.25, 4.0)
+    assert any(abs(lam - hit) <= 1e-10 * hit for lam in found)
+    assert walks[0] <= 2 + 11 * len(found)
+
+
+def test_exhausted_search_raises(monkeypatch):
+    # With three walks per eigenvalue the model I window cannot close its
+    # brackets; the search must say so instead of returning a midpoint
+    monkeypatch.setattr(spectrum, "_MAX_EVALS", 3)
+    cfg = ModelConfig(model=Model.I, energy=1.0, alpha1=0.5)
+    prob, lo = next(_workload_boxes(cfg, 0.25))
+    with pytest.raises(EigenvalueSearchError,
+                       match=r"^eigenvalue 1: bracket \[[\d.]+, [\d.]+\] still wider"):
+        find_eigenvalues(prob, lo, 1.0, max_count=2)
+
+
+# ── Located eigenvalues versus bisection on the count ────────────────────────
+#
+# An oracle independent of the search's side test: plain bisection on
+# count_below, the winding count with its guard, to a width of tol / 100.
+# count_below counts a phase within _WINDING_GUARD pi below m pi as having
+# reached it.  On 1000-bump boxes theta steps by pi at float resolution and
+# the guard moves the count's crossing by nothing measurable; on a short box
+# the phase rises gently and the guard moves it by up to about 1e-9 pi
+# divided by the phase slope, so short boxes are searched at tol = 1e-7.
+
+
+def _count_oracle(problem, lam_min, lam_max, tol, max_count):
+    n_lo = count_below(problem, lam_min)
+    n_hi = min(count_below(problem, lam_max), n_lo + max_count)
+    out = []
+    for m in range(n_lo + 1, n_hi + 1):
+        a, b = lam_min, lam_max
+        while b - a > 0.01 * tol * max(1.0, abs(a), abs(b)):
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break
+            if count_below(problem, mid) >= m:
+                b = mid
+            else:
+                a = mid
+        out.append(0.5 * (a + b))
+    return n_lo, out
+
+
+def _assert_matches_count_oracle(problem, lam_min, lam_max, tol, max_count=3,
+                                 isolated=False):
+    n_lo, want = _count_oracle(problem, lam_min, lam_max, tol, max_count)
+    got = find_eigenvalues(problem, lam_min, lam_max, tol, max_count=max_count)
+    assert len(got) == len(want)
+    for m, (lam, ref) in enumerate(zip(got, want), start=n_lo + 1):
+        step = tol * max(1.0, abs(lam))
+        assert abs(lam - ref) <= tol * max(1.0, abs(ref))
+        below, above = count_below(problem, lam - step), count_below(problem, lam + step)
+        assert below <= m - 1 and above >= m
+        # Levels of one deep well can lie closer together than tol * |lam|
+        # and share a step of the count.  Where two steps on either side hold
+        # a single eigenvalue, the count must step from m - 1 to m alone.
+        if isolated or (count_below(problem, lam + 2.0 * step)
+                        - count_below(problem, lam - 2.0 * step)) == 1:
+            assert (below, above) == (m - 1, m)
+    return got
+
+
+@pytest.mark.parametrize("cfg,lam_min,lam_max", _WORKLOAD_CONFIGS)
+def test_workload_boxes_match_count_oracle(cfg, lam_min, lam_max):
+    found = 0
+    for prob, lo in _workload_boxes(cfg, lam_min):
+        found += len(_assert_matches_count_oracle(prob, lo, lam_max, 1e-10, max_count=2,
+                                                  isolated=cfg.model is Model.I))
+    assert found == 6
+
+
+@pytest.mark.parametrize("model,kw", [(Model.III, {"alpha2": 0.6}),
+                                      (Model.IV, {"alpha1": 0.7, "alpha2": 0.6})])
+def test_short_boxes_match_count_oracle(model, kw):
+    cfg = ModelConfig(model=model, energy=1.0, **kw)
+    parent = RngStream(3141)
+    found = 0
+    for i in range(3):
+        r = generate(cfg, 40, split_stream(parent, i))
+        prob = BoxProblem(realization=r, theta0=0.7, L_box=r.total_length)
+        lam_min, lam_max = _search_window(model, prob)
+        found += len(_assert_matches_count_oracle(prob, lam_min, lam_max, 1e-7))
+        if model is Model.IV:  # above the gap potential too
+            found += len(_assert_matches_count_oracle(prob, 0.25, 3.0, 1e-7))
+    assert found > 0
+
+
+_MODEL_ALPHAS = {
+    Model.I: lambda a: {"alpha1": a},
+    Model.II: lambda a: {"alpha1": a},
+    Model.III: lambda a: {"alpha2": a},
+    Model.IV: lambda a: {"alpha1": a, "alpha2": a},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from(list(Model)),
+       alpha=st.floats(0.2, 0.95),
+       n=st.integers(2, 24),
+       seed=st.integers(0, 2**20),
+       theta0=st.floats(0.0, 3.1))
+def test_random_short_boxes_match_count_oracle(model, alpha, n, seed, theta0):
+    cfg = ModelConfig(model=model, energy=1.0, **_MODEL_ALPHAS[model](alpha))
+    r = generate(cfg, n, RngStream(seed))
+    prob = BoxProblem(realization=r, theta0=theta0, L_box=r.total_length)
+    # lambda <= 0 windows for the signed models, [0.25, 4] for the others
+    lam_min, lam_max = _search_window(model, prob)
+    if model in (Model.I, Model.III):
+        lam_max = 4.0
+    _assert_matches_count_oracle(prob, lam_min, lam_max, 1e-7)
 
 
 def test_max_count_is_the_head_of_the_full_search():
