@@ -35,13 +35,7 @@ from .potentials import (
     generate,
     realization_from_csv,
 )
-from .prufer import (
-    PruferState,
-    TraceRecord,
-    advance_interval,
-    boundary_theta,
-    phase_fold,
-)
+from .prufer import TraceRecord, boundary_theta
 from .rng import (
     RngStream,
     TailKind,
@@ -49,9 +43,6 @@ from .rng import (
     frechet_cdf,
     frechet_from_uniform,
     frechet_tail,
-    sample_bump_height,
-    sample_frechet,
-    sample_gap_length,
     sample_stable_oracle,
     split_stream,
 )
@@ -71,7 +62,6 @@ __all__ = [
     "__version__",
     # rng
     "RngStream", "TailKind", "TailLaw", "split_stream",
-    "sample_frechet", "sample_bump_height", "sample_gap_length",
     "sample_stable_oracle", "frechet_from_uniform", "frechet_tail", "frechet_cdf",
     # transfer
     "EnergyFrame", "SaturationError", "det_defect",
@@ -79,8 +69,7 @@ __all__ = [
     "Model", "ModelConfig", "Piece", "PieceKind", "Realization",
     "generate", "realization_from_csv",
     # prufer
-    "PruferState", "TraceRecord",
-    "boundary_theta", "advance_interval", "phase_fold",
+    "TraceRecord", "boundary_theta",
     # estimators
     "LyapunovScale", "IdsScale", "LyapunovEstimate", "IdsEstimate",
     "estimate_lyapunov", "estimate_ids", "lyapunov_trace", "ids_trace",

@@ -11,11 +11,12 @@ read off the stored vectors.  Its lanes give
                 M e1 and M e2.
 
 The sweep draws each block of seeds at once through potentials._draw_blocks,
-the one statement of the canonical draw order, which potentials.generate
-draws through too, so the single-chain traces (lyapunov_trace, ids_trace,
-both prufer.walk_chain on generate's chain) see the same chains, which is
-what the oracle tests pin down.  chain_mixing walks its starting points as
-lanes of the same lane walk.
+the one statement of the canonical draw order and of the map from draws to
+bump potentials and gap lengths, and walks its pieces as they come;
+potentials.generate lays out the same pieces, so the single-chain traces
+(lyapunov_trace, ids_trace, both prufer.walk_chain on generate's chain) see
+the same chains, which is what the oracle tests pin down.  chain_mixing walks
+its starting points as lanes of the same lane walk.
 
 Estimated objects:
 
@@ -134,46 +135,35 @@ _SEGMENT_ELEMENTS = 3072
 _NORM_BAND = (1e-150, 1e150)
 
 
-def _bump_values(model: Model, x, eps, j0: int, j1: int) -> Optional[np.ndarray]:
-    """Potentials of bumps j0..j1-1 as (bumps, seeds); None for model III's unit bumps."""
-    if model is Model.III:
-        return None
-    v = np.ascontiguousarray(x[:, j0:j1].T)
-    if model is Model.II:
-        np.negative(v, out=v)
-    elif model is Model.IV:
-        v *= 1.0 - 2.0 * eps[:, j0:j1].T
-    return v
+def _columns(block, j0: int, j1: int):
+    """Bumps j0..j1-1 of a (seeds, bumps) block from _draw_blocks as (bumps, seeds).
+
+    A block without a bump axis (model III's scalar bump value, or the gaps
+    None of a model without them) is the same for every bump and passes as
+    it is.
+    """
+    if np.ndim(block) == 0:
+        return block
+    return np.ascontiguousarray(block[:, j0:j1].T)
 
 
-def _step_matrices(mats, values, gaps, unit, lam: float, k: float):
+def _step_matrices(mats, values, gaps, lam: float, k: float):
     """Fill mats (bumps, 2, 2, 1, seeds) with a segment's step matrices.
 
     Without gaps a step is the bump's piece matrix.  With gaps it is the bump
     matrix times the matrix of the gap before it, and the gap's own entries
     (diagonal, upper, lower, prescale) come back for recovering the vector
-    between the two; unit holds model III's one bump matrix.  Returns the
-    steps' log prescales and the gap entries (None without gaps).
+    between the two.  values broadcasts against the steps, so model III's
+    scalar bump gets one matrix for the whole segment.  Returns the steps'
+    log prescales and the gap entries (None without gaps).
     """
-    if gaps is None:
-        c, b, e, pre = _piece_entries_batch(values, 1.0, lam, k)
-        entries = (c, b, e, c)
-        gap = None
-    else:
-        if values is None:
-            gc, gb, ge, gpre = _piece_entries_batch(0.0, gaps, lam, k)
-            bc, bb, be, bpre = unit
-        else:
-            # one call over the segment's gap pieces and bump pieces
-            both_v = np.zeros((2,) + gaps.shape)
-            both_v[1] = values
-            both_l = np.ones((2,) + gaps.shape)
-            both_l[0] = gaps
-            entries = _piece_entries_batch(both_v, both_l, lam, k)
-            (gc, bc), (gb, bb), (ge, be), (gpre, bpre) = entries
+    bc, bb, be, pre = _piece_entries_batch(values, 1.0, lam, k)
+    entries = (bc, bb, be, bc)
+    gap = None
+    if gaps is not None:
+        gap = gc, gb, ge, gpre = _piece_entries_batch(0.0, gaps, lam, k)
         entries = (bc * gc + bb * ge, bc * gb + bb * gc, be * gc + bc * ge, be * gb + bc * gc)
-        pre = gpre + bpre
-        gap = (gc, gb, ge, gpre)
+        pre = gpre + pre
     for m, (i, j) in zip(entries, ((0, 0), (0, 1), (1, 0), (1, 1))):
         mats[:, i, j, 0] = m
     return pre, gap
@@ -197,7 +187,7 @@ class _LaneWalk:
             self.vecs[0, 0, lane] = p
             self.vecs[0, 1, lane] = q
 
-    def walk(self, n_steps: int, values, gaps, unit, lam: float, k: float):
+    def walk(self, n_steps: int, values, gaps, lam: float, k: float):
         """Walk the lanes through a segment of n_steps bumps.
 
         Returns the steps' log prescales, the gap entries and the log gains
@@ -213,7 +203,7 @@ class _LaneWalk:
         mats = self.mats[:n_steps]
         vecs = self.vecs[:n_steps + 1]
         norms = self.norms[:n_steps]
-        pre, gap = _step_matrices(mats, values, gaps, unit, lam, k)
+        pre, gap = _step_matrices(mats, values, gaps, lam, k)
         lo, hi = _NORM_BAND
         dead: Dict[tuple, float] = {}
         first = 0
@@ -232,7 +222,9 @@ class _LaneWalk:
                 y = m10 * p + m11 * q
                 size = math.hypot(x, y)
                 if size == 0.0:
-                    x, y, dead[(j, int(lane), int(seed))] = _dead_step(gap, values, j, seed,
+                    # a zero-copy view of the bumps, model III's scalar one too
+                    bumps = np.broadcast_to(values, pre.shape)
+                    x, y, dead[(j, int(lane), int(seed))] = _dead_step(gap, bumps, j, seed,
                                                                         p, q, lam, k)
                     size = math.hypot(x, y)
                 vecs[j + 1, :, lane, seed] = (x / size, y / size)
@@ -261,7 +253,10 @@ class _LaneWalk:
 
 
 def _dead_step(gap, values, j: int, seed: int, p: float, q: float, lam: float, k: float):
-    """(psi, psi'/k, log gain) of step j for a vector its bump annihilates."""
+    """(psi, psi'/k, log gain) of step j for a vector its bump annihilates.
+
+    values holds the bump potentials by (step, seed).
+    """
     gain = 0.0
     if gap is not None:
         gc, gb, ge, gpre = (float(g[j, seed]) for g in gap)
@@ -270,8 +265,7 @@ def _dead_step(gap, values, j: int, seed: int, p: float, q: float, lam: float, k
         p, q = p / size, q / size
         if lam <= 0.0:  # a gap at lam > 0 is a rotation and gains 0
             gain = gpre + math.log(size)
-    value = 1.0 if values is None else float(values[j, seed])
-    x, y, dead_gain = _dead_direction(p, q, value, 1.0, lam, k)
+    x, y, dead_gain = _dead_direction(p, q, float(values[j, seed]), 1.0, lam, k)
     return x, y, gain + dead_gain
 
 
@@ -300,8 +294,16 @@ def _unwind_segment(vecs, gap, values, lengths, lam: float, k: float, start):
     psik[0::2] = q
     psik[1::2] = gq / size
     piece_v = np.zeros((2 * nj,) + p.shape[1:])
-    piece_v[1::2] = 1.0 if values is None else values
+    piece_v[1::2] = values
     return _unwind_boundaries(psi, psik, piece_v, lengths, lam, k, start)[0::2]
+
+
+def _checkpoints(checkpoint_bumps: Sequence[int], n_bumps: int) -> List[int]:
+    """The distinct checkpoint bump counts in order, n_bumps always among them."""
+    cps = sorted(set(int(c) for c in checkpoint_bumps) | {n_bumps})
+    if cps[0] < 1 or cps[-1] > n_bumps:
+        raise ValueError("checkpoint bump counts must lie in [1, n_bumps]")
+    return cps
 
 
 def sweep_chains(
@@ -321,9 +323,9 @@ def sweep_chains(
     ``potentials._draw_blocks``, a block of seeds at a time, so scalar and
     vectorized runs see identical chains.  checkpoint_bumps are bump counts
     at which per-seed snapshots are stored; the final bump count is always
-    included.  want_aux_sqrt
-    accumulates the per-seed rotation benchmark sum: sqrt(lam + X) for model
-    II, sqrt(X - lam) over hyperbolic bumps for model I.
+    included.  want_aux_sqrt accumulates the per-seed rotation benchmark
+    sum: sqrt(lam + X) for model II, sqrt(X - lam) over hyperbolic bumps for
+    model I.
 
     The chains are walked as in prufer.walk_chain, across seeds and one
     segment of bumps at a time.  The lanes are unit vectors (psi, psi'/k):
@@ -332,8 +334,9 @@ def sweep_chains(
     norm.  Per segment:
 
     1. the piece matrices of all its bumps and seeds come from one
-       _piece_entries_batch call; each gap is multiplied into the bump after
-       it, so that one step covers one bump;
+       _piece_entries_batch call, and those of its gaps from another; each
+       gap is multiplied into the bump after it, so that one step covers
+       one bump;
     2. a loop over the bumps pushes every lane through its step matrix, in
        numpy across lanes, renormalizing into preallocated buffers;
     3. theta is unwound from the stored boundary vectors by walk_chain's
@@ -342,10 +345,10 @@ def sweep_chains(
 
     Positions, log norms and sums are added in piece order and theta carries
     whole turns across segments, so no value depends on the segment length,
-    and each lane depends on its own seed only.  A log-norm lane that leaves float range
-    raises SaturationError; a theta lane fed an infinite bump height turns
-    NaN.  Gap models accept any energy: at lam <= 0 gaps are ordinary
-    hyperbolic or degenerate pieces.
+    and each lane depends on its own seed only.  A log-norm lane that leaves
+    float range raises SaturationError; a theta lane fed an infinite bump
+    height turns NaN.  Gap models accept any energy: at lam <= 0 gaps are
+    ordinary hyperbolic or degenerate pieces.
     """
     if n_bumps < 1 or n_seeds < 1:
         raise ValueError("n_bumps and n_seeds must be positive")
@@ -355,9 +358,7 @@ def sweep_chains(
     frame = config.frame()
     lam = frame.lam
     k = frame.k_norm
-    cps = sorted(set(int(c) for c in checkpoint_bumps) | {n_bumps})
-    if cps[0] < 1 or cps[-1] > n_bumps:
-        raise ValueError("checkpoint bump counts must lie in [1, n_bumps]")
+    cps = _checkpoints(checkpoint_bumps, n_bumps)
     theta_start = boundary_theta(config.theta0, frame)
 
     records: Dict[int, SweepRecord] = {
@@ -371,10 +372,6 @@ def sweep_chains(
     }
     aux = np.zeros(n_seeds) if want_aux_sqrt else None
 
-    gap_model = model in (Model.III, Model.IV)
-    unit = None
-    if model is Model.III:
-        unit = tuple(float(e[0]) for e in _piece_entries_batch(np.ones(1), np.ones(1), lam, k))
     # lanes: the theta vector, then the columns e1 and e2
     starts = ([(math.sin(theta_start), math.cos(theta_start))] if want_theta else []) \
         + ([(1.0, 0.0), (0.0, 1.0)] if want_log_norm else [])
@@ -382,7 +379,8 @@ def sweep_chains(
     first_col = 1 if want_theta else 0
 
     for lo, hi in _chunk_sizes(n_seeds, n_bumps):
-        x, y, eps = _draw_blocks(config, stream.seed, split_ids(stream, lo, hi), n_bumps)
+        value_blk, gap_blk = _draw_blocks(config, stream.seed, split_ids(stream, lo, hi),
+                                          n_bumps)
         s = hi - lo
         seg = max(1, _SEGMENT_ELEMENTS // s)
         lanes = _LaneWalk(starts, seg, s)
@@ -394,11 +392,11 @@ def sweep_chains(
         for j0 in range(0, n_bumps, seg):
             j1 = min(n_bumps, j0 + seg)
             nj = j1 - j0
-            values = _bump_values(model, x, eps, j0, j1)
-            gaps = np.ascontiguousarray(y[:, j0:j1].T) if gap_model else None
+            values = _columns(value_blk, j0, j1)
+            gaps = _columns(gap_blk, j0, j1)
 
             lengths = None
-            if gap_model:
+            if gaps is not None:
                 lengths = np.ones((2 * nj, s))  # the gap and bump pieces in order
                 lengths[0::2] = gaps
                 pos_run = _running_sums(pos, lengths)[0::2]
@@ -414,7 +412,7 @@ def sweep_chains(
                 aux_blk = _running_sums(aux_blk, terms)[-1]
 
             if n_lanes:
-                pre, gap, dead = lanes.walk(nj, values, gaps, unit, lam, k)
+                pre, gap, dead = lanes.walk(nj, values, gaps, lam, k)
             if want_theta:
                 thetas = _unwind_segment(lanes.vecs[:nj + 1], gap, values, lengths, lam, k, theta)
                 theta = thetas[-1]
@@ -456,9 +454,7 @@ def _traced_chain(config: ModelConfig, n_bumps: int, checkpoint_bumps: Sequence[
 
     The last bump is always a checkpoint.
     """
-    cps = sorted(set(int(c) for c in checkpoint_bumps) | {n_bumps})
-    if cps[0] < 1 or cps[-1] > n_bumps:
-        raise ValueError("checkpoint bump counts must lie in [1, n_bumps]")
+    cps = _checkpoints(checkpoint_bumps, n_bumps)
     real = generate(config, n_bumps, stream)
     return real, np.flatnonzero(real.is_bump)[np.array(cps) - 1]
 
@@ -686,15 +682,14 @@ def chain_mixing(
     m = len(initial_points)
     starts = [(math.sin(t), math.cos(t)) for t in map(_tangent_phase, initial_points)]
 
-    x = _draw_blocks(config, stream.seed, split_ids(stream, 0, n_seeds), n_steps)[0]
+    values, _ = _draw_blocks(config, stream.seed, split_ids(stream, 0, n_seeds), n_steps)
 
     seg = max(1, _SEGMENT_ELEMENTS // n_seeds)
     lanes = _LaneWalk(starts, seg, n_seeds)
     out = np.zeros((n_steps, m, m))
     for j0 in range(0, n_steps, seg):
         nj = min(n_steps, j0 + seg) - j0
-        lanes.walk(nj, _bump_values(Model.I, x, None, j0, j0 + nj), None, None,
-                   frame.lam, frame.k_norm)
+        lanes.walk(nj, _columns(values, j0, j0 + nj), None, frame.lam, frame.k_norm)
         psi, psik = lanes.vecs[1:nj + 1, 0], lanes.vecs[1:nj + 1, 1]
         phases = np.arctan2(np.abs(psi), np.where(psi < 0.0, -psik, psik))
         phases[phases == _PI] = 0.0

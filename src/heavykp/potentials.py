@@ -14,9 +14,10 @@ mask, which is what the chain walks read, together with the raw structural
 draws and the piece boundaries derived from them, so every downstream
 consumer (flows, products, spectra) reads the identical geometry.  generate
 fills the columns straight from one bulk draw; Piece objects are built only
-on request, for inspection.  The draw order per model is stated once, in
+on request, for inspection.  The draw order per model, and the map from the
+draws to bump potentials and gap lengths, are stated once, in
 ``_draw_blocks``; ``generate``, the estimator sweeps and the phase-chain
-mixing all draw through it.
+mixing all read its pieces as they come.
 """
 from __future__ import annotations
 
@@ -215,39 +216,45 @@ def _assemble(config: ModelConfig, values: np.ndarray, lengths: np.ndarray,
 
 
 def _draw_blocks(config: ModelConfig, seed: int, stream_ids, n: int):
-    """Structural draws of the chains RngStream(seed, i), i in stream_ids.
+    """Bump potentials and gap lengths of the chains RngStream(seed, i), i in stream_ids.
 
     The canonical draw order, and the only statement of it: each chain's
     stream draws n bump heights X (models I, II, IV), then n gap lengths Y
     (models III, IV), then n fair signs eps in {0, 1} (model IV), each as one
-    block.  Returns (x, y, eps) as (chains, n) arrays, row r from stream
-    stream_ids[r], with None for what the model does not draw.
+    block.  The one map from draws to pieces too: bump j has potential X_j
+    (I), -X_j (II), 1 (III) or (-1)**eps_j X_j (IV), and gap j, of length
+    Y_j, lies just before it.  Returns (values, gaps): values as a
+    (chains, n) array, row r from stream stream_ids[r], or the scalar 1.0
+    for model III's unit bumps; gaps as a (chains, n) array, or None for
+    models I and II.
     """
-    x = y = eps = None
-    if config.model is Model.III:
-        (y,) = draw_block(seed, stream_ids, n, [config.gap_law()])
-    elif config.model is Model.IV:
-        x, y, eps = draw_block(seed, stream_ids, n, [config.bump_law(), config.gap_law()],
-                               signs=True)
-    else:
-        (x,) = draw_block(seed, stream_ids, n, [config.bump_law()])
-    return x, y, eps
+    model = config.model
+    if model is Model.III:
+        (gaps,) = draw_block(seed, stream_ids, n, [config.gap_law()])
+        return 1.0, gaps
+    if model is Model.IV:
+        values, gaps, eps = draw_block(seed, stream_ids, n,
+                                       [config.bump_law(), config.gap_law()], signs=True)
+        np.negative(values, out=values, where=eps == 1)
+        return values, gaps
+    (values,) = draw_block(seed, stream_ids, n, [config.bump_law()])
+    if model is Model.II:
+        np.negative(values, out=values)
+    return values, None
 
 
 def generate(config: ModelConfig, n_bumps: int, stream: RngStream) -> Realization:
     """Sample a chain with n_bumps bumps from stream, drawn as _draw_blocks states."""
     if n_bumps < 1:
         raise ValueError("n_bumps must be at least 1")
-    x, y, eps = _draw_blocks(config, stream.seed, [stream.stream_id], n_bumps)
-    model = config.model
-    if model in (Model.I, Model.II):
-        values = x[0] if model is Model.I else -x[0]
-        return _assemble(config, values, np.ones(n_bumps), np.ones(n_bumps, dtype=bool))
-    # gap, bump, gap, bump, ...
-    values = np.zeros(2 * n_bumps)
-    values[1::2] = 1.0 if model is Model.III else x[0] * (1.0 - 2.0 * eps[0])
+    values, gaps = _draw_blocks(config, stream.seed, [stream.stream_id], n_bumps)
+    if gaps is None:
+        return _assemble(config, values[0], np.ones(n_bumps), np.ones(n_bumps, dtype=bool))
+    # gap, bump, gap, bump, ...: each block's one row, or model III's 1.0
+    piece_values = np.zeros(2 * n_bumps)
+    piece_values[1::2] = values
     lengths = np.ones(2 * n_bumps)
-    lengths[0::2] = y[0]
+    lengths[0::2] = gaps
     is_bump = np.zeros(2 * n_bumps, dtype=bool)
     is_bump[1::2] = True
-    return _assemble(config, values, lengths, is_bump)
+    return _assemble(config, piece_values, lengths, is_bump)

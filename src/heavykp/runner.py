@@ -42,7 +42,7 @@ from .estimators import (
     sweep_chains,
 )
 from .potentials import Model, ModelConfig, generate
-from .rng import RngStream, TailKind, TailLaw, draw_block, split_ids, split_stream
+from .rng import RngStream, draw_block, split_ids, split_stream
 # The darling cells draw through draw_block; the per-seed samplers remain
 # only as test references, bound here because the benchmark tracer
 # (bench/spans.py) wraps them at this module too.
@@ -385,10 +385,7 @@ def _run_darling(spec: TaskSpec, rows, summary) -> None:
     heights, or model III's gap lengths.
     """
     cfg = spec.cell_config
-    if cfg.model is Model.III:
-        law = TailLaw(alpha=cfg.alpha2, kind=TailKind.GAP_LENGTH)
-    else:
-        law = TailLaw(alpha=cfg.alpha1, kind=TailKind.BUMP_HEIGHT)
+    law = cfg.gap_law() if cfg.model is Model.III else cfg.bump_law()
     base = _task_stream(spec)
     values = np.empty(spec.n_seeds)
     chunk = max(1, _DARLING_BLOCK_ELEMENTS // spec.n)
@@ -628,8 +625,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "n_grid": list(cfg.n_grid),
         "n_seeds": cfg.n_seeds,
         "master_seed": cfg.master_seed,
-        "output_dir": cfg.output_dir,
-        "workers": cfg.workers,
     }
     if cfg.experiment == "spectrum":
         echo["spectrum"] = {

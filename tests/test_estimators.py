@@ -271,15 +271,15 @@ DEAD_THETA0 = 3.140926942662913
 
 
 def _dead_draws(monkeypatch, child: RngStream):
-    """Put DEAD_HEIGHT first (after a 1e-300 gap) in the sweep's draws for stream child."""
+    """Make the first bump of stream child's chain DEAD_HEIGHT, after a 1e-300 gap."""
     def draw(config, seed, stream_ids, n):
-        x, y, eps = _draw_blocks(config, seed, stream_ids, n)
+        values, gaps = _draw_blocks(config, seed, stream_ids, n)
         row = np.asarray(stream_ids) == child.stream_id
         assert seed == child.seed and row.sum() == 1
-        x[row, 0] = DEAD_HEIGHT
-        if y is not None:
-            y[row, 0] = 1e-300
-        return x, y, eps
+        values[row, 0] = DEAD_HEIGHT
+        if gaps is not None:
+            gaps[row, 0] = 1e-300
+        return values, gaps
 
     monkeypatch.setattr(estimators, "_draw_blocks", draw)
 
@@ -290,16 +290,7 @@ def test_sweep_dead_direction_lane(model, monkeypatch):
                energy=1.0, theta0=DEAD_THETA0)
     parent = RngStream(12)
     n, n_seeds = 60, 3
-    # a seed whose first bump is positive (model IV draws its signs last)
     dead = 1
-    if model is Model.IV:
-        signs = []
-        for i in range(n_seeds):
-            gen = split_stream(parent, i).generator()
-            sample_bump_height(cfg.bump_law(), gen, size=n)
-            sample_gap_length(cfg.gap_law(), gen, size=n)
-            signs.append(gen.integers(0, 2, size=n)[0])
-        dead = signs.index(0)
     _dead_draws(monkeypatch, split_stream(parent, dead))
     res = sweep_chains(cfg, n, n_seeds, parent, want_theta=True, want_log_norm=True,
                        checkpoint_bumps=[1])
@@ -348,6 +339,16 @@ def _per_seed_draws(cfg: ModelConfig, stream: RngStream, n: int):
     return x, y, eps
 
 
+def _per_seed_pieces(cfg: ModelConfig, stream: RngStream, n: int):
+    """(bump potentials, gap lengths) of one chain, mapped from _per_seed_draws."""
+    x, y, eps = _per_seed_draws(cfg, stream, n)
+    if cfg.model is Model.III:
+        return 1.0, y
+    if cfg.model is Model.IV:
+        return x * (1.0 - 2.0 * eps), y
+    return (x if cfg.model is Model.I else -x), y
+
+
 def _assert_rows_equal(got, want):
     assert (got is None) == (want is None)
     if want is not None:
@@ -357,20 +358,24 @@ def _assert_rows_equal(got, want):
 
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
 def test_draw_blocks_match_per_seed_samplers(name):
-    # the sweep's seed blocks, drawn at once, against each seed's own
-    # generator(); 70 seeds at the chunk length of a 2**17-bump sweep give
-    # blocks 0..63 and 64..69, so the second block starts at lo > 0
+    # the sweep's seed blocks, drawn and mapped to pieces at once, against
+    # each seed's own generator(); 70 seeds at the chunk length of a
+    # 2**17-bump sweep give blocks 0..63 and 64..69, so the second block
+    # starts at lo > 0
     cfg = CONFIGS[name]
     parent = RngStream(2**40 + 17, stream_id=2**64 - 1)
     n = 45
     chunks = estimators._chunk_sizes(70, 2**17)
     assert chunks == [(0, 64), (64, 70)]
     for lo, hi in chunks:
-        blocks = estimators._draw_blocks(cfg, parent.seed, split_ids(parent, lo, hi), n)
+        values, gaps = estimators._draw_blocks(cfg, parent.seed, split_ids(parent, lo, hi), n)
         for r, seed in enumerate(range(lo, hi)):
-            want = _per_seed_draws(cfg, split_stream(parent, seed), n)
-            for got, ref in zip(blocks, want):
-                _assert_rows_equal(None if got is None else got[r], ref)
+            want_values, want_gaps = _per_seed_pieces(cfg, split_stream(parent, seed), n)
+            if cfg.model is Model.III:
+                assert values == want_values
+            else:
+                _assert_rows_equal(values[r], want_values)
+            _assert_rows_equal(None if gaps is None else gaps[r], want_gaps)
 
 
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV"])

@@ -306,7 +306,7 @@ def test_rerun_is_byte_identical(tmp_path):
     path = _write_config(tmp_path)
     assert runner.main(["run", path, "--output-dir", out_a]) == 0
     assert runner.main(["run", path, "--output-dir", out_b]) == 0
-    for name in ("results.csv", "summary.json"):
+    for name in ("results.csv", "summary.json", "manifest.json"):
         assert _sha256(os.path.join(out_a, name)) == _sha256(os.path.join(out_b, name))
 
 
@@ -317,7 +317,7 @@ def test_worker_count_does_not_change_results(tmp_path):
     path = _write_config(tmp_path, n_grid=[40, 80])
     assert runner.main(["run", path, "--output-dir", out_a, "--workers", "1"]) == 0
     assert runner.main(["run", path, "--output-dir", out_b, "--workers", "2"]) == 0
-    for name in ("results.csv", "summary.json"):
+    for name in ("results.csv", "summary.json", "manifest.json"):
         assert _sha256(os.path.join(out_a, name)) == _sha256(os.path.join(out_b, name))
 
 
