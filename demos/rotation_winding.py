@@ -13,20 +13,24 @@ import numpy as np
 
 from heavykp.estimators import sweep_chains
 from heavykp.potentials import Model, ModelConfig
-from heavykp.prufer import PruferState, advance_interval
+from heavykp.prufer import walk_chain
 from heavykp.rng import RngStream
 from heavykp.transfer import EnergyFrame
 
+# walk_chain carries (theta, ln r) across a chain of constant pieces, given
+# as value and length columns, and returns both at every piece boundary.
+
 # free flow: theta advances at exactly k per unit length
 frame = EnergyFrame.from_lambda(4.0)
-out = advance_interval(PruferState(0.0, 0.0, 0.0), 0.0, 25.0, frame)
-print(f"free flow at k = 2: theta(25) = {out.theta:.6f} "
-      f"(= 2 * 25 = {2 * 25}), zeros so far: {math.floor(out.theta / math.pi)}")
+thetas, _ = walk_chain([0.0] * 5, [5.0] * 5, frame, 0.0)
+print(f"free flow at k = 2, five gaps of length 5: theta(0, 5, ..., 25) = "
+      f"{', '.join(f'{t:.6f}' for t in thetas)} (= 2 x)")
+print(f"  zeros so far: {math.floor(thetas[-1] / math.pi)}")
 
 # a hyperbolic piece pushes the phase toward a fixed point and grows r
-out = advance_interval(PruferState(0.3, 0.0, 0.0), 120.0, 2.0, frame)
-print(f"deep bump (V = 120, l = 2): theta -> {out.theta:.4f} (pinned below pi), "
-      f"ln r = {out.log_r:.1f} (~ sqrt(V - lambda) * l = {math.sqrt(116) * 2:.1f})")
+thetas, log_rs = walk_chain([120.0], [2.0], frame, 0.3)
+print(f"deep bump (V = 120, l = 2): theta -> {thetas[-1]:.4f} (pinned below pi), "
+      f"ln r = {log_rs[-1]:.1f} (~ sqrt(V - lambda) * l = {math.sqrt(116) * 2:.1f})")
 
 # For Model II every piece is oscillatory and the total rotation is pinned
 # to the sum of the local frequencies: theta(n) = sum sqrt(lam + X_j) + O(n).

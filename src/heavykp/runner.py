@@ -27,7 +27,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,176 +120,149 @@ class TaskOutcome:
 
 
 # ── Config parsing ───────────────────────────────────────────────────────────
+# The dataclasses above are the schema: the fields of ExperimentConfig,
+# ModelConfig, SpectrumOpts and MixingOpts are the keys a config object may
+# hold, and their defaults fill the keys it leaves out or sets to null.
 
 
-def _require(d: dict, key: str, kind, what: str):
+def _object(v, cls, what: str) -> dict:
+    """v as a JSON object whose keys are fields of cls, less its nulls: a null
+    value means the field's default."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"{what} must be an object")
+    unknown = set(v) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return {key: x for key, x in v.items() if x is not None}
+
+
+def _require(d: dict, key: str, what: str):
     if key not in d:
         raise ConfigError(f"missing required key {key!r} in {what}")
-    v = d[key]
-    if kind is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
-    if not isinstance(v, kind) or isinstance(v, bool):
-        raise ConfigError(f"{what}.{key} must be {kind.__name__}, got {type(v).__name__}")
+    return d[key]
+
+
+def _number(v, label: str) -> float:
+    """v as a finite float.  JSON's NaN and Infinity parse as floats, so they
+    pass the type test and are refused by name here."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{label} must be a number, got {type(v).__name__}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{label} must be finite, got {x!r}")
+    return x
+
+
+def _integer(v, label: str, least: int = 1) -> int:
+    """v as an int no smaller than least: 1 for positive, 0 for nonnegative."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{label} must be int, got {type(v).__name__}")
+    if v < least:
+        raise ConfigError(f"{label} must be a {'positive' if least else 'nonnegative'} integer")
     return v
 
 
-def _model_from_dict(d: dict) -> ModelConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("model must be an object")
-    allowed = {"model", "energy", "alpha1", "alpha2", "theta0"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-    name = _require(d, "model", str, "model")
+def _entries(v, label: str, check, kind: str) -> tuple:
+    """v as a nonempty JSON list of entries that pass check; kind names them."""
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{label} must be a nonempty list")
+    out = []
+    for x in v:
+        try:
+            out.append(check(x, label))
+        except ConfigError:
+            raise ConfigError(f"{label} entries must be {kind}, got {x!r}") from None
+    return tuple(out)
+
+
+def _model_from_dict(v) -> ModelConfig:
+    d = _object(v, ModelConfig, "model")
+    name = _require(d, "model", "model")
     try:
         model = Model(name)
     except ValueError:
         raise ConfigError(f"model must be one of I, II, III, IV, got {name!r}") from None
-    kwargs = {}
-    for opt in ("alpha1", "alpha2", "theta0"):
-        if opt in d:
-            v = d[opt]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"model.{opt} must be a number")
-            kwargs[opt] = float(v)
-    energy = _require(d, "energy", float, "model")
+    _require(d, "energy", "model")
+    numbers = {key: _number(x, f"model.{key}") for key, x in d.items() if key != "model"}
     try:
-        return ModelConfig(model=model, energy=float(energy), **kwargs)
+        return ModelConfig(model=model, **numbers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _float_grid(d: dict, key: str, default: Tuple[float, ...]) -> Tuple[float, ...]:
-    if key not in d:
-        return default
-    v = d[key]
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{key} must be a nonempty list")
-    out = []
-    for item in v:
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise ConfigError(f"{key} entries must be numbers")
-        out.append(float(item))
-    return tuple(out)
+def _spectrum_from_dict(v, experiment: str, energy_grid: Tuple[float, ...]) -> SpectrumOpts:
+    """SpectrumOpts whose window is an interval at every energy cell."""
+    d = _object(v, SpectrumOpts, "spectrum")
+    opts = SpectrumOpts(**{
+        key: (_integer if key == "max_eigenvalues" else _number)(x, f"spectrum.{key}")
+        for key, x in d.items()})
+    lo, hi = opts.lambda_min, opts.lambda_max
+    if lo is not None and hi is not None and not lo < hi:
+        raise ConfigError(f"spectrum.lambda_min {lo!r} must lie below lambda_max {hi!r}")
+    if experiment == "spectrum" and lo is not None and hi is None:
+        for energy in energy_grid:
+            if not lo < energy:
+                raise ConfigError(
+                    f"spectrum.lambda_min {lo!r} must lie below the cell energy "
+                    f"{energy!r}, the default lambda_max")
+    if not opts.scale_exponent > 0.0:
+        raise ConfigError("spectrum.scale_exponent must be a positive number")
+    return opts
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be an object")
-    allowed = {
-        "experiment", "model", "alpha_grid", "energy_grid", "n_grid",
-        "n_seeds", "master_seed", "output_dir", "workers", "spectrum", "mixing",
-    }
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+def _mixing_from_dict(v) -> MixingOpts:
+    d = _object(v, MixingOpts, "mixing")
+    if "initial_points" not in d:
+        return MixingOpts()
+    points = _entries(d["initial_points"], "mixing.initial_points", _number, "finite numbers")
+    if len(points) < 2:
+        raise ConfigError("mixing.initial_points must be a list of at least two numbers")
+    return MixingOpts(initial_points=points)
 
-    experiment = _require(raw, "experiment", str, "configuration")
+
+def config_from_dict(raw: dict, *, workers: Optional[int] = None,
+                     output_dir: Optional[str] = None) -> ExperimentConfig:
+    """The ExperimentConfig of a parsed JSON object; ConfigError names the first bad key.
+
+    workers and output_dir, when given, replace the object's keys.  A null
+    value means the key's default; every number must be finite.
+    """
+    raw = _object(raw, ExperimentConfig, "configuration")
+    raw.update((key, v) for key, v in (("workers", workers), ("output_dir", output_dir))
+               if v is not None)
+    experiment = _require(raw, "experiment", "configuration")
     if experiment not in EXPERIMENTS:
         raise ConfigError(
-            f"experiment must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}"
-        )
-    model = _model_from_dict(raw.get("model"))
+            f"experiment must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}")
+    model = _model_from_dict(_require(raw, "model", "configuration"))
+    primary_alpha = model.alpha2 if model.model is Model.III else model.alpha1
+    alpha_grid = (_entries(raw["alpha_grid"], "alpha_grid", _number, "finite numbers")
+                  if "alpha_grid" in raw else (primary_alpha,))
+    energy_grid = (_entries(raw["energy_grid"], "energy_grid", _number, "finite numbers")
+                   if "energy_grid" in raw else (model.energy,))
+    n_grid = _entries(_require(raw, "n_grid", "configuration"), "n_grid", _integer,
+                      "positive integers")
+    n_seeds = _integer(_require(raw, "n_seeds", "configuration"), "n_seeds")
+    master_seed = _integer(_require(raw, "master_seed", "configuration"), "master_seed",
+                           least=0)
 
-    default_alpha = model.alpha2 if model.model is Model.III else model.alpha1
-    alpha_grid = _float_grid(raw, "alpha_grid", (default_alpha,) if default_alpha else ())
-    if not alpha_grid:
-        raise ConfigError("alpha_grid is required when the model declares no alpha")
-    energy_grid = _float_grid(raw, "energy_grid", (model.energy,))
-
-    if "n_grid" not in raw:
-        raise ConfigError("missing required key 'n_grid' in configuration")
-    n_raw = raw["n_grid"]
-    if not isinstance(n_raw, list) or not n_raw:
-        raise ConfigError("n_grid must be a nonempty list")
-    n_grid = []
-    for item in n_raw:
-        if not isinstance(item, int) or isinstance(item, bool) or item < 1:
-            raise ConfigError("n_grid entries must be positive integers")
-        n_grid.append(item)
-
-    n_seeds = _require(raw, "n_seeds", int, "configuration")
-    if n_seeds < 1:
-        raise ConfigError("n_seeds must be a positive integer")
-    master_seed = _require(raw, "master_seed", int, "configuration")
-    if master_seed < 0:
-        raise ConfigError("master_seed must be a nonnegative integer")
-
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir must be a nonempty string")
-    workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ConfigError("workers must be a positive integer")
-
-    spectrum = SpectrumOpts()
+    opts = {}
+    if "output_dir" in raw:
+        if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
+            raise ConfigError("output_dir must be a nonempty string")
+        opts["output_dir"] = raw["output_dir"]
+    if "workers" in raw:
+        opts["workers"] = _integer(raw["workers"], "workers")
     if "spectrum" in raw:
-        sd = raw["spectrum"]
-        if not isinstance(sd, dict):
-            raise ConfigError("spectrum must be an object")
-        s_allowed = {"lambda_min", "lambda_max", "max_eigenvalues", "scale_exponent"}
-        s_unknown = set(sd) - s_allowed
-        if s_unknown:
-            raise ConfigError(f"unknown spectrum keys: {sorted(s_unknown)}")
-        lam_min = sd.get("lambda_min")
-        lam_max = sd.get("lambda_max")
-        for nm, v in (("lambda_min", lam_min), ("lambda_max", lam_max)):
-            if v is not None and (not isinstance(v, (int, float)) or isinstance(v, bool)):
-                raise ConfigError(f"spectrum.{nm} must be a number")
-            # json reads NaN and Infinity as floats
-            if v is not None and not math.isfinite(v):
-                raise ConfigError(f"spectrum.{nm} must be finite, got {v!r}")
-        if lam_min is not None and lam_max is not None and not lam_min < lam_max:
-            raise ConfigError(
-                f"spectrum.lambda_min {lam_min!r} must lie below lambda_max {lam_max!r}")
-        if experiment == "spectrum" and lam_min is not None and lam_max is None:
-            for energy in energy_grid:
-                if not lam_min < energy:
-                    raise ConfigError(
-                        f"spectrum.lambda_min {lam_min!r} must lie below the cell energy "
-                        f"{energy!r}, the default lambda_max")
-        max_eig = sd.get("max_eigenvalues", 1)
-        if not isinstance(max_eig, int) or isinstance(max_eig, bool) or max_eig < 1:
-            raise ConfigError("spectrum.max_eigenvalues must be a positive integer")
-        scale_exp = sd.get("scale_exponent", 1.0)
-        if not isinstance(scale_exp, (int, float)) or isinstance(scale_exp, bool) or scale_exp <= 0:
-            raise ConfigError("spectrum.scale_exponent must be a positive number")
-        spectrum = SpectrumOpts(
-            lambda_min=None if lam_min is None else float(lam_min),
-            lambda_max=None if lam_max is None else float(lam_max),
-            max_eigenvalues=max_eig,
-            scale_exponent=float(scale_exp),
-        )
-
-    mixing = MixingOpts()
+        opts["spectrum"] = _spectrum_from_dict(raw["spectrum"], experiment, energy_grid)
     if "mixing" in raw:
-        md = raw["mixing"]
-        if not isinstance(md, dict):
-            raise ConfigError("mixing must be an object")
-        m_unknown = set(md) - {"initial_points"}
-        if m_unknown:
-            raise ConfigError(f"unknown mixing keys: {sorted(m_unknown)}")
-        pts = md.get("initial_points", list(MixingOpts().initial_points))
-        if not isinstance(pts, list) or len(pts) < 2:
-            raise ConfigError("mixing.initial_points must be a list of at least two numbers")
-        for p in pts:
-            if not isinstance(p, (int, float)) or isinstance(p, bool):
-                raise ConfigError("mixing.initial_points entries must be numbers")
-        mixing = MixingOpts(initial_points=tuple(float(p) for p in pts))
-
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        model=model,
-        alpha_grid=alpha_grid,
-        energy_grid=energy_grid,
-        n_grid=tuple(n_grid),
-        n_seeds=n_seeds,
-        master_seed=master_seed,
-        output_dir=output_dir,
-        workers=workers,
-        spectrum=spectrum,
-        mixing=mixing,
-    )
+        opts["mixing"] = _mixing_from_dict(raw["mixing"])
+    cfg = ExperimentConfig(experiment=experiment, model=model, alpha_grid=alpha_grid,
+                           energy_grid=energy_grid, n_grid=n_grid, n_seeds=n_seeds,
+                           master_seed=master_seed, **opts)
     build_tasks(cfg)  # validates every grid cell
     return cfg
 
@@ -611,30 +584,18 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    m = cfg.model
-    model_d: Dict[str, object] = {"model": m.model.value, "energy": m.energy, "theta0": m.theta0}
-    if m.alpha1 is not None:
-        model_d["alpha1"] = m.alpha1
-    if m.alpha2 is not None:
-        model_d["alpha2"] = m.alpha2
-    echo: Dict[str, object] = {
-        "experiment": cfg.experiment,
-        "model": model_d,
-        "alpha_grid": list(cfg.alpha_grid),
-        "energy_grid": list(cfg.energy_grid),
-        "n_grid": list(cfg.n_grid),
-        "n_seeds": cfg.n_seeds,
-        "master_seed": cfg.master_seed,
-    }
-    if cfg.experiment == "spectrum":
-        echo["spectrum"] = {
-            "lambda_min": cfg.spectrum.lambda_min,
-            "lambda_max": cfg.spectrum.lambda_max,
-            "max_eigenvalues": cfg.spectrum.max_eigenvalues,
-            "scale_exponent": cfg.spectrum.scale_exponent,
-        }
-    if cfg.experiment == "mixing":
-        echo["mixing"] = {"initial_points": list(cfg.mixing.initial_points)}
+    """The parsed config as manifest.json records it; config_from_dict reads it back.
+
+    Left out: workers and output_dir, so that the manifest does not depend
+    on how or where the run went, the option blocks of the other
+    experiments, and the model's unset alphas.
+    """
+    echo = asdict(cfg)
+    for key in ("workers", "output_dir", *EXPERIMENTS):
+        if key != cfg.experiment:
+            echo.pop(key, None)
+    echo["model"] = {key: v for key, v in echo["model"].items() if v is not None}
+    echo["model"]["model"] = cfg.model.model.value
     return echo
 
 
@@ -652,13 +613,7 @@ def load_config(path: str, *, workers: Optional[int] = None,
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be an object")
-    if workers is not None:
-        raw = dict(raw, workers=workers)
-    if output_dir is not None:
-        raw = dict(raw, output_dir=output_dir)
-    return config_from_dict(raw)
+    return config_from_dict(raw, workers=workers, output_dir=output_dir)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

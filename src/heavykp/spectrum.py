@@ -173,11 +173,11 @@ def find_eigenvalues(
 
     The phase at L_box is strictly increasing in lambda, so the m-th
     eigenvalue is the unique crossing of theta = m pi.  Each one is the
-    midpoint of a bracket [lo, hi] with theta(lo) < m pi <= theta(hi) and
-    hi - lo <= tol * max(1, |lo|, |hi|), found by _locate in at most
-    _MAX_EVALS walks: Illinois steps on theta - m pi until both bracket ends
-    are within pi of m pi, then steps from a log-distance model of the
-    Dirichlet residual psi(L_box).  A point's side is always the test
+    midpoint of a bracket [lo, hi] with theta(lo) < m pi <= theta(hi) <
+    (m + 1) pi and hi - lo <= tol * max(1, |lo|, |hi|), found by _locate in
+    at most _MAX_EVALS walks: Illinois steps on theta - m pi until both
+    bracket ends are within pi of m pi, then steps from a log-distance model
+    of the Dirichlet residual psi(L_box).  A point's side is always the test
     theta >= m pi, never the sign or size of a residual.  A bracket that has
     not closed after _MAX_EVALS walks raises EigenvalueSearchError.
 
@@ -187,6 +187,11 @@ def find_eigenvalues(
     window ends and for lower eigenvalues, so max_count truncates the search
     after the lowest that many eigenvalues of the window and returns exactly
     the head of the full list.
+
+    The last condition keeps apart two levels of one deep well that lie
+    closer together than the width goal (tens apart at lambda ~ -1e14, where
+    the goal is thousands wide).  Levels with no float between them, as in
+    wells deeper than about 1e18, come out as that one float, twice.
     """
     if not (lam_min < lam_max):
         raise ValueError("need lam_min < lam_max")
@@ -294,7 +299,10 @@ def _locate(problem: BoxProblem, table: _Table, m: int,
     every two walks or the next walk bisects.  An estimate within the width
     goal w of an end is walked once at 0.9 w past that end, which closes the
     bracket when the crossing lies in between; after that one closing walk,
-    steps keep 0.9 w from both ends.  Every walk is added to the table.
+    steps keep 0.9 w from both ends.  A bracket within w closes only once
+    theta(hi) < (m + 1) pi; while hi still holds the next crossing too, the
+    Illinois steps go on without the margins until the two crossings part or
+    no float lies between the ends.  Every walk is added to the table.
     """
     target = m * _PI
     lo, hi = _tightest_bracket(table, target, lam_min, lam_max)
@@ -304,7 +312,8 @@ def _locate(problem: BoxProblem, table: _Table, m: int,
     widths: List[float] = []  # bracket widths at each Dirichlet step
     for _ in range(_MAX_EVALS):
         goal = tol * max(1.0, abs(lo), abs(hi))
-        if hi - lo <= goal:
+        narrow = hi - lo <= goal
+        if narrow and table[hi][0] < target + _PI:
             return 0.5 * (lo + hi)
         dirichlet = table[lo][0] > target - _PI and table[hi][0] < target + _PI
         if dirichlet:
@@ -312,12 +321,14 @@ def _locate(problem: BoxProblem, table: _Table, m: int,
             x = _dirichlet_estimate(table, target, lo, hi)
         else:
             x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        if not closed and min(x - lo, hi - x) <= goal:
+        # A narrow bracket whose hi holds crossing m + 1 too takes the
+        # Illinois step as it is: the margins below are wider than it.
+        if not (closed or narrow) and min(x - lo, hi - x) <= goal:
             closed = True
             x = lo + 0.9 * goal if x - lo <= hi - x else hi - 0.9 * goal
         elif dirichlet and len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
             x = 0.5 * (lo + hi)
-        else:
+        elif not narrow:
             x = min(max(x, lo + 0.9 * goal), hi - 0.9 * goal)
         if not (lo < x < hi):
             x = 0.5 * (lo + hi)

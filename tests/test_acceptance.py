@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from heavykp.estimators import (
     sweep_chains,
 )
 from heavykp.potentials import Model, ModelConfig, generate
-from heavykp.prufer import PruferState, advance_interval
+from heavykp.prufer import PruferState, advance_interval, walk_chain
 from heavykp.rng import (
     RngStream,
     TailKind,
@@ -200,26 +201,31 @@ def test_criterion_02_flow_matches_ode_oracle():
     dev = np.max(np.abs(lib - oracle), axis=(1, 2)) / np.linalg.norm(oracle, axis=(1, 2))
     worst_mat = float(dev.max())
 
+    # The flow through each piece two ways: advance_interval, the scalar
+    # reference, and walk_chain on a one-piece chain, the flow every
+    # workload runs.
     theta0 = gen.uniform(0.0, _PI, m)
     th_o, lr_o = _rk4_flow_batch(theta0, lam, value, ell, 32_768)
-    worst_th = 0.0
-    worst_lr = 0.0
+    worst_th = worst_lr = worst_walk_th = worst_walk_lr = 0.0
     for i in range(m):
-        out = advance_interval(
-            PruferState(theta0[i], 0.0, 0.0), value[i], ell[i],
-            EnergyFrame.from_lambda(lam[i]),
-        )
-        worst_th = max(worst_th, abs(out.theta - th_o[i]) / max(1.0, abs(th_o[i])))
-        worst_lr = max(worst_lr, abs(out.log_r - lr_o[i]) / max(1.0, abs(lr_o[i])))
+        frame = EnergyFrame.from_lambda(lam[i])
+        out = advance_interval(PruferState(theta0[i], 0.0, 0.0), value[i], ell[i], frame)
+        thetas, log_rs = walk_chain(value[i:i + 1], ell[i:i + 1], frame, theta0[i])
+        scale_th, scale_lr = max(1.0, abs(th_o[i])), max(1.0, abs(lr_o[i]))
+        worst_th = max(worst_th, abs(out.theta - th_o[i]) / scale_th)
+        worst_lr = max(worst_lr, abs(out.log_r - lr_o[i]) / scale_lr)
+        worst_walk_th = max(worst_walk_th, abs(thetas[-1] - th_o[i]) / scale_th)
+        worst_walk_lr = max(worst_walk_lr, abs(log_rs[-1] - lr_o[i]) / scale_lr)
 
     elapsed = time.perf_counter() - t0
-    worst = max(worst_mat, worst_th, worst_lr)
+    worst = max(worst_mat, worst_th, worst_lr, worst_walk_th, worst_walk_lr)
     ok = worst <= 1e-6 and elapsed < 30.0
     record_criterion(
         2, "02 transfer and flow vs RK4 oracle", ok,
-        f"1000 pieces, |b|l <= 20: matrix dev {worst_mat:.2e}, phase dev "
-        f"{worst_th:.2e}, log-gain dev {worst_lr:.2e} (tol 1e-6), "
-        f"{elapsed:.1f}s (limit 30s)",
+        f"1000 pieces, |b|l <= 20: matrix dev {worst_mat:.2e}; advance_interval "
+        f"phase dev {worst_th:.2e}, log-gain dev {worst_lr:.2e}; walk_chain "
+        f"phase dev {worst_walk_th:.2e}, log-gain dev {worst_walk_lr:.2e} "
+        f"(tol 1e-6), {elapsed:.1f}s (limit 30s)",
     )
     assert worst <= 1e-6
     assert elapsed < 30.0
@@ -664,3 +670,19 @@ def test_criterion_13_battery_rerun_determinism(tmp_path):
         f"per experiment; combined digest {combined.hexdigest()[:16]}",
     )
     assert identical
+
+
+def test_battery_manifest_echo_parses_back(tmp_path):
+    # manifest.json leaves out workers and output_dir; read back, its config
+    # echo is the run's config with those two at their defaults
+    defaults = {f.name: f.default for f in fields(runner.ExperimentConfig)
+                if f.name in ("workers", "output_dir")}
+    for name, raw in _battery_configs().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / name
+        cfg = runner.load_config(str(path), workers=2, output_dir=str(out))
+        assert runner.run_experiment(cfg) == (0, "")
+        with open(out / "manifest.json") as fh:
+            echo = json.load(fh)["config"]
+        assert runner.config_from_dict(echo) == replace(cfg, **defaults)

@@ -467,8 +467,9 @@ def test_search_matches_bisection(model, kw, n, theta0):
 
 # Walks per located eigenvalue, window ends included, on the spectrum
 # workload's two configurations: 3 boxes of 1000 bumps each.  Bisection takes
-# about 35.  The search measures 3.0 on the deep wells and 9.5 on the model I
-# window, 6.25 over both; the bounds leave about a quarter of headroom.
+# about 35.  The search measures 4.0 on the deep wells, where two boxes need
+# extra walks to part two levels of one well, and 9.5 on the model I window,
+# 6.75 over both; the bounds leave a sixth to a quarter of headroom.
 _MAX_WALKS_PER_EIGENVALUE = 8
 _MAX_WALKS_PER_EIGENVALUE_ONE_CONFIG = 12
 
@@ -514,6 +515,18 @@ def test_search_walk_count(monkeypatch):
         total_walks += walks[0]
         total_found += found
     assert total_walks <= _MAX_WALKS_PER_EIGENVALUE * total_found
+
+
+def test_deep_well_levels_come_out_apart():
+    # Boxes 1 and 2 hold two levels of one well some 30 apart near -8e13 and
+    # -5e13, where the width goal tol * |lambda| is thousands wide: the
+    # bracket of the first level has to narrow on past the goal until it no
+    # longer holds the second.
+    cfg, lam_min, lam_max = _WORKLOAD_CONFIGS[0]
+    for prob, lo in list(_workload_boxes(cfg, lam_min))[1:]:
+        first, second = find_eigenvalues(prob, lo, lam_max, max_count=2)
+        assert first < second
+        assert count_below(prob, 0.5 * (first + second)) == count_below(prob, lo) + 1
 
 
 def test_underflowed_residual_keeps_its_side(monkeypatch):
