@@ -48,7 +48,7 @@ from .prufer import (
     walk_chain,
 )
 from .rng import RngStream, split_ids
-from .stats import ks_distance
+from .stats import Ecdf, ks_distance
 from .transfer import LOG_SCALE_CEILING, SaturationError, _piece_entries_batch
 # Nothing here calls these samplers, the matrix-product folds or phase_fold.
 # The names stay bound only because the benchmark tracer (bench/spans.py)
@@ -125,8 +125,17 @@ def _chunk_sizes(n_seeds: int, n_bumps: int) -> List[Tuple[int, int]]:
 # matrices, winding) work on arrays of about this size and the lane buffers
 # on a small multiple of it, so a sweep's memory stays flat in n_bumps, while
 # the numpy calls of a segment still share their fixed cost over thousands of
-# elements.
+# elements.  A segment covers at least _MIN_SEGMENT bumps, however many seeds
+# it holds: a segment's bulk stages cost some hundred numpy calls whatever
+# its length, and a 1-bump segment would pay them for every bump.
 _SEGMENT_ELEMENTS = 3072
+_MIN_SEGMENT = 4
+
+
+def _segment_length(n_seeds: int) -> int:
+    """Bumps per walk segment for a block of n_seeds seeds."""
+    return max(_MIN_SEGMENT, _SEGMENT_ELEMENTS // n_seeds)
+
 
 # Norm band of the fast step: inside it sqrt(x*x + y*y) neither overflows
 # nor loses digits to underflow.  A lane whose step norm falls outside is
@@ -147,17 +156,18 @@ def _columns(block, j0: int, j1: int):
     return np.ascontiguousarray(block[:, j0:j1].T)
 
 
-def _step_matrices(mats, values, gaps, lam: float, k: float):
+def _step_matrices(mats, bump, gaps, lam: float, k: float):
     """Fill mats (bumps, 2, 2, 1, seeds) with a segment's step matrices.
 
+    bump holds the entries (diagonal, upper, lower, log prescale) of the
+    segment's bump matrices from _piece_entries_batch; they broadcast
+    against the steps, so model III's one unit bump serves every step.
     Without gaps a step is the bump's piece matrix.  With gaps it is the bump
     matrix times the matrix of the gap before it, and the gap's own entries
-    (diagonal, upper, lower, prescale) come back for recovering the vector
-    between the two.  values broadcasts against the steps, so model III's
-    scalar bump gets one matrix for the whole segment.  Returns the steps'
+    come back for recovering the vector between the two.  Returns the steps'
     log prescales and the gap entries (None without gaps).
     """
-    bc, bb, be, pre = _piece_entries_batch(values, 1.0, lam, k)
+    bc, bb, be, pre = bump
     entries = (bc, bb, be, bc)
     gap = None
     if gaps is not None:
@@ -174,11 +184,17 @@ class _LaneWalk:
 
     vecs holds (steps + 1, 2, lanes, seeds) unit vectors (psi, psi'/k) with
     the entering ones in row 0, norms (steps, lanes, seeds) the norm of every
-    step and mats (steps, 2, 2, 1, seeds) the step matrices.
+    step and mats (steps, 2, 2, 1, seeds) the step matrices.  value_blk is
+    the block's bump potentials from _draw_blocks; when it is model III's
+    scalar unit bump, its matrix entries are built here once for the walk.
     """
 
-    def __init__(self, starts, n_steps: int, n_seeds: int):
+    def __init__(self, starts, n_steps: int, n_seeds: int, value_blk, lam: float, k: float):
         n_lanes = len(starts)
+        self.lam = lam
+        self.k = k
+        self._unit = (_piece_entries_batch(value_blk, 1.0, lam, k)
+                      if np.ndim(value_blk) == 0 else None)
         self.vecs = np.empty((n_steps + 1, 2, n_lanes, n_seeds))
         self.norms = np.empty((n_steps, n_lanes, n_seeds))
         self.mats = np.empty((n_steps, 2, 2, 1, n_seeds))
@@ -187,7 +203,7 @@ class _LaneWalk:
             self.vecs[0, 0, lane] = p
             self.vecs[0, 1, lane] = q
 
-    def walk(self, n_steps: int, values, gaps, lam: float, k: float):
+    def walk(self, n_steps: int, values, gaps):
         """Walk the lanes through a segment of n_steps bumps.
 
         Returns the steps' log prescales, the gap entries and the log gains
@@ -200,10 +216,12 @@ class _LaneWalk:
         dead-direction arithmetic, after its gap if there is one.  NaN norms
         (lanes fed an infinite height) pass.
         """
+        lam, k = self.lam, self.k
         mats = self.mats[:n_steps]
         vecs = self.vecs[:n_steps + 1]
         norms = self.norms[:n_steps]
-        pre, gap = _step_matrices(mats, values, gaps, lam, k)
+        bump = self._unit if self._unit is not None else _piece_entries_batch(values, 1.0, lam, k)
+        pre, gap = _step_matrices(mats, bump, gaps, lam, k)
         lo, hi = _NORM_BAND
         dead: Dict[tuple, float] = {}
         first = 0
@@ -334,21 +352,26 @@ def sweep_chains(
     norm.  Per segment:
 
     1. the piece matrices of all its bumps and seeds come from one
-       _piece_entries_batch call, and those of its gaps from another; each
-       gap is multiplied into the bump after it, so that one step covers
-       one bump;
+       _piece_entries_batch call (model III's unit bump from one call per
+       seed block), and those of its gaps from another; each gap is
+       multiplied into the bump after it, so that one step covers one bump;
     2. a loop over the bumps pushes every lane through its step matrix, in
        numpy across lanes, renormalizing into preallocated buffers;
     3. theta is unwound from the stored boundary vectors by walk_chain's
        winding rule, and log|M e_i| adds up the prescales and the logs of the
        norms; log||M|| (Frobenius) is log sqrt(|M e1|**2 + |M e2|**2).
 
-    Positions, log norms and sums are added in piece order and theta carries
-    whole turns across segments, so no value depends on the segment length,
-    and each lane depends on its own seed only.  A log-norm lane that leaves
-    float range raises SaturationError; a theta lane fed an infinite bump
-    height turns NaN.  Gap models accept any energy: at lam <= 0 gaps are
-    ordinary hyperbolic or degenerate pieces.
+    A segment holds _segment_length(seeds in the block) bumps.  Positions,
+    log norms and sums are added in piece order, and theta carries its
+    unwound value across segments.  While |theta| < 2**53 the whole turns
+    carried are exact, so no value depends on the segment length.  Past that
+    the carried theta is rounded where a longer segment keeps adding turns,
+    and theta can move in its last digits with the segment length (model II
+    at alpha1 = 0.02 winds to 1e77 and more in 128 bumps).  Each lane
+    depends on its own seed only.  A log-norm lane that leaves float range
+    raises SaturationError; a theta lane fed an infinite bump height turns
+    NaN.  Gap models accept any energy: at lam <= 0 gaps are ordinary
+    hyperbolic or degenerate pieces.
     """
     if n_bumps < 1 or n_seeds < 1:
         raise ValueError("n_bumps and n_seeds must be positive")
@@ -382,8 +405,8 @@ def sweep_chains(
         value_blk, gap_blk = _draw_blocks(config, stream.seed, split_ids(stream, lo, hi),
                                           n_bumps)
         s = hi - lo
-        seg = max(1, _SEGMENT_ELEMENTS // s)
-        lanes = _LaneWalk(starts, seg, s)
+        seg = _segment_length(s)
+        lanes = _LaneWalk(starts, seg, s, value_blk, lam, k)
         theta = theta_start
         logs = np.zeros((2, s))
         pos = np.zeros(s)
@@ -412,7 +435,7 @@ def sweep_chains(
                 aux_blk = _running_sums(aux_blk, terms)[-1]
 
             if n_lanes:
-                pre, gap, dead = lanes.walk(nj, values, gaps, lam, k)
+                pre, gap, dead = lanes.walk(nj, values, gaps)
             if want_theta:
                 thetas = _unwind_segment(lanes.vecs[:nj + 1], gap, values, lengths, lam, k, theta)
                 theta = thetas[-1]
@@ -684,18 +707,25 @@ def chain_mixing(
 
     values, _ = _draw_blocks(config, stream.seed, split_ids(stream, 0, n_seeds), n_steps)
 
-    seg = max(1, _SEGMENT_ELEMENTS // n_seeds)
-    lanes = _LaneWalk(starts, seg, n_seeds)
+    seg = _segment_length(n_seeds)
+    lanes = _LaneWalk(starts, seg, n_seeds, values, frame.lam, frame.k_norm)
     out = np.zeros((n_steps, m, m))
     for j0 in range(0, n_steps, seg):
         nj = min(n_steps, j0 + seg) - j0
-        lanes.walk(nj, _columns(values, j0, j0 + nj), None, frame.lam, frame.k_norm)
+        lanes.walk(nj, _columns(values, j0, j0 + nj), None)
         psi, psik = lanes.vecs[1:nj + 1, 0], lanes.vecs[1:nj + 1, 1]
         phases = np.arctan2(np.abs(psi), np.where(psi < 0.0, -psik, psik))
         phases[phases == _PI] = 0.0
+        # one sort gives every lane's law at every step of the segment; the
+        # refusal is Ecdf.from_samples' own (arctan2 gives no inf, and
+        # sorting puts NaN last)
+        phases.sort(axis=2)
+        if np.isnan(phases[..., -1]).any():
+            raise ValueError("samples must be finite")
         for step, rows in enumerate(phases, start=j0):
+            laws = [Ecdf(sorted_values=row) for row in rows]
             for i in range(m):
                 for j in range(i + 1, m):
-                    out[step, i, j] = out[step, j, i] = ks_distance(rows[i], rows[j])
+                    out[step, i, j] = out[step, j, i] = ks_distance(laws[i], laws[j])
         lanes.carry(nj)
     return out

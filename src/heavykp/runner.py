@@ -20,13 +20,10 @@ Usage:
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,6 +55,10 @@ CSV_HEADER = "experiment,model,alpha,energy,n,seed,observable,value"
 # Variates per darling draw: the seeds of a cell are drawn in blocks of about
 # this many elements, which keeps a worker's memory flat in n_seeds.
 _DARLING_BLOCK_ELEMENTS = 1 << 15
+
+# results.csv rows per write: enough to share a write's cost, few enough that
+# no cell's whole text is held at once.
+_CSV_CHUNK_ROWS = 1000
 
 
 class ConfigError(ValueError):
@@ -112,6 +113,8 @@ class TaskSpec:
 
 @dataclass
 class TaskOutcome:
+    """A cell's rows (seed, observable, value), values as Python floats, and summary."""
+
     index: int
     rows: List[Tuple[int, str, float]]
     cell_summary: Dict[str, object]
@@ -323,9 +326,9 @@ def _run_lyapunov(spec: TaskSpec, rows, summary) -> None:
                        want_log_norm=True)
     rec = res.final()
     over_x = rec.log_norm / rec.x
-    for seed in range(spec.n_seeds):
-        rows.append((seed, "log_norm", float(rec.log_norm[seed])))
-        rows.append((seed, "log_norm_over_x", float(over_x[seed])))
+    for seed, (log_norm, ratio) in enumerate(zip(rec.log_norm.tolist(), over_x.tolist())):
+        rows.append((seed, "log_norm", log_norm))
+        rows.append((seed, "log_norm_over_x", ratio))
     summary["median_log_norm_over_x"] = float(np.median(over_x))
     if spec.n_seeds > 1:
         ci = mean_ci(over_x)
@@ -335,8 +338,8 @@ def _run_lyapunov(spec: TaskSpec, rows, summary) -> None:
 
 def _run_ids(spec: TaskSpec, rows, summary) -> None:
     est = estimate_ids(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec), IdsScale.LINEAR)
-    for seed in range(spec.n_seeds):
-        rows.append((seed, "rotation_per_unit_length", float(est.values[seed])))
+    rows.extend([(seed, "rotation_per_unit_length", v)
+                 for seed, v in enumerate(est.values.tolist())])
     summary["median_rotation_per_unit_length"] = float(np.median(est.values))
 
 
@@ -344,9 +347,9 @@ def _run_nonlinear(spec: TaskSpec, rows, summary) -> None:
     lya, ids = estimate_lyapunov_and_ids(spec.cell_config, spec.n, spec.n_seeds,
                                          _task_stream(spec), LyapunovScale.NONLINEAR_ALPHA,
                                          IdsScale.NONLINEAR_ALPHA)
-    for seed in range(spec.n_seeds):
-        rows.append((seed, "lyapunov_scaled", float(lya.values[seed])))
-        rows.append((seed, "ids_scaled", float(ids.values[seed])))
+    for seed, (lya_v, ids_v) in enumerate(zip(lya.values.tolist(), ids.values.tolist())):
+        rows.append((seed, "lyapunov_scaled", lya_v))
+        rows.append((seed, "ids_scaled", ids_v))
     summary["median_lyapunov_scaled"] = float(np.median(lya.values))
     summary["median_ids_scaled"] = float(np.median(ids.values))
 
@@ -366,8 +369,7 @@ def _run_darling(spec: TaskSpec, rows, summary) -> None:
         hi = min(spec.n_seeds, lo + chunk)
         (block,) = draw_block(base.seed, split_ids(base, lo, hi), spec.n, [law])
         values[lo:hi] = darling_ratios(block)
-    for seed in range(spec.n_seeds):
-        rows.append((seed, "max_over_sum", float(values[seed])))
+    rows.extend([(seed, "max_over_sum", v) for seed, v in enumerate(values.tolist())])
     ci = mean_ci(values) if spec.n_seeds > 1 else None
     summary["mean_max_over_sum"] = float(values.mean())
     if ci is not None:
@@ -378,10 +380,10 @@ def _run_mixing(spec: TaskSpec, rows, summary) -> None:
     pts = spec.mixing.initial_points
     ks = chain_mixing(spec.cell_config, spec.n, pts, spec.n_seeds, _task_stream(spec))
     m = len(pts)
-    for step in range(spec.n):
+    for step, dist in enumerate(ks.tolist(), start=1):
         for i in range(m):
             for j in range(i + 1, m):
-                rows.append((-1, f"ks_step{step + 1:03d}_pair{i}_{j}", float(ks[step, i, j])))
+                rows.append((-1, f"ks_step{step:03d}_pair{i}_{j}", dist[i][j]))
     # Doubling ratios are meaningful only while the earlier KS value sits
     # above the quantization floor of n_seeds-sample ECDFs (a single-count
     # difference is 1/n_seeds; below 1.5 counts the chains have collapsed).
@@ -407,6 +409,7 @@ def _run_spectrum(spec: TaskSpec, rows, summary) -> None:
     base = _task_stream(spec)
     slopes: List[float] = []
     rsqs: List[float] = []
+    refused = 0
     for seed in range(spec.n_seeds):
         real = generate(cfg, spec.n, split_stream(base, seed))
         problem = BoxProblem(realization=real, theta0=cfg.theta0, L_box=real.total_length)
@@ -420,12 +423,14 @@ def _run_spectrum(spec: TaskSpec, rows, summary) -> None:
             rows.append((seed, f"eigenvalue_{i}", float(lam)))
             try:
                 slope, rsq = decay_fit(problem, lam, opts.scale_exponent)
-            except ValueError:
+            except ValueError:  # the box cannot support a fit, e.g. too few boundaries
+                refused += 1
                 continue
             slopes.append(slope)
             rsqs.append(rsq)
             rows.append((seed, f"decay_slope_{i}", float(slope)))
             rows.append((seed, f"decay_r_squared_{i}", float(rsq)))
+    summary["decay_fits_refused"] = refused
     if slopes:
         arr = np.asarray(slopes)
         summary["fraction_negative_slope"] = float((arr < 0.0).mean())
@@ -460,18 +465,45 @@ def run_task(spec: TaskSpec) -> TaskOutcome:
 # ── Orchestration, output, CLI ───────────────────────────────────────────────
 
 
-def _csv_cell(x: float) -> str:
-    return repr(float(x))
+def _collect(cfg: ExperimentConfig,
+             tasks: List[TaskSpec]) -> Tuple[List[TaskOutcome], Optional[str]]:
+    """Every task's outcome in task order and None, or no outcomes and the
+    pool's error when a worker process died.
 
-
-def _collect(cfg: ExperimentConfig, tasks: List[TaskSpec]) -> List[TaskOutcome]:
+    concurrent.futures is imported here, when a pool runs, so that importing
+    the runner does not load it.
+    """
     if cfg.workers == 1 or len(tasks) == 1:
-        return [run_task(t) for t in tasks]
+        return [run_task(t) for t in tasks], None
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        for out in pool.map(run_task, tasks):
-            outcomes[out.index] = out
-    return [o for o in outcomes if o is not None]
+    try:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            for out in pool.map(run_task, tasks):
+                outcomes[out.index] = out
+    except BrokenProcessPool as exc:
+        return [], str(exc)
+    return [o for o in outcomes if o is not None], None
+
+
+def _write_csv(fh, cfg: ExperimentConfig, tasks: List[TaskSpec],
+               outcomes: List[TaskOutcome]) -> None:
+    """results.csv: the header, then each cell's rows in task order.
+
+    A cell's leading columns are formatted once, and its rows are written
+    _CSV_CHUNK_ROWS at a time.  Floats are written as repr(float(x)); row
+    values are Python floats already.
+    """
+    fh.write(CSV_HEADER + "\n")
+    for t, o in zip(tasks, outcomes):
+        prefix = (f"{cfg.experiment},{t.cell_config.model.value},"
+                  f"{float(t.alpha)!r},{float(t.energy)!r},{t.n},")
+        rows = o.rows
+        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+            fh.write("".join([f"{prefix}{seed},{obs},{value!r}\n"
+                              for seed, obs, value in rows[lo:lo + _CSV_CHUNK_ROWS]]))
 
 
 def _nonlinear_doubling(cfg: ExperimentConfig, tasks, outcomes) -> List[Dict[str, object]]:
@@ -510,10 +542,9 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
     the pool: the run then returns exit code 5 and writes no output file.
     """
     tasks = build_tasks(cfg)
-    try:
-        outcomes = _collect(cfg, tasks)
-    except BrokenProcessPool as exc:
-        return 5, f"worker process failed, no outputs written: {exc}"
+    outcomes, broken = _collect(cfg, tasks)
+    if broken is not None:
+        return 5, f"worker process failed, no outputs written: {broken}"
 
     saturated = [(t, o) for t, o in zip(tasks, outcomes) if o.saturated]
     failed = [(t, o) for t, o in zip(tasks, outcomes) if o.error is not None]
@@ -550,16 +581,8 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
 
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
-        csv_path = os.path.join(cfg.output_dir, "results.csv")
-        with open(csv_path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for t, o in zip(tasks, outcomes):
-                for seed, obs, value in o.rows:
-                    fh.write(
-                        f"{cfg.experiment},{t.cell_config.model.value},"
-                        f"{_csv_cell(t.alpha)},{_csv_cell(t.energy)},{t.n},"
-                        f"{seed},{obs},{_csv_cell(value)}\n"
-                    )
+        with open(os.path.join(cfg.output_dir, "results.csv"), "w") as fh:
+            _write_csv(fh, cfg, tasks, outcomes)
         with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -617,6 +640,8 @@ def load_config(path: str, *, workers: Optional[int] = None,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse  # here, so that importing the runner does not load it
+
     parser = argparse.ArgumentParser(
         prog="heavykp",
         description="batch experiments on heavy-tailed chain models",

@@ -199,7 +199,7 @@ def test_sweep_matches_walk_and_product_oracles(name, budget, monkeypatch):
     if budget == "short":
         n_seeds = 4
         monkeypatch.setattr(estimators, "_SEGMENT_ELEMENTS", 37 * n_seeds)
-    seg = estimators._SEGMENT_ELEMENTS // n_seeds
+    seg = estimators._segment_length(n_seeds)
     assert seg < 1000
     checkpoints = [c for c in (seg - 1, seg, seg + 1, 2 * seg + 1) if c < 1000]
     _check_against_oracles(ORACLE_CONFIGS[name], 1000, n_seeds, RngStream(55, stream_id=3),
@@ -239,6 +239,49 @@ def test_sweep_theta_property(model, alpha, energy, theta0, seed):
         for nb in (13, 40):
             got, want = res.records[nb].theta[i], thetas[nb]
             assert abs(got - want) <= THETA_TOL * max(1.0, abs(want))
+
+
+def test_segment_length_has_a_floor_of_four_bumps():
+    # blocks of up to 768 seeds keep the element budget's length
+    assert estimators._SEGMENT_ELEMENTS // 768 == 4
+    for n_seeds in (1, 8, 256, 700, 768):
+        assert estimators._segment_length(n_seeds) == estimators._SEGMENT_ELEMENTS // n_seeds
+    for n_seeds in (769, 1024, 2000, 10**6):
+        assert estimators._segment_length(n_seeds) == 4
+
+
+_SEGMENT_CONFIGS = {
+    f"{name}-{a}": cfg
+    for a in (0.3, 0.7)
+    for name, cfg in (("I", _cfg(Model.I, alpha1=a, energy=2.0, theta0=0.4)),
+                      ("II", _cfg(Model.II, alpha1=a, energy=1.0, theta0=0.4)),
+                      ("III", _cfg(Model.III, alpha2=a, energy=2.0, theta0=0.4)),
+                      ("IV", _cfg(Model.IV, alpha1=a, alpha2=a, energy=1.0, theta0=0.4)))
+}
+
+
+@pytest.mark.parametrize("cfg", _SEGMENT_CONFIGS.values(), ids=_SEGMENT_CONFIGS.keys())
+def test_sweep_records_do_not_depend_on_segment_length(cfg, monkeypatch):
+    # 1-bump segments against the 4-bump floor of a 1000-seed block: every
+    # record is the same bytes while |theta| < 2**53
+    n_bumps, n_seeds = 30, 1000
+    assert estimators._segment_length(n_seeds) == 4
+    aux = cfg.model in (Model.I, Model.II)
+
+    def sweep():
+        return sweep_chains(cfg, n_bumps, n_seeds, RngStream(808), want_theta=True,
+                            want_log_norm=True, want_aux_sqrt=aux, checkpoint_bumps=[1, 6, 9])
+
+    floor = sweep()
+    monkeypatch.setattr(estimators, "_segment_length", lambda n_seeds: 1)
+    single = sweep()
+    assert np.all(np.abs(floor.final().theta) < 2.0 ** 53)
+    assert sorted(floor.records) == sorted(single.records) == [1, 6, 9, n_bumps]
+    for nb, rec in floor.records.items():
+        for name in ("x", "theta", "log_norm"):
+            assert getattr(rec, name).tobytes() == getattr(single.records[nb], name).tobytes()
+    if aux:
+        assert floor.aux_sqrt_sum.tobytes() == single.aux_sqrt_sum.tobytes()
 
 
 # ── Failure cases ────────────────────────────────────────────────────────────
@@ -613,6 +656,14 @@ def test_mixing_matches_phase_fold_reference(energy, alpha, n_steps, n_seeds, se
     want = _phase_fold_mixing(cfg, n_steps, points, n_seeds, RngStream(seed))
     assert np.all(np.abs(got - want) <= 1.0 / n_seeds + 1e-12)
     assert np.all(got[want == 0.0] == 0.0)
+
+
+def test_mixing_refuses_phases_of_infinite_heights():
+    # alpha1 = 0.02 overflows some squared Frechet heights to inf, whose
+    # lanes turn NaN: the seed-empirical laws refuse them as Ecdf does
+    cfg = _cfg(Model.I, alpha1=0.02, energy=0.5)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="samples must be finite"):
+        chain_mixing(cfg, 100, [-1.0, 1.0], 200, RngStream(1))
 
 
 def test_mixing_validation():

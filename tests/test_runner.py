@@ -5,6 +5,7 @@ tmp_path, so the exit codes, stderr diagnostics, and output files are
 exercised exactly as a shell user would see them.
 """
 import hashlib
+import io
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from heavykp.estimators import (
 from heavykp.potentials import Model
 from heavykp.rng import RngStream, sample_bump_height, sample_gap_length, split_stream
 from heavykp.runner import (
+    CSV_HEADER,
     ConfigError,
     build_tasks,
     config_from_dict,
@@ -310,6 +312,58 @@ def test_rerun_is_byte_identical(tmp_path):
         assert _sha256(os.path.join(out_a, name)) == _sha256(os.path.join(out_b, name))
 
 
+def _row_by_row_csv(cfg, tasks, outcomes):
+    """results.csv as formatted one f-string and three repr(float(x)) calls per row."""
+    def cell(x):
+        return repr(float(x))
+
+    return CSV_HEADER + "\n" + "".join(
+        f"{cfg.experiment},{t.cell_config.model.value},{cell(t.alpha)},{cell(t.energy)},"
+        f"{t.n},{seed},{obs},{cell(value)}\n"
+        for t, o in zip(tasks, outcomes) for seed, obs, value in o.rows)
+
+
+def test_csv_writer_keeps_repr_bytes_and_row_order(monkeypatch):
+    monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", 3)  # a cell spans several writes
+    cfg = config_from_dict(_base_config(alpha_grid=[0.3, 0.6], energy_grid=[1.0, 2.5],
+                                        n_grid=[50, 7]))
+    tasks = build_tasks(cfg)
+    special = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1 + 0.2]
+    outcomes = [
+        runner.TaskOutcome(index=t.index, cell_summary={}, rows=[
+            (seed, f"obs_{t.index}", v)
+            for seed, v in enumerate(special[t.index % 7:] + special[:t.index % 7])])
+        for t in tasks]
+    outcomes[1].rows.clear()  # a failed cell writes no rows
+    outcomes[2].rows.append((-1, "aggregate", 1.5))
+    fh = io.StringIO()
+    runner._write_csv(fh, cfg, tasks, outcomes)
+    text = fh.getvalue()
+    assert text == _row_by_row_csv(cfg, tasks, outcomes)
+    assert text.splitlines()[4:7] == ["ids,III,0.3,1.0,50,3,obs_0,nan",
+                                      "ids,III,0.3,1.0,50,4,obs_0,inf",
+                                      "ids,III,0.3,1.0,50,5,obs_0,-inf"]
+
+
+@pytest.mark.parametrize("experiment, model", [
+    ("lyapunov", {"model": "I", "energy": 1.0, "alpha1": 0.5}),
+    ("ids", {"model": "III", "energy": 1.0, "alpha2": 0.6}),
+    ("nonlinear", {"model": "IV", "energy": 1.0, "alpha1": 0.5, "alpha2": 0.6}),
+    ("darling", {"model": "II", "energy": 1.0, "alpha1": 0.5}),
+    ("mixing", {"model": "I", "energy": 2.0, "alpha1": 0.5}),
+    ("spectrum", {"model": "II", "energy": 1.0, "alpha1": 0.5}),
+])
+def test_task_bodies_hand_over_python_floats(experiment, model):
+    # the CSV writer formats row values with repr, which spells a numpy
+    # scalar differently from a float
+    cfg = config_from_dict(_base_config(experiment=experiment, model=model, n_grid=[40],
+                                        n_seeds=4))
+    (task,) = build_tasks(cfg)
+    out = runner.run_task(task)
+    assert out.error is None and out.rows
+    assert all(type(value) is float for _, _, value in out.rows)
+
+
 def test_worker_count_does_not_change_results(tmp_path):
     # two tasks so the pool branch actually engages
     out_a = str(tmp_path / "serial")
@@ -594,3 +648,27 @@ def test_spectrum_rows_report_localized_ground_states(tmp_path):
     cell = _read_summary(out)["cells"][0]
     assert cell["fraction_negative_slope"] == 1.0
     assert cell["median_r_squared"] > 0.9
+    assert cell["decay_fits_refused"] == 0
+
+
+def test_spectrum_counts_refused_decay_fits(tmp_path):
+    # 12-bump boxes hold fewer than 10 piece boundaries in their middle half:
+    # every eigenvalue keeps its row, its decay fit is refused and counted
+    out = str(tmp_path / "out")
+    path = _write_config(
+        tmp_path,
+        experiment="spectrum",
+        model={"model": "II", "energy": 1.0, "alpha1": 0.5},
+        n_grid=[12],
+        n_seeds=3,
+        output_dir=out,
+        spectrum={"max_eigenvalues": 2},
+    )
+    assert runner.main(["run", path]) == 0
+    names = [r[6] for r in _read_rows(out)]
+    assert sorted(names) == ["eigenvalue_0"] * 3 + ["eigenvalue_1"] * 3
+    summary = _read_summary(out)
+    assert summary["failed_tasks"] == []
+    (cell,) = summary["cells"]
+    assert cell["decay_fits_refused"] == 6
+    assert "fraction_negative_slope" not in cell
