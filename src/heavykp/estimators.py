@@ -42,8 +42,8 @@ import numpy as np
 from .potentials import Model, ModelConfig, _draw_blocks, generate
 from .prufer import (
     _dead_direction,
+    _piece_turns,
     _running_sums,
-    _unwind_boundaries,
     boundary_theta,
     walk_chain,
 )
@@ -59,6 +59,7 @@ from .rng import sample_bump_height, sample_gap_length  # noqa: F401
 from .transfer import push_piece, push_rotation  # noqa: F401
 
 _PI = math.pi
+_TWO_PI = 2.0 * math.pi
 
 
 class LyapunovScale(Enum):
@@ -124,11 +125,13 @@ def _chunk_sizes(n_seeds: int, n_bumps: int) -> List[Tuple[int, int]]:
 # Element budget of one walk segment, bumps x seeds.  The bulk stages (piece
 # matrices, winding) work on arrays of about this size and the lane buffers
 # on a small multiple of it, so a sweep's memory stays flat in n_bumps, while
-# the numpy calls of a segment still share their fixed cost over thousands of
-# elements.  A segment covers at least _MIN_SEGMENT bumps, however many seeds
-# it holds: a segment's bulk stages cost some hundred numpy calls whatever
-# its length, and a 1-bump segment would pay them for every bump.
-_SEGMENT_ELEMENTS = 3072
+# the numpy calls of a segment share their fixed cost over thousands of
+# elements: a 256-seed block walks 32-bump segments.  Larger budgets were
+# no faster and only raised the peak memory.  A segment covers at least
+# _MIN_SEGMENT bumps, however many seeds it holds (blocks of more than 2048
+# seeds): a segment's bulk stages cost some hundred numpy calls whatever its
+# length, and a 1-bump segment would pay them for every bump.
+_SEGMENT_ELEMENTS = 8192
 _MIN_SEGMENT = 4
 
 
@@ -142,6 +145,17 @@ def _segment_length(n_seeds: int) -> int:
 # redone on its own with hypot, and a norm that is then exactly 0 marks a
 # dead-direction lane.
 _NORM_BAND = (1e-150, 1e150)
+
+
+def _in_band(norms) -> bool:
+    """Whether every norm that is not NaN lies inside _NORM_BAND.
+
+    fmin and fmax skip NaN as the band masks do, so the masks need to be
+    built only where this fails (all-NaN norms fail it too, and the masks
+    then find no lane).
+    """
+    lo, hi = _NORM_BAND
+    return np.fmin.reduce(norms, axis=None) > lo and np.fmax.reduce(norms, axis=None) < hi
 
 
 def _columns(block, j0: int, j1: int):
@@ -228,6 +242,8 @@ class _LaneWalk:
         while first < n_steps:
             self._push(mats, vecs, norms, first)
             rest = norms[first:]
+            if _in_band(rest):
+                break
             out_of_band = (rest <= lo) | (rest >= hi)
             hits = np.flatnonzero(out_of_band.any(axis=(1, 2)))
             if hits.size == 0:
@@ -287,33 +303,47 @@ def _dead_step(gap, values, j: int, seed: int, p: float, q: float, lam: float, k
     return x, y, gain + dead_gain
 
 
-def _unwind_segment(vecs, gap, values, lengths, lam: float, k: float, start):
-    """Unwound theta at the start and after every bump of a segment (theta lane 0).
+def _unwind_segment(vecs, gap, values, gaps, lam: float, k: float, start):
+    """Angles and whole turns of the theta lane (lane 0) over a segment's bumps.
 
-    The vector after each gap is recovered from the vector before it, so the
-    winding rule sees every piece boundary; it is scaled to a largest
-    component of 1, which keeps the conjugate angles clear of overflow.
-    lengths holds the gap and bump lengths interleaved (None without gaps).
+    Returns (angles, turns), both (bumps, seeds): angles[j] is the angle
+    arctan2(psi, psi'/k) of the vector after bump j, and turns[j] the whole
+    turns of 2 pi across step j, its gap's turns plus its bump's.  theta
+    after bump j is angles[j] + 2 pi (turns[0] + ... + turns[j]); start is
+    theta at the segment's start, and its own whole turns land in turns[0].
+    With gaps, the vector after each gap is recovered from the vector before
+    it, so the winding rule sees every piece boundary; it is scaled to a
+    largest component of 1, which keeps the conjugate angles clear of
+    overflow.  The gaps and the bumps are then unwound as two runs of
+    boundary pairs, and the two counts add exactly, being whole numbers.
     """
-    p = vecs[:, 0, 0]
-    q = vecs[:, 1, 0]
+    p = np.ascontiguousarray(vecs[:, 0, 0])
+    q = np.ascontiguousarray(vecs[:, 1, 0])
+    angle = np.arctan2(p, q)
+    enter = (p[:-1], q[:-1], angle[:-1])
+    leave = (p[1:], q[1:], angle[1:])
     if gap is None:
-        return _unwind_boundaries(np.ascontiguousarray(p), np.ascontiguousarray(q), values,
-                                  np.ones_like(values), lam, k, start)
-    nj = lengths.shape[0] // 2
+        return leave[2], _piece_turns(enter, leave, values, 1.0, lam, k, start)
     gc, gb, ge, _ = gap
-    gp = gc * p[:-1] + gb * q[:-1]
-    gq = ge * p[:-1] + gc * q[:-1]
+    gp = gc * enter[0] + gb * enter[1]
+    gq = ge * enter[0] + gc * enter[1]
     size = np.maximum(np.abs(gp), np.abs(gq))
-    psi = np.empty((2 * nj + 1,) + p.shape[1:])
-    psik = np.empty_like(psi)
-    psi[0::2] = p
-    psi[1::2] = gp / size
-    psik[0::2] = q
-    psik[1::2] = gq / size
-    piece_v = np.zeros((2 * nj,) + p.shape[1:])
-    piece_v[1::2] = values
-    return _unwind_boundaries(psi, psik, piece_v, lengths, lam, k, start)[0::2]
+    gp /= size
+    gq /= size
+    mid = (gp, gq, np.arctan2(gp, gq))
+    turns = _piece_turns(enter, mid, 0.0, gaps, lam, k, start)
+    turns += _piece_turns(mid, leave, values, 1.0, lam, k)
+    return leave[2], turns
+
+
+def _theta_after(angles, turns, r: int):
+    """Unwound theta after the first r bumps of a segment unwound by _unwind_segment.
+
+    The whole turns are summed exactly while below 2**53, in any order; the
+    sum starts from -0.0 so that it keeps the sign of zero that adding them
+    in order gives.
+    """
+    return angles[r - 1] + _TWO_PI * turns[:r].sum(axis=0, initial=-0.0)
 
 
 def _checkpoints(checkpoint_bumps: Sequence[int], n_bumps: int) -> List[int]:
@@ -357,17 +387,24 @@ def sweep_chains(
        multiplied into the bump after it, so that one step covers one bump;
     2. a loop over the bumps pushes every lane through its step matrix, in
        numpy across lanes, renormalizing into preallocated buffers;
-    3. theta is unwound from the stored boundary vectors by walk_chain's
-       winding rule, and log|M e_i| adds up the prescales and the logs of the
-       norms; log||M|| (Frobenius) is log sqrt(|M e1|**2 + |M e2|**2).
+    3. the whole turns of every bump step are counted from the stored
+       boundary vectors by walk_chain's winding rule (_unwind_segment), and
+       theta is formed only where it is read, at checkpoints and at the
+       segment's end, as the vector's angle plus 2 pi times the turns so
+       far; log|M e_i| adds up the prescales and the logs of the norms, and
+       log||M|| (Frobenius) is log sqrt(|M e1|**2 + |M e2|**2).
 
     A segment holds _segment_length(seeds in the block) bumps.  Positions,
     log norms and sums are added in piece order, and theta carries its
     unwound value across segments.  While |theta| < 2**53 the whole turns
-    carried are exact, so no value depends on the segment length.  Past that
-    the carried theta is rounded where a longer segment keeps adding turns,
-    and theta can move in its last digits with the segment length (model II
-    at alpha1 = 0.02 winds to 1e77 and more in 128 bumps).  Each lane
+    are exact, so no value depends on the segment length or on the order in
+    which turns are added.  Past that the carried theta is rounded where a
+    longer segment keeps adding turns, and theta can move in its last digits
+    with the segment length (model II at alpha1 = 0.02 winds to 1e77 and
+    more in 128 bumps).  Since the budget rose from 3072 to 8192 elements,
+    every block of up to 1638 seeds walks longer segments than before, the
+    769 to 1638 seeds that sat on the 4-bump floor among them, so such theta
+    values there can differ from earlier versions in the last digit.  Each lane
     depends on its own seed only.  A log-norm lane that leaves float range
     raises SaturationError; a theta lane fed an infinite bump height turns
     NaN.  Gap models accept any energy: at lam <= 0 gaps are ordinary
@@ -418,14 +455,16 @@ def sweep_chains(
             values = _columns(value_blk, j0, j1)
             gaps = _columns(gap_blk, j0, j1)
 
-            lengths = None
             if gaps is not None:
-                lengths = np.ones((2 * nj, s))  # the gap and bump pieces in order
-                lengths[0::2] = gaps
-                pos_run = _running_sums(pos, lengths)[0::2]
+                # x after every gap and bump: (pos, gap, 1, gap, 1, ...) summed in order
+                xs = np.empty((s, 2 * nj + 1))
+                xs[:, 0] = pos
+                xs[:, 1::2] = gap_blk[:, j0:j1]
+                xs[:, 2::2] = 1.0
+                xs = np.cumsum(xs, axis=1)[:, 0::2]
             else:
-                pos_run = pos + np.arange(nj + 1.0)[:, None]
-            pos = pos_run[-1]
+                xs = pos[:, None] + np.arange(nj + 1.0)
+            pos = xs[:, -1]
             if want_aux_sqrt:
                 if model is Model.II:
                     terms = np.sqrt(lam - values)
@@ -437,16 +476,18 @@ def sweep_chains(
             if n_lanes:
                 pre, gap, dead = lanes.walk(nj, values, gaps)
             if want_theta:
-                thetas = _unwind_segment(lanes.vecs[:nj + 1], gap, values, lengths, lam, k, theta)
-                theta = thetas[-1]
+                angles, turns = _unwind_segment(lanes.vecs[:nj + 1], gap, values, gaps, lam, k,
+                                                theta)
+                theta = _theta_after(angles, turns, nj)
             if want_log_norm:
                 gains = pre[:, None, :] + np.log(lanes.norms[:nj, first_col:])
                 for (j, lane, seed), gain in dead.items():
                     if lane >= first_col:
                         gains[j, lane - first_col, seed] = gain
-                if not np.all(np.isfinite(gains)):
-                    raise SaturationError("chain sweep product left representable range")
                 log_run = _running_sums(logs, gains)
+                # a non-finite gain leaves its lane's last sum non-finite
+                if not np.all(np.isfinite(log_run[-1])):
+                    raise SaturationError("chain sweep product left representable range")
                 if log_run.max() > LOG_SCALE_CEILING:
                     raise SaturationError("accumulated log scale exceeds representable range")
                 logs = log_run[-1]
@@ -455,9 +496,9 @@ def sweep_chains(
                 if j0 < nb <= j1:
                     r = nb - j0
                     rec = records[nb]
-                    rec.x[lo:hi] = pos_run[r]
+                    rec.x[lo:hi] = xs[:, r]
                     if want_theta:
-                        rec.theta[lo:hi] = thetas[r]
+                        rec.theta[lo:hi] = theta if r == nj else _theta_after(angles, turns, r)
                     if want_log_norm:
                         rec.log_norm[lo:hi] = 0.5 * np.logaddexp(2.0 * log_run[r, 0],
                                                                  2.0 * log_run[r, 1])

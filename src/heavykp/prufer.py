@@ -343,28 +343,14 @@ def _unwind_boundaries(psi: np.ndarray, psik: np.ndarray, values: np.ndarray,
     The piece axis comes first: psi and psik have one row more than values
     and lengths, and any trailing axes hold independent chains.  start is the
     unwound phase of row 0 (a scalar or one value per chain).  Each increment
-    is the difference of the boundary-vector angles plus the multiple of 2 pi
-    that brings it nearest the piece's closed-form estimate (see walk_chain);
-    the vectors need not be normalized.
+    is the difference of the boundary-vector angles plus the whole turns of
+    _piece_turns; the vectors need not be normalized.
     """
     angle = np.arctan2(psi, psik)
+    turns = _piece_turns((psi[:-1], psik[:-1], angle[:-1]), (psi[1:], psik[1:], angle[1:]),
+                         values, lengths, lam, k, start)
     phi = angle.copy()
     phi[0] = start
-    diff = np.diff(phi, axis=0)
-    u = (lam - values) * lengths * lengths
-    estimate = np.where(u == 0.0, 0.5 * _PI, 0.0)
-    osc = np.flatnonzero(u > 0.0)
-    if osc.size:
-        # flat indices: the boundary after piece i sits one row further on
-        nxt = osc + psi[0].size
-        psi_f, psik_f, angle_f = psi.reshape(-1), psik.reshape(-1), angle.reshape(-1)
-        w = np.sqrt(u.reshape(-1)[osc])
-        rho = w / (k * lengths.reshape(-1)[osc])
-        conj0 = np.arctan2(rho * psi_f[osc], psik_f[osc])
-        conj1 = np.arctan2(rho * psi_f[nxt], psik_f[nxt])
-        estimate.reshape(-1)[osc] = (angle_f[nxt] - angle_f[osc]
-                                     + _TWO_PI * np.round((conj0 + w - conj1) / _TWO_PI))
-    turns = np.round((estimate - diff) / _TWO_PI)
     if turns.ndim == 1:
         phi[1:] += _TWO_PI * np.cumsum(turns)
     else:
@@ -372,6 +358,50 @@ def _unwind_boundaries(psi: np.ndarray, psik: np.ndarray, values: np.ndarray,
         # slower than adding its rows in order, which sums the same
         phi[1:] += _TWO_PI * _running_sums(turns[0], turns[1:])
     return phi
+
+
+def _piece_turns(before, after, values, lengths, lam: float, k: float, start=None) -> np.ndarray:
+    """Whole turns of 2 pi in the phase increment across each piece of a run.
+
+    before and after hold (psi, psi'/k, angle) of the boundary vectors that
+    enter and leave each piece, angle = arctan2(psi, psi'/k); values and
+    lengths have one element per piece in the same layout, or are scalars
+    for all of them.  The increment is the difference of the two angles plus
+    the multiple of 2 pi that brings it nearest the piece's closed-form
+    estimate (see walk_chain); the turns come back as floats.  start, if
+    given, is the unwound phase entering the first piece (row 0) and stands
+    in for that piece's entering angle, so row 0's turns also hold start's
+    own whole turns.
+    """
+    p0, q0, a0 = before
+    p1, q1, a1 = after
+    diff = a1 - a0
+    if start is not None:
+        diff[:1] = a1[:1] - start
+    u = np.asarray((lam - values) * lengths * lengths)
+    if u.size and u.min() > 0.0:
+        # every piece oscillatory (a NaN min fails): whole arrays, no gathers
+        estimate = _oscillatory_estimate(u, lengths, p0, q0, a0, p1, q1, a1, k)
+    else:
+        estimate = np.where(u == 0.0, 0.5 * _PI, 0.0)
+        osc = np.flatnonzero(u > 0.0)
+        if osc.size:  # then u has one element per piece
+            estimate.reshape(-1)[osc] = _oscillatory_estimate(
+                *(x if np.ndim(x) == 0 else x.reshape(-1)[osc]
+                  for x in (u, lengths, p0, q0, a0, p1, q1, a1)), k)
+    return np.round((estimate - diff) / _TWO_PI)
+
+
+def _oscillatory_estimate(u, length, p0, q0, a0, p1, q1, a1, k: float):
+    """Phase increment estimates of oscillatory pieces from their boundary vectors.
+
+    The conjugate angle atan2(rho psi, psi'/k) turns by exactly omega l.
+    """
+    w = np.sqrt(u)
+    rho = w / (k * length)
+    conj0 = np.arctan2(rho * p0, q0)
+    conj1 = np.arctan2(rho * p1, q1)
+    return a1 - a0 + _TWO_PI * np.round((conj0 + w - conj1) / _TWO_PI)
 
 
 def _running_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:

@@ -259,6 +259,11 @@ def _frechet_in_place(alpha: float, u: np.ndarray) -> None:
     np.power(u, -1.0 / alpha, out=u)
 
 
+# Streams whose sign words draw_block holds at once before turning them into
+# signs: one array call per group, and a buffer far smaller than the signs.
+_SIGN_ROWS = 64
+
+
 def draw_block(seed: int, stream_ids, n: int, laws: Sequence[TailLaw],
                signs: bool = False) -> List[np.ndarray]:
     """n variates of each law, then optionally n fair signs, for many streams at once.
@@ -273,7 +278,11 @@ def draw_block(seed: int, stream_ids, n: int, laws: Sequence[TailLaw],
     keys = _philox_keys(seed, stream_ids)
     m = keys.shape[0]
     blocks = [np.empty((m, n)) for _ in laws]
-    eps = np.empty((m, n), dtype=np.int64) if signs else None
+    if signs:
+        eps = np.empty((m, n), dtype=np.int64)
+        # the raw words of up to _SIGN_ROWS streams at a time, stored
+        # little-endian so that their 32-bit halves read low half first
+        words = np.empty((min(m, _SIGN_ROWS), (n + 1) // 2), dtype="<u8")
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # the state generator() starts from, with this stream's key: counter 0,
@@ -288,7 +297,12 @@ def draw_block(seed: int, stream_ids, n: int, laws: Sequence[TailLaw],
         for block in blocks:
             gen.random(out=block[r])
         if signs:
-            eps[r] = gen.integers(0, 2, size=n)
+            i = r % _SIGN_ROWS
+            words[i] = bitgen.random_raw(words.shape[1])
+            if i == len(words) - 1 or r == m - 1:
+                # gen.integers(0, 2, size=n) is the top bit of n 32-bit
+                # halves of raw words, each word's low half first
+                np.right_shift(words.view("<u4")[:i + 1, :n], 31, out=eps[r - i:r + 1])
     for law, block in zip(laws, blocks):
         _frechet_in_place(law.alpha, block)
         if law.kind is TailKind.BUMP_HEIGHT:

@@ -141,30 +141,8 @@ class BatchProducts:
         return self.log + 0.5 * np.log(quad)
 
 
-def _piece_entries_batch(value: np.ndarray, length, lam, k):
-    """Vectorized piece matrices: entry arrays plus per-chain log prescale.
-
-    Returns (diagonal, upper, lower, prescale), each with the broadcast
-    shape of the arguments.  value, length, lam and k broadcast against each
-    other, so one call covers pieces at different energies as well (lam and
-    k per piece, k = sqrt(|lam|) or 1 at lam = 0); every element comes out
-    bit for bit as from a call on that piece alone.
-    Lanes are grouped by branch through flat index arrays, which gather and
-    scatter several times faster than boolean masks.  Every hyperbolic lane
-    takes cosh/sinh; the factored ones, where those overflow, are then
-    overwritten.
-    """
-    value = np.asarray(value, dtype=float)
-    length = np.asarray(length, dtype=float)
-    u = (lam - value) * length * length
-
-    c = np.empty(u.shape)
-    s = np.empty(u.shape)
-    pre = np.zeros(u.shape)
-    uf = u.ravel()
-    cf = c.reshape(-1)
-    sf = s.reshape(-1)
-
+def _branch_entries(uf, cf, sf, pref) -> None:
+    """Fill the flat c, s and prescale of pieces uf branch by branch."""
     tiny = np.flatnonzero(np.abs(uf) < U_SERIES_WINDOW)
     if tiny.size:
         ut = uf[tiny]
@@ -190,9 +168,41 @@ def _piece_entries_batch(value: np.ndarray, length, lam, k):
             q = np.exp(-2.0 * af)
             ch[fac] = 0.5 * (1.0 + q)
             sh[fac] = 0.5 * (1.0 - q) / af
-            pre.reshape(-1)[hyp[fac]] = af
+            pref[hyp[fac]] = af
         cf[hyp] = ch
         sf[hyp] = sh
+
+
+def _piece_entries_batch(value: np.ndarray, length, lam, k):
+    """Vectorized piece matrices: entry arrays plus per-chain log prescale.
+
+    Returns (diagonal, upper, lower, prescale), each with the broadcast
+    shape of the arguments.  value, length, lam and k broadcast against each
+    other, so one call covers pieces at different energies as well (lam and
+    k per piece, k = sqrt(|lam|) or 1 at lam = 0); every element comes out
+    bit for bit as from a call on that piece alone.
+    Lanes are grouped by branch through flat index arrays, which gather and
+    scatter several times faster than boolean masks.  Every hyperbolic lane
+    takes cosh/sinh; the factored ones, where those overflow, are then
+    overwritten.  When every piece is oscillatory, as gaps are at lam > 0,
+    the oscillatory formulas run on the whole arrays without the gathers,
+    which gives the same elements.
+    """
+    value = np.asarray(value, dtype=float)
+    length = np.asarray(length, dtype=float)
+    u = (lam - value) * length * length
+
+    c = np.empty(u.shape)
+    s = np.empty(u.shape)
+    pre = np.zeros(u.shape)
+    # a NaN piece makes the min NaN and takes the branch path
+    if u.size and u.min() >= U_SERIES_WINDOW:
+        w = np.sqrt(u)
+        np.cos(w, out=c)
+        np.sin(w, out=s)
+        s /= w
+    else:
+        _branch_entries(u.ravel(), c.reshape(-1), s.reshape(-1), pre.reshape(-1))
 
     m01 = k * length * s
     m10 = (value - lam) * length * s / k

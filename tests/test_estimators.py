@@ -23,6 +23,7 @@ lyapunov_trace and ids_trace walk one chain with walk_chain and are checked
 against the same oracles.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +46,15 @@ from heavykp.estimators import (
     sweep_chains,
 )
 from heavykp.potentials import Model, ModelConfig, _draw_blocks, generate
-from heavykp.prufer import PruferState, advance_interval, boundary_theta, phase_fold, walk_chain
+from heavykp.prufer import (
+    PruferState,
+    _running_sums,
+    _unwind_boundaries,
+    advance_interval,
+    boundary_theta,
+    phase_fold,
+    walk_chain,
+)
 from heavykp.rng import RngStream, sample_bump_height, sample_gap_length, split_ids, split_stream
 from heavykp.stats import ks_distance, mean_ci
 from heavykp.transfer import BatchProducts, SaturationError, push_piece
@@ -194,8 +203,9 @@ ORACLE_CONFIGS = {
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
 def test_sweep_matches_walk_and_product_oracles(name, budget, monkeypatch):
     # n = 1000 with checkpoints on both sides of a segment boundary: the
-    # default segments of 8 seeds, or 37-bump segments (a boundary every 37)
-    n_seeds = 8
+    # default segments of 9 seeds (910 bumps), or 37-bump segments (a
+    # boundary every 37)
+    n_seeds = 9
     if budget == "short":
         n_seeds = 4
         monkeypatch.setattr(estimators, "_SEGMENT_ELEMENTS", 37 * n_seeds)
@@ -242,11 +252,11 @@ def test_sweep_theta_property(model, alpha, energy, theta0, seed):
 
 
 def test_segment_length_has_a_floor_of_four_bumps():
-    # blocks of up to 768 seeds keep the element budget's length
-    assert estimators._SEGMENT_ELEMENTS // 768 == 4
-    for n_seeds in (1, 8, 256, 700, 768):
+    # blocks of up to 2048 seeds keep the element budget's length
+    assert estimators._SEGMENT_ELEMENTS // 2048 == 4
+    for n_seeds in (1, 8, 256, 700, 768, 1000, 2048):
         assert estimators._segment_length(n_seeds) == estimators._SEGMENT_ELEMENTS // n_seeds
-    for n_seeds in (769, 1024, 2000, 10**6):
+    for n_seeds in (2049, 3000, 4096, 10**6):
         assert estimators._segment_length(n_seeds) == 4
 
 
@@ -262,26 +272,130 @@ _SEGMENT_CONFIGS = {
 
 @pytest.mark.parametrize("cfg", _SEGMENT_CONFIGS.values(), ids=_SEGMENT_CONFIGS.keys())
 def test_sweep_records_do_not_depend_on_segment_length(cfg, monkeypatch):
-    # 1-bump segments against the 4-bump floor of a 1000-seed block: every
-    # record is the same bytes while |theta| < 2**53
+    # 1-bump segments against the 8-bump segments of a 1000-seed block:
+    # every record is the same bytes while |theta| < 2**53
     n_bumps, n_seeds = 30, 1000
-    assert estimators._segment_length(n_seeds) == 4
+    assert estimators._segment_length(n_seeds) == 8
     aux = cfg.model in (Model.I, Model.II)
 
     def sweep():
         return sweep_chains(cfg, n_bumps, n_seeds, RngStream(808), want_theta=True,
                             want_log_norm=True, want_aux_sqrt=aux, checkpoint_bumps=[1, 6, 9])
 
-    floor = sweep()
+    default = sweep()
     monkeypatch.setattr(estimators, "_segment_length", lambda n_seeds: 1)
     single = sweep()
-    assert np.all(np.abs(floor.final().theta) < 2.0 ** 53)
-    assert sorted(floor.records) == sorted(single.records) == [1, 6, 9, n_bumps]
-    for nb, rec in floor.records.items():
+    assert np.all(np.abs(default.final().theta) < 2.0 ** 53)
+    assert sorted(default.records) == sorted(single.records) == [1, 6, 9, n_bumps]
+    for nb, rec in default.records.items():
         for name in ("x", "theta", "log_norm"):
             assert getattr(rec, name).tobytes() == getattr(single.records[nb], name).tobytes()
     if aux:
-        assert floor.aux_sqrt_sum.tobytes() == single.aux_sqrt_sum.tobytes()
+        assert default.aux_sqrt_sum.tobytes() == single.aux_sqrt_sum.tobytes()
+
+
+def _same_bits(got, want) -> bool:
+    """Equal bit for bit, NaN at the same places (its payload aside)."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _same_thetas(got, want) -> None:
+    """Thetas by (bump, seed) equal bit for bit while |theta| < 2**53, NaN at the same places.
+
+    Past 2**53 the whole turns are no longer exact and their order of
+    addition shows in the last digits: there only 1e-15 relative is asked.
+    """
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    below = np.maximum.accumulate(np.where(nan, np.inf, np.abs(want)), axis=0) < 2.0 ** 53
+    assert got[below].tobytes() == want[below].tobytes()
+    past = ~below & ~nan
+    assert np.all(np.abs(got[past] - want[past]) <= 1e-15 * np.abs(want[past]))
+
+
+def _interleaved_thetas(vecs, gap, values, gaps, lam, k, start):
+    """theta after every bump from one run over all pieces, gaps and bumps interleaved."""
+    p, q = vecs[:, 0, 0], vecs[:, 1, 0]
+    if gap is None:
+        return _unwind_boundaries(np.ascontiguousarray(p), np.ascontiguousarray(q), values,
+                                  np.ones_like(values), lam, k, start)[1:]
+    nj = gaps.shape[0]
+    gc, gb, ge, _ = gap
+    gp = gc * p[:-1] + gb * q[:-1]
+    gq = ge * p[:-1] + gc * q[:-1]
+    size = np.maximum(np.abs(gp), np.abs(gq))
+    psi = np.empty((2 * nj + 1,) + p.shape[1:])
+    psik = np.empty_like(psi)
+    psi[0::2], psi[1::2] = p, gp / size
+    psik[0::2], psik[1::2] = q, gq / size
+    piece_v = np.zeros((2 * nj,) + p.shape[1:])
+    piece_v[1::2] = values
+    lengths = np.ones((2 * nj,) + p.shape[1:])
+    lengths[0::2] = gaps
+    return _unwind_boundaries(psi, psik, piece_v, lengths, lam, k, start)[2::2]
+
+
+# (draws, lam): model III's config needs energy > 0, but its pieces unwind
+# at any lam
+_UNWIND_CASES = {
+    "III-lam1": (_cfg(Model.III, alpha2=0.6), 1.0),
+    "III-lam0": (_cfg(Model.III, alpha2=0.6), 0.0),
+    "III-lam2": (_cfg(Model.III, alpha2=0.6), 2.0),
+    "IV-lam1": (_cfg(Model.IV, alpha1=0.5, alpha2=0.6), 1.0),
+    "IV-lam0": (_cfg(Model.IV, alpha1=0.5, alpha2=0.6), 0.0),
+    "IV-lam-0.7": (_cfg(Model.IV, alpha1=0.5, alpha2=0.6), -0.7),
+    "IV-inf": (_cfg(Model.IV, alpha1=0.02, alpha2=0.6), 1.0),
+    "I": (_cfg(Model.I, alpha1=0.5), 2.0),
+    "II-inf": (_cfg(Model.II, alpha1=0.02), 1.0),
+}
+
+
+@pytest.mark.parametrize("cfg, lam", _UNWIND_CASES.values(), ids=_UNWIND_CASES.keys())
+def test_two_run_unwind_equals_one_interleaved_run(cfg, lam):
+    # the gap pieces and the bump pieces unwound as two runs, their turns
+    # added per step, against one run over the interleaved boundaries
+    k = math.sqrt(abs(lam)) if lam != 0.0 else 1.0
+    n, n_seeds = 40, 64
+    th0 = 0.4
+    with np.errstate(all="ignore"):
+        value_blk, gap_blk = _draw_blocks(cfg, 9, list(range(n_seeds)), n)
+        values, gaps = estimators._columns(value_blk, 0, n), estimators._columns(gap_blk, 0, n)
+        lanes = estimators._LaneWalk([(math.sin(th0), math.cos(th0))], n, n_seeds, value_blk,
+                                     lam, k)
+        _, gap, _ = lanes.walk(n, values, gaps)
+        # a start carried from an earlier segment, with whole turns of its own
+        for start in (th0, th0 + 2.0 * _PI * np.arange(-32.0, 32.0)):
+            angles, turns = estimators._unwind_segment(lanes.vecs, gap, values, gaps, lam, k,
+                                                       start)
+            got = np.array([estimators._theta_after(angles, turns, r) for r in range(1, n + 1)])
+            want = _interleaved_thetas(lanes.vecs, gap, values, gaps, lam, k, start)
+            _same_thetas(got, want)
+    # lanes fed an infinite height turn NaN, the others stay finite
+    assert np.isnan(want).any() == (cfg.alpha1 == 0.02)
+    assert not np.isnan(want[-1]).all()
+
+
+def test_sweep_working_set_stays_near_its_measured_peak():
+    # tracemalloc's peak over one model IV sweep of 256 seeds x 1024 bumps
+    # with theta and log norm lanes: 7.20 MB measured with numpy 2.4, in the
+    # walk segments (the seed draw peaks at 6.33 MB), bounded here at 7.7
+    # MB.  A larger segment budget shows: 10240 elements peak at 7.99 MB,
+    # 12288 at 8.76 MB
+    cfg = _cfg(Model.IV, alpha1=0.5, alpha2=0.6)
+    sweep_chains(cfg, 64, 16, RngStream(1), want_theta=True, want_log_norm=True)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sweep_chains(cfg, 1024, 256, RngStream(1), want_theta=True, want_log_norm=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 7.7 * 2**20, peak / 2**20
 
 
 # ── Failure cases ────────────────────────────────────────────────────────────
@@ -304,6 +418,53 @@ def test_theta_sweep_marks_infinite_heights_nan():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SaturationError):
             sweep_chains(cfg, n, n_seeds, parent, want_log_norm=True)
+
+
+def _band_spy(monkeypatch):
+    """Record what every band test of the sweep returns."""
+    seen = []
+    real = estimators._in_band
+    monkeypatch.setattr(estimators, "_in_band", lambda norms: seen.append(real(norms)) or seen[-1])
+    return seen
+
+
+def test_band_test_skips_nan_norms_as_the_masks_do(monkeypatch):
+    # a block with NaN norms (theta lanes fed an infinite height): the
+    # min/max band test passes it, and the records are the bytes of the
+    # per-step masks run on every segment; a log-norm sweep refuses the
+    # block with the same error either way
+    cfg = _cfg(Model.II, alpha1=0.02, energy=1.0)
+    parent = RngStream(11)
+
+    def sweeps():
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = sweep_chains(cfg, 128, 40, parent, want_theta=True, checkpoint_bumps=[50])
+            with pytest.raises(SaturationError, match="chain sweep product left representable"):
+                sweep_chains(cfg, 128, 40, parent, want_log_norm=True)
+        return res
+
+    seen = _band_spy(monkeypatch)
+    fast = sweeps()
+    assert True in seen and np.isnan(fast.final().theta).any()
+    monkeypatch.setattr(estimators, "_in_band", lambda norms: False)
+    masked = sweeps()
+    for nb, rec in fast.records.items():
+        assert _same_bits(rec.theta, masked.records[nb].theta)
+        assert rec.x.tobytes() == masked.records[nb].x.tobytes()
+
+
+def test_nonfinite_gain_leaves_the_last_running_sum_nonfinite():
+    # the sweep checks only the last running row of the log gains: inf,
+    # -inf, inf then -inf, and NaN gains all reach it
+    gains = np.zeros((5, 2, 3))
+    gains[1, 0, 0] = np.inf
+    gains[2, 0, 1] = -np.inf
+    gains[1, 1, 1], gains[3, 1, 1] = np.inf, -np.inf
+    gains[4, 1, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        last = _running_sums(np.full((2, 3), 2.5), gains)[-1]
+    assert np.array_equal(np.isfinite(last), np.isfinite(gains).all(axis=0))
+    assert not np.isfinite(last).all() and np.isfinite(last).any()
 
 
 # (V, theta0) at lam = 1: the boundary vector of theta0 lies exactly on the
@@ -350,6 +511,30 @@ def test_sweep_dead_direction_lane(model, monkeypatch):
             got, want = res.records[nb].theta[i], thetas[nb]
             assert abs(got - want) <= THETA_TOL * max(1.0, abs(want)), (nb, i)
     assert np.all(np.isfinite(res.final().log_norm))
+
+
+@pytest.mark.parametrize("model", [Model.I, Model.IV])
+def test_band_test_catches_an_out_of_band_lane(model, monkeypatch):
+    # a dead-direction lane's norm 0 is out of band: the min/max test sends
+    # its segment to the per-step masks, and the records are the bytes of
+    # the masks run on every segment
+    cfg = _cfg(model, alpha1=0.5, alpha2=0.6 if model is Model.IV else None,
+               energy=1.0, theta0=DEAD_THETA0)
+    parent = RngStream(12)
+    _dead_draws(monkeypatch, split_stream(parent, 1))
+
+    def sweep():
+        return sweep_chains(cfg, 60, 3, parent, want_theta=True, want_log_norm=True,
+                            checkpoint_bumps=[1, 20])
+
+    seen = _band_spy(monkeypatch)
+    fast = sweep()
+    assert True in seen and False in seen
+    monkeypatch.setattr(estimators, "_in_band", lambda norms: False)
+    masked = sweep()
+    for nb, rec in fast.records.items():
+        for name in ("x", "theta", "log_norm"):
+            assert getattr(rec, name).tobytes() == getattr(masked.records[nb], name).tobytes()
 
 
 def test_joint_sweep_equals_separate_estimates_bitwise():

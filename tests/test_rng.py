@@ -13,6 +13,7 @@ from heavykp.rng import (
     RngStream,
     TailKind,
     TailLaw,
+    _SIGN_ROWS,
     _philox_keys,
     draw_block,
     frechet_cdf,
@@ -134,6 +135,22 @@ def test_draw_block_matches_generator(seed):
     for r, stream_id in enumerate(ids):
         gen = RngStream(seed, stream_id).generator()
         assert np.array_equal(z[r], sample_bump_height(heights, gen, size=16))
+
+
+@pytest.mark.parametrize("n", [7, 64])
+def test_draw_block_signs_across_word_groups(n):
+    # the signs come from raw words, a group of streams at a time: rows on
+    # both sides of every group boundary match gen.integers(0, 2), for odd
+    # n (the last word's high half dropped) and even n
+    law = TailLaw(alpha=0.7, kind=TailKind.GAP_LENGTH)
+    parent = RngStream(5)
+    m = 2 * _SIGN_ROWS + 5
+    _, eps = draw_block(parent.seed, split_ids(parent, 0, m), n, [law], signs=True)
+    assert eps.shape == (m, n) and eps.dtype == np.int64
+    for r in range(m):
+        gen = split_stream(parent, r).generator()
+        gen.random(n)
+        assert np.array_equal(eps[r], gen.integers(0, 2, size=n)), r
 
 
 def test_draw_block_floors_and_overflows_like_the_samplers():

@@ -177,6 +177,34 @@ def test_piece_entries_broadcast_energies():
             assert got[i].tobytes() == np.asarray(want).tobytes(), i
 
 
+def test_all_oscillatory_call_equals_the_branch_path():
+    # a call whose pieces are all oscillatory runs on the whole arrays; each
+    # element is the same bits as inside a call with a hyperbolic piece,
+    # which takes the branch path, and as its own 0-d call.  Wells at lam = 0
+    # (one at u exactly U_SERIES_WINDOW, the smallest the shortcut takes)
+    # and gaps at lam = 1.3
+    rng = np.random.default_rng(6)
+    for lam, value, length in (
+        (0.0, -np.concatenate(([U_SERIES_WINDOW], rng.pareto(0.6, 199) + 1e-3)), 1.0),
+        (1.3, 0.0, rng.pareto(0.6, 200) + 1e-6),
+    ):
+        k = math.sqrt(lam) if lam else 1.0
+        value, length = np.broadcast_arrays(np.asarray(value, float), np.asarray(length, float))
+        u = (lam - value) * length * length
+        assert u.min() >= U_SERIES_WINDOW
+        assert lam or u.min() == U_SERIES_WINDOW
+        whole = _piece_entries_batch(value.reshape(20, 10), length.reshape(20, 10), lam, k)
+        mixed = _piece_entries_batch(np.append(value, lam + 5.0), np.append(length, 1.0), lam, k)
+        assert mixed[3][-1] == 0.0 and mixed[0][-1] > 1.0  # the hyperbolic piece
+        for got, want in zip(whole, mixed):
+            assert got.reshape(-1).tobytes() == want[:-1].tobytes()
+        for i in (0, 1, 77, 199):
+            alone = _piece_entries_batch(value[i], length[i], lam, k)
+            for got, want in zip(alone, mixed):
+                assert np.ndim(got) == 0
+                assert np.asarray(got).tobytes() == want[i].tobytes()
+
+
 # ── Gap rotations ────────────────────────────────────────────────────────────
 
 
