@@ -33,7 +33,7 @@ for i, (name, cfg) in enumerate(configs.items()):
 
 # heavy tails in action: the largest of a few hundred draws dwarfs the rest
 r = generate(configs["I"], 400, RngStream(8))
-h = r.bump_heights
+h = r.values  # every Model I piece is a bump, of potential X_n
 print(f"\n400 Model I heights: median {np.median(h):.2f}, "
       f"mean {h.mean():.1f}, max {h.max():.3g}")
 print(f"the single largest bump carries {h.max() / h.sum():.0%} of the total mass")
@@ -41,7 +41,7 @@ print(f"the single largest bump carries {h.max() / h.sum():.0%} of the total mas
 # gaps stretch the chain far beyond its bump count
 r3 = generate(configs["III"], 400, RngStream(9))
 print(f"\n400 Model III bumps occupy x in [0, {r3.total_length:.0f}] "
-      f"(gaps sum to {r3.gap_lengths.sum():.0f})")
+      f"(gaps sum to {r3.lengths[~r3.is_bump].sum():.0f})")
 
 # realizations round-trip through CSV bit-exactly
 buf = io.StringIO()
@@ -51,4 +51,4 @@ buf.seek(0)
 back = realization_from_csv(configs["IV"], buf)
 same = np.array_equal(r4.values, back.values) and np.array_equal(r4.lengths, back.lengths)
 print(f"\nModel IV CSV round trip bit-exact: {same}")
-print(f"signs of the first 12 bumps: {['-' if s else '+' for s in r4.signs]}")
+print(f"signs of the first 12 bumps: {['-' if v < 0 else '+' for v in r4.values[r4.is_bump]]}")

@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from heavykp.estimators import sweep_chains
-from heavykp.potentials import Model, ModelConfig
+from heavykp.potentials import Model, ModelConfig, generate
 from heavykp.prufer import walk_chain
-from heavykp.rng import RngStream
+from heavykp.rng import RngStream, split_stream
 from heavykp.transfer import EnergyFrame
 
 # walk_chain carries (theta, ln r) across a chain of constant pieces, given
@@ -35,10 +35,12 @@ print(f"deep bump (V = 120, l = 2): theta -> {thetas[-1]:.4f} (pinned below pi),
 # For Model II every piece is oscillatory and the total rotation is pinned
 # to the sum of the local frequencies: theta(n) = sum sqrt(lam + X_j) + O(n).
 cfg = ModelConfig(model=Model.II, energy=1.0, alpha1=0.5)
-res = sweep_chains(cfg, 500, 200, RngStream(31),
-                   want_theta=True, want_aux_sqrt=True)
-rec = res.final()
-dev = np.abs(rec.theta - res.aux_sqrt_sum)
+stream = RngStream(31)
+rec = sweep_chains(cfg, 500, 200, stream, want_theta=True).final()
+# seed i's chain is generate's chain on split_stream(stream, i)
+sqrt_sums = [np.sqrt(cfg.energy - generate(cfg, 500, split_stream(stream, i)).values).sum()
+             for i in range(200)]
+dev = np.abs(rec.theta - sqrt_sums)
 print(f"\nModel II, 500 wells, 200 chains:")
 print(f"  theta(n) vs sum sqrt(lam + X): worst |difference| = {dev.max():.1f}")
 print(f"  the bound pi (n + 1) = {math.pi * 501:.1f} is never approached")

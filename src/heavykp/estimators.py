@@ -49,7 +49,7 @@ from .prufer import (
 )
 from .rng import RngStream, split_ids
 from .stats import Ecdf, ks_distance
-from .transfer import LOG_SCALE_CEILING, SaturationError, _piece_entries_batch
+from .transfer import SaturationError, _piece_entries_batch
 # Nothing here calls these samplers, the matrix-product folds or phase_fold.
 # The names stay bound only because the benchmark tracer (bench/spans.py)
 # wraps them at this module by attribute; the tests use the folds as
@@ -105,7 +105,6 @@ class SweepRecord:
 @dataclass
 class SweepResult:
     records: Dict[int, SweepRecord]
-    aux_sqrt_sum: Optional[np.ndarray]
 
     def final(self) -> SweepRecord:
         return self.records[max(self.records)]
@@ -362,7 +361,6 @@ def sweep_chains(
     *,
     want_theta: bool = False,
     want_log_norm: bool = False,
-    want_aux_sqrt: bool = False,
     checkpoint_bumps: Sequence[int] = (),
 ) -> SweepResult:
     """Advance n_seeds independent chains for n_bumps bumps.
@@ -371,9 +369,7 @@ def sweep_chains(
     ``potentials._draw_blocks``, a block of seeds at a time, so scalar and
     vectorized runs see identical chains.  checkpoint_bumps are bump counts
     at which per-seed snapshots are stored; the final bump count is always
-    included.  want_aux_sqrt accumulates the per-seed rotation benchmark
-    sum: sqrt(lam + X) for model II, sqrt(X - lam) over hyperbolic bumps for
-    model I.
+    included.
 
     The chains are walked as in prufer.walk_chain, across seeds and one
     segment of bumps at a time.  The lanes are unit vectors (psi, psi'/k):
@@ -394,27 +390,20 @@ def sweep_chains(
        far; log|M e_i| adds up the prescales and the logs of the norms, and
        log||M|| (Frobenius) is log sqrt(|M e1|**2 + |M e2|**2).
 
-    A segment holds _segment_length(seeds in the block) bumps.  Positions,
-    log norms and sums are added in piece order, and theta carries its
-    unwound value across segments.  While |theta| < 2**53 the whole turns
-    are exact, so no value depends on the segment length or on the order in
-    which turns are added.  Past that the carried theta is rounded where a
-    longer segment keeps adding turns, and theta can move in its last digits
-    with the segment length (model II at alpha1 = 0.02 winds to 1e77 and
-    more in 128 bumps).  Since the budget rose from 3072 to 8192 elements,
-    every block of up to 1638 seeds walks longer segments than before, the
-    769 to 1638 seeds that sat on the 4-bump floor among them, so such theta
-    values there can differ from earlier versions in the last digit.  Each lane
-    depends on its own seed only.  A log-norm lane that leaves float range
-    raises SaturationError; a theta lane fed an infinite bump height turns
-    NaN.  Gap models accept any energy: at lam <= 0 gaps are ordinary
-    hyperbolic or degenerate pieces.
+    A segment holds _segment_length(seeds in the block) bumps.  Positions
+    and log norms are added in piece order, and theta carries its unwound
+    value across segments.  While |theta| < 2**53 the whole turns are exact,
+    so no value depends on the segment length or on the order in which turns
+    are added.  Past that the carried theta is rounded where a longer
+    segment keeps adding turns, and theta can move in its last digits with
+    the segment length (model II at alpha1 = 0.02 winds to 1e77 and more in
+    128 bumps).  Each lane depends on its own seed only.  A log-norm lane
+    that leaves float range raises SaturationError; a theta lane fed an
+    infinite bump height turns NaN.  Gap models accept any energy: at
+    lam <= 0 gaps are ordinary hyperbolic or degenerate pieces.
     """
     if n_bumps < 1 or n_seeds < 1:
         raise ValueError("n_bumps and n_seeds must be positive")
-    model = config.model
-    if want_aux_sqrt and model not in (Model.I, Model.II):
-        raise ValueError("aux sqrt sums are defined for models I and II")
     frame = config.frame()
     lam = frame.lam
     k = frame.k_norm
@@ -430,7 +419,6 @@ def sweep_chains(
         )
         for nb in cps
     }
-    aux = np.zeros(n_seeds) if want_aux_sqrt else None
 
     # lanes: the theta vector, then the columns e1 and e2
     starts = ([(math.sin(theta_start), math.cos(theta_start))] if want_theta else []) \
@@ -447,7 +435,6 @@ def sweep_chains(
         theta = theta_start
         logs = np.zeros((2, s))
         pos = np.zeros(s)
-        aux_blk = np.zeros(s)
 
         for j0 in range(0, n_bumps, seg):
             j1 = min(n_bumps, j0 + seg)
@@ -465,13 +452,6 @@ def sweep_chains(
             else:
                 xs = pos[:, None] + np.arange(nj + 1.0)
             pos = xs[:, -1]
-            if want_aux_sqrt:
-                if model is Model.II:
-                    terms = np.sqrt(lam - values)
-                else:
-                    exc = values - lam
-                    terms = np.sqrt(np.where(exc > 0.0, exc, 0.0))
-                aux_blk = _running_sums(aux_blk, terms)[-1]
 
             if n_lanes:
                 pre, gap, dead = lanes.walk(nj, values, gaps)
@@ -488,8 +468,6 @@ def sweep_chains(
                 # a non-finite gain leaves its lane's last sum non-finite
                 if not np.all(np.isfinite(log_run[-1])):
                     raise SaturationError("chain sweep product left representable range")
-                if log_run.max() > LOG_SCALE_CEILING:
-                    raise SaturationError("accumulated log scale exceeds representable range")
                 logs = log_run[-1]
 
             for nb in cps:
@@ -503,10 +481,8 @@ def sweep_chains(
                         rec.log_norm[lo:hi] = 0.5 * np.logaddexp(2.0 * log_run[r, 0],
                                                                  2.0 * log_run[r, 1])
             lanes.carry(nj)
-        if want_aux_sqrt:
-            aux[lo:hi] = aux_blk
 
-    return SweepResult(records=records, aux_sqrt_sum=aux)
+    return SweepResult(records=records)
 
 
 # ── Single-seed traces ───────────────────────────────────────────────────────

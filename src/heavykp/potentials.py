@@ -9,15 +9,15 @@ constant pieces:
     IV   signed unit-length bumps (-1)^eps X_n separated by Frechet gaps,
          with fair independent signs.
 
-A Realization holds the pieces as columns, values, lengths and an is_bump
-mask, which is what the chain walks read, together with the raw structural
-draws and the piece boundaries derived from them, so every downstream
-consumer (flows, products, spectra) reads the identical geometry.  generate
-fills the columns straight from one bulk draw; Piece objects are built only
-on request, for inspection.  The draw order per model, and the map from the
-draws to bump potentials and gap lengths, are stated once, in
-``_draw_blocks``; ``generate``, the estimator sweeps and the phase-chain
-mixing all read its pieces as they come.
+A Realization is the pieces as columns, values, lengths and an is_bump
+mask, which is what the chain walks read, plus the piece boundaries summed
+from the lengths, so every downstream consumer (flows, products, spectra)
+reads the identical geometry.  generate fills the columns straight from one
+bulk draw; Piece objects are built only on request, for inspection.  The
+draw order per model, and the map from the draws to bump potentials and gap
+lengths, are stated once, in ``_draw_blocks``; ``generate``, the estimator
+sweeps and the phase-chain mixing all read its pieces as they come, and a
+bump's height, sign or position is read off the columns where it is needed.
 """
 from __future__ import annotations
 
@@ -111,25 +111,20 @@ class Piece:
 
 @dataclass(frozen=True)
 class Realization:
-    """One sampled chain: its piece columns plus the raw structural draws.
+    """One sampled chain as piece columns.
 
     Piece i has potential values[i] on an interval of length lengths[i], and
-    is_bump[i] tells a bump from a gap.  bump_heights holds the X_n as drawn
-    (positive even for model II, whose piece values carry the sign);
-    gap_lengths and signs are empty for models without them.  boundaries[i]
-    is the right edge of piece i, summed in piece order, and bump_positions
-    holds the right edges of the bumps.
+    is_bump[i] tells a bump from a gap.  boundaries[i] is the right edge of
+    piece i, summed in piece order at construction.
     """
 
-    config: ModelConfig
     values: np.ndarray
     lengths: np.ndarray
     is_bump: np.ndarray
-    bump_heights: np.ndarray
-    gap_lengths: np.ndarray
-    signs: np.ndarray
-    bump_positions: np.ndarray
-    boundaries: np.ndarray = field(repr=False)
+    boundaries: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "boundaries", np.add.accumulate(self.lengths))
 
     @property
     def total_length(self) -> float:
@@ -137,7 +132,7 @@ class Realization:
 
     @property
     def n_bumps(self) -> int:
-        return int(self.bump_positions.size)
+        return int(np.count_nonzero(self.is_bump))
 
     @property
     def pieces(self) -> Tuple[Piece, ...]:
@@ -156,12 +151,14 @@ class Realization:
 
 
 def realization_from_csv(config: ModelConfig, fileobj: IO[str]) -> Realization:
-    """Rebuild a Realization from its to_csv dump (structural draws inferred).
+    """Rebuild a Realization from its to_csv dump.
 
-    Rows are the pieces in order: a row whose index is not its position,
-    whose value is NaN, or whose length is not positive and finite, is a
-    ValueError naming the row.  Infinite values pass: an overflowed draw is an
-    infinite bump.
+    Rows are the pieces in order, and a dump without any is a ValueError.  A
+    row without exactly four fields, whose index is not an integer or not its
+    position, whose kind is neither bump nor gap, whose value does not parse
+    or is NaN, or whose length is not a positive finite number, is a
+    ValueError naming the row; so is a positive bump value in a model II
+    dump.  Infinite values pass: an overflowed draw is an infinite bump.
     """
     header = fileobj.readline().strip()
     if header != "index,kind,value,length":
@@ -171,48 +168,40 @@ def realization_from_csv(config: ModelConfig, fileobj: IO[str]) -> Realization:
         line = line.strip()
         if not line:
             continue
-        idx_s, kind_s, value_s, length_s = line.split(",")
         row = len(values)
-        if int(idx_s) != row:
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ValueError(f"realization CSV row {row}: {len(fields)} fields, expected 4")
+        idx_s, kind_s, value_s, length_s = fields
+        if _parse_field(row, "index", idx_s, int, "an integer") != row:
             raise ValueError(f"realization CSV row {row}: index {idx_s} is not the row position")
-        length = float(length_s)
+        kind = _parse_field(row, "kind", kind_s, PieceKind, "bump or gap")
+        length = _parse_field(row, "length", length_s, float, "a number")
         if not (0.0 < length < math.inf):
             raise ValueError(f"realization CSV row {row}: length {length_s} is not "
                              "positive and finite")
-        value = float(value_s)
+        value = _parse_field(row, "value", value_s, float, "a number")
         if math.isnan(value):
             raise ValueError(f"realization CSV row {row}: value {value_s} is NaN")
+        if config.model is Model.II and kind is PieceKind.BUMP and value > 0.0:
+            raise ValueError(f"realization CSV row {row}: Model II bump values must be "
+                             "nonpositive")
         values.append(value)
         lengths.append(length)
-        is_bump.append(PieceKind(kind_s) is PieceKind.BUMP)
-    return _assemble(config, np.array(values, dtype=float), np.array(lengths, dtype=float),
-                     np.array(is_bump, dtype=bool))
+        is_bump.append(kind is PieceKind.BUMP)
+    if not values:
+        raise ValueError("realization CSV holds no piece rows")
+    return Realization(values=np.array(values, dtype=float),
+                       lengths=np.array(lengths, dtype=float),
+                       is_bump=np.array(is_bump, dtype=bool))
 
 
-def _assemble(config: ModelConfig, values: np.ndarray, lengths: np.ndarray,
-              is_bump: np.ndarray) -> Realization:
-    """Derive boundaries and the structural draws from the piece columns."""
-    boundaries = np.add.accumulate(lengths)
-    model = config.model
-    bump_values = values[is_bump]
-    if model is Model.II and np.any(bump_values > 0.0):
-        raise ValueError("Model II bump values must be nonpositive")
-    heights = np.zeros(0) if model is Model.III else np.abs(bump_values)
-    if model is Model.IV:
-        signs = (~(bump_values >= 0.0)).astype(np.int64)  # NaN reads as negative
-    else:
-        signs = np.zeros(0, dtype=np.int64)
-    return Realization(
-        config=config,
-        values=values,
-        lengths=lengths,
-        is_bump=is_bump,
-        bump_heights=heights,
-        gap_lengths=lengths[~is_bump],
-        signs=signs,
-        bump_positions=boundaries[is_bump],
-        boundaries=boundaries,
-    )
+def _parse_field(row: int, name: str, text: str, parse, expected: str):
+    """parse(text), or a ValueError saying that row's field is not what was expected."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"realization CSV row {row}: {name} {text} is not {expected}") from None
 
 
 def _draw_blocks(config: ModelConfig, seed: int, stream_ids, n: int):
@@ -249,7 +238,8 @@ def generate(config: ModelConfig, n_bumps: int, stream: RngStream) -> Realizatio
         raise ValueError("n_bumps must be at least 1")
     values, gaps = _draw_blocks(config, stream.seed, [stream.stream_id], n_bumps)
     if gaps is None:
-        return _assemble(config, values[0], np.ones(n_bumps), np.ones(n_bumps, dtype=bool))
+        return Realization(values=values[0], lengths=np.ones(n_bumps),
+                           is_bump=np.ones(n_bumps, dtype=bool))
     # gap, bump, gap, bump, ...: each block's one row, or model III's 1.0
     piece_values = np.zeros(2 * n_bumps)
     piece_values[1::2] = values
@@ -257,4 +247,4 @@ def generate(config: ModelConfig, n_bumps: int, stream: RngStream) -> Realizatio
     lengths[0::2] = gaps
     is_bump = np.zeros(2 * n_bumps, dtype=bool)
     is_bump[1::2] = True
-    return _assemble(config, piece_values, lengths, is_bump)
+    return Realization(values=piece_values, lengths=lengths, is_bump=is_bump)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -66,13 +65,14 @@ class EnergyFrame:
         return cls(lam=lam, k_norm=k)
 
 
-def _cs_pair(u: float) -> Tuple[float, float]:
+def _cs_pair(u):
     """Cosine-like and sinc-like factors c(u), s(u) inside the series window.
 
     c(u) = cos(sqrt(u)) and s(u) = sin(sqrt(u))/sqrt(u) for u > 0, with the
     hyperbolic continuations for u < 0; both are entire in u, and for
     |u| < U_SERIES_WINDOW, where the closed forms lose digits, the truncated
-    series realizes them, as in _piece_entries_batch.
+    series realizes them.  u is a float or an array (det_defect and
+    _piece_entries_batch), elementwise the same expression either way.
     """
     c = 1.0 - u / 2.0 + u * u / 24.0 - u * u * u / 720.0
     s = 1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0
@@ -145,9 +145,7 @@ def _branch_entries(uf, cf, sf, pref) -> None:
     """Fill the flat c, s and prescale of pieces uf branch by branch."""
     tiny = np.flatnonzero(np.abs(uf) < U_SERIES_WINDOW)
     if tiny.size:
-        ut = uf[tiny]
-        cf[tiny] = 1.0 - ut / 2.0 + ut * ut / 24.0 - ut * ut * ut / 720.0
-        sf[tiny] = 1.0 - ut / 6.0 + ut * ut / 120.0 - ut * ut * ut / 5040.0
+        cf[tiny], sf[tiny] = _cs_pair(uf[tiny])
 
     osc = np.flatnonzero(uf >= U_SERIES_WINDOW)
     if osc.size:

@@ -234,12 +234,18 @@ def test_criterion_02_flow_matches_ode_oracle():
 # ── 3: oscillatory rotation identity + nonlinear doubling ────────────────────
 
 
+def _bump_sqrt_sums(cfg, n_bumps, n_seeds, stream, radicand):
+    """Each seed's sum of sqrt(radicand(V)) over its bumps, on the chains the sweep draws."""
+    chains = (generate(cfg, n_bumps, split_stream(stream, i)) for i in range(n_seeds))
+    return np.array([np.sqrt(radicand(chain.values)).sum() for chain in chains])
+
+
 def test_criterion_03_rotation_tracks_sqrt_sum(model2_ids_pair):
-    res = sweep_chains(CFG_II, 1000, 100, RngStream(8300),
-                       want_theta=True, want_aux_sqrt=True)
-    rec = res.final()
+    stream = RngStream(8300)
+    rec = sweep_chains(CFG_II, 1000, 100, stream, want_theta=True).final()
+    sqrt_sums = _bump_sqrt_sums(CFG_II, 1000, 100, stream, lambda v: CFG_II.energy - v)
     bound = _PI * 1001.0
-    worst = float(np.max(np.abs(rec.theta - res.aux_sqrt_sum)))
+    worst = float(np.max(np.abs(rec.theta - sqrt_sums)))
 
     small, big = model2_ids_pair
     ks = ks_distance(small, big)
@@ -332,13 +338,14 @@ def test_criterion_06_sparse_bump_lyapunov_dichotomy():
 
 
 def test_criterion_07_heavy_bump_lyapunov_scales():
-    res = sweep_chains(CFG_I, 10_000, 100, RngStream(8800),
-                       want_log_norm=True, want_aux_sqrt=True,
-                       checkpoint_bumps=[100])
+    stream = RngStream(8800)
+    res = sweep_chains(CFG_I, 10_000, 100, stream, want_log_norm=True, checkpoint_bumps=[100])
     late = res.records[10_000]
     early = res.records[100]
+    sqrt_sums = _bump_sqrt_sums(CFG_I, 10_000, 100, stream,
+                                lambda v: np.maximum(v - CFG_I.energy, 0.0))
 
-    ratio = late.log_norm / res.aux_sqrt_sum
+    ratio = late.log_norm / sqrt_sums
     inside = float(np.mean((ratio >= 0.95) & (ratio <= 1.05)))
 
     med_early = float(np.median(early.log_norm / early.x))

@@ -1,5 +1,10 @@
-"""The package root's public surface: exactly these names, each resolving."""
+"""The package root's public surface: exactly these names, each resolving,
+and the fields and parameters of the chain and sweep types."""
+import dataclasses
+import inspect
+
 import heavykp
+from heavykp.estimators import SweepResult
 
 PUBLIC = {
     "__version__",
@@ -44,3 +49,17 @@ def test_flow_and_sampler_internals_live_in_their_modules():
         for name in names:
             assert not hasattr(heavykp, name)
             assert callable(getattr(module, name))
+
+
+def test_chain_and_sweep_surfaces_are_pinned():
+    # a Realization is its piece columns and their boundaries; a sweep
+    # returns what its walk computes
+    def field_names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert field_names(heavykp.Realization) == ["values", "lengths", "is_bump", "boundaries"]
+    assert field_names(SweepResult) == ["records"]
+    assert list(inspect.signature(heavykp.sweep_chains).parameters) == [
+        "config", "n_bumps", "n_seeds", "stream",
+        "want_theta", "want_log_norm", "checkpoint_bumps",
+    ]

@@ -24,6 +24,12 @@ def _cfg(model: str, **kw) -> ModelConfig:
     return ModelConfig(model=Model(model), **defaults)
 
 
+def _heights_signs(r: Realization):
+    """The bump heights X_n and signs eps_n (1 on a negative bump) read off the columns."""
+    bumps = r.values[r.is_bump]
+    return np.abs(bumps), (bumps < 0.0).astype(np.int64)
+
+
 # ── Config validation ────────────────────────────────────────────────────────
 
 
@@ -87,16 +93,17 @@ def test_model1_geometry():
     assert all(p.kind is PieceKind.BUMP and p.length == 1.0 for p in r.pieces)
     assert all(p.value > 0.0 for p in r.pieces)
     assert r.total_length == 50.0
-    assert r.gap_lengths.size == 0 and r.signs.size == 0
-    assert np.array_equal(r.bump_heights, [p.value for p in r.pieces])
-    assert np.array_equal(r.bump_positions, np.arange(1.0, 51.0))
+    assert np.all(r.is_bump)  # no gaps
+    assert np.array_equal(r.values, [p.value for p in r.pieces])
+    assert np.array_equal(r.boundaries[r.is_bump], np.arange(1.0, 51.0))
 
 
 def test_model2_geometry():
     r = generate(_cfg("II", alpha1=0.5, energy=2.0), 30, RngStream(2))
     assert all(p.value < 0.0 for p in r.pieces)
-    assert np.all(r.bump_heights > 0.0)  # heights stored unsigned
-    assert np.array_equal(r.bump_heights, [-p.value for p in r.pieces])
+    heights, _ = _heights_signs(r)
+    assert np.all(heights > 0.0)
+    assert np.array_equal(heights, [-p.value for p in r.pieces])
 
 
 def test_model3_geometry():
@@ -108,21 +115,23 @@ def test_model3_geometry():
             assert p.kind is PieceKind.GAP and p.value == 0.0
         else:
             assert p.kind is PieceKind.BUMP and p.value == 1.0 and p.length == 1.0
-    assert r.gap_lengths.size == 40
-    assert r.bump_heights.size == 0
+    gaps = r.lengths[~r.is_bump]
+    assert gaps.size == 40
+    assert np.all(r.values[r.is_bump] == 1.0)  # unit bumps, no height draws
     # right edge of bump n accumulates gaps plus n unit lengths
-    assert r.total_length == pytest.approx(r.gap_lengths.sum() + 40.0, rel=1e-12)
-    assert r.bump_positions[-1] == r.total_length
+    assert r.total_length == pytest.approx(gaps.sum() + 40.0, rel=1e-12)
+    assert r.boundaries[r.is_bump][-1] == r.total_length
 
 
 def test_model4_geometry():
     r = generate(_cfg("IV", alpha1=0.5, alpha2=0.7), 200, RngStream(4))
     assert len(r.pieces) == 400
     bump_vals = np.array([p.value for p in r.pieces if p.kind is PieceKind.BUMP])
-    assert np.array_equal(np.abs(bump_vals), r.bump_heights)
-    assert np.array_equal(r.signs, (bump_vals < 0).astype(np.int64))
+    heights, signs = _heights_signs(r)
+    assert np.array_equal(np.abs(bump_vals), heights)
+    assert np.array_equal(signs, (bump_vals < 0).astype(np.int64))
     # fair signs: both signs show up in 200 draws
-    assert 0 < r.signs.sum() < 200
+    assert 0 < signs.sum() < 200
 
 
 @pytest.mark.parametrize(
@@ -141,7 +150,7 @@ def test_columns_match_pieces(model, kw):
     assert np.array_equal(r.values, [p.value for p in r.pieces])
     assert np.array_equal(r.lengths, [p.length for p in r.pieces])
     assert np.array_equal(r.is_bump, [p.kind is PieceKind.BUMP for p in r.pieces])
-    assert np.array_equal(r.bump_positions, r.boundaries[r.is_bump])
+    assert np.array_equal(r.boundaries, np.add.accumulate([p.length for p in r.pieces]))
 
 
 def test_assemble_infinite_heights():
@@ -149,10 +158,11 @@ def test_assemble_infinite_heights():
     text = ("index,kind,value,length\n0,gap,0.0,2.0\n1,bump,inf,1.0\n"
             "2,gap,0.0,0.5\n3,bump,-inf,1.0\n4,gap,0.0,1.0\n5,bump,-0.0,1.0\n")
     r = realization_from_csv(_cfg("IV", alpha1=0.5, alpha2=0.7), io.StringIO(text))
-    assert r.bump_heights.tolist() == [math.inf, math.inf, 0.0]
-    assert r.signs.tolist() == [0, 1, 0]
-    assert r.gap_lengths.tolist() == [2.0, 0.5, 1.0]
-    assert r.bump_positions.tolist() == [3.0, 4.5, 6.5]
+    heights, signs = _heights_signs(r)
+    assert heights.tolist() == [math.inf, math.inf, 0.0]
+    assert signs.tolist() == [0, 1, 0]
+    assert r.lengths[~r.is_bump].tolist() == [2.0, 0.5, 1.0]
+    assert r.boundaries[r.is_bump].tolist() == [3.0, 4.5, 6.5]
 
 
 def test_generate_rejects_empty_chain():
@@ -179,14 +189,14 @@ def test_boundaries_accumulate_exactly():
 def test_bump_height_tail_index():
     # X = Z^2 with Z Frechet(alpha1): X is Frechet(alpha1/2)
     r = generate(_cfg("I", alpha1=0.6), 20_000, RngStream(21))
-    grid = np.sort(r.bump_heights)
+    grid = np.sort(_heights_signs(r)[0])
     emp = np.arange(1, grid.size + 1) / grid.size
     assert np.abs(emp - frechet_cdf(0.3, grid)).max() < 0.015
 
 
 def test_gap_length_tail_index():
     r = generate(_cfg("III", alpha2=0.8), 20_000, RngStream(22))
-    grid = np.sort(r.gap_lengths)
+    grid = np.sort(r.lengths[~r.is_bump])
     emp = np.arange(1, grid.size + 1) / grid.size
     assert np.abs(emp - frechet_cdf(0.8, grid)).max() < 0.015
 
@@ -194,8 +204,9 @@ def test_gap_length_tail_index():
 def test_model4_components_independent_of_signs():
     # signs are a separate block: heights of + and - bumps share one law
     r = generate(_cfg("IV", alpha1=0.5, alpha2=0.5), 20_000, RngStream(23))
-    plus = r.bump_heights[r.signs == 0]
-    minus = r.bump_heights[r.signs == 1]
+    heights, signs = _heights_signs(r)
+    plus = heights[signs == 0]
+    minus = heights[signs == 1]
     assert ks_distance(plus, minus) < 0.03
 
 
@@ -220,10 +231,8 @@ def test_csv_roundtrip_bit_exact(model, kw):
     back = realization_from_csv(cfg, buf)
     assert back.pieces == r.pieces
     assert np.array_equal(back.boundaries, r.boundaries)
-    assert np.array_equal(back.bump_heights, r.bump_heights)
-    assert np.array_equal(back.gap_lengths, r.gap_lengths)
-    assert np.array_equal(back.signs, r.signs)
-    assert np.array_equal(back.bump_positions, r.bump_positions)
+    for name in ("values", "lengths", "is_bump"):
+        assert getattr(back, name).tobytes() == getattr(r, name).tobytes()
 
 
 def test_csv_header_checked():
@@ -255,6 +264,29 @@ def test_csv_rejects_nan_value():
     # an infinite value is an overflowed draw and passes; NaN is no potential
     text = "index,kind,value,length\n0,bump,inf,1.0\n1,bump,nan,1.0\n"
     with pytest.raises(ValueError, match="row 1: value nan is NaN"):
+        realization_from_csv(_cfg("I", alpha1=0.5), io.StringIO(text))
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"], ids=["header-only", "blank-rows"])
+def test_csv_rejects_dump_without_pieces(body):
+    # refused at read time, not at the first total_length or BoxProblem
+    text = "index,kind,value,length\n" + body
+    with pytest.raises(ValueError, match="no piece rows"):
+        realization_from_csv(_cfg("III", alpha2=0.5), io.StringIO(text))
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1,bump,3.0", "row 1: 3 fields, expected 4"),
+    ("1,bump,3.0,1.0,1.0", "row 1: 5 fields, expected 4"),
+    ("1.0,bump,3.0,1.0", "row 1: index 1.0 is not an integer"),
+    ("one,bump,3.0,1.0", "row 1: index one is not an integer"),
+    ("1,wall,3.0,1.0", "row 1: kind wall is not bump or gap"),
+    ("1,bump,three,1.0", "row 1: value three is not a number"),
+    ("1,bump,3.0,", "row 1: length  is not a number"),
+])
+def test_csv_malformed_rows_name_their_row(row, message):
+    text = f"index,kind,value,length\n0,bump,2.0,1.0\n{row}\n"
+    with pytest.raises(ValueError, match=f"^realization CSV {message}$"):
         realization_from_csv(_cfg("I", alpha1=0.5), io.StringIO(text))
 
 
