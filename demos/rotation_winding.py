@@ -36,7 +36,7 @@ print(f"deep bump (V = 120, l = 2): theta -> {thetas[-1]:.4f} (pinned below pi),
 # to the sum of the local frequencies: theta(n) = sum sqrt(lam + X_j) + O(n).
 cfg = ModelConfig(model=Model.II, energy=1.0, alpha1=0.5)
 stream = RngStream(31)
-rec = sweep_chains(cfg, 500, 200, stream, want_theta=True).final()
+rec = sweep_chains(cfg, 500, 200, stream, want_theta=True)
 # seed i's chain is generate's chain on split_stream(stream, i)
 sqrt_sums = [np.sqrt(cfg.energy - generate(cfg, 500, split_stream(stream, i)).values).sum()
              for i in range(200)]
@@ -47,8 +47,7 @@ print(f"  the bound pi (n + 1) = {math.pi * 501:.1f} is never approached")
 
 # the rotation number theta/(pi x) estimates the integrated density of states
 cfg3 = ModelConfig(model=Model.III, energy=1.0, alpha2=0.5)
-res = sweep_chains(cfg3, 2000, 200, RngStream(32), want_theta=True)
-rec = res.final()
+rec = sweep_chains(cfg3, 2000, 200, RngStream(32), want_theta=True)
 ids = np.median(rec.theta / (math.pi * rec.x))
 print(f"\nModel III rotation number per unit length: {ids:.5f} "
       f"(free value k/pi = {1 / math.pi:.5f})")

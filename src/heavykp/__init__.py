@@ -12,18 +12,11 @@ parameter grids with reproducible, seed-splittable randomness.
 __version__ = "0.1.0"
 
 from .estimators import (
-    IdsEstimate,
-    IdsScale,
-    LyapunovEstimate,
-    LyapunovScale,
     chain_mixing,
     darling_ratio,
-    estimate_ids,
-    estimate_lyapunov,
     ids_trace,
     lyapunov_trace,
-    model3_joint_samples,
-    nonlinear_samples,
+    nonlinear_normalizers,
     sweep_chains,
 )
 from .potentials import (
@@ -71,10 +64,8 @@ __all__ = [
     # prufer
     "TraceRecord", "boundary_theta",
     # estimators
-    "LyapunovScale", "IdsScale", "LyapunovEstimate", "IdsEstimate",
-    "estimate_lyapunov", "estimate_ids", "lyapunov_trace", "ids_trace",
-    "nonlinear_samples", "model3_joint_samples", "darling_ratio",
-    "chain_mixing", "sweep_chains",
+    "sweep_chains", "nonlinear_normalizers",
+    "lyapunov_trace", "ids_trace", "darling_ratio", "chain_mixing",
     # spectrum
     "BoxProblem", "boundary_phase", "phase_trace",
     "count_below", "find_eigenvalues", "decay_fit", "EigenvalueSearchError",

@@ -4,8 +4,10 @@ Everything here reduces to one sweep over sampled chains, sweep_chains.  It
 walks many independent chains at once, segment by segment, the way
 prufer.walk_chain walks one chain: piece matrices in bulk, a lean loop over
 the bumps that pushes unit vectors (numpy across seeds), and the results
-read off the stored vectors.  Its lanes give
+read off the stored vectors.  It returns each seed's state after the last
+bump, a SweepRecord:
 
+    x           the chain length x_n;
     theta       the unwound Prufer phase of the boundary-condition vector;
     log norm    log||M|| of the transfer-matrix product, from its columns
                 M e1 and M e2.
@@ -18,14 +20,13 @@ potentials.generate lays out the same pieces, so the single-chain traces
 the same chains, which is what the oracle tests pin down.  chain_mixing walks
 its starting points as lanes of the same lane walk.
 
-Estimated objects:
+The paper's objects are ratios of a record's lanes:
 
-    Lyapunov exponents   log norm per unit length (linear scale), per bump,
-                         or per heavy-tail normalizer (nonlinear scale);
-    rotation numbers     unwound phase over pi times a length normalizer,
-                         whose limit is the integrated density of states;
-    stable-limit samples per-seed nonlinear-scale values for distributional
-                         comparison against one-sided stable laws;
+    Lyapunov exponents   log norm over x or n (linear scale), or over the
+                         heavy-tail normalizer of nonlinear_normalizers;
+    rotation numbers     theta over pi x, whose limit is the integrated
+                         density of states, or over pi times the heavy-tail
+                         normalizer;
     Darling ratios       max-term share of heavy-tailed sums;
     chain mixing         per-step KS distances between phase chains started
                          at different initial points.
@@ -34,8 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .potentials import Model, ModelConfig, _draw_blocks, generate
 from .prufer import (
     _dead_direction,
     _piece_turns,
-    _running_sums,
     boundary_theta,
     walk_chain,
 )
@@ -62,52 +61,16 @@ _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
 
-class LyapunovScale(Enum):
-    LINEAR_X = "linear_x"          # divide by chain length x
-    LINEAR_N = "linear_n"          # divide by bump count n
-    NONLINEAR_ALPHA = "nonlinear_alpha"  # heavy-tail normalizer, see normalizer_desc
-
-
-class IdsScale(Enum):
-    LINEAR = "linear"              # theta / (pi x)
-    NONLINEAR_ALPHA = "nonlinear_alpha"  # theta / (pi n**(1/alpha))
-
-
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    scale: LyapunovScale
-    values: np.ndarray            # one value per seed, final checkpoint
-    normalizer_desc: str
-    n_bumps: int
-
-
-@dataclass(frozen=True)
-class IdsEstimate:
-    scale: IdsScale
-    values: np.ndarray
-    normalizer_desc: str
-    n_bumps: int
-
-
 # ── Vectorized chain sweep ───────────────────────────────────────────────────
 
 
 @dataclass
 class SweepRecord:
-    """Per-checkpoint arrays over seeds (None where not requested)."""
+    """Each seed's state after the last bump, arrays over seeds (None where not requested)."""
 
-    n_bumps: int
     x: np.ndarray
     theta: Optional[np.ndarray]
     log_norm: Optional[np.ndarray]
-
-
-@dataclass
-class SweepResult:
-    records: Dict[int, SweepRecord]
-
-    def final(self) -> SweepRecord:
-        return self.records[max(self.records)]
 
 
 def _chunk_sizes(n_seeds: int, n_bumps: int) -> List[Tuple[int, int]]:
@@ -361,15 +324,12 @@ def sweep_chains(
     *,
     want_theta: bool = False,
     want_log_norm: bool = False,
-    checkpoint_bumps: Sequence[int] = (),
-) -> SweepResult:
-    """Advance n_seeds independent chains for n_bumps bumps.
+) -> SweepRecord:
+    """Advance n_seeds independent chains for n_bumps bumps; each seed's state after the last.
 
     Seed i draws from split_stream(stream, i) through
     ``potentials._draw_blocks``, a block of seeds at a time, so scalar and
-    vectorized runs see identical chains.  checkpoint_bumps are bump counts
-    at which per-seed snapshots are stored; the final bump count is always
-    included.
+    vectorized runs see identical chains.
 
     The chains are walked as in prufer.walk_chain, across seeds and one
     segment of bumps at a time.  The lanes are unit vectors (psi, psi'/k):
@@ -385,10 +345,10 @@ def sweep_chains(
        numpy across lanes, renormalizing into preallocated buffers;
     3. the whole turns of every bump step are counted from the stored
        boundary vectors by walk_chain's winding rule (_unwind_segment), and
-       theta is formed only where it is read, at checkpoints and at the
-       segment's end, as the vector's angle plus 2 pi times the turns so
-       far; log|M e_i| adds up the prescales and the logs of the norms, and
-       log||M|| (Frobenius) is log sqrt(|M e1|**2 + |M e2|**2).
+       theta at the segment's end is the vector's angle plus 2 pi times the
+       turns so far; log|M e_i| adds up the prescales and the logs of the
+       norms, and at the end log||M|| (Frobenius) is
+       log sqrt(|M e1|**2 + |M e2|**2).
 
     A segment holds _segment_length(seeds in the block) bumps.  Positions
     and log norms are added in piece order, and theta carries its unwound
@@ -407,18 +367,10 @@ def sweep_chains(
     frame = config.frame()
     lam = frame.lam
     k = frame.k_norm
-    cps = _checkpoints(checkpoint_bumps, n_bumps)
     theta_start = boundary_theta(config.theta0, frame)
-
-    records: Dict[int, SweepRecord] = {
-        nb: SweepRecord(
-            n_bumps=nb,
-            x=np.empty(n_seeds),
-            theta=np.empty(n_seeds) if want_theta else None,
-            log_norm=np.empty(n_seeds) if want_log_norm else None,
-        )
-        for nb in cps
-    }
+    rec = SweepRecord(x=np.empty(n_seeds),
+                      theta=np.empty(n_seeds) if want_theta else None,
+                      log_norm=np.empty(n_seeds) if want_log_norm else None)
 
     # lanes: the theta vector, then the columns e1 and e2
     starts = ([(math.sin(theta_start), math.cos(theta_start))] if want_theta else []) \
@@ -443,15 +395,15 @@ def sweep_chains(
             gaps = _columns(gap_blk, j0, j1)
 
             if gaps is not None:
-                # x after every gap and bump: (pos, gap, 1, gap, 1, ...) summed in order
-                xs = np.empty((s, 2 * nj + 1))
-                xs[:, 0] = pos
-                xs[:, 1::2] = gap_blk[:, j0:j1]
-                xs[:, 2::2] = 1.0
-                xs = np.cumsum(xs, axis=1)[:, 0::2]
+                # (pos, gap, 1, gap, 1, ...) summed in order: cumsum adds
+                # along a row one term at a time, where sum would pair them
+                steps = np.empty((s, 2 * nj + 1))
+                steps[:, 0] = pos
+                steps[:, 1::2] = gap_blk[:, j0:j1]
+                steps[:, 2::2] = 1.0
+                pos = np.cumsum(steps, axis=1)[:, -1]
             else:
-                xs = pos[:, None] + np.arange(nj + 1.0)
-            pos = xs[:, -1]
+                pos = pos + nj
 
             if n_lanes:
                 pre, gap, dead = lanes.walk(nj, values, gaps)
@@ -464,25 +416,21 @@ def sweep_chains(
                 for (j, lane, seed), gain in dead.items():
                     if lane >= first_col:
                         gains[j, lane - first_col, seed] = gain
-                log_run = _running_sums(logs, gains)
-                # a non-finite gain leaves its lane's last sum non-finite
-                if not np.all(np.isfinite(log_run[-1])):
+                # an axis-0 reduce adds the rows in order, as a loop would
+                gains[0] += logs
+                logs = np.add.reduce(gains, axis=0)
+                # a non-finite gain leaves its lane's sum non-finite
+                if not np.all(np.isfinite(logs)):
                     raise SaturationError("chain sweep product left representable range")
-                logs = log_run[-1]
-
-            for nb in cps:
-                if j0 < nb <= j1:
-                    r = nb - j0
-                    rec = records[nb]
-                    rec.x[lo:hi] = xs[:, r]
-                    if want_theta:
-                        rec.theta[lo:hi] = theta if r == nj else _theta_after(angles, turns, r)
-                    if want_log_norm:
-                        rec.log_norm[lo:hi] = 0.5 * np.logaddexp(2.0 * log_run[r, 0],
-                                                                 2.0 * log_run[r, 1])
             lanes.carry(nj)
 
-    return SweepResult(records=records)
+        rec.x[lo:hi] = pos
+        if want_theta:
+            rec.theta[lo:hi] = theta
+        if want_log_norm:
+            rec.log_norm[lo:hi] = 0.5 * np.logaddexp(2.0 * logs[0], 2.0 * logs[1])
+
+    return rec
 
 
 # ── Single-seed traces ───────────────────────────────────────────────────────
@@ -535,139 +483,28 @@ def ids_trace(
     return list(zip(real.boundaries[ends].tolist(), (thetas[ends + 1] / _PI).tolist()))
 
 
-# ── Aggregated estimates ─────────────────────────────────────────────────────
+# ── Heavy-tail scales ────────────────────────────────────────────────────────
 
 
-def _nonlinear_normalizer(config: ModelConfig, n_bumps: int, x: np.ndarray,
-                          which: str) -> Tuple[np.ndarray, str]:
-    model = config.model
-    if model in (Model.I, Model.II):
-        a = config.alpha1
-        return np.full_like(x, float(n_bumps) ** (1.0 / a)), f"n**(1/alpha1), alpha1={a}"
-    if model is Model.III:
-        a = config.alpha2
-        if which == "lyapunov":
-            return x ** a, f"L_n**alpha2, alpha2={a}"
-        return np.full_like(x, float(n_bumps) ** (1.0 / a)), f"n**(1/alpha2), alpha2={a}"
-    # model IV: bumps drive the log norm, gaps drive the rotation
-    if which == "lyapunov":
-        a = config.alpha1
-        return np.full_like(x, float(n_bumps) ** (1.0 / a)), f"n**(1/alpha1), alpha1={a}"
-    a = config.alpha2
-    return np.full_like(x, float(n_bumps) ** (1.0 / a)), f"n**(1/alpha2), alpha2={a}"
+def nonlinear_normalizers(config: ModelConfig, n_bumps: int,
+                          x: np.ndarray) -> Tuple[Union[float, np.ndarray], float]:
+    """The heavy-tail normalizers (lyapunov, rotation) of chains of n_bumps bumps.
 
-
-def estimate_lyapunov(
-    config: ModelConfig,
-    n_bumps: int,
-    n_seeds: int,
-    stream: RngStream,
-    scale: LyapunovScale = LyapunovScale.LINEAR_X,
-) -> LyapunovEstimate:
-    """Per-seed scaled log norms ln||M([0, x_n])|| / normalizer."""
-    res = sweep_chains(config, n_bumps, n_seeds, stream, want_log_norm=True)
-    return _lyapunov_estimate(config, n_bumps, res.final(), scale)
-
-
-def _lyapunov_estimate(config: ModelConfig, n_bumps: int, rec: SweepRecord,
-                       scale: LyapunovScale) -> LyapunovEstimate:
-    if scale is LyapunovScale.LINEAR_X:
-        values = rec.log_norm / rec.x
-        desc = "chain length x_n"
-    elif scale is LyapunovScale.LINEAR_N:
-        values = rec.log_norm / float(n_bumps)
-        desc = "bump count n"
-    else:
-        norm, desc = _nonlinear_normalizer(config, n_bumps, rec.x, "lyapunov")
-        values = rec.log_norm / norm
-    return LyapunovEstimate(scale=scale, values=values, normalizer_desc=desc, n_bumps=n_bumps)
-
-
-def estimate_ids(
-    config: ModelConfig,
-    n_bumps: int,
-    n_seeds: int,
-    stream: RngStream,
-    scale: IdsScale = IdsScale.LINEAR,
-) -> IdsEstimate:
-    """Per-seed rotation numbers theta(x_n) / (pi * normalizer)."""
-    res = sweep_chains(config, n_bumps, n_seeds, stream, want_theta=True)
-    return _ids_estimate(config, n_bumps, res.final(), scale)
-
-
-def _ids_estimate(config: ModelConfig, n_bumps: int, rec: SweepRecord,
-                  scale: IdsScale) -> IdsEstimate:
-    if scale is IdsScale.LINEAR:
-        values = rec.theta / (_PI * rec.x)
-        desc = "pi * chain length x_n"
-    else:
-        norm, desc = _nonlinear_normalizer(config, n_bumps, rec.x, "ids")
-        values = rec.theta / (_PI * norm)
-        desc = "pi * " + desc
-    return IdsEstimate(scale=scale, values=values, normalizer_desc=desc, n_bumps=n_bumps)
-
-
-def estimate_lyapunov_and_ids(
-    config: ModelConfig,
-    n_bumps: int,
-    n_seeds: int,
-    stream: RngStream,
-    lyapunov_scale: LyapunovScale = LyapunovScale.LINEAR_X,
-    ids_scale: IdsScale = IdsScale.LINEAR,
-) -> Tuple[LyapunovEstimate, IdsEstimate]:
-    """estimate_lyapunov and estimate_ids on the same chains from one sweep.
-
-    Every lane of a sweep depends on its own seed and lane only, so both
-    estimates equal the separate calls bit for bit.
+    A sweep record's log norm over lyapunov and its theta over pi times
+    rotation are the per-seed values whose laws the paper's stable limits
+    describe.  The log norm is driven by the bump heights, n**(1/alpha1) on
+    models I, II and IV, except on model III, whose unit bumps leave it to
+    the chain length: x**alpha2 (L_n**alpha2), an array like x.  The
+    rotation is driven by the bump heights on models I and II and by the gap
+    lengths on models III and IV: n**(1/alpha1) or n**(1/alpha2).
     """
-    res = sweep_chains(config, n_bumps, n_seeds, stream, want_theta=True, want_log_norm=True)
-    rec = res.final()
-    return (_lyapunov_estimate(config, n_bumps, rec, lyapunov_scale),
-            _ids_estimate(config, n_bumps, rec, ids_scale))
-
-
-def nonlinear_samples(
-    config: ModelConfig,
-    n_bumps: int,
-    n_seeds: int,
-    which: str,
-    stream: RngStream,
-) -> np.ndarray:
-    """Per-seed nonlinear-scale samples for stable-law comparison.
-
-    which = "lyapunov": ln||M|| over n**(1/alpha) (models I/II/IV) or over
-    L_n**alpha (model III).  which = "ids": theta over pi n**(1/alpha).
-    """
-    if which not in ("lyapunov", "ids"):
-        raise ValueError('which must be "lyapunov" or "ids"')
-    if n_seeds < 2:
-        raise ValueError("n_seeds must be at least 2")
-    if which == "lyapunov":
-        est = estimate_lyapunov(config, n_bumps, n_seeds, stream, LyapunovScale.NONLINEAR_ALPHA)
+    n = float(n_bumps)
+    if config.model is Model.III:
+        lyapunov = x ** config.alpha2
     else:
-        est = estimate_ids(config, n_bumps, n_seeds, stream, IdsScale.NONLINEAR_ALPHA)
-    return est.values
-
-
-def model3_joint_samples(
-    config: ModelConfig,
-    n_bumps: int,
-    n_seeds: int,
-    stream: RngStream,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Joint per-seed law of (ln||M||/n, L_n/n**(1/alpha)) for sparse-bump chains.
-
-    The two coordinates share one normalization identity with the
-    L_n**alpha-scaled samples: dividing the first by the alpha-power of the
-    second recovers ln||M||/L_n**alpha times n**(...) bookkeeping; tests
-    check that relation on the sample level.
-    """
-    if config.model is not Model.III:
-        raise ValueError("joint samples are a Model III diagnostic")
-    res = sweep_chains(config, n_bumps, n_seeds, stream, want_log_norm=True)
-    rec = res.final()
-    a = config.alpha2
-    return rec.log_norm / float(n_bumps), rec.x / float(n_bumps) ** (1.0 / a)
+        lyapunov = n ** (1.0 / config.alpha1)
+    tail = config.alpha1 if config.model in (Model.I, Model.II) else config.alpha2
+    return lyapunov, n ** (1.0 / tail)
 
 
 def darling_ratio(values) -> float:
@@ -676,12 +513,22 @@ def darling_ratio(values) -> float:
 
 
 def darling_ratios(samples: np.ndarray) -> np.ndarray:
-    """darling_ratio of each row of a (samples, n) array, the same bits as row by row."""
+    """darling_ratio of each row of a (samples, n) array, the same bits as row by row.
+
+    A row that holds an infinite variate (a heavy-tailed draw past float
+    range) would give inf/inf: it raises SaturationError naming the draw.
+    """
     if samples.shape[1] == 0:
         raise ValueError("values must be nonempty")
     if not np.all(samples > 0.0):
         raise ValueError("values must be positive")
-    return samples.max(axis=1) / samples.sum(axis=1)
+    top = samples.max(axis=1)
+    overflowed = np.flatnonzero(np.isinf(top))
+    if overflowed.size:
+        row = int(overflowed[0])
+        raise SaturationError(f"row {row}: variate {int(np.argmax(samples[row]))} of "
+                              f"{samples.shape[1]} overflowed to inf, so max/sum is inf/inf")
+    return top / samples.sum(axis=1)
 
 
 def _tangent_phase(t: float) -> float:

@@ -29,15 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimators import (
-    IdsScale,
-    LyapunovScale,
-    chain_mixing,
-    darling_ratios,
-    estimate_ids,
-    estimate_lyapunov_and_ids,
-    sweep_chains,
-)
+from .estimators import chain_mixing, darling_ratios, nonlinear_normalizers, sweep_chains
 from .potentials import Model, ModelConfig, generate
 from .rng import RngStream, draw_block, split_ids, split_stream
 # The darling cells draw through draw_block; the per-seed samplers remain
@@ -322,9 +314,8 @@ def _task_stream(spec: TaskSpec) -> RngStream:
 
 
 def _run_lyapunov(spec: TaskSpec, rows, summary) -> None:
-    res = sweep_chains(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec),
+    rec = sweep_chains(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec),
                        want_log_norm=True)
-    rec = res.final()
     over_x = rec.log_norm / rec.x
     for seed, (log_norm, ratio) in enumerate(zip(rec.log_norm.tolist(), over_x.tolist())):
         rows.append((seed, "log_norm", log_norm))
@@ -337,21 +328,25 @@ def _run_lyapunov(spec: TaskSpec, rows, summary) -> None:
 
 
 def _run_ids(spec: TaskSpec, rows, summary) -> None:
-    est = estimate_ids(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec), IdsScale.LINEAR)
+    rec = sweep_chains(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec),
+                       want_theta=True)
+    values = rec.theta / (math.pi * rec.x)
     rows.extend([(seed, "rotation_per_unit_length", v)
-                 for seed, v in enumerate(est.values.tolist())])
-    summary["median_rotation_per_unit_length"] = float(np.median(est.values))
+                 for seed, v in enumerate(values.tolist())])
+    summary["median_rotation_per_unit_length"] = float(np.median(values))
 
 
 def _run_nonlinear(spec: TaskSpec, rows, summary) -> None:
-    lya, ids = estimate_lyapunov_and_ids(spec.cell_config, spec.n, spec.n_seeds,
-                                         _task_stream(spec), LyapunovScale.NONLINEAR_ALPHA,
-                                         IdsScale.NONLINEAR_ALPHA)
-    for seed, (lya_v, ids_v) in enumerate(zip(lya.values.tolist(), ids.values.tolist())):
+    rec = sweep_chains(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec),
+                       want_theta=True, want_log_norm=True)
+    lya_norm, rot_norm = nonlinear_normalizers(spec.cell_config, spec.n, rec.x)
+    lya = rec.log_norm / lya_norm
+    ids = rec.theta / (math.pi * rot_norm)
+    for seed, (lya_v, ids_v) in enumerate(zip(lya.tolist(), ids.tolist())):
         rows.append((seed, "lyapunov_scaled", lya_v))
         rows.append((seed, "ids_scaled", ids_v))
-    summary["median_lyapunov_scaled"] = float(np.median(lya.values))
-    summary["median_ids_scaled"] = float(np.median(ids.values))
+    summary["median_lyapunov_scaled"] = float(np.median(lya))
+    summary["median_ids_scaled"] = float(np.median(ids))
 
 
 def _run_darling(spec: TaskSpec, rows, summary) -> None:
@@ -368,7 +363,10 @@ def _run_darling(spec: TaskSpec, rows, summary) -> None:
     for lo in range(0, spec.n_seeds, chunk):
         hi = min(spec.n_seeds, lo + chunk)
         (block,) = draw_block(base.seed, split_ids(base, lo, hi), spec.n, [law])
-        values[lo:hi] = darling_ratios(block)
+        try:
+            values[lo:hi] = darling_ratios(block)
+        except SaturationError as exc:  # name the seed: row 0 of the block is seed lo
+            raise SaturationError(f"darling draws of seeds {lo}..{hi - 1}, {exc}") from None
     rows.extend([(seed, "max_over_sum", v) for seed, v in enumerate(values.tolist())])
     ci = mean_ci(values) if spec.n_seeds > 1 else None
     summary["mean_max_over_sum"] = float(values.mean())

@@ -157,7 +157,13 @@ def count_below(problem: BoxProblem, lam: float) -> int:
     Phases within _WINDING_GUARD of the next multiple of pi count as having
     reached it, so an exactly attained multiple (free chain at resonant
     length, or lam returned by the eigenvalue search) is not lost to the last
-    rounding.
+    rounding.  Where the phase rises gently in lam, as on short boxes, that
+    guard spans up to about 2e-9 in lam, wider than find_eigenvalues' default
+    tol: count_below(lam_m - 1e-10 * |lam_m|) can already return m for an
+    eigenvalue lam_m it found (4 of the 85 in [0.25, 4] of the 12-bump
+    model III box, alpha2 0.6, theta0 0.7, of RngStream(3141) child 0, among
+    them m = 88 and 91).  Step further than the guard to test a count change
+    at an eigenvalue.
     """
     return _winding_count(boundary_phase(problem, lam))
 

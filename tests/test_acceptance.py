@@ -20,7 +20,7 @@ from heavykp import runner
 from heavykp.estimators import (
     chain_mixing,
     darling_ratio,
-    nonlinear_samples,
+    nonlinear_normalizers,
     sweep_chains,
 )
 from heavykp.potentials import Model, ModelConfig, generate
@@ -48,20 +48,30 @@ CFG_III = ModelConfig(model=Model.III, energy=1.0, alpha2=0.5)
 # ── Shared heavy samples (module scope: computed once, reused) ───────────────
 
 
+def _scaled_rotations(cfg, n_bumps, stream):
+    """theta over pi times the rotation normalizer, 10^4 seeds."""
+    rec = sweep_chains(cfg, n_bumps, 10_000, stream, want_theta=True)
+    return rec.theta / (_PI * nonlinear_normalizers(cfg, n_bumps, rec.x)[1])
+
+
+def _scaled_log_norms(cfg, n_bumps, stream):
+    """ln||M|| over the Lyapunov normalizer, 10^4 seeds."""
+    rec = sweep_chains(cfg, n_bumps, 10_000, stream, want_log_norm=True)
+    return rec.log_norm / nonlinear_normalizers(cfg, n_bumps, rec.x)[0]
+
+
 @pytest.fixture(scope="module")
 def model2_ids_pair():
     """Nonlinear-scale rotation samples theta/(pi n**2), 10^4 seeds, n and 4n."""
-    small = nonlinear_samples(CFG_II, 1000, 10_000, "ids", RngStream(8301))
-    big = nonlinear_samples(CFG_II, 4000, 10_000, "ids", RngStream(8302))
-    return small, big
+    return (_scaled_rotations(CFG_II, 1000, RngStream(8301)),
+            _scaled_rotations(CFG_II, 4000, RngStream(8302)))
 
 
 @pytest.fixture(scope="module")
 def model1_lyapunov_pair():
     """Nonlinear-scale log norms ln||M||/n**2, 10^4 seeds, n and 4n."""
-    small = nonlinear_samples(CFG_I, 1000, 10_000, "lyapunov", RngStream(8401))
-    big = nonlinear_samples(CFG_I, 4000, 10_000, "lyapunov", RngStream(8402))
-    return small, big
+    return (_scaled_log_norms(CFG_I, 1000, RngStream(8401)),
+            _scaled_log_norms(CFG_I, 4000, RngStream(8402)))
 
 
 # ── 1: SL(2,R) exactness ─────────────────────────────────────────────────────
@@ -242,7 +252,7 @@ def _bump_sqrt_sums(cfg, n_bumps, n_seeds, stream, radicand):
 
 def test_criterion_03_rotation_tracks_sqrt_sum(model2_ids_pair):
     stream = RngStream(8300)
-    rec = sweep_chains(CFG_II, 1000, 100, stream, want_theta=True).final()
+    rec = sweep_chains(CFG_II, 1000, 100, stream, want_theta=True)
     sqrt_sums = _bump_sqrt_sums(CFG_II, 1000, 100, stream, lambda v: CFG_II.energy - v)
     bound = _PI * 1001.0
     worst = float(np.max(np.abs(rec.theta - sqrt_sums)))
@@ -269,8 +279,7 @@ def test_criterion_04_sparse_bump_ids_constant():
     for j, energy in enumerate((0.25, 1.0, 4.0)):
         k = math.sqrt(energy)
         cfg = ModelConfig(model=Model.III, energy=energy, alpha2=0.5)
-        res = sweep_chains(cfg, 10_000, 200, RngStream(8500 + j), want_theta=True)
-        rec = res.final()
+        rec = sweep_chains(cfg, 10_000, 200, RngStream(8500 + j), want_theta=True)
         med = float(np.median(rec.theta / (_PI * rec.x * k)))
         devs[k] = med * _PI  # 1.0 means exactly 1/pi
     elapsed = time.perf_counter() - t0
@@ -292,8 +301,7 @@ def test_criterion_04_sparse_bump_ids_constant():
 def test_criterion_05_high_energy_ids_constant():
     k = 20.0
     cfg = ModelConfig(model=Model.I, energy=k * k, alpha1=0.95)
-    res = sweep_chains(cfg, 10_000, 200, RngStream(8600), want_theta=True)
-    rec = res.final()
+    rec = sweep_chains(cfg, 10_000, 200, RngStream(8600), want_theta=True)
     med = float(np.median(rec.theta / (_PI * rec.x * k))) * _PI
     ok = abs(med - 1.0) <= 0.05
     record_criterion(
@@ -311,10 +319,10 @@ def test_criterion_05_high_energy_ids_constant():
 
 
 def test_criterion_06_sparse_bump_lyapunov_dichotomy():
-    res = sweep_chains(CFG_III, 10_000, 200, RngStream(8700),
-                       want_log_norm=True, checkpoint_bumps=[100])
-    late = res.records[10_000]
-    early = res.records[100]
+    # model III draws one array per seed, so the 100-bump chains are the
+    # first 100 bumps of the 10^4-bump ones
+    late = sweep_chains(CFG_III, 10_000, 200, RngStream(8700), want_log_norm=True)
+    early = sweep_chains(CFG_III, 100, 200, RngStream(8700), want_log_norm=True)
 
     per_bump = late.log_norm / 10_000.0
     ci = mean_ci(per_bump)
@@ -339,9 +347,9 @@ def test_criterion_06_sparse_bump_lyapunov_dichotomy():
 
 def test_criterion_07_heavy_bump_lyapunov_scales():
     stream = RngStream(8800)
-    res = sweep_chains(CFG_I, 10_000, 100, stream, want_log_norm=True, checkpoint_bumps=[100])
-    late = res.records[10_000]
-    early = res.records[100]
+    # the 100-bump chains are the first 100 bumps of the 10^4-bump ones
+    late = sweep_chains(CFG_I, 10_000, 100, stream, want_log_norm=True)
+    early = sweep_chains(CFG_I, 100, 100, stream, want_log_norm=True)
     sqrt_sums = _bump_sqrt_sums(CFG_I, 10_000, 100, stream,
                                 lambda v: np.maximum(v - CFG_I.energy, 0.0))
 

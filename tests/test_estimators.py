@@ -32,17 +32,11 @@ from hypothesis import strategies as st
 
 import heavykp.estimators as estimators
 from heavykp.estimators import (
-    IdsScale,
-    LyapunovScale,
     chain_mixing,
     darling_ratio,
-    estimate_ids,
-    estimate_lyapunov,
-    estimate_lyapunov_and_ids,
     ids_trace,
     lyapunov_trace,
-    model3_joint_samples,
-    nonlinear_samples,
+    nonlinear_normalizers,
     sweep_chains,
 )
 from heavykp.potentials import Model, ModelConfig, _draw_blocks, generate
@@ -122,39 +116,40 @@ def test_sweep_matches_scalar_traces(name):
     # the traces must agree with the same references
     cfg = CONFIGS[name]
     parent = RngStream(321, stream_id=4)
-    n_bumps, n_seeds = 60, 4
-    res = sweep_chains(cfg, n_bumps, n_seeds, parent, want_theta=True, want_log_norm=True,
-                       checkpoint_bumps=[20])
-    products = _product_log_norms(cfg, n_bumps, n_seeds, parent)
-    for i in range(n_seeds):
-        child = split_stream(parent, i)
-        thetas = _scalar_thetas(cfg, n_bumps, child)
-        ids_pts = ids_trace(cfg, n_bumps, [20], child)
-        lyap_pts = lyapunov_trace(cfg, n_bumps, [20], child)
-        for rec_nb, (x_ids, rot), (x_ly, ln) in zip((20, 60), ids_pts, lyap_pts):
-            rec = res.records[rec_nb]
+    n_seeds = 4
+    for n_bumps in (20, 60):
+        rec = sweep_chains(cfg, n_bumps, n_seeds, parent, want_theta=True, want_log_norm=True)
+        products = _product_log_norms(cfg, n_bumps, n_seeds, parent)
+        for i in range(n_seeds):
+            child = split_stream(parent, i)
+            thetas = _scalar_thetas(cfg, n_bumps, child)
+            ((x_ids, rot),) = ids_trace(cfg, n_bumps, [], child)
+            ((x_ly, ln),) = lyapunov_trace(cfg, n_bumps, [], child)
             assert rec.x[i] == x_ids == x_ly
             for got in (rec.theta[i] / _PI, rot):
-                assert got == pytest.approx(thetas[rec_nb] / _PI, rel=1e-11, abs=1e-11)
+                assert got == pytest.approx(thetas[n_bumps] / _PI, rel=1e-11, abs=1e-11)
             for got in (rec.log_norm[i], ln):
-                assert got == pytest.approx(products[rec_nb, i], rel=1e-9, abs=1e-9)
+                assert got == pytest.approx(products[n_bumps, i], rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["I", "II", "III"])
 def test_sweep_checkpoints_consistent_with_shorter_sweep(name):
-    # single-block models draw one array per seed, so the 50-bump checkpoint
-    # of a 200-bump sweep is bit-identical to a standalone 50-bump sweep on
-    # the same stream (model IV's three stacked blocks shift positions, so
-    # the property is deliberately not claimed there)
+    # single-block models draw one array per seed, so a 50-bump sweep walks
+    # the first 50 bumps of the 200-bump chains on the same stream: it
+    # matches the traces' 50-bump checkpoint of those chains, x bit for bit
+    # (criteria 06 and 07 read n = 100 off a shorter sweep for this reason;
+    # model IV's three stacked blocks shift positions, so the property is
+    # deliberately not claimed there)
     cfg = CONFIGS[name]
     parent = RngStream(8421)
-    long = sweep_chains(cfg, 200, 6, parent, want_theta=True, want_log_norm=True,
-                        checkpoint_bumps=[50])
     short = sweep_chains(cfg, 50, 6, parent, want_theta=True, want_log_norm=True)
-    a, b = long.records[50], short.records[50]
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.theta, b.theta)
-    assert np.array_equal(a.log_norm, b.log_norm)
+    for i in range(6):
+        child = split_stream(parent, i)
+        (x, ln), _ = lyapunov_trace(cfg, 200, [50], child)
+        (x_ids, rot), _ = ids_trace(cfg, 200, [50], child)
+        assert short.x[i] == x == x_ids
+        assert abs(short.log_norm[i] - ln) <= LOG_NORM_TOL * max(1.0, abs(ln))
+        assert abs(short.theta[i] / _PI - rot) <= THETA_TOL * max(1.0, abs(rot))
 
 
 # ── Sweep against the chain-walk and product oracles ────────────────────────
@@ -163,8 +158,7 @@ def test_sweep_checkpoints_consistent_with_shorter_sweep(name):
 def _walk_thetas(cfg: ModelConfig, n_bumps: int, stream: RngStream, edit=None) -> np.ndarray:
     """walk_chain's theta after each bump (index 0 = start) of the generated chain."""
     real = generate(cfg, n_bumps, stream)
-    values = np.array([p.value for p in real.pieces])
-    lengths = np.array([p.length for p in real.pieces])
+    values, lengths = real.values.copy(), real.lengths.copy()
     if edit is not None:
         edit(values, lengths)
     frame = cfg.frame()
@@ -172,23 +166,19 @@ def _walk_thetas(cfg: ModelConfig, n_bumps: int, stream: RngStream, edit=None) -
     return thetas[_bump_ends(cfg, n_bumps)]
 
 
-def _check_against_oracles(cfg: ModelConfig, n_bumps: int, n_seeds: int, parent: RngStream,
-                           checkpoints) -> None:
-    res = sweep_chains(cfg, n_bumps, n_seeds, parent, want_theta=True, want_log_norm=True,
-                       checkpoint_bumps=checkpoints)
+def _check_against_oracles(cfg: ModelConfig, n_bumps: int, n_seeds: int,
+                           parent: RngStream) -> None:
+    rec = sweep_chains(cfg, n_bumps, n_seeds, parent, want_theta=True, want_log_norm=True)
     products = _product_log_norms(cfg, n_bumps, n_seeds, parent)
     for i in range(n_seeds):
         child = split_stream(parent, i)
-        thetas = _walk_thetas(cfg, n_bumps, child)
-        traced = lyapunov_trace(cfg, n_bumps, checkpoints, child)
-        for (x, traced_ln), nb in zip(traced, sorted(res.records)):
-            rec = res.records[nb]
-            want = thetas[nb]
-            assert abs(rec.theta[i] - want) <= THETA_TOL * max(1.0, abs(want)), (nb, i)
-            assert rec.x[i] == x
-            ln = products[nb, i]
-            for got in (rec.log_norm[i], traced_ln):
-                assert abs(got - ln) <= LOG_NORM_TOL * max(1.0, abs(ln)), (nb, i)
+        want = _walk_thetas(cfg, n_bumps, child)[-1]
+        ((x, traced_ln),) = lyapunov_trace(cfg, n_bumps, [], child)
+        assert abs(rec.theta[i] - want) <= THETA_TOL * max(1.0, abs(want)), (n_bumps, i)
+        assert rec.x[i] == x
+        ln = products[-1, i]
+        for got in (rec.log_norm[i], traced_ln):
+            assert abs(got - ln) <= LOG_NORM_TOL * max(1.0, abs(ln)), (n_bumps, i)
 
 
 ORACLE_CONFIGS = {
@@ -202,8 +192,8 @@ ORACLE_CONFIGS = {
 @pytest.mark.parametrize("budget", ["default", "short"])
 @pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
 def test_sweep_matches_walk_and_product_oracles(name, budget, monkeypatch):
-    # n = 1000 with checkpoints on both sides of a segment boundary: the
-    # default segments of 9 seeds (910 bumps), or 37-bump segments (a
+    # sweeps that end on both sides of a segment boundary, and n = 1000:
+    # the default segments of 9 seeds (910 bumps), or 37-bump segments (a
     # boundary every 37)
     n_seeds = 9
     if budget == "short":
@@ -211,9 +201,9 @@ def test_sweep_matches_walk_and_product_oracles(name, budget, monkeypatch):
         monkeypatch.setattr(estimators, "_SEGMENT_ELEMENTS", 37 * n_seeds)
     seg = estimators._segment_length(n_seeds)
     assert seg < 1000
-    checkpoints = [c for c in (seg - 1, seg, seg + 1, 2 * seg + 1) if c < 1000]
-    _check_against_oracles(ORACLE_CONFIGS[name], 1000, n_seeds, RngStream(55, stream_id=3),
-                           checkpoints)
+    for n_bumps in [c for c in (seg - 1, seg, seg + 1, 2 * seg + 1) if c < 1000] + [1000]:
+        _check_against_oracles(ORACLE_CONFIGS[name], n_bumps, n_seeds,
+                               RngStream(55, stream_id=3))
 
 
 def test_sweep_gap_models_at_nonpositive_energy():
@@ -221,7 +211,8 @@ def test_sweep_gap_models_at_nonpositive_energy():
     # (lam = 0) pieces of the walk; model IV accepts any real energy
     for energy in (-0.7, 0.0):
         cfg = _cfg(Model.IV, alpha1=0.5, alpha2=0.5, energy=energy)
-        _check_against_oracles(cfg, 300, 3, RngStream(1), [150])
+        for n_bumps in (150, 300):
+            _check_against_oracles(cfg, n_bumps, 3, RngStream(1))
 
 
 @settings(max_examples=25, deadline=None)
@@ -241,13 +232,12 @@ def test_sweep_theta_property(model, alpha, energy, theta0, seed):
         kw["alpha2"] = alpha
     cfg = ModelConfig(model=model, energy=energy, theta0=theta0, **kw)
     parent = RngStream(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_SEGMENT_ELEMENTS", 3 * 7)  # 7-bump segments
-        res = sweep_chains(cfg, 40, 3, parent, want_theta=True, checkpoint_bumps=[13])
-    for i in range(3):
-        thetas = _walk_thetas(cfg, 40, split_stream(parent, i))
-        for nb in (13, 40):
-            got, want = res.records[nb].theta[i], thetas[nb]
+    for n_bumps in (13, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_SEGMENT_ELEMENTS", 3 * 7)  # 7-bump segments
+            rec = sweep_chains(cfg, n_bumps, 3, parent, want_theta=True)
+        for i in range(3):
+            got, want = rec.theta[i], _walk_thetas(cfg, n_bumps, split_stream(parent, i))[-1]
             assert abs(got - want) <= THETA_TOL * max(1.0, abs(want))
 
 
@@ -274,21 +264,20 @@ _SEGMENT_CONFIGS = {
 def test_sweep_records_do_not_depend_on_segment_length(cfg, monkeypatch):
     # 1-bump segments against the 8-bump segments of a 1000-seed block:
     # every record is the same bytes while |theta| < 2**53
-    n_bumps, n_seeds = 30, 1000
+    n_seeds = 1000
     assert estimators._segment_length(n_seeds) == 8
 
-    def sweep():
-        return sweep_chains(cfg, n_bumps, n_seeds, RngStream(808), want_theta=True,
-                            want_log_norm=True, checkpoint_bumps=[1, 6, 9])
+    def sweeps():
+        return [sweep_chains(cfg, n_bumps, n_seeds, RngStream(808), want_theta=True,
+                             want_log_norm=True) for n_bumps in (1, 6, 9, 30)]
 
-    default = sweep()
+    default = sweeps()
     monkeypatch.setattr(estimators, "_segment_length", lambda n_seeds: 1)
-    single = sweep()
-    assert np.all(np.abs(default.final().theta) < 2.0 ** 53)
-    assert sorted(default.records) == sorted(single.records) == [1, 6, 9, n_bumps]
-    for nb, rec in default.records.items():
+    single = sweeps()
+    assert np.all(np.abs(default[-1].theta) < 2.0 ** 53)
+    for rec, other in zip(default, single):
         for name in ("x", "theta", "log_norm"):
-            assert getattr(rec, name).tobytes() == getattr(single.records[nb], name).tobytes()
+            assert getattr(rec, name).tobytes() == getattr(other, name).tobytes()
 
 
 def _same_bits(got, want) -> bool:
@@ -411,7 +400,7 @@ def test_theta_sweep_marks_infinite_heights_nan():
                                                size=n) for i in range(n_seeds)])
     fed_inf = np.isinf(heights).any(axis=1)
     assert 0 < fed_inf.sum() < n_seeds
-    assert np.array_equal(np.isnan(res.final().theta), fed_inf)
+    assert np.array_equal(np.isnan(res.theta), fed_inf)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SaturationError):
             sweep_chains(cfg, n, n_seeds, parent, want_log_norm=True)
@@ -435,33 +424,47 @@ def test_band_test_skips_nan_norms_as_the_masks_do(monkeypatch):
 
     def sweeps():
         with np.errstate(over="ignore", invalid="ignore"):
-            res = sweep_chains(cfg, 128, 40, parent, want_theta=True, checkpoint_bumps=[50])
+            recs = [sweep_chains(cfg, n_bumps, 40, parent, want_theta=True)
+                    for n_bumps in (50, 128)]
             with pytest.raises(SaturationError, match="chain sweep product left representable"):
                 sweep_chains(cfg, 128, 40, parent, want_log_norm=True)
-        return res
+        return recs
 
     seen = _band_spy(monkeypatch)
     fast = sweeps()
-    assert True in seen and np.isnan(fast.final().theta).any()
+    assert True in seen and np.isnan(fast[-1].theta).any()
     monkeypatch.setattr(estimators, "_in_band", lambda norms: False)
     masked = sweeps()
-    for nb, rec in fast.records.items():
-        assert _same_bits(rec.theta, masked.records[nb].theta)
-        assert rec.x.tobytes() == masked.records[nb].x.tobytes()
+    for rec, other in zip(fast, masked):
+        assert _same_bits(rec.theta, other.theta)
+        assert rec.x.tobytes() == other.x.tobytes()
+
+
+def _reduced_logs(logs, gains):
+    """The sweep's log-norm carry over a segment: the start added to the first gains, reduced."""
+    gains = gains.copy()
+    gains[0] += logs
+    return np.add.reduce(gains, axis=0)
 
 
 def test_nonfinite_gain_leaves_the_last_running_sum_nonfinite():
-    # the sweep checks only the last running row of the log gains: inf,
-    # -inf, inf then -inf, and NaN gains all reach it
+    # the sweep checks only the sum of the log gains, an axis-0 reduce:
+    # inf, -inf, inf then -inf, and NaN gains all reach it
     gains = np.zeros((5, 2, 3))
     gains[1, 0, 0] = np.inf
     gains[2, 0, 1] = -np.inf
     gains[1, 1, 1], gains[3, 1, 1] = np.inf, -np.inf
     gains[4, 1, 2] = np.nan
     with np.errstate(invalid="ignore"):
-        last = _running_sums(np.full((2, 3), 2.5), gains)[-1]
+        last = _reduced_logs(np.full((2, 3), 2.5), gains)
     assert np.array_equal(np.isfinite(last), np.isfinite(gains).all(axis=0))
     assert not np.isfinite(last).all() and np.isfinite(last).any()
+    # and the reduce adds the rows in order: the bits of a loop of adds
+    rng = np.random.default_rng(3)
+    for shape in ((1, 2, 5), (7, 2, 256), (32, 2, 256), (4, 2, 2000), (33, 2, 9)):
+        start = rng.normal(size=shape[1:]) * 1e3
+        gains = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        assert _reduced_logs(start, gains).tobytes() == _running_sums(start, gains)[-1].tobytes()
 
 
 # (V, theta0) at lam = 1: the boundary vector of theta0 lies exactly on the
@@ -493,8 +496,6 @@ def test_sweep_dead_direction_lane(model, monkeypatch):
     n, n_seeds = 60, 3
     dead = 1
     _dead_draws(monkeypatch, split_stream(parent, dead))
-    res = sweep_chains(cfg, n, n_seeds, parent, want_theta=True, want_log_norm=True,
-                       checkpoint_bumps=[1])
 
     def edit(values, lengths):
         first_bump = 0 if model is Model.I else 1
@@ -502,12 +503,13 @@ def test_sweep_dead_direction_lane(model, monkeypatch):
         if model is Model.IV:
             lengths[0] = 1e-300
 
-    for i in range(n_seeds):
-        thetas = _walk_thetas(cfg, n, split_stream(parent, i), edit if i == dead else None)
-        for nb in (1, n):
-            got, want = res.records[nb].theta[i], thetas[nb]
+    for nb in (1, n):
+        rec = sweep_chains(cfg, nb, n_seeds, parent, want_theta=True, want_log_norm=True)
+        for i in range(n_seeds):
+            got = rec.theta[i]
+            want = _walk_thetas(cfg, nb, split_stream(parent, i), edit if i == dead else None)[-1]
             assert abs(got - want) <= THETA_TOL * max(1.0, abs(want)), (nb, i)
-    assert np.all(np.isfinite(res.final().log_norm))
+    assert np.all(np.isfinite(rec.log_norm))
 
 
 @pytest.mark.parametrize("model", [Model.I, Model.IV])
@@ -520,32 +522,31 @@ def test_band_test_catches_an_out_of_band_lane(model, monkeypatch):
     parent = RngStream(12)
     _dead_draws(monkeypatch, split_stream(parent, 1))
 
-    def sweep():
-        return sweep_chains(cfg, 60, 3, parent, want_theta=True, want_log_norm=True,
-                            checkpoint_bumps=[1, 20])
+    def sweeps():
+        return [sweep_chains(cfg, n_bumps, 3, parent, want_theta=True, want_log_norm=True)
+                for n_bumps in (1, 20, 60)]
 
     seen = _band_spy(monkeypatch)
-    fast = sweep()
+    fast = sweeps()
     assert True in seen and False in seen
     monkeypatch.setattr(estimators, "_in_band", lambda norms: False)
-    masked = sweep()
-    for nb, rec in fast.records.items():
+    masked = sweeps()
+    for rec, other in zip(fast, masked):
         for name in ("x", "theta", "log_norm"):
-            assert getattr(rec, name).tobytes() == getattr(masked.records[nb], name).tobytes()
+            assert getattr(rec, name).tobytes() == getattr(other, name).tobytes()
 
 
 def test_joint_sweep_equals_separate_estimates_bitwise():
-    # one sweep with both lane kinds gives each estimate bit for bit
+    # one sweep with both lane kinds gives each lane of the separate sweeps
+    # byte for byte
     for cfg in (CONFIGS["II"], CONFIGS["IV"]):
-        lya, ids = estimate_lyapunov_and_ids(cfg, 300, 40, RngStream(5),
-                                             LyapunovScale.NONLINEAR_ALPHA,
-                                             IdsScale.NONLINEAR_ALPHA)
-        lya1 = estimate_lyapunov(cfg, 300, 40, RngStream(5), LyapunovScale.NONLINEAR_ALPHA)
-        ids1 = estimate_ids(cfg, 300, 40, RngStream(5), IdsScale.NONLINEAR_ALPHA)
-        assert np.array_equal(lya.values, lya1.values)
-        assert np.array_equal(ids.values, ids1.values)
-        assert (lya.normalizer_desc, ids.normalizer_desc) == (lya1.normalizer_desc,
-                                                              ids1.normalizer_desc)
+        joint = sweep_chains(cfg, 300, 40, RngStream(5), want_theta=True, want_log_norm=True)
+        lya = sweep_chains(cfg, 300, 40, RngStream(5), want_log_norm=True)
+        ids = sweep_chains(cfg, 300, 40, RngStream(5), want_theta=True)
+        assert lya.theta is None and ids.log_norm is None
+        assert joint.log_norm.tobytes() == lya.log_norm.tobytes()
+        assert joint.theta.tobytes() == ids.theta.tobytes()
+        assert joint.x.tobytes() == lya.x.tobytes() == ids.x.tobytes()
 
 
 # ── Bulk draws against the per-seed samplers ────────────────────────────────
@@ -609,8 +610,7 @@ def test_generate_matches_per_seed_samplers(name):
     for stream in (RngStream(3), RngStream(2**64 + 5, stream_id=2**32), RngStream(-1, 7)):
         real = generate(cfg, 33, stream)
         x, y, eps = _per_seed_draws(cfg, stream, 33)
-        values = np.array([p.value for p in real.pieces])
-        lengths = np.array([p.length for p in real.pieces])
+        values, lengths = real.values, real.lengths
         if cfg.model is Model.I:
             assert np.array_equal(values, x) and np.all(lengths == 1.0)
         elif cfg.model is Model.II:
@@ -628,9 +628,7 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_chains(cfg, 0, 2, RngStream(1))
     with pytest.raises(ValueError):
-        sweep_chains(cfg, 10, 2, RngStream(1), checkpoint_bumps=[0])
-    with pytest.raises(ValueError):
-        sweep_chains(cfg, 10, 2, RngStream(1), checkpoint_bumps=[11])
+        sweep_chains(cfg, 10, 0, RngStream(1))
 
 
 # ── Scalar traces ────────────────────────────────────────────────────────────
@@ -655,38 +653,44 @@ def test_trace_checkpoint_validation():
         ids_trace(cfg, 10, [11], RngStream(1))
 
 
-# ── Estimates and scales ─────────────────────────────────────────────────────
+# ── Scales ───────────────────────────────────────────────────────────────────
 
 
 def test_linear_scales_coincide_for_unit_spacing():
     # models I/II have x_n = n, so per-length and per-bump scales agree
-    cfg = CONFIGS["I"]
-    ex = estimate_lyapunov(cfg, 50, 8, RngStream(12), LyapunovScale.LINEAR_X)
-    en = estimate_lyapunov(cfg, 50, 8, RngStream(12), LyapunovScale.LINEAR_N)
-    assert np.allclose(ex.values, en.values, rtol=1e-12)
-    assert ex.normalizer_desc != en.normalizer_desc
+    rec = sweep_chains(CONFIGS["I"], 50, 8, RngStream(12), want_log_norm=True)
+    assert np.all(rec.x == 50.0)
+    assert np.allclose(rec.log_norm / rec.x, rec.log_norm / 50.0, rtol=1e-12)
 
 
-def test_nonlinear_normalizer_descriptions():
-    est = estimate_lyapunov(CONFIGS["I"], 50, 4, RngStream(13), LyapunovScale.NONLINEAR_ALPHA)
-    assert "alpha1=0.5" in est.normalizer_desc
-    est3 = estimate_lyapunov(CONFIGS["III"], 50, 4, RngStream(13), LyapunovScale.NONLINEAR_ALPHA)
-    assert "L_n**alpha2" in est3.normalizer_desc
-    ids3 = estimate_ids(CONFIGS["III"], 50, 4, RngStream(13), IdsScale.NONLINEAR_ALPHA)
-    assert "n**(1/alpha2)" in ids3.normalizer_desc
+def test_nonlinear_normalizers():
+    # alpha1 = 0.5 and alpha2 = 0.6: bumps drive the log norm (n**2) but on
+    # model III, whose unit bumps leave it to L_n**alpha2; bumps drive theta
+    # on models I and II, gaps on III and IV (n**(1/0.6))
+    x = np.array([50.0, 123.5, 1e6])
+    by_gaps = 50.0 ** (1.0 / 0.6)
+    for name, lyapunov, rotation in (("I", 2500.0, 2500.0), ("II", 2500.0, 2500.0),
+                                     ("III", None, by_gaps), ("IV", 2500.0, by_gaps)):
+        lya, rot = nonlinear_normalizers(CONFIGS[name], 50, x)
+        assert rot == rotation, name
+        if lyapunov is None:
+            assert lya.tolist() == [50.0 ** 0.6, 123.5 ** 0.6, 1e6 ** 0.6]
+        else:
+            assert lya == lyapunov, name
+    assert by_gaps == pytest.approx(678.6044041487, rel=1e-12)
 
 
 def test_model3_rotation_tracks_free_value():
     # sparse bumps barely perturb the free rotation: theta/(pi x) near 1/pi at k=1
     cfg = _cfg(Model.III, alpha2=0.5, energy=1.0)
-    est = estimate_ids(cfg, 500, 200, RngStream(72))
-    assert np.median(est.values) == pytest.approx(1.0 / _PI, rel=0.02)
+    rec = sweep_chains(cfg, 500, 200, RngStream(72), want_theta=True)
+    assert np.median(rec.theta / (_PI * rec.x)) == pytest.approx(1.0 / _PI, rel=0.02)
 
 
 def test_model3_lyapunov_per_bump_positive():
     cfg = _cfg(Model.III, alpha2=0.5, energy=1.0)
-    est = estimate_lyapunov(cfg, 500, 100, RngStream(73), LyapunovScale.LINEAR_N)
-    ci = mean_ci(est.values)
+    rec = sweep_chains(cfg, 500, 100, RngStream(73), want_log_norm=True)
+    ci = mean_ci(rec.log_norm / 500.0)
     assert ci.mean - ci.half_width > 0.0
     assert 0.05 < ci.mean < 0.15
 
@@ -695,34 +699,12 @@ def test_model2_linear_rotation_diverges():
     # theta grows like the sum of sqrt(lam + X), a heavy-tailed pile: the
     # per-length rotation must blow up with n rather than stabilize
     cfg = CONFIGS["II"]
-    m_small = np.median(estimate_ids(cfg, 100, 100, RngStream(71)).values)
-    m_big = np.median(estimate_ids(cfg, 1600, 100, RngStream(71)).values)
-    assert m_big > 5.0 * m_small
 
+    def median_rotation(n):
+        rec = sweep_chains(cfg, n, 100, RngStream(71), want_theta=True)
+        return np.median(rec.theta / (_PI * rec.x))
 
-def test_nonlinear_samples_dispatch_and_validation():
-    cfg = CONFIGS["I"]
-    vals = nonlinear_samples(cfg, 64, 16, "lyapunov", RngStream(14))
-    assert vals.shape == (16,)
-    assert np.all(vals >= 0.0)
-    with pytest.raises(ValueError, match="which"):
-        nonlinear_samples(cfg, 64, 16, "spectral", RngStream(14))
-    with pytest.raises(ValueError):
-        nonlinear_samples(cfg, 64, 1, "ids", RngStream(14))
-
-
-def test_model3_joint_samples_identity():
-    # dividing ln||M||/n by (L/n^(1/alpha))^alpha recovers the L^alpha scaling
-    cfg = _cfg(Model.III, alpha2=0.5, energy=1.0)
-    stream = RngStream(15)
-    a_part, b_part = model3_joint_samples(cfg, 128, 32, stream)
-    scaled = nonlinear_samples(cfg, 128, 32, "lyapunov", stream)
-    assert np.allclose(a_part / b_part ** cfg.alpha2, scaled, rtol=1e-12)
-
-
-def test_model3_joint_samples_model_checked():
-    with pytest.raises(ValueError, match="Model III"):
-        model3_joint_samples(CONFIGS["I"], 16, 4, RngStream(1))
+    assert median_rotation(1600) > 5.0 * median_rotation(100)
 
 
 # ── Darling ratio ────────────────────────────────────────────────────────────
@@ -741,6 +723,9 @@ def test_darling_ratio_validation():
         darling_ratio([1.0, 0.0])
     with pytest.raises(ValueError):
         darling_ratio([1.0, -2.0])
+    # an overflowed variate would make max/sum inf/inf
+    with pytest.raises(SaturationError, match="row 0: variate 2 of 3 overflowed to inf"):
+        darling_ratio([1.0, 2.0, np.inf])
 
 
 # ── Phase-chain mixing ───────────────────────────────────────────────────────

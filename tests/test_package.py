@@ -4,7 +4,7 @@ import dataclasses
 import inspect
 
 import heavykp
-from heavykp.estimators import SweepResult
+from heavykp.estimators import SweepRecord
 
 PUBLIC = {
     "__version__",
@@ -19,10 +19,8 @@ PUBLIC = {
     # prufer
     "TraceRecord", "boundary_theta",
     # estimators
-    "LyapunovScale", "IdsScale", "LyapunovEstimate", "IdsEstimate",
-    "estimate_lyapunov", "estimate_ids", "lyapunov_trace", "ids_trace",
-    "nonlinear_samples", "model3_joint_samples", "darling_ratio",
-    "chain_mixing", "sweep_chains",
+    "sweep_chains", "nonlinear_normalizers",
+    "lyapunov_trace", "ids_trace", "darling_ratio", "chain_mixing",
     # spectrum
     "BoxProblem", "boundary_phase", "phase_trace",
     "count_below", "find_eigenvalues", "decay_fit", "EigenvalueSearchError",
@@ -32,7 +30,7 @@ PUBLIC = {
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    assert len(heavykp.__all__) == len(PUBLIC) == 47
+    assert len(heavykp.__all__) == len(PUBLIC) == 40
     assert set(heavykp.__all__) == PUBLIC
     namespace = {}
     exec("from heavykp import *", namespace)
@@ -53,13 +51,17 @@ def test_flow_and_sampler_internals_live_in_their_modules():
 
 def test_chain_and_sweep_surfaces_are_pinned():
     # a Realization is its piece columns and their boundaries; a sweep
-    # returns what its walk computes
+    # returns each seed's state after the last bump, and the heavy-tail
+    # scales are one function of the config, n and x
     def field_names(cls):
         return [f.name for f in dataclasses.fields(cls)]
 
+    def parameters(fn):
+        return list(inspect.signature(fn).parameters)
+
     assert field_names(heavykp.Realization) == ["values", "lengths", "is_bump", "boundaries"]
-    assert field_names(SweepResult) == ["records"]
-    assert list(inspect.signature(heavykp.sweep_chains).parameters) == [
-        "config", "n_bumps", "n_seeds", "stream",
-        "want_theta", "want_log_norm", "checkpoint_bumps",
+    assert field_names(SweepRecord) == ["x", "theta", "log_norm"]
+    assert parameters(heavykp.sweep_chains) == [
+        "config", "n_bumps", "n_seeds", "stream", "want_theta", "want_log_norm",
     ]
+    assert parameters(heavykp.nonlinear_normalizers) == ["config", "n_bumps", "x"]

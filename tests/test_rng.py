@@ -62,8 +62,9 @@ def test_split_negative_index_rejected():
 
 
 def test_draw_prefix_stability():
-    # block draws of different sizes share their common prefix; the
-    # checkpoint-consistency tests for the estimators rely on this
+    # block draws of different sizes share their common prefix; acceptance
+    # criteria 06 and 07, which read n = 100 off shorter sweeps of the same
+    # streams, rely on this
     g1 = RngStream(55).generator()
     g2 = RngStream(55).generator()
     long = g1.random(1000)

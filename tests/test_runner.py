@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from heavykp import __version__, runner, spectrum
-from heavykp.estimators import (
-    IdsScale,
-    LyapunovScale,
-    estimate_ids,
-    estimate_lyapunov,
-)
+from heavykp.estimators import nonlinear_normalizers, sweep_chains
 from heavykp.potentials import Model
 from heavykp.rng import RngStream, sample_bump_height, sample_gap_length, split_stream
 from heavykp.runner import (
@@ -517,7 +512,7 @@ def test_nonlinear_summary_pairs_sample_sizes(tmp_path):
 
 def test_nonlinear_rows_equal_separate_estimates_bitwise(tmp_path):
     # one sweep per cell wanting theta and the log norm writes exactly the
-    # values of the two separate estimates on the cell's stream
+    # values of two separate sweeps on the cell's stream over the normalizers
     out = str(tmp_path / "out")
     path = _write_config(
         tmp_path,
@@ -532,15 +527,15 @@ def test_nonlinear_rows_equal_separate_estimates_bitwise(tmp_path):
     rows = _read_rows(out)
     for task in build_tasks(load_config(path)):
         stream = split_stream(RngStream(task.master_seed), task.index)
-        lya = estimate_lyapunov(task.cell_config, task.n, task.n_seeds, stream,
-                                LyapunovScale.NONLINEAR_ALPHA)
-        ids = estimate_ids(task.cell_config, task.n, task.n_seeds, stream,
-                           IdsScale.NONLINEAR_ALPHA)
+        lya = sweep_chains(task.cell_config, task.n, task.n_seeds, stream, want_log_norm=True)
+        ids = sweep_chains(task.cell_config, task.n, task.n_seeds, stream, want_theta=True)
+        lya_norm, _ = nonlinear_normalizers(task.cell_config, task.n, lya.x)
+        _, rot_norm = nonlinear_normalizers(task.cell_config, task.n, ids.x)
         cell = [r for r in rows if int(r[4]) == task.n]
         got_lya = [float(r[7]) for r in cell if r[6] == "lyapunov_scaled"]
         got_ids = [float(r[7]) for r in cell if r[6] == "ids_scaled"]
-        assert got_lya == lya.values.tolist()
-        assert got_ids == ids.values.tolist()
+        assert got_lya == (lya.log_norm / lya_norm).tolist()
+        assert got_ids == (ids.theta / (math.pi * rot_norm)).tolist()
 
 
 @pytest.mark.parametrize("model", [
@@ -589,6 +584,34 @@ def test_darling_rows_stay_in_unit_interval(tmp_path):
     cell = _read_summary(out)["cells"][0]
     assert cell["mean_max_over_sum"] == pytest.approx(vals.mean())
     assert cell["ci_half_width"] > 0.0
+
+
+@pytest.mark.parametrize("master_seed, n_seeds, seed, variate", [(6, 1, 0, 148), (5, 20, 6, 70)])
+def test_darling_overflow_exits_4_naming_the_draw(tmp_path, capsys, master_seed, n_seeds, seed,
+                                                  variate):
+    # alpha1 = 0.02 squares a Frechet variate of these seeds past float
+    # range, and max/sum would be inf/inf: the cell is refused as saturated,
+    # naming the task and the overflowed draw, and writes no NaN
+    out = str(tmp_path / "out")
+    path = _write_config(tmp_path, experiment="darling",
+                         model={"model": "I", "energy": 1.0, "alpha1": 0.02},
+                         n_grid=[256], n_seeds=n_seeds, master_seed=master_seed,
+                         output_dir=out)
+    with np.errstate(over="ignore"):
+        assert runner.main(["run", path]) == 4
+    err = capsys.readouterr().err
+    assert "saturation in task 0 (alpha=0.02, energy=1.0, n=256)" in err
+    draw = f"seeds 0..{n_seeds - 1}, row {seed}: variate {variate} of 256 overflowed to inf"
+    assert draw in err
+    summary = _read_summary(out)
+    assert summary["cells"] == [] and draw in summary["failed_tasks"][0]["error"]
+    assert _read_rows(out) == []
+    # the named draw is the seed's own, and it is the first infinite one
+    base = split_stream(RngStream(master_seed), 0)
+    with np.errstate(over="ignore"):
+        sample = sample_bump_height(load_config(path).model.bump_law(),
+                                    split_stream(base, seed).generator(), size=256)
+    assert np.isinf(sample[variate]) and np.argmax(sample) == variate
 
 
 def test_mixing_rows_use_step_pair_names(tmp_path):
