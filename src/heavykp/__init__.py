@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 
 from .estimators import (
     chain_mixing,
+    chain_trace,
     darling_ratio,
-    ids_trace,
-    lyapunov_trace,
     nonlinear_normalizers,
     sweep_chains,
 )
@@ -65,7 +64,7 @@ __all__ = [
     "TraceRecord", "boundary_theta",
     # estimators
     "sweep_chains", "nonlinear_normalizers",
-    "lyapunov_trace", "ids_trace", "darling_ratio", "chain_mixing",
+    "chain_trace", "darling_ratio", "chain_mixing",
     # spectrum
     "BoxProblem", "boundary_phase", "phase_trace",
     "count_below", "find_eigenvalues", "decay_fit", "EigenvalueSearchError",

@@ -15,10 +15,11 @@ bump, a SweepRecord:
 The sweep draws each block of seeds at once through potentials._draw_blocks,
 the one statement of the canonical draw order and of the map from draws to
 bump potentials and gap lengths, and walks its pieces as they come;
-potentials.generate lays out the same pieces, so the single-chain traces
-(lyapunov_trace, ids_trace, both prufer.walk_chain on generate's chain) see
-the same chains, which is what the oracle tests pin down.  chain_mixing walks
-its starting points as lanes of the same lane walk.
+potentials.generate lays out the same pieces.  chain_trace walks generate's
+chain with prufer.walk_chain and records the same three values after every
+bump, so its last entries retrace a sweep seed, which is what the oracle
+tests pin down.  chain_mixing walks its starting points as lanes of the same
+lane walk.
 
 The paper's objects are ratios of a record's lanes:
 
@@ -66,7 +67,7 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass
 class SweepRecord:
-    """Each seed's state after the last bump, arrays over seeds (None where not requested)."""
+    """x, theta, log norm: over seeds (None where not requested) or one chain's bumps."""
 
     x: np.ndarray
     theta: Optional[np.ndarray]
@@ -308,14 +309,6 @@ def _theta_after(angles, turns, r: int):
     return angles[r - 1] + _TWO_PI * turns[:r].sum(axis=0, initial=-0.0)
 
 
-def _checkpoints(checkpoint_bumps: Sequence[int], n_bumps: int) -> List[int]:
-    """The distinct checkpoint bump counts in order, n_bumps always among them."""
-    cps = sorted(set(int(c) for c in checkpoint_bumps) | {n_bumps})
-    if cps[0] < 1 or cps[-1] > n_bumps:
-        raise ValueError("checkpoint bump counts must lie in [1, n_bumps]")
-    return cps
-
-
 def sweep_chains(
     config: ModelConfig,
     n_bumps: int,
@@ -433,54 +426,26 @@ def sweep_chains(
     return rec
 
 
-# ── Single-seed traces ───────────────────────────────────────────────────────
+# ── Single-chain trace ───────────────────────────────────────────────────────
 
 
-def _traced_chain(config: ModelConfig, n_bumps: int, checkpoint_bumps: Sequence[int],
-                  stream: RngStream):
-    """generate's chain and the piece indices that end each checkpoint bump.
+def chain_trace(config: ModelConfig, n_bumps: int, stream: RngStream) -> SweepRecord:
+    """One chain's x, theta and log norm after every bump, arrays over the bumps.
 
-    The last bump is always a checkpoint.
+    The chain is generate's on stream, the one sweep_chains walks for a seed
+    drawing from stream, so the last entries are that seed's record.  It is
+    walked with walk_chain from the boundary-condition vector for theta, and
+    from theta = pi/2 and 0 for the columns M e1 and M e2 of the log norm.
     """
-    cps = _checkpoints(checkpoint_bumps, n_bumps)
     real = generate(config, n_bumps, stream)
-    return real, np.flatnonzero(real.is_bump)[np.array(cps) - 1]
-
-
-def lyapunov_trace(
-    config: ModelConfig,
-    n_bumps: int,
-    checkpoint_bumps: Sequence[int],
-    stream: RngStream,
-) -> List[Tuple[float, float]]:
-    """One chain's (x, log norm of the product up to x) at bump-count checkpoints.
-
-    Checkpoints are bump counts, which makes them piece boundaries by
-    construction (coordinate x_n equals n for models I/II and the bump right
-    edge for III/IV).  The columns M e1 and M e2 are walked with walk_chain
-    from theta = pi/2 and 0, and log||M|| (Frobenius) is
-    log sqrt(|M e1|**2 + |M e2|**2), as in sweep_chains.
-    """
-    real, ends = _traced_chain(config, n_bumps, checkpoint_bumps, stream)
-    frame = config.frame()
-    _, log_e1 = walk_chain(real.values, real.lengths, frame, 0.5 * _PI)
-    _, log_e2 = walk_chain(real.values, real.lengths, frame, 0.0)
-    log_norms = 0.5 * np.logaddexp(2.0 * log_e1[ends + 1], 2.0 * log_e2[ends + 1])
-    return list(zip(real.boundaries[ends].tolist(), log_norms.tolist()))
-
-
-def ids_trace(
-    config: ModelConfig,
-    n_bumps: int,
-    checkpoint_bumps: Sequence[int],
-    stream: RngStream,
-) -> List[Tuple[float, float]]:
-    """One chain's (x, theta(x)/pi) at bump-count checkpoints, by walk_chain."""
-    real, ends = _traced_chain(config, n_bumps, checkpoint_bumps, stream)
     frame = config.frame()
     thetas, _ = walk_chain(real.values, real.lengths, frame,
                            boundary_theta(config.theta0, frame))
-    return list(zip(real.boundaries[ends].tolist(), (thetas[ends + 1] / _PI).tolist()))
+    (_, log_e1), (_, log_e2) = (walk_chain(real.values, real.lengths, frame, t)
+                                for t in (0.5 * _PI, 0.0))
+    ends = np.flatnonzero(real.is_bump)
+    log_norm = 0.5 * np.logaddexp(2.0 * log_e1[ends + 1], 2.0 * log_e2[ends + 1])
+    return SweepRecord(x=real.boundaries[ends], theta=thetas[ends + 1], log_norm=log_norm)
 
 
 # ── Heavy-tail scales ────────────────────────────────────────────────────────

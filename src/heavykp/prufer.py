@@ -32,7 +32,7 @@ with walk_chain: it pushes the solution vector through the piece matrices of
 the transfer module and recovers the winding from the boundary vectors
 (_unwind_boundaries), with the closed forms above serving only as increment
 estimates, so it agrees with a chain of scalar steps to rounding.  The box
-spectrum and the single-chain traces call it directly; the estimator sweeps
+spectrum and the single-chain trace call it directly; the estimator sweeps
 and the phase-chain mixing estimator walk many seeds the same way, with the
 same winding rule.  The scalar flow (_advance_scalar, advance_interval) and
 its batch twin phase_fold advance one piece at a time from the phase itself;
@@ -337,26 +337,20 @@ def walk_chain(values: np.ndarray, lengths: np.ndarray, frame: EnergyFrame,
 
 
 def _unwind_boundaries(psi: np.ndarray, psik: np.ndarray, values: np.ndarray,
-                      lengths: np.ndarray, lam: float, k: float, start) -> np.ndarray:
-    """Unwound phases of boundary vectors (psi, psi'/k) along runs of pieces.
+                      lengths: np.ndarray, lam: float, k: float, start: float) -> np.ndarray:
+    """Unwound phases of one chain's boundary vectors (psi, psi'/k).
 
-    The piece axis comes first: psi and psik have one row more than values
-    and lengths, and any trailing axes hold independent chains.  start is the
-    unwound phase of row 0 (a scalar or one value per chain).  Each increment
-    is the difference of the boundary-vector angles plus the whole turns of
-    _piece_turns; the vectors need not be normalized.
+    psi and psik have one element more than values and lengths, and start
+    is the unwound phase of element 0.  Each increment is the difference of
+    the boundary-vector angles plus the whole turns of _piece_turns; the
+    vectors need not be normalized.
     """
     angle = np.arctan2(psi, psik)
     turns = _piece_turns((psi[:-1], psik[:-1], angle[:-1]), (psi[1:], psik[1:], angle[1:]),
                          values, lengths, lam, k, start)
     phi = angle.copy()
     phi[0] = start
-    if turns.ndim == 1:
-        phi[1:] += _TWO_PI * np.cumsum(turns)
-    else:
-        # numpy's accumulate along axis 0 of a 2-D array is several times
-        # slower than adding its rows in order, which sums the same
-        phi[1:] += _TWO_PI * _running_sums(turns[0], turns[1:])
+    phi[1:] += _TWO_PI * np.cumsum(turns)
     return phi
 
 
@@ -403,11 +397,3 @@ def _oscillatory_estimate(u, length, p0, q0, a0, p1, q1, a1, k: float):
     conj1 = np.arctan2(rho * p1, q1)
     return a1 - a0 + _TWO_PI * np.round((conj0 + w - conj1) / _TWO_PI)
 
-
-def _running_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """start and its running sums with the rows of terms, added in row order."""
-    out = np.empty((terms.shape[0] + 1,) + start.shape)
-    out[0] = start
-    for prev, term, cur in zip(out[:-1], terms, out[1:]):
-        np.add(prev, term, out=cur)
-    return out

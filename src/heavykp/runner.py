@@ -9,6 +9,9 @@ grid.  Outputs land in one directory:
     summary.json    per-cell aggregates plus experiment-level statistics
     manifest.json   config echo, code version, master seed
 
+The three are written as one set, manifest.json last, so a manifest.json
+marks a complete set from one run (_write_outputs).
+
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numeric
 saturation (the offending task is named in the diagnostic and the summary),
 5 a worker process died (the pool broke; no output file is written).
@@ -538,6 +541,8 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
 
     A worker process that dies (killed, or exiting without a result) breaks
     the pool: the run then returns exit code 5 and writes no output file.
+    The three files are written as one set (_write_outputs); a failed write
+    returns exit code 3.
     """
     tasks = build_tasks(cfg)
     outcomes, broken = _collect(cfg, tasks)
@@ -577,23 +582,18 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
         if ratios:
             summary["fitted_doubling_ratio"] = max(ratios)
 
-    try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        with open(os.path.join(cfg.output_dir, "results.csv"), "w") as fh:
-            _write_csv(fh, cfg, tasks, outcomes)
-        with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        manifest = {
-            "config": _config_echo(cfg),
-            "code_version": _code_version(),
-            "master_seed": cfg.master_seed,
-        }
-        with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        return 3, f"output failure: {exc}"
+    manifest = {
+        "config": _config_echo(cfg),
+        "code_version": _code_version(),
+        "master_seed": cfg.master_seed,
+    }
+    failure = _write_outputs(cfg.output_dir, (
+        ("results.csv", lambda fh: _write_csv(fh, cfg, tasks, outcomes)),
+        ("summary.json", lambda fh: _write_json(fh, summary)),
+        ("manifest.json", lambda fh: _write_json(fh, manifest)),
+    ))
+    if failure:
+        return 3, failure
 
     if saturated:
         t, o = saturated[0]
@@ -602,6 +602,46 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
             f"(alpha={t.alpha!r}, energy={t.energy!r}, n={t.n}): {o.error}"
         )
     return 0, ""
+
+
+def _write_json(fh, obj) -> None:
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def _write_outputs(output_dir: str, writers) -> str:
+    """Write the (file name, writer) pairs as one set; returns "" or the failure.
+
+    Each file is written to a temporary in output_dir and renamed into place
+    only once all of them are written; the old manifest.json is removed
+    before the first rename and the new one renamed last.  So a manifest.json
+    next to the other two means all three come from one run: a failed write
+    leaves the earlier set as it was, and a failed rename leaves no
+    manifest.json.  No temporary outlives the call; an OSError comes back as
+    the failure, naming the step and the file.
+    """
+    step = "creating the output directory"
+    temps = []
+    try:
+        os.makedirs(output_dir, exist_ok=True)
+        for name, write in writers:
+            step = f"writing {name}"
+            temps.append(os.path.join(output_dir, f".{name}.{os.getpid()}.tmp"))
+            with open(temps[-1], "w") as fh:
+                write(fh)
+        step = "replacing the earlier outputs"
+        manifest = os.path.join(output_dir, "manifest.json")
+        if os.path.lexists(manifest):
+            os.remove(manifest)
+        for (name, _), temp in zip(writers, temps):
+            os.replace(temp, os.path.join(output_dir, name))
+    except OSError as exc:
+        return f"output failure: {step}: {exc}"
+    finally:
+        for temp in temps:
+            if os.path.lexists(temp):
+                os.remove(temp)
+    return ""
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:

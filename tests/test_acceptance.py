@@ -425,6 +425,44 @@ def test_criterion_08_stable_limit_doubling(model1_lyapunov_pair, model2_ids_pai
     assert worst < 0.05
 
 
+# ── 8b: the stable limit with no fitted scale ───────────────────────────────
+
+
+# Measured on criterion 08's fixtures against 2*10^4 oracle draws of
+# RngStream(8430), KS at the exact scale and at 0.9 and 1.1 times it:
+#   lyapunov n 0.0118 (0.0263, 0.0313), 4n 0.0066 (0.0280, 0.0263);
+#   ids      n 0.0084 (0.0313, 0.0264), 4n 0.0113 (0.0231, 0.0322).
+# A 10% scale error moves the law itself by about 0.024 in KS, so the
+# tolerance sits between the two groups: every exact sample passes it and
+# every mutated one fails it.
+STABLE_KS_TOL = 0.02
+
+
+def test_criterion_08b_stable_limit_without_fitted_scale(model1_lyapunov_pair,
+                                                         model2_ids_pair):
+    # sqrt(X) is Frechet(alpha1 = 1/2), so the normalized sums tend to
+    # Gamma(1 - alpha)**(1/alpha) S = pi S for the one-sided stable S of
+    # sample_stable_oracle: the log norm over n**2 to pi S, theta over
+    # pi n**2 to S.  No scale is fitted; the same statistic at a scale 10%
+    # off must fail, or the tolerance could not tell the laws apart
+    alpha = 0.5
+    oracle = sample_stable_oracle(alpha, RngStream(8430).generator(), size=20_000)
+    law = math.gamma(1.0 - alpha) ** (1.0 / alpha) * oracle
+    ks = {}
+    for name, pair, scale in (("lyapunov", model1_lyapunov_pair, law),
+                              ("ids", model2_ids_pair, law / _PI)):
+        for size, sample in zip(("n", "4n"), pair):
+            ks[f"{name} {size}"] = [ks_distance(sample, f * scale) for f in (1.0, 0.9, 1.1)]
+    ok = all(exact < STABLE_KS_TOL <= min(off) for exact, *off in ks.values())
+    txt = ", ".join(f"{k} {exact:.4f} ({lo:.4f}, {hi:.4f})" for k, (exact, lo, hi) in ks.items())
+    record_criterion(
+        8.5, "08b stable limit without fitted scale", ok,
+        f"KS to Gamma(1/2)^2 S (over pi for ids), 10^4 seeds, 2*10^4 oracle draws "
+        f"(scale x0.9, x1.1): {txt} (exact < {STABLE_KS_TOL} <= mutated)",
+    )
+    assert ok
+
+
 # ── 9: max-over-sum share ────────────────────────────────────────────────────
 
 

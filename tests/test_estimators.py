@@ -15,12 +15,12 @@ with the same seed stream:
               product renormalized every piece, not a vector walk):
               |d log||M||| <= 1e-11 * max(1, |log||M|||) at n = 1000 and
               1e-9 at n = 60.  Measured worst 3.7e-15, sweep and
-              lyapunov_trace alike.
-    x         bit-identical to the chain's piece boundaries, as
-              lyapunov_trace and ids_trace report them.
+              chain_trace alike.
+    x         bit-identical to the chain's piece boundaries, as chain_trace
+              reports them.
 
-lyapunov_trace and ids_trace walk one chain with walk_chain and are checked
-against the same oracles.
+chain_trace walks one chain with walk_chain and is checked against the same
+oracles, and against the sweep's record of the same seed.
 """
 import math
 import tracemalloc
@@ -33,16 +33,14 @@ from hypothesis import strategies as st
 import heavykp.estimators as estimators
 from heavykp.estimators import (
     chain_mixing,
+    chain_trace,
     darling_ratio,
-    ids_trace,
-    lyapunov_trace,
     nonlinear_normalizers,
     sweep_chains,
 )
 from heavykp.potentials import Model, ModelConfig, _draw_blocks, generate
 from heavykp.prufer import (
     PruferState,
-    _running_sums,
     _unwind_boundaries,
     advance_interval,
     boundary_theta,
@@ -123,12 +121,11 @@ def test_sweep_matches_scalar_traces(name):
         for i in range(n_seeds):
             child = split_stream(parent, i)
             thetas = _scalar_thetas(cfg, n_bumps, child)
-            ((x_ids, rot),) = ids_trace(cfg, n_bumps, [], child)
-            ((x_ly, ln),) = lyapunov_trace(cfg, n_bumps, [], child)
-            assert rec.x[i] == x_ids == x_ly
-            for got in (rec.theta[i] / _PI, rot):
-                assert got == pytest.approx(thetas[n_bumps] / _PI, rel=1e-11, abs=1e-11)
-            for got in (rec.log_norm[i], ln):
+            trace = chain_trace(cfg, n_bumps, child)
+            assert rec.x[i] == trace.x[-1]
+            for got in (rec.theta[i], trace.theta[-1]):
+                assert got / _PI == pytest.approx(thetas[n_bumps] / _PI, rel=1e-11, abs=1e-11)
+            for got in (rec.log_norm[i], trace.log_norm[-1]):
                 assert got == pytest.approx(products[n_bumps, i], rel=1e-9, abs=1e-9)
 
 
@@ -136,20 +133,33 @@ def test_sweep_matches_scalar_traces(name):
 def test_sweep_checkpoints_consistent_with_shorter_sweep(name):
     # single-block models draw one array per seed, so a 50-bump sweep walks
     # the first 50 bumps of the 200-bump chains on the same stream: it
-    # matches the traces' 50-bump checkpoint of those chains, x bit for bit
-    # (criteria 06 and 07 read n = 100 off a shorter sweep for this reason;
-    # model IV's three stacked blocks shift positions, so the property is
-    # deliberately not claimed there)
+    # matches the 200-bump traces after bump 50, x bit for bit (criteria 06
+    # and 07 read n = 100 off a shorter sweep for this reason; model IV's
+    # three stacked blocks shift positions, so the property is deliberately
+    # not claimed there)
     cfg = CONFIGS[name]
     parent = RngStream(8421)
     short = sweep_chains(cfg, 50, 6, parent, want_theta=True, want_log_norm=True)
     for i in range(6):
-        child = split_stream(parent, i)
-        (x, ln), _ = lyapunov_trace(cfg, 200, [50], child)
-        (x_ids, rot), _ = ids_trace(cfg, 200, [50], child)
-        assert short.x[i] == x == x_ids
+        trace = chain_trace(cfg, 200, split_stream(parent, i))
+        x, theta, ln = trace.x[49], trace.theta[49], trace.log_norm[49]
+        assert short.x[i] == x
         assert abs(short.log_norm[i] - ln) <= LOG_NORM_TOL * max(1.0, abs(ln))
-        assert abs(short.theta[i] / _PI - rot) <= THETA_TOL * max(1.0, abs(rot))
+        assert abs(short.theta[i] - theta) <= THETA_TOL * max(1.0, abs(theta))
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III"])
+def test_chain_trace_prefix_is_the_shorter_trace(name):
+    # on the single-block models the first 50 bumps of a 200-bump chain are
+    # the 50-bump chain of the same stream, and its trace the same bits
+    cfg = CONFIGS[name]
+    for i in range(3):
+        child = split_stream(RngStream(8421), i)
+        long, short = chain_trace(cfg, 200, child), chain_trace(cfg, 50, child)
+        for field in ("x", "theta", "log_norm"):
+            got, want = getattr(long, field), getattr(short, field)
+            assert got.shape == (200,) and want.shape == (50,)
+            assert got[:50].tobytes() == want.tobytes(), (field, i)
 
 
 # ── Sweep against the chain-walk and product oracles ────────────────────────
@@ -173,12 +183,16 @@ def _check_against_oracles(cfg: ModelConfig, n_bumps: int, n_seeds: int,
     for i in range(n_seeds):
         child = split_stream(parent, i)
         want = _walk_thetas(cfg, n_bumps, child)[-1]
-        ((x, traced_ln),) = lyapunov_trace(cfg, n_bumps, [], child)
-        assert abs(rec.theta[i] - want) <= THETA_TOL * max(1.0, abs(want)), (n_bumps, i)
-        assert rec.x[i] == x
+        trace = chain_trace(cfg, n_bumps, child)
         ln = products[-1, i]
-        for got in (rec.log_norm[i], traced_ln):
+        for got in (rec.theta[i], trace.theta[-1]):
+            assert abs(got - want) <= THETA_TOL * max(1.0, abs(want)), (n_bumps, i)
+        for got in (rec.log_norm[i], trace.log_norm[-1]):
             assert abs(got - ln) <= LOG_NORM_TOL * max(1.0, abs(ln)), (n_bumps, i)
+        # the trace's last entries are the sweep's record of the seed
+        assert rec.x[i] == trace.x[-1]
+        assert abs(rec.theta[i] - trace.theta[-1]) <= THETA_TOL * max(1.0, abs(want))
+        assert abs(rec.log_norm[i] - trace.log_norm[-1]) <= LOG_NORM_TOL * max(1.0, abs(ln))
 
 
 ORACLE_CONFIGS = {
@@ -301,25 +315,32 @@ def _same_thetas(got, want) -> None:
 
 
 def _interleaved_thetas(vecs, gap, values, gaps, lam, k, start):
-    """theta after every bump from one run over all pieces, gaps and bumps interleaved."""
+    """theta after every bump, (bumps, seeds), from one 1-D run per seed over all
+    its pieces, gaps and bumps interleaved."""
     p, q = vecs[:, 0, 0], vecs[:, 1, 0]
     if gap is None:
-        return _unwind_boundaries(np.ascontiguousarray(p), np.ascontiguousarray(q), values,
-                                  np.ones_like(values), lam, k, start)[1:]
-    nj = gaps.shape[0]
-    gc, gb, ge, _ = gap
-    gp = gc * p[:-1] + gb * q[:-1]
-    gq = ge * p[:-1] + gc * q[:-1]
-    size = np.maximum(np.abs(gp), np.abs(gq))
-    psi = np.empty((2 * nj + 1,) + p.shape[1:])
-    psik = np.empty_like(psi)
-    psi[0::2], psi[1::2] = p, gp / size
-    psik[0::2], psik[1::2] = q, gq / size
-    piece_v = np.zeros((2 * nj,) + p.shape[1:])
-    piece_v[1::2] = values
-    lengths = np.ones((2 * nj,) + p.shape[1:])
-    lengths[0::2] = gaps
-    return _unwind_boundaries(psi, psik, piece_v, lengths, lam, k, start)[2::2]
+        psi, psik, piece_v, lengths = p, q, values, np.ones_like(values)
+        after_bump = slice(1, None)
+    else:
+        nj = gaps.shape[0]
+        gc, gb, ge, _ = gap
+        gp = gc * p[:-1] + gb * q[:-1]
+        gq = ge * p[:-1] + gc * q[:-1]
+        size = np.maximum(np.abs(gp), np.abs(gq))
+        psi = np.empty((2 * nj + 1,) + p.shape[1:])
+        psik = np.empty_like(psi)
+        psi[0::2], psi[1::2] = p, gp / size
+        psik[0::2], psik[1::2] = q, gq / size
+        piece_v = np.zeros((2 * nj,) + p.shape[1:])
+        piece_v[1::2] = values
+        lengths = np.ones((2 * nj,) + p.shape[1:])
+        lengths[0::2] = gaps
+        after_bump = slice(2, None, 2)
+    starts = np.broadcast_to(start, p.shape[1:])
+    return np.stack([
+        _unwind_boundaries(*(np.ascontiguousarray(a[:, s]) for a in (psi, psik, piece_v, lengths)),
+                           lam, k, starts[s])[after_bump]
+        for s in range(p.shape[1])], axis=1)
 
 
 # (draws, lam): model III's config needs energy > 0, but its pieces unwind
@@ -464,7 +485,10 @@ def test_nonfinite_gain_leaves_the_last_running_sum_nonfinite():
     for shape in ((1, 2, 5), (7, 2, 256), (32, 2, 256), (4, 2, 2000), (33, 2, 9)):
         start = rng.normal(size=shape[1:]) * 1e3
         gains = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-        assert _reduced_logs(start, gains).tobytes() == _running_sums(start, gains)[-1].tobytes()
+        want = start
+        for row in gains:
+            want = want + row
+        assert _reduced_logs(start, gains).tobytes() == want.tobytes()
 
 
 # (V, theta0) at lam = 1: the boundary vector of theta0 lies exactly on the
@@ -631,26 +655,19 @@ def test_sweep_validation():
         sweep_chains(cfg, 10, 0, RngStream(1))
 
 
-# ── Scalar traces ────────────────────────────────────────────────────────────
+# ── Single-chain trace ───────────────────────────────────────────────────────
 
 
 def test_traces_record_requested_bump_counts():
+    # one entry per bump: x = n on model I; log norms nondecreasing in n for
+    # a model I chain is not guaranteed, but positivity of the rotation is
     cfg = CONFIGS["I"]
-    pts = lyapunov_trace(cfg, 30, [10, 20], RngStream(3))
-    assert [x for x, _ in pts] == [10.0, 20.0, 30.0]
-    rot = ids_trace(cfg, 30, [10, 20], RngStream(3))
-    assert [x for x, _ in rot] == [10.0, 20.0, 30.0]
-    # same chain: log norms nondecreasing in n for a model I chain is not
-    # guaranteed, but positivity of the rotation is
-    assert all(v > 0.0 for _, v in rot)
-
-
-def test_trace_checkpoint_validation():
-    cfg = CONFIGS["I"]
+    trace = chain_trace(cfg, 30, RngStream(3))
+    assert trace.x.tolist() == [float(n) for n in range(1, 31)]
+    assert trace.theta.shape == trace.log_norm.shape == (30,)
+    assert np.all(trace.theta > 0.0)
     with pytest.raises(ValueError):
-        lyapunov_trace(cfg, 10, [0], RngStream(1))
-    with pytest.raises(ValueError):
-        ids_trace(cfg, 10, [11], RngStream(1))
+        chain_trace(cfg, 0, RngStream(1))
 
 
 # ── Scales ───────────────────────────────────────────────────────────────────

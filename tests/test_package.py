@@ -1,7 +1,10 @@
 """The package root's public surface: exactly these names, each resolving,
-and the fields and parameters of the chain and sweep types."""
+the fields and parameters of the chain and sweep types, and the README's
+quick start running as written."""
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import heavykp
 from heavykp.estimators import SweepRecord
@@ -20,7 +23,7 @@ PUBLIC = {
     "TraceRecord", "boundary_theta",
     # estimators
     "sweep_chains", "nonlinear_normalizers",
-    "lyapunov_trace", "ids_trace", "darling_ratio", "chain_mixing",
+    "chain_trace", "darling_ratio", "chain_mixing",
     # spectrum
     "BoxProblem", "boundary_phase", "phase_trace",
     "count_below", "find_eigenvalues", "decay_fit", "EigenvalueSearchError",
@@ -30,7 +33,7 @@ PUBLIC = {
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    assert len(heavykp.__all__) == len(PUBLIC) == 40
+    assert len(heavykp.__all__) == len(PUBLIC) == 39
     assert set(heavykp.__all__) == PUBLIC
     namespace = {}
     exec("from heavykp import *", namespace)
@@ -65,3 +68,11 @@ def test_chain_and_sweep_surfaces_are_pinned():
         "config", "n_bumps", "n_seeds", "stream", "want_theta", "want_log_norm",
     ]
     assert parameters(heavykp.nonlinear_normalizers) == ["config", "n_bumps", "x"]
+    assert parameters(heavykp.chain_trace) == ["config", "n_bumps", "stream"]
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    exec(compile(block, "README.md quick start", "exec"), {})

@@ -13,7 +13,6 @@ import pytest
 from heavykp.estimators import _tangent_phase
 from heavykp.prufer import (
     PruferState,
-    _unwind_boundaries,
     advance_interval,
     boundary_theta,
     phase_fold,
@@ -394,26 +393,3 @@ def test_phase_fold_scalar_broadcast():
     assert np.all(thetas == thetas[0])
     assert np.all(logs == logs[0])
 
-
-# ── Winding from boundary vectors ────────────────────────────────────────────
-
-
-@pytest.mark.parametrize("shape", [(3, 2000), (2, 5, 7), (40, 9)])
-def test_unwind_across_chains_equals_each_chain_alone(shape):
-    # trailing axes hold independent chains: their whole-turn counts are
-    # added row by row, which must give exactly the 1-D cumsum of each chain
-    rng = np.random.default_rng(8)
-    n_pieces, chains = shape[0], shape[1:]
-    lam, k = 2.0, math.sqrt(2.0)
-    psi = rng.normal(size=(n_pieces + 1,) + chains)
-    psik = rng.normal(size=(n_pieces + 1,) + chains)
-    values = rng.choice([0.0, 2.0, 0.5, 30.0, -4.0], size=(n_pieces,) + chains)
-    lengths = rng.uniform(0.1, 6.0, size=(n_pieces,) + chains)
-    start = rng.uniform(-20.0, 20.0, size=chains)
-    got = _unwind_boundaries(psi, psik, values, lengths, lam, k, start)
-    assert got.shape == psi.shape
-    for idx in np.ndindex(*chains):
-        col = (slice(None),) + idx
-        want = _unwind_boundaries(psi[col], psik[col], values[col], lengths[col], lam, k,
-                                  start[idx])
-        assert np.array_equal(got[col], want), idx

@@ -9,6 +9,10 @@ import io
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,6 +410,46 @@ def test_output_path_collision_is_io_failure(tmp_path, capsys):
     path = _write_config(tmp_path)
     assert runner.main(["run", path, "--output-dir", str(blocker)]) == 3
     assert capsys.readouterr().err.startswith("output failure:")
+
+
+def test_failed_write_leaves_the_earlier_set_or_no_manifest(tmp_path):
+    # a rerun into the same directory under a 64 KiB file-size limit, set in
+    # the child process only with SIGXFSZ ignored, so that the write fails
+    # with EFBIG: it exits 3 naming the file, and leaves the first run's
+    # complete set or no manifest.json, never a truncated results.csv beside
+    # an earlier manifest
+    resource = pytest.importorskip("resource")
+    names = ("results.csv", "summary.json", "manifest.json")
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "experiment": "lyapunov",
+        "model": {"model": "I", "energy": 1.0, "alpha1": 0.5},
+        "alpha_grid": [0.3, 0.45, 0.6, 0.75], "n_grid": [64], "n_seeds": 2000,
+        "master_seed": 3, "workers": 1, "output_dir": str(out),
+    }))
+    assert runner.main(["run", str(path)]) == 0
+    first = {name: (out / name).read_bytes() for name in names}
+    limit = 64 * 1024
+    assert len(first["results.csv"]) > limit
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    pythonpath = (str(Path(runner.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run([sys.executable, "-m", "heavykp.runner", "run", str(path)],
+                          env=env, preexec_fn=limit_file_size, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    left = {p.name for p in out.iterdir()}
+    if "manifest.json" in left:
+        assert {name: (out / name).read_bytes() for name in names} == first
+    assert left <= set(names), left  # no temporary stays behind
+    assert proc.stderr.startswith("output failure: writing results.csv:")
+    assert "File too large" in proc.stderr
 
 
 def test_crashed_task_is_isolated_and_reported(tmp_path, monkeypatch):
