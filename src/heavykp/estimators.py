@@ -48,14 +48,15 @@ from .prufer import (
     walk_chain,
 )
 from .rng import RngStream, split_ids
-from .stats import Ecdf, ks_distance
 from .transfer import SaturationError, _piece_entries_batch
-# Nothing here calls these samplers, the matrix-product folds or phase_fold.
+# Nothing here calls these samplers, the matrix-product folds, phase_fold or
+# ks_distance (chain_mixing computes its KS distances in bulk, _lane_ks).
 # The names stay bound only because the benchmark tracer (bench/spans.py)
 # wraps them at this module by attribute; the tests use the folds as
 # references from their own modules.
 from .prufer import phase_fold  # noqa: F401
 from .rng import sample_bump_height, sample_gap_length  # noqa: F401
+from .stats import ks_distance  # noqa: F401
 from .transfer import push_piece, push_rotation  # noqa: F401
 
 _PI = math.pi
@@ -315,14 +316,16 @@ def sweep_chains(
     n_seeds: int,
     stream: RngStream,
     *,
+    first_seed: int = 0,
     want_theta: bool = False,
     want_log_norm: bool = False,
 ) -> SweepRecord:
     """Advance n_seeds independent chains for n_bumps bumps; each seed's state after the last.
 
-    Seed i draws from split_stream(stream, i) through
-    ``potentials._draw_blocks``, a block of seeds at a time, so scalar and
-    vectorized runs see identical chains.
+    Entry i of the record is seed first_seed + i, which draws from
+    split_stream(stream, first_seed + i) through ``potentials._draw_blocks``,
+    a block of seeds at a time, so scalar and vectorized runs see identical
+    chains, and the seeds of one stream can be swept in separate calls.
 
     The chains are walked as in prufer.walk_chain, across seeds and one
     segment of bumps at a time.  The lanes are unit vectors (psi, psi'/k):
@@ -349,10 +352,10 @@ def sweep_chains(
     so no value depends on the segment length or on the order in which turns
     are added.  Past that the carried theta is rounded where a longer
     segment keeps adding turns, and theta can move in its last digits with
-    the segment length (model II at alpha1 = 0.02 winds to 1e77 and more in
-    128 bumps).  Each lane depends on its own seed only.  A log-norm lane
-    that leaves float range raises SaturationError; a theta lane fed an
-    infinite bump height turns NaN.  Gap models accept any energy: at
+    the segment length, so with the number of seeds per call (model II at
+    alpha1 = 0.02 winds to 1e77 and more in 128 bumps).  Each lane depends
+    on its own seed only.  A log-norm lane that leaves float range raises
+    SaturationError; a theta lane fed an infinite bump height turns NaN.  Gap models accept any energy: at
     lam <= 0 gaps are ordinary hyperbolic or degenerate pieces.
     """
     if n_bumps < 1 or n_seeds < 1:
@@ -372,8 +375,8 @@ def sweep_chains(
     first_col = 1 if want_theta else 0
 
     for lo, hi in _chunk_sizes(n_seeds, n_bumps):
-        value_blk, gap_blk = _draw_blocks(config, stream.seed, split_ids(stream, lo, hi),
-                                          n_bumps)
+        value_blk, gap_blk = _draw_blocks(
+            config, stream.seed, split_ids(stream, first_seed + lo, first_seed + hi), n_bumps)
         s = hi - lo
         seg = _segment_length(s)
         lanes = _LaneWalk(starts, seg, s, value_blk, lam, k)
@@ -502,6 +505,39 @@ def _tangent_phase(t: float) -> float:
     return theta + _PI if theta < 0.0 else theta
 
 
+def _lane_ks(phases) -> np.ndarray:
+    """KS distances between the lanes of phases (steps, lanes, seeds), every step at once.
+
+    Entry [s, i, j] is the float ks_distance gives for lanes i and j at step
+    s.  The lanes of a step are merged in one sort; the count of lane i's
+    samples at or below a value is the running count of lane i read at the
+    last element of the value's run of equal values, as searchsorted(side
+    = "right") counts it.  The sup of |F_i - F_j| over the values of any
+    lanes is the sup over those of lanes i and j: between their jumps the
+    difference is constant.  The refusal is Ecdf.from_samples' own (arctan2
+    gives no inf, and sorting puts NaN last).
+    """
+    n_steps, m, s = phases.shape
+    merged = phases.reshape(n_steps, m * s)
+    order = np.argsort(merged, axis=1)
+    ordered = np.take_along_axis(merged, order, axis=1)
+    if np.isnan(ordered[:, -1]).any():
+        raise ValueError("samples must be finite")
+    run_end = np.empty(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_end[:, :-1])
+    run_end[:, -1] = True
+    lane = order // s
+    # each lane's ECDF at every merged value, as Ecdf.evaluate divides its counts
+    cdf = [np.cumsum(lane == i, axis=1) / s for i in range(m)]
+    out = np.zeros((n_steps, m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            gap = np.abs(cdf[i] - cdf[j])
+            gap[~run_end] = 0.0
+            out[:, i, j] = out[:, j, i] = gap.max(axis=1)
+    return out
+
+
 def chain_mixing(
     config: ModelConfig,
     n_steps: int,
@@ -545,16 +581,6 @@ def chain_mixing(
         psi, psik = lanes.vecs[1:nj + 1, 0], lanes.vecs[1:nj + 1, 1]
         phases = np.arctan2(np.abs(psi), np.where(psi < 0.0, -psik, psik))
         phases[phases == _PI] = 0.0
-        # one sort gives every lane's law at every step of the segment; the
-        # refusal is Ecdf.from_samples' own (arctan2 gives no inf, and
-        # sorting puts NaN last)
-        phases.sort(axis=2)
-        if np.isnan(phases[..., -1]).any():
-            raise ValueError("samples must be finite")
-        for step, rows in enumerate(phases, start=j0):
-            laws = [Ecdf(sorted_values=row) for row in rows]
-            for i in range(m):
-                for j in range(i + 1, m):
-                    out[step, i, j] = out[step, j, i] = ks_distance(laws[i], laws[j])
+        out[j0:j0 + nj] = _lane_ks(phases)
         lanes.carry(nj)
     return out

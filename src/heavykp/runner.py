@@ -1,9 +1,18 @@
 """Batch experiment runner with a small JSON-config CLI.
 
 A run is a grid of cells (alpha, energy, n) for one experiment family, each
-cell handled by an independent task with its own derived RNG stream, so
-results are byte-identical no matter how many worker processes execute the
-grid.  Outputs land in one directory:
+cell drawing from its own derived RNG stream and each seed of a cell from
+its own child of that stream.  Work goes out in blocks of at most
+BLOCK_SEEDS (1024) seeds: a lyapunov, ids, nonlinear or darling cell is cut
+at the multiples of 1024, and a mixing or spectrum cell is one block.  At
+--workers N the parent process is one of the N: it runs every N-th block
+itself and a pool of N - 1 child processes runs the rest; a grid of one
+block runs without a pool.  The parent joins each cell's blocks in seed
+order and builds the cell's rows and summary from them, so results are
+byte-identical for any --workers.  (In cells of more than 1024 seeds a
+theta of 2**53 or more can move in its last digit against versions that
+swept a cell in one call; see the segment-length note of
+estimators.sweep_chains.)  Outputs land in one directory:
 
     results.csv     one row per (cell, seed, observable), repr-encoded floats
     summary.json    per-cell aggregates plus experiment-level statistics
@@ -13,8 +22,11 @@ The three are written as one set, manifest.json last, so a manifest.json
 marks a complete set from one run (_write_outputs).
 
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numeric
-saturation (the offending task is named in the diagnostic and the summary),
-5 a worker process died (the pool broke; no output file is written).
+saturation (the offending task is named in the diagnostic and the summary;
+in a cell of several blocks, the lowest failed block's error), 5 a child
+process died (the pool broke; no output file is written).  A hard crash of
+the parent in its own share of the blocks ends the run with no output
+written either.
 
 Usage:
 
@@ -46,6 +58,12 @@ from .transfer import SaturationError
 EXPERIMENTS = ("lyapunov", "ids", "nonlinear", "darling", "mixing", "spectrum")
 
 CSV_HEADER = "experiment,model,alpha,energy,n,seed,observable,value"
+
+# Seeds per unit of work: a lyapunov, ids, nonlinear or darling cell is cut
+# into blocks at the multiples of this, whatever the worker count or host,
+# so that a large cell is shared among the workers and every seed's values
+# come from the same block on every run.
+BLOCK_SEEDS = 1024
 
 # Variates per darling draw: the seeds of a cell are drawn in blocks of about
 # this many elements, which keeps a worker's memory flat in n_seeds.
@@ -104,6 +122,15 @@ class TaskSpec:
     master_seed: int
     spectrum: SpectrumOpts
     mixing: MixingOpts
+
+
+@dataclass
+class BlockOutcome:
+    """A block's columns (see _BODIES), or None and the error that stopped it."""
+
+    columns: Optional[Dict[str, object]]
+    error: Optional[str] = None
+    saturated: bool = False
 
 
 @dataclass
@@ -310,17 +337,31 @@ def build_tasks(cfg: ExperimentConfig) -> List[TaskSpec]:
 
 
 # ── Per-experiment task bodies ───────────────────────────────────────────────
+# Each experiment has two bodies.  The first measures seeds lo..hi-1 of a
+# cell and returns their columns, arrays or lists over those seeds (a mixing
+# cell, one block, returns its KS distances); the second turns a cell's
+# columns, its blocks' joined in seed order, into its rows and summary.  A
+# unit of work is one block of a cell (_blocks), and run_task runs the first
+# body on it.
 
 
 def _task_stream(spec: TaskSpec) -> RngStream:
     return split_stream(RngStream(spec.master_seed), spec.index)
 
 
-def _run_lyapunov(spec: TaskSpec, rows, summary) -> None:
-    rec = sweep_chains(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec),
-                       want_log_norm=True)
-    over_x = rec.log_norm / rec.x
-    for seed, (log_norm, ratio) in enumerate(zip(rec.log_norm.tolist(), over_x.tolist())):
+def _sweep_block(spec: TaskSpec, lo: int, hi: int, **want):
+    return sweep_chains(spec.cell_config, spec.n, hi - lo, _task_stream(spec), first_seed=lo,
+                        **want)
+
+
+def _lyapunov_block(spec: TaskSpec, lo: int, hi: int) -> dict:
+    rec = _sweep_block(spec, lo, hi, want_log_norm=True)
+    return {"log_norm": rec.log_norm, "over_x": rec.log_norm / rec.x}
+
+
+def _lyapunov_rows(spec: TaskSpec, cols, rows, summary) -> None:
+    over_x = cols["over_x"]
+    for seed, (log_norm, ratio) in enumerate(zip(cols["log_norm"].tolist(), over_x.tolist())):
         rows.append((seed, "log_norm", log_norm))
         rows.append((seed, "log_norm_over_x", ratio))
     summary["median_log_norm_over_x"] = float(np.median(over_x))
@@ -330,21 +371,26 @@ def _run_lyapunov(spec: TaskSpec, rows, summary) -> None:
         summary["ci_half_width"] = ci.half_width
 
 
-def _run_ids(spec: TaskSpec, rows, summary) -> None:
-    rec = sweep_chains(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec),
-                       want_theta=True)
-    values = rec.theta / (math.pi * rec.x)
+def _ids_block(spec: TaskSpec, lo: int, hi: int) -> dict:
+    rec = _sweep_block(spec, lo, hi, want_theta=True)
+    return {"rotation": rec.theta / (math.pi * rec.x)}
+
+
+def _ids_rows(spec: TaskSpec, cols, rows, summary) -> None:
+    values = cols["rotation"]
     rows.extend([(seed, "rotation_per_unit_length", v)
                  for seed, v in enumerate(values.tolist())])
     summary["median_rotation_per_unit_length"] = float(np.median(values))
 
 
-def _run_nonlinear(spec: TaskSpec, rows, summary) -> None:
-    rec = sweep_chains(spec.cell_config, spec.n, spec.n_seeds, _task_stream(spec),
-                       want_theta=True, want_log_norm=True)
+def _nonlinear_block(spec: TaskSpec, lo: int, hi: int) -> dict:
+    rec = _sweep_block(spec, lo, hi, want_theta=True, want_log_norm=True)
     lya_norm, rot_norm = nonlinear_normalizers(spec.cell_config, spec.n, rec.x)
-    lya = rec.log_norm / lya_norm
-    ids = rec.theta / (math.pi * rot_norm)
+    return {"lyapunov": rec.log_norm / lya_norm, "ids": rec.theta / (math.pi * rot_norm)}
+
+
+def _nonlinear_rows(spec: TaskSpec, cols, rows, summary) -> None:
+    lya, ids = cols["lyapunov"], cols["ids"]
     for seed, (lya_v, ids_v) in enumerate(zip(lya.tolist(), ids.tolist())):
         rows.append((seed, "lyapunov_scaled", lya_v))
         rows.append((seed, "ids_scaled", ids_v))
@@ -352,7 +398,7 @@ def _run_nonlinear(spec: TaskSpec, rows, summary) -> None:
     summary["median_ids_scaled"] = float(np.median(ids))
 
 
-def _run_darling(spec: TaskSpec, rows, summary) -> None:
+def _darling_block(spec: TaskSpec, lo: int, hi: int) -> dict:
     """Max-over-sum of the model's primary heavy-tailed block, one value per seed.
 
     The primary block is the first one of the chain's draws: the bump
@@ -361,15 +407,20 @@ def _run_darling(spec: TaskSpec, rows, summary) -> None:
     cfg = spec.cell_config
     law = cfg.gap_law() if cfg.model is Model.III else cfg.bump_law()
     base = _task_stream(spec)
-    values = np.empty(spec.n_seeds)
+    values = np.empty(hi - lo)
     chunk = max(1, _DARLING_BLOCK_ELEMENTS // spec.n)
-    for lo in range(0, spec.n_seeds, chunk):
-        hi = min(spec.n_seeds, lo + chunk)
-        (block,) = draw_block(base.seed, split_ids(base, lo, hi), spec.n, [law])
+    for a in range(lo, hi, chunk):
+        b = min(hi, a + chunk)
+        (draws,) = draw_block(base.seed, split_ids(base, a, b), spec.n, [law])
         try:
-            values[lo:hi] = darling_ratios(block)
-        except SaturationError as exc:  # name the seed: row 0 of the block is seed lo
-            raise SaturationError(f"darling draws of seeds {lo}..{hi - 1}, {exc}") from None
+            values[a - lo:b - lo] = darling_ratios(draws)
+        except SaturationError as exc:  # name the seed: row 0 of the draws is seed a
+            raise SaturationError(f"darling draws of seeds {a}..{b - 1}, {exc}") from None
+    return {"max_over_sum": values}
+
+
+def _darling_rows(spec: TaskSpec, cols, rows, summary) -> None:
+    values = cols["max_over_sum"]
     rows.extend([(seed, "max_over_sum", v) for seed, v in enumerate(values.tolist())])
     ci = mean_ci(values) if spec.n_seeds > 1 else None
     summary["mean_max_over_sum"] = float(values.mean())
@@ -377,10 +428,15 @@ def _run_darling(spec: TaskSpec, rows, summary) -> None:
         summary["ci_half_width"] = ci.half_width
 
 
-def _run_mixing(spec: TaskSpec, rows, summary) -> None:
-    pts = spec.mixing.initial_points
-    ks = chain_mixing(spec.cell_config, spec.n, pts, spec.n_seeds, _task_stream(spec))
-    m = len(pts)
+def _mixing_block(spec: TaskSpec, lo: int, hi: int) -> dict:
+    """The KS distances of every seed: a mixing cell is one block."""
+    return {"ks": chain_mixing(spec.cell_config, spec.n, spec.mixing.initial_points,
+                               spec.n_seeds, _task_stream(spec))}
+
+
+def _mixing_rows(spec: TaskSpec, cols, rows, summary) -> None:
+    ks = cols["ks"]
+    m = len(spec.mixing.initial_points)
     for step, dist in enumerate(ks.tolist(), start=1):
         for i in range(m):
             for j in range(i + 1, m):
@@ -404,33 +460,49 @@ def _run_mixing(spec: TaskSpec, rows, summary) -> None:
         summary["fitted_doubling_ratio"] = max(ratios.values())
 
 
-def _run_spectrum(spec: TaskSpec, rows, summary) -> None:
+def _spectrum_block(spec: TaskSpec, lo: int, hi: int) -> dict:
+    """Per seed, the located eigenvalues and their decay fits (None where refused)."""
     cfg = spec.cell_config
     opts = spec.spectrum
     base = _task_stream(spec)
-    slopes: List[float] = []
-    rsqs: List[float] = []
-    refused = 0
-    for seed in range(spec.n_seeds):
+    cols: Dict[str, list] = {"eigenvalues": [], "fits": []}
+    for seed in range(lo, hi):
         real = generate(cfg, spec.n, split_stream(base, seed))
         problem = BoxProblem(realization=real, theta0=cfg.theta0, L_box=real.total_length)
         lam_min = opts.lambda_min
         if lam_min is None:
             lam_min = min(0.0, float(problem.values.min())) - 1.0
         lam_max = opts.lambda_max if opts.lambda_max is not None else cfg.energy
-        found = find_eigenvalues(problem, lam_min, lam_max,
-                                 max_count=opts.max_eigenvalues)
-        for i, lam in enumerate(found):
-            rows.append((seed, f"eigenvalue_{i}", float(lam)))
+        found = [float(lam) for lam in find_eigenvalues(problem, lam_min, lam_max,
+                                                         max_count=opts.max_eigenvalues)]
+        fits = []
+        for lam in found:
             try:
                 slope, rsq = decay_fit(problem, lam, opts.scale_exponent)
             except ValueError:  # the box cannot support a fit, e.g. too few boundaries
+                fits.append(None)
+                continue
+            fits.append((float(slope), float(rsq)))
+        cols["eigenvalues"].append(found)
+        cols["fits"].append(fits)
+    return cols
+
+
+def _spectrum_rows(spec: TaskSpec, cols, rows, summary) -> None:
+    slopes: List[float] = []
+    rsqs: List[float] = []
+    refused = 0
+    for seed, (found, fits) in enumerate(zip(cols["eigenvalues"], cols["fits"])):
+        for i, (lam, fit) in enumerate(zip(found, fits)):
+            rows.append((seed, f"eigenvalue_{i}", lam))
+            if fit is None:
                 refused += 1
                 continue
+            slope, rsq = fit
             slopes.append(slope)
             rsqs.append(rsq)
-            rows.append((seed, f"decay_slope_{i}", float(slope)))
-            rows.append((seed, f"decay_r_squared_{i}", float(rsq)))
+            rows.append((seed, f"decay_slope_{i}", slope))
+            rows.append((seed, f"decay_r_squared_{i}", rsq))
     summary["decay_fits_refused"] = refused
     if slopes:
         arr = np.asarray(slopes)
@@ -438,55 +510,93 @@ def _run_spectrum(spec: TaskSpec, rows, summary) -> None:
         summary["median_r_squared"] = float(np.median(np.asarray(rsqs)))
 
 
+# experiment -> (columns of a block, rows and summary of a cell's columns)
 _BODIES = {
-    "lyapunov": _run_lyapunov,
-    "ids": _run_ids,
-    "nonlinear": _run_nonlinear,
-    "darling": _run_darling,
-    "mixing": _run_mixing,
-    "spectrum": _run_spectrum,
+    "lyapunov": (_lyapunov_block, _lyapunov_rows),
+    "ids": (_ids_block, _ids_rows),
+    "nonlinear": (_nonlinear_block, _nonlinear_rows),
+    "darling": (_darling_block, _darling_rows),
+    "mixing": (_mixing_block, _mixing_rows),
+    "spectrum": (_spectrum_block, _spectrum_rows),
 }
 
 
-def run_task(spec: TaskSpec) -> TaskOutcome:
-    """Execute one grid cell; never raises (errors are carried in the outcome)."""
+def _blocks(spec: TaskSpec) -> List[Tuple[int, int]]:
+    """The cell's seed blocks (lo, hi), in seed order: cut at the multiples of
+    BLOCK_SEEDS, or one block for a mixing or spectrum cell."""
+    if spec.experiment in ("mixing", "spectrum"):
+        return [(0, spec.n_seeds)]
+    return [(lo, min(spec.n_seeds, lo + BLOCK_SEEDS))
+            for lo in range(0, spec.n_seeds, BLOCK_SEEDS)]
+
+
+def _attempt(body, *args) -> Tuple[object, Optional[str], bool]:
+    """(body(*args), None, False), or (None, error, saturated) when it raises:
+    crash isolation, so that the rest of the grid keeps going."""
+    try:
+        return body(*args), None, False
+    except SaturationError as exc:
+        return None, str(exc), True
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}", False
+
+
+def run_task(spec: TaskSpec, lo: int, hi: int) -> BlockOutcome:
+    """Measure seeds lo..hi-1 of one grid cell; never raises (errors are carried
+    in the outcome)."""
+    columns, error, saturated = _attempt(_BODIES[spec.experiment][0], spec, lo, hi)
+    return BlockOutcome(columns=columns, error=error, saturated=saturated)
+
+
+def _cell_outcome(spec: TaskSpec, parts: List[BlockOutcome]) -> TaskOutcome:
+    """A cell's rows and summary from its blocks' outcomes in seed order; the
+    lowest failed block's error fails the cell."""
+    for part in parts:
+        if part.error is not None:
+            return TaskOutcome(index=spec.index, rows=[], cell_summary={}, error=part.error,
+                               saturated=part.saturated)
+    cols = parts[0].columns if len(parts) == 1 else {
+        key: np.concatenate([part.columns[key] for part in parts]) for key in parts[0].columns}
     rows: List[Tuple[int, str, float]] = []
     summary: Dict[str, object] = {}
-    try:
-        _BODIES[spec.experiment](spec, rows, summary)
-    except SaturationError as exc:
-        return TaskOutcome(index=spec.index, rows=[], cell_summary={},
-                           error=str(exc), saturated=True)
-    except Exception as exc:  # crash isolation: the grid keeps going
-        return TaskOutcome(index=spec.index, rows=[], cell_summary={},
-                           error=f"{type(exc).__name__}: {exc}")
+    _, error, saturated = _attempt(_BODIES[spec.experiment][1], spec, cols, rows, summary)
+    if error is not None:
+        return TaskOutcome(index=spec.index, rows=[], cell_summary={}, error=error,
+                           saturated=saturated)
     return TaskOutcome(index=spec.index, rows=rows, cell_summary=summary)
 
 
 # ── Orchestration, output, CLI ───────────────────────────────────────────────
 
 
-def _collect(cfg: ExperimentConfig,
-             tasks: List[TaskSpec]) -> Tuple[List[TaskOutcome], Optional[str]]:
-    """Every task's outcome in task order and None, or no outcomes and the
+def _collect(workers: int,
+             units: List[Tuple[TaskSpec, int, int]]) -> Tuple[List[BlockOutcome], Optional[str]]:
+    """Every unit's outcome in unit order and None, or no outcomes and the
     pool's error when a worker process died.
 
-    concurrent.futures is imported here, when a pool runs, so that importing
-    the runner does not load it.
+    At workers N > 1 the parent runs units 0, N, 2N, ... itself, and a pool
+    of N - 1 child processes (fewer when fewer units are left for them) runs
+    the rest.  A grid of one unit runs without a pool.  concurrent.futures
+    is imported here, when a pool runs, so that importing the runner does
+    not load it.
     """
-    if cfg.workers == 1 or len(tasks) == 1:
-        return [run_task(t) for t in tasks], None
+    if workers == 1 or len(units) == 1:
+        return [run_task(*unit) for unit in units], None
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
+    theirs = [i for i in range(len(units)) if i % workers]
+    outcomes: List[Optional[BlockOutcome]] = [None] * len(units)
     try:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for out in pool.map(run_task, tasks):
-                outcomes[out.index] = out
+        with ProcessPoolExecutor(max_workers=min(workers - 1, len(theirs))) as pool:
+            futures = [(i, pool.submit(run_task, *units[i])) for i in theirs]
+            for i in range(0, len(units), workers):
+                outcomes[i] = run_task(*units[i])
+            for i, future in futures:
+                outcomes[i] = future.result()
     except BrokenProcessPool as exc:
         return [], str(exc)
-    return [o for o in outcomes if o is not None], None
+    return outcomes, None
 
 
 def _write_csv(fh, cfg: ExperimentConfig, tasks: List[TaskSpec],
@@ -539,15 +649,22 @@ def _nonlinear_doubling(cfg: ExperimentConfig, tasks, outcomes) -> List[Dict[str
 def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
     """Run the grid and write outputs; returns (exit_code, diagnostic).
 
-    A worker process that dies (killed, or exiting without a result) breaks
-    the pool: the run then returns exit code 5 and writes no output file.
+    The grid's cells are cut into blocks (_blocks), run by _collect, and each
+    cell's rows and summary are built from its blocks' joined columns.  A
+    child process that dies (killed, or exiting without a result) breaks the
+    pool: the run then returns exit code 5 and writes no output file.
     The three files are written as one set (_write_outputs); a failed write
     returns exit code 3.
     """
     tasks = build_tasks(cfg)
-    outcomes, broken = _collect(cfg, tasks)
+    units = [(t, lo, hi) for t in tasks for lo, hi in _blocks(t)]
+    parts, broken = _collect(cfg.workers, units)
     if broken is not None:
         return 5, f"worker process failed, no outputs written: {broken}"
+    by_cell: List[List[BlockOutcome]] = [[] for _ in tasks]
+    for (t, _, _), part in zip(units, parts):
+        by_cell[t.index].append(part)
+    outcomes = [_cell_outcome(t, cell_parts) for t, cell_parts in zip(tasks, by_cell)]
 
     saturated = [(t, o) for t, o in zip(tasks, outcomes) if o.saturated]
     failed = [(t, o) for t, o in zip(tasks, outcomes) if o.error is not None]

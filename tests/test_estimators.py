@@ -294,6 +294,33 @@ def test_sweep_records_do_not_depend_on_segment_length(cfg, monkeypatch):
             assert getattr(rec, name).tobytes() == getattr(other, name).tobytes()
 
 
+_SPLIT_CONFIGS = dict(CONFIGS, **{"II-0.1": _cfg(Model.II, alpha1=0.1, energy=1.0)})
+
+
+@pytest.mark.parametrize("name", _SPLIT_CONFIGS)
+def test_sweep_in_two_blocks_equals_one_whole_sweep(name):
+    # seeds 0..1023 and 1024..1499 swept apart, as the runner's blocks are,
+    # against one 1500-seed sweep of other segment lengths (8, 17 against 5):
+    # the same bytes wherever |theta| < 2**53.  alpha1 = 0.1 winds two
+    # thirds of the chains past that in 40 bumps
+    cfg = _SPLIT_CONFIGS[name]
+    stream = RngStream(4242)
+
+    def sweep(n_seeds, first_seed=0):
+        return sweep_chains(cfg, 40, n_seeds, stream, first_seed=first_seed, want_theta=True,
+                            want_log_norm=True)
+
+    whole = sweep(1500)
+    parts = (sweep(1024), sweep(476, first_seed=1024))
+    for field in ("x", "log_norm"):
+        assert (np.concatenate([getattr(p, field) for p in parts]).tobytes()
+                == getattr(whole, field).tobytes())
+    small = np.abs(whole.theta) < 2.0 ** 53
+    assert small.mean() > 0.3
+    theta = np.concatenate([p.theta for p in parts])
+    assert theta[small].tobytes() == whole.theta[small].tobytes()
+
+
 def _same_bits(got, want) -> bool:
     """Equal bit for bit, NaN at the same places (its payload aside)."""
     nan = np.isnan(want)
@@ -819,6 +846,27 @@ def test_mixing_matches_phase_fold_reference(energy, alpha, n_steps, n_seeds, se
     want = _phase_fold_mixing(cfg, n_steps, points, n_seeds, RngStream(seed))
     assert np.all(np.abs(got - want) <= 1.0 / n_seeds + 1e-12)
     assert np.all(got[want == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_lane_ks_is_ks_distance_of_every_step_and_pair(m):
+    # the bulk KS of chain_mixing against ks_distance step by step and pair
+    # by pair: the same floats, with ties within a lane, across lanes, whole
+    # lanes collapsed onto one another, and -0.0 beside 0.0
+    rng = np.random.default_rng(m)
+    phases = rng.choice(np.linspace(0.0, 3.0, 25), size=(6, m, 37))
+    phases[3:] = rng.random((3, m, 37))
+    phases[::2, 1] = phases[::2, 0]
+    phases[0, 0, :3] = -0.0
+    phases[0, -1, :5] = 0.0
+    got = estimators._lane_ks(phases)
+    assert got.shape == (6, m, m)
+    for step in range(6):
+        assert np.all(np.diag(got[step]) == 0.0)
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    assert got[step, i, j] == ks_distance(phases[step, i], phases[step, j])
 
 
 def test_mixing_refuses_phases_of_infinite_heights():

@@ -65,7 +65,7 @@ def test_chain_and_sweep_surfaces_are_pinned():
     assert field_names(heavykp.Realization) == ["values", "lengths", "is_bump", "boundaries"]
     assert field_names(SweepRecord) == ["x", "theta", "log_norm"]
     assert parameters(heavykp.sweep_chains) == [
-        "config", "n_bumps", "n_seeds", "stream", "want_theta", "want_log_norm",
+        "config", "n_bumps", "n_seeds", "stream", "first_seed", "want_theta", "want_log_norm",
     ]
     assert parameters(heavykp.nonlinear_normalizers) == ["config", "n_bumps", "x"]
     assert parameters(heavykp.chain_trace) == ["config", "n_bumps", "stream"]

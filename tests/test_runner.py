@@ -358,7 +358,7 @@ def test_task_bodies_hand_over_python_floats(experiment, model):
     cfg = config_from_dict(_base_config(experiment=experiment, model=model, n_grid=[40],
                                         n_seeds=4))
     (task,) = build_tasks(cfg)
-    out = runner.run_task(task)
+    out = runner._cell_outcome(task, [runner.run_task(task, 0, task.n_seeds)])
     assert out.error is None and out.rows
     assert all(type(value) is float for _, _, value in out.rows)
 
@@ -372,6 +372,57 @@ def test_worker_count_does_not_change_results(tmp_path):
     assert runner.main(["run", path, "--output-dir", out_b, "--workers", "2"]) == 0
     for name in ("results.csv", "summary.json", "manifest.json"):
         assert _sha256(os.path.join(out_a, name)) == _sha256(os.path.join(out_b, name))
+
+
+_SPLIT_SEEDS = 2 * runner.BLOCK_SEEDS + 100  # three blocks, the last a short one
+
+
+@pytest.mark.parametrize("experiment, model", [
+    ("lyapunov", {"model": "I", "energy": 1.0, "alpha1": 0.5}),
+    ("ids", {"model": "II", "energy": 1.0, "alpha1": 0.02}),
+    ("nonlinear", {"model": "IV", "energy": 1.0, "alpha1": 0.5, "alpha2": 0.6}),
+    ("darling", {"model": "III", "energy": 1.0, "alpha2": 0.6}),
+])
+def test_split_cell_outputs_do_not_depend_on_the_worker_count(tmp_path, experiment, model):
+    # one cell of three blocks: at 2 and 3 workers the parent and the
+    # children share them, and the joined rows and summary stay the same bytes
+    path = _write_config(tmp_path, experiment=experiment, model=model, n_grid=[16],
+                         n_seeds=_SPLIT_SEEDS)
+    (task,) = build_tasks(load_config(path))
+    assert len(runner._blocks(task)) == 3
+    digests = []
+    for workers in (1, 2, 3):
+        out = str(tmp_path / f"w{workers}")
+        with np.errstate(all="ignore"):
+            assert runner.main(["run", path, "--output-dir", out,
+                                "--workers", str(workers)]) == 0
+        digests.append([_sha256(os.path.join(out, name))
+                        for name in ("results.csv", "summary.json", "manifest.json")])
+    assert digests[0] == digests[1] == digests[2]
+    assert len(_read_rows(str(tmp_path / "w1"))) >= _SPLIT_SEEDS
+
+
+def test_second_block_saturation_fails_the_cell_alike_at_every_worker_count(tmp_path, capsys):
+    # alpha1 = 0.033 overflows a draw of seeds 1148 (block 1) and 2109, 2134
+    # (block 2) of this cell only: the cell fails with block 1's message
+    # whichever process ran each block
+    path = _write_config(tmp_path, experiment="darling",
+                         model={"model": "I", "energy": 1.0, "alpha1": 0.033},
+                         n_grid=[64], n_seeds=_SPLIT_SEEDS, master_seed=28)
+    draw = "darling draws of seeds 1024..1535, row 124: variate "
+    failed = []
+    for workers in (1, 2, 3):
+        out = str(tmp_path / f"w{workers}")
+        with np.errstate(over="ignore"):
+            assert runner.main(["run", path, "--output-dir", out,
+                                "--workers", str(workers)]) == 4
+        err = capsys.readouterr().err
+        assert "saturation in task 0 (alpha=0.033, energy=1.0, n=64)" in err and draw in err
+        summary = _read_summary(out)
+        assert summary["cells"] == [] and _read_rows(out) == []
+        failed.append(summary["failed_tasks"])
+    assert failed[0] == failed[1] == failed[2]
+    assert draw in failed[0][0]["error"]
 
 
 def test_validate_reports_grid_and_touches_nothing(tmp_path, capsys):
@@ -453,10 +504,10 @@ def test_failed_write_leaves_the_earlier_set_or_no_manifest(tmp_path):
 
 
 def test_crashed_task_is_isolated_and_reported(tmp_path, monkeypatch):
-    def _boom(spec, rows, summary):
+    def _boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(runner._BODIES, "ids", _boom)
+    monkeypatch.setattr(runner, "sweep_chains", _boom)
     out = str(tmp_path / "out")
     cfg = load_config(_write_config(tmp_path, output_dir=out))
     code, diagnostic = run_experiment(cfg)
@@ -471,10 +522,10 @@ def test_crashed_task_is_isolated_and_reported(tmp_path, monkeypatch):
 
 
 def test_saturated_task_stops_the_run_with_its_identity(tmp_path, monkeypatch, capsys):
-    def _overflow(spec, rows, summary):
+    def _overflow(*args, **kwargs):
         raise SaturationError("log scale exceeded the ceiling")
 
-    monkeypatch.setitem(runner._BODIES, "ids", _overflow)
+    monkeypatch.setattr(runner, "sweep_chains", _overflow)
     out = str(tmp_path / "out")
     path = _write_config(tmp_path, output_dir=out)
     assert runner.main(["run", path]) == 4
@@ -485,18 +536,36 @@ def test_saturated_task_stops_the_run_with_its_identity(tmp_path, monkeypatch, c
     assert os.path.exists(os.path.join(out, "summary.json"))
 
 
-def _die_in_worker(spec):
-    os._exit(1)
+# A forked pool child inherits this module with the test process's pid in it.
+_TEST_PID = os.getpid()
+_run_task = runner.run_task
 
 
-def test_dead_worker_exits_5_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    # a worker that dies breaks the pool (forked workers inherit the patch)
-    monkeypatch.setattr(runner, "run_task", _die_in_worker)
+def _die_in_child(*unit):
+    # the parent runs a share of the units itself, so only a child dies
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    return _run_task(*unit)
+
+
+def _assert_dead_child_exits_5(tmp_path, monkeypatch, capsys, **over):
+    # a child that dies breaks the pool (forked children inherit the patch)
+    monkeypatch.setattr(runner, "run_task", _die_in_child)
     out = str(tmp_path / "out")
-    path = _write_config(tmp_path, output_dir=out, n_grid=[40, 80], workers=2)
+    path = _write_config(tmp_path, output_dir=out, workers=2, **over)
     assert runner.main(["run", path]) == 5
     assert capsys.readouterr().err.startswith("worker process failed, no outputs written:")
     assert not os.path.exists(out)
+
+
+def test_dead_worker_exits_5_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    _assert_dead_child_exits_5(tmp_path, monkeypatch, capsys, n_grid=[40, 80])
+
+
+def test_dead_worker_in_a_split_cell_exits_5_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # one cell of two blocks: the parent runs the first, the child dies on the second
+    _assert_dead_child_exits_5(tmp_path, monkeypatch, capsys, n_grid=[8],
+                               n_seeds=runner.BLOCK_SEEDS + 5)
 
 
 # ── Experiment bodies through the CLI ────────────────────────────────────────
