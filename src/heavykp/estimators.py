@@ -190,7 +190,7 @@ class _LaneWalk:
         such lane is redone alone as in walk_chain, with hypot, and the walk
         resumes after that step; every lane's values therefore depend on that
         lane alone.  A lane whose norm is then exactly 0 sits on the
-        contracting direction of a factored bump and takes the scalar flow's
+        contracting direction of a factored bump and takes phase_fold's
         dead-direction arithmetic, after its gap if there is one.  NaN norms
         (lanes fed an infinite height) pass.
         """

@@ -31,13 +31,14 @@ the columns of a Realization.  The workloads walk whole chains at one energy
 with walk_chain: it pushes the solution vector through the piece matrices of
 the transfer module and recovers the winding from the boundary vectors
 (_unwind_boundaries), with the closed forms above serving only as increment
-estimates, so it agrees with a chain of scalar steps to rounding.  The box
-spectrum and the single-chain trace call it directly; the estimator sweeps
-and the phase-chain mixing estimator walk many seeds the same way, with the
-same winding rule.  The scalar flow (_advance_scalar, advance_interval) and
-its batch twin phase_fold advance one piece at a time from the phase itself;
-no workload calls them.  They remain as the tests' per-piece
-reference and as bindings the benchmark tracer wraps.
+estimates, so it agrees with a chain of closed-form steps to rounding.  The
+box spectrum and the single-chain trace call it directly; the estimator
+sweeps and the phase-chain mixing estimator walk many seeds the same way,
+with the same winding rule.  The closed forms themselves are stated once, in
+phase_fold, which advances many chains one piece at a time from the phase
+itself; advance_interval is its one-lane form.  No workload calls either.
+They remain as the tests' per-piece reference and as bindings the benchmark
+tracer wraps.
 """
 from __future__ import annotations
 
@@ -80,91 +81,11 @@ def boundary_theta(theta0: float, frame: EnergyFrame) -> float:
     return math.atan2(frame.k_norm * math.sin(theta0), math.cos(theta0))
 
 
-def _reduce_mod_pi(theta: float) -> Tuple[float, float]:
-    """Split theta = m*pi + that with that in [0, pi); m returned as float."""
-    that = math.fmod(theta, _PI)
-    if that < 0.0:
-        that += _PI
-    m = round((theta - that) / _PI)
-    return that, float(m)
-
-
-def _advance_scalar(theta: float, log_r: float, value: float, length: float,
-                    lam: float, k: float) -> Tuple[float, float]:
-    """One constant piece of the flow; returns (new theta, new log_r)."""
-    if value == 0.0 and lam > 0.0:
-        # zero-potential gap: exact rotation by k * length in this frame
-        return theta + k * length, log_r
-
-    u = (lam - value) * length * length
-
-    if u == 0.0:
-        # parabolic shear: psi' constant, theta increment in [0, pi)
-        that, m = _reduce_mod_pi(theta)
-        s0 = math.sin(that)
-        c0 = math.cos(that)
-        psi = s0 + k * length * c0
-        raw = math.atan2(psi, c0)
-        delta = math.fmod(raw - that, _PI)
-        if delta < 0.0:
-            delta += _PI
-        return theta + delta, log_r + 0.5 * math.log(psi * psi + c0 * c0)
-
-    if u > 0.0:
-        # oscillatory: conjugate to uniform rotation by w at tangent ratio rho
-        w = math.sqrt(u)
-        rho = w / (k * length)
-        that, m = _reduce_mod_pi(theta)
-        s0 = math.sin(that)
-        c0 = math.cos(that)
-        phi0 = math.atan2(rho * s0, c0)  # in [0, pi): s0 >= 0
-        phi_end = phi0 + w
-        phi_hat = math.fmod(phi_end, _PI)  # phi_end >= 0
-        whole = round((phi_end - phi_hat) / _PI)
-        s1 = math.sin(phi_hat)
-        c1 = math.cos(phi_hat)
-        theta_hat = math.atan2(s1, rho * c1)  # in [0, pi): s1 >= 0
-        theta_new = (m + whole) * _PI + theta_hat
-        # local radius conservation: r^2 (sin^2 + cos^2 / rho^2) is invariant
-        hy = math.hypot(s1, rho * c1)
-        gain = 0.5 * math.log(rho * rho * s0 * s0 + c0 * c0) - math.log(rho) + math.log(hy)
-        return theta_new, log_r + gain
-
-    # hyperbolic: expand on the exp(+-a) modes, exp(a) factored analytically
-    a = math.sqrt(-u)
-    bok = a / (k * length)  # b / k
-    s0 = math.sin(theta)
-    c0 = math.cos(theta)
-    em = -math.expm1(-2.0 * a)  # 1 - exp(-2a), exact for tiny a
-    ep = 2.0 - em               # 1 + exp(-2a)
-    psi = 0.5 * (s0 * ep + (c0 / bok) * em)
-    psik = 0.5 * (bok * s0 * em + c0 * ep)
-    if psi == 0.0 and psik == 0.0:
-        # start exactly on the contracting direction with exp(-2a) underflowed
-        q = s0 - c0 / bok
-        raw = math.atan2(q, -bok * q)
-        gain = -a + math.log(0.5 * math.hypot(q, bok * q))
-    else:
-        raw = math.atan2(psi, psik)
-        gain = a + math.log(math.hypot(psi, psik))
-    delta = math.remainder(raw - theta, _TWO_PI)
-    return theta + delta, log_r + gain
-
-
-def advance_interval(state: PruferState, value: float, length: float,
-                     frame: EnergyFrame) -> PruferState:
-    """Advance the flow across one constant piece of potential value and length."""
-    if not (length > 0.0):
-        raise ValueError("length must be positive")
-    theta, log_r = _advance_scalar(state.theta, state.log_r, value, length, frame.lam, frame.k_norm)
-    return PruferState(theta=theta, log_r=log_r, x=state.x + length)
-
-
-# ── Vectorized phase folds ───────────────────────────────────────────────────
+# ── The closed-form flow ─────────────────────────────────────────────────────
 #
-# phase_fold is the tests' batch reference for the scalar flow; no workload
-# calls it.  It also stays bound in heavykp.estimators because the benchmark
-# tracer (bench/spans.py) wraps it there by module attribute.
+# advance_interval runs phase_fold on one lane.  The benchmark tracer
+# (bench/spans.py) wraps both by module attribute, here and where
+# heavykp.estimators and heavykp.spectrum bind them.
 
 
 def phase_fold(thetas: np.ndarray, values, lengths, frame: EnergyFrame,
@@ -172,9 +93,7 @@ def phase_fold(thetas: np.ndarray, values, lengths, frame: EnergyFrame,
     """Advance many independent chains one piece each, in place.
 
     thetas: unwound phases, shape (S,).  values/lengths: scalars or (S,)
-    arrays.  logs, if given, accumulates the per-chain log radius.  This is
-    the vectorized twin of the scalar advance; the branch arrangements are
-    identical, so scalar and batch sweeps agree to rounding.
+    arrays.  logs, if given, accumulates the per-chain log radius.
     """
     lam = frame.lam
     k = frame.k_norm
@@ -187,10 +106,10 @@ def phase_fold(thetas: np.ndarray, values, lengths, frame: EnergyFrame,
     hyp = u < 0.0
     deg = (u == 0.0) & ~gap
 
-    if np.any(gap):
+    if np.any(gap):  # zero-potential gap: an exact rotation by k l in this frame
         thetas[gap] += k * length[gap]
 
-    if np.any(osc):
+    if np.any(osc):  # conjugate to a uniform rotation by w at tangent ratio rho
         th = thetas[osc]
         w = np.sqrt(u[osc])
         rho = w / (k * length[osc])
@@ -208,11 +127,11 @@ def phase_fold(thetas: np.ndarray, values, lengths, frame: EnergyFrame,
         c1 = np.cos(phi_hat)
         theta_hat = np.arctan2(s1, rho * c1)
         thetas[osc] = (m + whole) * _PI + theta_hat
-        if logs is not None:
+        if logs is not None:  # r^2 (sin^2 + cos^2 / rho^2) is invariant
             hy = np.hypot(s1, rho * c1)
             logs[osc] += 0.5 * np.log(rho * rho * s0 * s0 + c0 * c0) - np.log(rho) + np.log(hy)
 
-    if np.any(hyp):
+    if np.any(hyp):  # the exp(+-a) modes, with the exp(a) factor carried analytically
         th = thetas[hyp]
         a = np.sqrt(-u[hyp])
         bok = a / (k * length[hyp])
@@ -223,7 +142,7 @@ def phase_fold(thetas: np.ndarray, values, lengths, frame: EnergyFrame,
         psi = 0.5 * (s0 * ep + (c0 / bok) * em)
         psik = 0.5 * (bok * s0 * em + c0 * ep)
         dead = (psi == 0.0) & (psik == 0.0)
-        if np.any(dead):
+        if np.any(dead):  # exactly on the contracting direction, exp(-2a) underflowed
             q = s0[dead] - c0[dead] / bok[dead]
             psi[dead] = q
             psik[dead] = -bok[dead] * q
@@ -238,7 +157,7 @@ def phase_fold(thetas: np.ndarray, values, lengths, frame: EnergyFrame,
                 gain[dead] = -ad + np.log(0.5 * qh)
             logs[hyp] += gain
 
-    if np.any(deg):
+    if np.any(deg):  # parabolic shear: psi' constant, theta increment in [0, pi)
         th = thetas[deg]
         that = np.fmod(th, _PI)
         neg = that < 0.0
@@ -254,6 +173,17 @@ def phase_fold(thetas: np.ndarray, values, lengths, frame: EnergyFrame,
             logs[deg] += 0.5 * np.log(psi * psi + c0 * c0)
 
 
+def advance_interval(state: PruferState, value: float, length: float,
+                     frame: EnergyFrame) -> PruferState:
+    """Advance the flow across one constant piece of potential value and length."""
+    if not (length > 0.0):
+        raise ValueError("length must be positive")
+    theta = np.array([state.theta])
+    log_r = np.array([state.log_r])
+    phase_fold(theta, value, length, frame, log_r)
+    return PruferState(theta=float(theta[0]), log_r=float(log_r[0]), x=state.x + length)
+
+
 # ── Single-energy chain walk ─────────────────────────────────────────────────
 
 
@@ -261,7 +191,7 @@ def _dead_direction(p: float, q: float, value: float, length: float,
                     lam: float, k: float) -> Tuple[float, float, float]:
     """(psi, psi'/k, log gain) of a unit vector a factored bump annihilates.
 
-    Same arithmetic as the dead branch of _advance_scalar: the vector sits
+    Same arithmetic as the dead branch of phase_fold: the vector sits
     exactly on the contracting direction and exp(-2a) has underflowed.
     """
     u = (lam - value) * length * length

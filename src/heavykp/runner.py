@@ -24,9 +24,14 @@ marks a complete set from one run (_write_outputs).
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numeric
 saturation (the offending task is named in the diagnostic and the summary;
 in a cell of several blocks, the lowest failed block's error), 5 a child
-process died (the pool broke; no output file is written).  A hard crash of
-the parent in its own share of the blocks ends the run with no output
-written either.
+process died (the pool broke; no output file is written), 130 or 143 the
+run was interrupted by SIGINT or SIGTERM (128 + the signal number).  On an
+interrupt the run stops its own share of the blocks, cancels the queued
+ones and ends the child processes at once; an interrupt during the grid
+writes nothing, and one during the final writes leaves no manifest.json or
+a complete set, as a failed write does.  Children ignore SIGINT, so a
+terminal's Ctrl-C reaches the parent alone.  A hard crash of the parent in
+its own share of the blocks ends the run with no output written either.
 
 Usage:
 
@@ -76,6 +81,11 @@ _CSV_CHUNK_ROWS = 1000
 
 class ConfigError(ValueError):
     """Configuration rejected; the message is the user-facing diagnostic."""
+
+
+class Interrupted(BaseException):
+    """SIGINT or SIGTERM arrived during a run; args[0] is the signal number.
+    Not an Exception, so that _attempt does not take it for a failed cell."""
 
 
 @dataclass(frozen=True)
@@ -285,6 +295,12 @@ def config_from_dict(raw: dict, *, workers: Optional[int] = None,
         opts["spectrum"] = _spectrum_from_dict(raw["spectrum"], experiment, energy_grid)
     if "mixing" in raw:
         opts["mixing"] = _mixing_from_dict(raw["mixing"])
+    if experiment == "mixing":  # refused here, or every cell would fail in chain_mixing
+        if model.model is not Model.I:
+            raise ConfigError(f"model must be I for mixing (the phase chain is a Model I "
+                              f"construction), got {model.model.value!r}")
+        if n_seeds < 2:
+            raise ConfigError(f"n_seeds must be at least 2 for mixing, got {n_seeds}")
     cfg = ExperimentConfig(experiment=experiment, model=model, alpha_grid=alpha_grid,
                            energy_grid=energy_grid, n_grid=n_grid, n_seeds=n_seeds,
                            master_seed=master_seed, **opts)
@@ -579,24 +595,56 @@ def _collect(workers: int,
     the rest.  A grid of one unit runs without a pool.  concurrent.futures
     is imported here, when a pool runs, so that importing the runner does
     not load it.
+
+    An exception in the parent (an Interrupted, a KeyboardInterrupt or a
+    crash in its own share) kills the children before it propagates, so
+    that none outlives the run or runs more of its queue.
     """
     if workers == 1 or len(units) == 1:
         return [run_task(*unit) for unit in units], None
+    import signal
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     theirs = [i for i in range(len(units)) if i % workers]
     outcomes: List[Optional[BlockOutcome]] = [None] * len(units)
+    pool = ProcessPoolExecutor(max_workers=min(workers - 1, len(theirs)),
+                               initializer=_child_signals)
     try:
-        with ProcessPoolExecutor(max_workers=min(workers - 1, len(theirs))) as pool:
+        # The pool forks its children and starts its thread inside submit; an
+        # interrupt there would leave it half started, with a child it cannot
+        # end, so SIGINT and SIGTERM wait until the submits are done.
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+        try:
             futures = [(i, pool.submit(run_task, *units[i])) for i in theirs]
-            for i in range(0, len(units), workers):
-                outcomes[i] = run_task(*units[i])
-            for i, future in futures:
-                outcomes[i] = future.result()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        for i in range(0, len(units), workers):
+            outcomes[i] = run_task(*units[i])
+        for i, future in futures:
+            outcomes[i] = future.result()
     except BrokenProcessPool as exc:
         return [], str(exc)
+    except BaseException:
+        # End the children at once, or the shutdown below would wait for every
+        # queued unit; the pool has no public way to end its workers.
+        for process in list(pool._processes.values()):
+            process.kill()
+        raise
+    finally:
+        pool.shutdown()
     return outcomes, None
+
+
+def _child_signals() -> None:
+    """A pool child ignores SIGINT, which a terminal sends the whole process
+    group, and dies on SIGTERM, whatever handlers and signal mask it
+    inherited."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT, signal.SIGTERM})
 
 
 def _write_csv(fh, cfg: ExperimentConfig, tasks: List[TaskSpec],
@@ -795,7 +843,8 @@ def load_config(path: str, *, workers: Optional[int] = None,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse  # here, so that importing the runner does not load it
+    import argparse  # these two here, so that importing the runner does not load them
+    import signal
 
     parser = argparse.ArgumentParser(
         prog="heavykp",
@@ -835,7 +884,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 0
 
-    code, diagnostic = run_experiment(cfg)
+    def interrupted(signum, frame):
+        # the first SIGINT or SIGTERM stops the run; later ones are ignored
+        # while it winds down
+        for other in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(other, signal.SIG_IGN)
+        raise Interrupted(signum)
+
+    handlers = {}
+    try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            handlers[signum] = signal.signal(signum, interrupted)
+        code, diagnostic = run_experiment(cfg)
+    except Interrupted as exc:
+        signum = exc.args[0]
+        print(f"interrupted by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
     if code != 0:
         print(diagnostic, file=sys.stderr)
     else:

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .potentials import Realization
-# advance_interval is not called here; it remains as the tests' scalar flow
+# advance_interval is not called here; it remains as the tests' one-lane flow
 # reference, bound here because the benchmark tracer (bench/spans.py) wraps
 # heavykp.spectrum.advance_interval by module attribute.
 from .prufer import TraceRecord, advance_interval, boundary_theta, walk_chain

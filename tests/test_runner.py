@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,24 @@ def test_mixing_points_need_at_least_two_entries():
     )
     with pytest.raises(ConfigError, match="at least two numbers"):
         config_from_dict(cfg)
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"model": {"model": "II", "energy": 2.0, "alpha1": 0.5}}, "model must be I"),
+    ({"n_seeds": 1}, "n_seeds must be at least 2"),
+])
+def test_mixing_configs_no_cell_can_run_are_refused(tmp_path, capsys, over, key):
+    # chain_mixing refuses model II chains and single seeds, so such a grid
+    # would fail every cell; validate and run both refuse it up front
+    cfg = dict({"experiment": "mixing", "model": {"model": "I", "energy": 2.0, "alpha1": 0.5}},
+               **over)
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, output_dir=str(out), **cfg)
+    for command in ("validate", "run"):
+        assert runner.main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and key in err
+    assert not out.exists()
 
 
 def test_grids_default_to_the_model_block():
@@ -501,6 +520,63 @@ def test_failed_write_leaves_the_earlier_set_or_no_manifest(tmp_path):
     assert left <= set(names), left  # no temporary stays behind
     assert proc.stderr.startswith("output failure: writing results.csv:")
     assert "File too large" in proc.stderr
+
+
+def _child_pids(pid):
+    """The pids whose parent is pid, read from /proc."""
+    kids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # gone
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            kids.append(int(entry))
+    return kids
+
+
+@pytest.mark.parametrize("signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)])
+def test_interrupted_run_ends_its_children_and_writes_nothing(tmp_path, signum, code):
+    # a grid of many blocks at --workers 2, signalled in the parent alone once
+    # its pool child exists: the run stops its share, ends the child without
+    # its queued blocks, writes nothing and exits 128 + signum with one line
+    if not os.path.exists("/proc/self/stat"):
+        pytest.skip("finding the pool child needs /proc")
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "experiment": "lyapunov",
+        "model": {"model": "I", "energy": 1.0, "alpha1": 0.5},
+        "alpha_grid": [0.3, 0.5, 0.7], "energy_grid": [1.0, 2.0], "n_grid": [2000],
+        "n_seeds": 3000, "master_seed": 3, "workers": 2, "output_dir": str(out),
+    }))
+    pythonpath = (str(Path(runner.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.Popen([sys.executable, "-m", "heavykp.runner", "run", str(path)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    kids = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while not kids:
+            assert proc.poll() is None and time.monotonic() < deadline, "no pool child started"
+            time.sleep(0.01)
+            kids = _child_pids(proc.pid)
+        proc.send_signal(signum)
+        # a child that outlives the run holds the pipes open
+        stdout, stderr = proc.communicate(timeout=30)
+    except BaseException:
+        for pid in [proc.pid, *kids]:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        proc.communicate()
+        raise
+    assert proc.returncode == code, stderr
+    assert stdout == ""
+    assert stderr.splitlines() == [f"interrupted by {signal.Signals(signum).name}"]
+    assert not out.exists()
 
 
 def test_crashed_task_is_isolated_and_reported(tmp_path, monkeypatch):
