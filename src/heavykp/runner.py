@@ -8,17 +8,19 @@ at the multiples of 1024, and a mixing or spectrum cell is one block.  At
 --workers N the parent process is one of the N: it runs every N-th block
 itself and a pool of N - 1 child processes runs the rest; a grid of one
 block runs without a pool.  The parent joins each cell's blocks in seed
-order and builds the cell's rows and summary from them, so results are
-byte-identical for any --workers.  (In cells of more than 1024 seeds a
-theta of 2**53 or more can move in its last digit against versions that
-swept a cell in one call; see the segment-length note of
+order and builds the cell's summary and results.csv text from them, so
+results are byte-identical for any --workers.  (In cells of more than 1024
+seeds a theta of 2**53 or more can move in its last digit against versions
+that swept a cell in one call; see the segment-length note of
 estimators.sweep_chains.)  Outputs land in one directory:
 
     results.csv     one row per (cell, seed, observable), repr-encoded floats
     summary.json    per-cell aggregates plus experiment-level statistics
     manifest.json   config echo, code version, master seed
 
-The three are written as one set, manifest.json last, so a manifest.json
+A cell's rows are formatted once, when its outcome is built (_cell_outcome),
+and results.csv is the header, then each cell's text in task order.  The
+three files are written as one set, manifest.json last, so a manifest.json
 marks a complete set from one run (_write_outputs).
 
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numeric
@@ -73,10 +75,6 @@ BLOCK_SEEDS = 1024
 # Variates per darling draw: the seeds of a cell are drawn in blocks of about
 # this many elements, which keeps a worker's memory flat in n_seeds.
 _DARLING_BLOCK_ELEMENTS = 1 << 15
-
-# results.csv rows per write: enough to share a write's cost, few enough that
-# no cell's whole text is held at once.
-_CSV_CHUNK_ROWS = 1000
 
 
 class ConfigError(ValueError):
@@ -145,11 +143,12 @@ class BlockOutcome:
 
 @dataclass
 class TaskOutcome:
-    """A cell's rows (seed, observable, value), values as Python floats, and summary."""
+    """A cell's joined columns, its summary and its results.csv text, or, for a
+    failed cell, no columns, no text and the error that stopped it."""
 
-    index: int
-    rows: List[Tuple[int, str, float]]
+    columns: Optional[Dict[str, object]]
     cell_summary: Dict[str, object]
+    text: str = ""
     error: Optional[str] = None
     saturated: bool = False
 
@@ -280,6 +279,13 @@ def config_from_dict(raw: dict, *, workers: Optional[int] = None,
                    if "energy_grid" in raw else (model.energy,))
     n_grid = _entries(_require(raw, "n_grid", "configuration"), "n_grid", _integer,
                       "positive integers")
+    for key, grid in (("alpha_grid", alpha_grid), ("energy_grid", energy_grid),
+                      ("n_grid", n_grid)):
+        seen = set()  # a cell is looked up by its (alpha, energy, n)
+        for x in grid:
+            if x in seen:
+                raise ConfigError(f"{key} values must be distinct, got {x!r} twice")
+            seen.add(x)
     n_seeds = _integer(_require(raw, "n_seeds", "configuration"), "n_seeds")
     master_seed = _integer(_require(raw, "master_seed", "configuration"), "master_seed",
                            least=0)
@@ -329,26 +335,14 @@ def _cell_model(base: ModelConfig, alpha: float, energy: float) -> ModelConfig:
 def build_tasks(cfg: ExperimentConfig) -> List[TaskSpec]:
     """The full task grid in deterministic order (alpha outer, then energy, then n)."""
     tasks: List[TaskSpec] = []
-    idx = 0
     for alpha in cfg.alpha_grid:
         for energy in cfg.energy_grid:
             cell = _cell_model(cfg.model, alpha, energy)
             for n in cfg.n_grid:
-                tasks.append(
-                    TaskSpec(
-                        index=idx,
-                        experiment=cfg.experiment,
-                        cell_config=cell,
-                        alpha=alpha,
-                        energy=energy,
-                        n=n,
-                        n_seeds=cfg.n_seeds,
-                        master_seed=cfg.master_seed,
-                        spectrum=cfg.spectrum,
-                        mixing=cfg.mixing,
-                    )
-                )
-                idx += 1
+                tasks.append(TaskSpec(
+                    index=len(tasks), experiment=cfg.experiment, cell_config=cell, alpha=alpha,
+                    energy=energy, n=n, n_seeds=cfg.n_seeds, master_seed=cfg.master_seed,
+                    spectrum=cfg.spectrum, mixing=cfg.mixing))
     return tasks
 
 
@@ -565,21 +559,27 @@ def run_task(spec: TaskSpec, lo: int, hi: int) -> BlockOutcome:
 
 
 def _cell_outcome(spec: TaskSpec, parts: List[BlockOutcome]) -> TaskOutcome:
-    """A cell's rows and summary from its blocks' outcomes in seed order; the
-    lowest failed block's error fails the cell."""
+    """A cell's columns, summary and results.csv text from its blocks'
+    outcomes in seed order; the lowest failed block's error fails the cell.
+
+    The rows body's (seed, observable, value) rows are formatted here, once,
+    behind the cell's leading columns; floats are written as repr(float(x)),
+    and row values are Python floats already.
+    """
     for part in parts:
         if part.error is not None:
-            return TaskOutcome(index=spec.index, rows=[], cell_summary={}, error=part.error,
-                               saturated=part.saturated)
+            return TaskOutcome(None, {}, error=part.error, saturated=part.saturated)
     cols = parts[0].columns if len(parts) == 1 else {
         key: np.concatenate([part.columns[key] for part in parts]) for key in parts[0].columns}
     rows: List[Tuple[int, str, float]] = []
     summary: Dict[str, object] = {}
     _, error, saturated = _attempt(_BODIES[spec.experiment][1], spec, cols, rows, summary)
     if error is not None:
-        return TaskOutcome(index=spec.index, rows=[], cell_summary={}, error=error,
-                           saturated=saturated)
-    return TaskOutcome(index=spec.index, rows=rows, cell_summary=summary)
+        return TaskOutcome(None, {}, error=error, saturated=saturated)
+    prefix = (f"{spec.experiment},{spec.cell_config.model.value},"
+              f"{float(spec.alpha)!r},{float(spec.energy)!r},{spec.n},")
+    text = "".join([f"{prefix}{seed},{obs},{value!r}\n" for seed, obs, value in rows])
+    return TaskOutcome(cols, summary, text)
 
 
 # ── Orchestration, output, CLI ───────────────────────────────────────────────
@@ -647,49 +647,23 @@ def _child_signals() -> None:
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT, signal.SIGTERM})
 
 
-def _write_csv(fh, cfg: ExperimentConfig, tasks: List[TaskSpec],
-               outcomes: List[TaskOutcome]) -> None:
-    """results.csv: the header, then each cell's rows in task order.
-
-    A cell's leading columns are formatted once, and its rows are written
-    _CSV_CHUNK_ROWS at a time.  Floats are written as repr(float(x)); row
-    values are Python floats already.
-    """
-    fh.write(CSV_HEADER + "\n")
-    for t, o in zip(tasks, outcomes):
-        prefix = (f"{cfg.experiment},{t.cell_config.model.value},"
-                  f"{float(t.alpha)!r},{float(t.energy)!r},{t.n},")
-        rows = o.rows
-        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
-            fh.write("".join([f"{prefix}{seed},{obs},{value!r}\n"
-                              for seed, obs, value in rows[lo:lo + _CSV_CHUNK_ROWS]]))
-
-
-def _nonlinear_doubling(cfg: ExperimentConfig, tasks, outcomes) -> List[Dict[str, object]]:
-    """KS(samples at n, samples at 4n) per (alpha, energy) where both sizes ran."""
-    by_key: Dict[Tuple[float, float, int], TaskOutcome] = {}
-    for t, o in zip(tasks, outcomes):
-        if o.error is None:
-            by_key[(t.alpha, t.energy, t.n)] = o
+def _nonlinear_doubling(tasks, outcomes) -> List[Dict[str, object]]:
+    """KS(samples at n, samples at 4n) per (alpha, energy) where both sizes
+    ran, read from the cells' lyapunov and ids columns."""
+    cols = {(t.alpha, t.energy, t.n): o.columns for t, o in zip(tasks, outcomes)
+            if o.error is None}
     entries = []
     for t in tasks:
-        key_big = (t.alpha, t.energy, 4 * t.n)
-        if (t.alpha, t.energy, t.n) not in by_key or key_big not in by_key:
+        small = cols.get((t.alpha, t.energy, t.n))
+        big = cols.get((t.alpha, t.energy, 4 * t.n))
+        if small is None or big is None:
             continue
-        small = by_key[(t.alpha, t.energy, t.n)]
-        big = by_key[key_big]
-
-        def _vals(out: TaskOutcome, name: str) -> np.ndarray:
-            return np.array([v for _, obs, v in out.rows if obs == name])
-
         entries.append({
             "alpha": t.alpha,
             "energy": t.energy,
             "n": t.n,
-            "ks_lyapunov": float(ks_distance(_vals(small, "lyapunov_scaled"),
-                                             _vals(big, "lyapunov_scaled"))),
-            "ks_ids": float(ks_distance(_vals(small, "ids_scaled"),
-                                        _vals(big, "ids_scaled"))),
+            "ks_lyapunov": ks_distance(small["lyapunov"], big["lyapunov"]),
+            "ks_ids": ks_distance(small["ids"], big["ids"]),
         })
     return entries
 
@@ -698,11 +672,11 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
     """Run the grid and write outputs; returns (exit_code, diagnostic).
 
     The grid's cells are cut into blocks (_blocks), run by _collect, and each
-    cell's rows and summary are built from its blocks' joined columns.  A
-    child process that dies (killed, or exiting without a result) breaks the
-    pool: the run then returns exit code 5 and writes no output file.
-    The three files are written as one set (_write_outputs); a failed write
-    returns exit code 3.
+    cell's summary and results.csv text are built from its blocks' joined
+    columns (_cell_outcome).  A child process that dies (killed, or exiting
+    without a result) breaks the pool: the run then returns exit code 5 and
+    writes no output file.  The three files are written as one set
+    (_write_outputs); a failed write returns exit code 3.
     """
     tasks = build_tasks(cfg)
     units = [(t, lo, hi) for t in tasks for lo, hi in _blocks(t)]
@@ -715,15 +689,8 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
     outcomes = [_cell_outcome(t, cell_parts) for t, cell_parts in zip(tasks, by_cell)]
 
     saturated = [(t, o) for t, o in zip(tasks, outcomes) if o.saturated]
-    failed = [(t, o) for t, o in zip(tasks, outcomes) if o.error is not None]
-
-    cells = []
-    for t, o in zip(tasks, outcomes):
-        if o.error is not None:
-            continue
-        cell = {"alpha": t.alpha, "energy": t.energy, "n": t.n}
-        cell.update(o.cell_summary)
-        cells.append(cell)
+    cells = [{"alpha": t.alpha, "energy": t.energy, "n": t.n, **o.cell_summary}
+             for t, o in zip(tasks, outcomes) if o.error is None]
 
     summary: Dict[str, object] = {
         "experiment": cfg.experiment,
@@ -734,14 +701,14 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
         "failed_tasks": [
             {"task_index": t.index, "alpha": t.alpha, "energy": t.energy,
              "n": t.n, "error": o.error}
-            for t, o in failed
+            for t, o in zip(tasks, outcomes) if o.error is not None
         ],
     }
     if cfg.experiment == "ids" and cells:
         meds = [c["median_rotation_per_unit_length"] for c in cells]
         summary["median_rotation_per_unit_length"] = float(np.median(meds))
     if cfg.experiment == "nonlinear":
-        summary["ks_doubling"] = _nonlinear_doubling(cfg, tasks, outcomes)
+        summary["ks_doubling"] = _nonlinear_doubling(tasks, outcomes)
     if cfg.experiment == "mixing" and cells:
         ratios = [c["fitted_doubling_ratio"] for c in cells if "fitted_doubling_ratio" in c]
         if ratios:
@@ -753,7 +720,8 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
         "master_seed": cfg.master_seed,
     }
     failure = _write_outputs(cfg.output_dir, (
-        ("results.csv", lambda fh: _write_csv(fh, cfg, tasks, outcomes)),
+        ("results.csv", lambda fh: fh.writelines([CSV_HEADER + "\n",
+                                                  *(o.text for o in outcomes)])),
         ("summary.json", lambda fh: _write_json(fh, summary)),
         ("manifest.json", lambda fh: _write_json(fh, manifest)),
     ))
@@ -837,7 +805,9 @@ def load_config(path: str, *, workers: Optional[int] = None,
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # a ValueError is a JSONDecodeError or a UnicodeDecodeError; a
+        # RecursionError comes from nesting deeper than the parser's stack
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from None
     return config_from_dict(raw, workers=workers, output_dir=output_dir)
 

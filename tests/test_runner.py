@@ -5,7 +5,6 @@ tmp_path, so the exit codes, stderr diagnostics, and output files are
 exercised exactly as a shell user would see them.
 """
 import hashlib
-import io
 import json
 import math
 import os
@@ -30,6 +29,7 @@ from heavykp.runner import (
     load_config,
     run_experiment,
 )
+from heavykp.stats import ks_distance
 from heavykp.transfer import SaturationError
 
 
@@ -235,6 +235,24 @@ def test_mixing_configs_no_cell_can_run_are_refused(tmp_path, capsys, over, key)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, grid, value", [
+    ("alpha_grid", [0.5, 0.3, 0.5], "0.5"),
+    ("energy_grid", [1.0, 2, 2.0], "2.0"),
+    ("n_grid", [16, 16, 64], "16"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_repeated_grid_values_are_refused(tmp_path, capsys, key, grid, value, command):
+    # a repeated value would make two cells of one (alpha, energy, n)
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, experiment="nonlinear", n_seeds=20, master_seed=3,
+                         model={"model": "I", "energy": 1.0, "alpha1": 0.5},
+                         output_dir=str(out), **{key: grid})
+    assert runner.main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid configuration: {key} values must be distinct, got {value} twice\n"
+    assert not out.exists()
+
+
 def test_grids_default_to_the_model_block():
     cfg = config_from_dict(_base_config())
     assert cfg.alpha_grid == (0.6,)
@@ -330,7 +348,7 @@ def test_rerun_is_byte_identical(tmp_path):
         assert _sha256(os.path.join(out_a, name)) == _sha256(os.path.join(out_b, name))
 
 
-def _row_by_row_csv(cfg, tasks, outcomes):
+def _row_by_row_csv(cfg, tasks, cell_rows):
     """results.csv as formatted one f-string and three repr(float(x)) calls per row."""
     def cell(x):
         return repr(float(x))
@@ -338,26 +356,35 @@ def _row_by_row_csv(cfg, tasks, outcomes):
     return CSV_HEADER + "\n" + "".join(
         f"{cfg.experiment},{t.cell_config.model.value},{cell(t.alpha)},{cell(t.energy)},"
         f"{t.n},{seed},{obs},{cell(value)}\n"
-        for t, o in zip(tasks, outcomes) for seed, obs, value in o.rows)
+        for t, rows in zip(tasks, cell_rows) for seed, obs, value in rows)
 
 
-def test_csv_writer_keeps_repr_bytes_and_row_order(monkeypatch):
-    monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", 3)  # a cell spans several writes
+def test_csv_writer_keeps_repr_bytes_and_row_order(tmp_path, monkeypatch):
+    # each cell's rows body hands over these rows, and the run formats them
+    # into results.csv through _cell_outcome
+    out = str(tmp_path / "out")
     cfg = config_from_dict(_base_config(alpha_grid=[0.3, 0.6], energy_grid=[1.0, 2.5],
-                                        n_grid=[50, 7]))
+                                        n_grid=[50, 7], output_dir=out))
     tasks = build_tasks(cfg)
     special = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1 + 0.2]
-    outcomes = [
-        runner.TaskOutcome(index=t.index, cell_summary={}, rows=[
-            (seed, f"obs_{t.index}", v)
-            for seed, v in enumerate(special[t.index % 7:] + special[:t.index % 7])])
-        for t in tasks]
-    outcomes[1].rows.clear()  # a failed cell writes no rows
-    outcomes[2].rows.append((-1, "aggregate", 1.5))
-    fh = io.StringIO()
-    runner._write_csv(fh, cfg, tasks, outcomes)
-    text = fh.getvalue()
-    assert text == _row_by_row_csv(cfg, tasks, outcomes)
+    cell_rows = [[(seed, f"obs_{t.index}", v)
+                  for seed, v in enumerate(special[t.index % 7:] + special[:t.index % 7])]
+                 for t in tasks]
+    cell_rows[1] = []  # a failed cell writes no rows
+    cell_rows[2].append((-1, "aggregate", 1.5))
+
+    def rows_body(spec, cols, rows, summary):
+        if spec.index == 1:
+            raise RuntimeError("cell 1 fails")
+        rows.extend(cell_rows[spec.index])
+        summary["median_rotation_per_unit_length"] = 0.5  # read by the ids aggregate
+
+    monkeypatch.setitem(runner._BODIES, "ids", (lambda spec, lo, hi: {}, rows_body))
+    assert run_experiment(cfg) == (0, "")
+    assert [f["task_index"] for f in _read_summary(out)["failed_tasks"]] == [1]
+    with open(os.path.join(out, "results.csv")) as fh:
+        text = fh.read()
+    assert text == _row_by_row_csv(cfg, tasks, cell_rows)
     assert text.splitlines()[4:7] == ["ids,III,0.3,1.0,50,3,obs_0,nan",
                                       "ids,III,0.3,1.0,50,4,obs_0,inf",
                                       "ids,III,0.3,1.0,50,5,obs_0,-inf"]
@@ -372,25 +399,34 @@ def test_csv_writer_keeps_repr_bytes_and_row_order(monkeypatch):
     ("spectrum", {"model": "II", "energy": 1.0, "alpha1": 0.5}),
 ])
 def test_task_bodies_hand_over_python_floats(experiment, model):
-    # the CSV writer formats row values with repr, which spells a numpy
+    # a cell's text formats row values with repr, which spells a numpy
     # scalar differently from a float
     cfg = config_from_dict(_base_config(experiment=experiment, model=model, n_grid=[40],
                                         n_seeds=4))
     (task,) = build_tasks(cfg)
     out = runner._cell_outcome(task, [runner.run_task(task, 0, task.n_seeds)])
-    assert out.error is None and out.rows
-    assert all(type(value) is float for _, _, value in out.rows)
+    assert out.error is None and out.text
+    assert "np.float64(" not in out.text
+    values = [line.rsplit(",", 1)[1] for line in out.text.splitlines()]
+    assert all(value == repr(float(value)) for value in values)
 
 
 def test_worker_count_does_not_change_results(tmp_path):
-    # two tasks so the pool branch actually engages
-    out_a = str(tmp_path / "serial")
-    out_b = str(tmp_path / "pooled")
-    path = _write_config(tmp_path, n_grid=[40, 80])
-    assert runner.main(["run", path, "--output-dir", out_a, "--workers", "1"]) == 0
-    assert runner.main(["run", path, "--output-dir", out_b, "--workers", "2"]) == 0
-    for name in ("results.csv", "summary.json", "manifest.json"):
-        assert _sha256(os.path.join(out_a, name)) == _sha256(os.path.join(out_b, name))
+    # two tasks or more so the pool branch actually engages; in the nonlinear
+    # grid a child runs the n = 64 cell, so both doubling KS entries read
+    # columns that came back from the pool
+    grids = {"ids": {"n_grid": [40, 80]},
+             "nonlinear": {"experiment": "nonlinear", "n_grid": [16, 64, 256], "n_seeds": 30,
+                           "model": {"model": "I", "energy": 2.0, "alpha1": 0.5}}}
+    for experiment, over in grids.items():
+        out_a = str(tmp_path / experiment / "serial")
+        out_b = str(tmp_path / experiment / "pooled")
+        path = _write_config(tmp_path, name=f"{experiment}.json", **over)
+        assert runner.main(["run", path, "--output-dir", out_a, "--workers", "1"]) == 0
+        assert runner.main(["run", path, "--output-dir", out_b, "--workers", "2"]) == 0
+        for name in ("results.csv", "summary.json", "manifest.json"):
+            assert _sha256(os.path.join(out_a, name)) == _sha256(os.path.join(out_b, name))
+    assert len(_read_summary(str(tmp_path / "nonlinear" / "serial"))["ks_doubling"]) == 2
 
 
 _SPLIT_SEEDS = 2 * runner.BLOCK_SEEDS + 100  # three blocks, the last a short one
@@ -472,6 +508,21 @@ def test_malformed_json_is_config_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:")
     assert "malformed JSON" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["undecodable", "nested-too-deep"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unreadable_json_is_config_failure(tmp_path, capsys, command, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    argv = [command, str(path)] + (["--output-dir", str(out)] if command == "run" else [])
+    assert runner.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: malformed JSON in ")
+    assert str(path) in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_output_path_collision_is_io_failure(tmp_path, capsys):
@@ -697,6 +748,14 @@ def test_nonlinear_summary_pairs_sample_sizes(tmp_path):
     assert entry["n"] == 32
     assert 0.0 <= entry["ks_lyapunov"] <= 1.0
     assert 0.0 <= entry["ks_ids"] <= 1.0
+
+    def sample(n, observable):
+        return [float(r[7]) for r in rows if int(r[4]) == n and r[6] == observable]
+
+    # the statistic is the KS distance of the two cells' written samples, exactly
+    assert entry["ks_lyapunov"] == ks_distance(sample(32, "lyapunov_scaled"),
+                                               sample(128, "lyapunov_scaled"))
+    assert entry["ks_ids"] == ks_distance(sample(32, "ids_scaled"), sample(128, "ids_scaled"))
 
 
 def test_nonlinear_rows_equal_separate_estimates_bitwise(tmp_path):
