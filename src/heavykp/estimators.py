@@ -2,10 +2,11 @@
 
 Everything here reduces to one sweep over sampled chains, sweep_chains.  It
 walks many independent chains at once, segment by segment, the way
-prufer.walk_chain walks one chain: piece matrices in bulk, a lean loop over
-the bumps that pushes unit vectors (numpy across seeds), and the results
-read off the stored vectors.  It returns each seed's state after the last
-bump, a SweepRecord:
+prufer.walk_chain walks one chain: piece matrices and the products of each
+gap with its bump in bulk, a lean loop over the bumps that pushes unit
+vectors (numpy across seeds), and the results read off the stored vectors,
+with the vector between a gap and its bump recovered from the one before.
+It returns each seed's state after the last bump, a SweepRecord:
 
     x           the chain length x_n;
     theta       the unwound Prufer phase of the boundary-condition vector;
@@ -48,7 +49,7 @@ from .prufer import (
     walk_chain,
 )
 from .rng import RngStream, split_ids
-from .transfer import SaturationError, _piece_entries_batch
+from .transfer import SaturationError, _piece_entries_batch, _product_entries
 # Nothing here calls these samplers, the matrix-product folds, phase_fold or
 # ks_distance (chain_mixing computes its KS distances in bulk, _lane_ks).
 # The names stay bound only because the benchmark tracer (bench/spans.py)
@@ -150,7 +151,7 @@ def _step_matrices(mats, bump, gaps, lam: float, k: float):
     gap = None
     if gaps is not None:
         gap = gc, gb, ge, gpre = _piece_entries_batch(0.0, gaps, lam, k)
-        entries = (bc * gc + bb * ge, bc * gb + bb * gc, be * gc + bc * ge, be * gb + bc * gc)
+        entries = _product_entries((gc, gb, ge), (bc, bb, be))
         pre = gpre + pre
     for m, (i, j) in zip(entries, ((0, 0), (0, 1), (1, 0), (1, 1))):
         mats[:, i, j, 0] = m
@@ -187,8 +188,8 @@ class _LaneWalk:
         Returns the steps' log prescales, the gap entries and the log gains
         of dead-direction steps by (step, lane, seed).  Steps run on the fast
         norm.  At the first step where a lane's norm left _NORM_BAND, each
-        such lane is redone alone as in walk_chain, with hypot, and the walk
-        resumes after that step; every lane's values therefore depend on that
+        such lane is redone alone with hypot, and the walk resumes after
+        that step; every lane's values therefore depend on that
         lane alone.  A lane whose norm is then exactly 0 sits on the
         contracting direction of a factored bump and takes phase_fold's
         dead-direction arithmetic, after its gap if there is one.  NaN norms

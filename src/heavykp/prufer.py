@@ -28,27 +28,28 @@ windings stay consistent across every routine in the package.
 
 Every routine here takes pieces as bare (value, length) numbers or arrays,
 the columns of a Realization.  The workloads walk whole chains at one energy
-with walk_chain: it pushes the solution vector through the piece matrices of
-the transfer module and recovers the winding from the boundary vectors
+with walk_chain: it pushes the solution vector through the matrices of the
+transfer module two pieces per step, recovers the boundary vectors between
+each two pieces in bulk, and counts the winding from the boundary vectors
 (_unwind_boundaries), with the closed forms above serving only as increment
 estimates, so it agrees with a chain of closed-form steps to rounding.  The
 box spectrum and the single-chain trace call it directly; the estimator
 sweeps and the phase-chain mixing estimator walk many seeds the same way,
-with the same winding rule.  The closed forms themselves are stated once, in
-phase_fold, which advances many chains one piece at a time from the phase
-itself; advance_interval is its one-lane form.  No workload calls either.
-They remain as the tests' per-piece reference and as bindings the benchmark
-tracer wraps.
+one gap and its bump per step, with the same winding rule.  The closed
+forms themselves are stated once, in phase_fold, which advances many chains
+one piece at a time from the phase itself; advance_interval is its one-lane
+form.  No workload calls either.  They remain as the tests' per-piece
+reference and as bindings the benchmark tracer wraps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .transfer import EnergyFrame, SaturationError, _piece_entries_batch
+from .transfer import EnergyFrame, SaturationError, _piece_entries_batch, _product_entries
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -209,10 +210,18 @@ def walk_chain(values: np.ndarray, lengths: np.ndarray, frame: EnergyFrame,
     each of length len(values) + 1 with the start first.  Agrees with a chain
     of advance_interval calls to rounding, in three stages:
 
-    1. every piece's k-frame matrix comes from one _piece_entries_batch call;
-    2. a loop over Python floats pushes the unit vector (psi, psi'/k) through
-       the matrices, renormalizing at every step and keeping every boundary
-       vector;
+    1. every piece's k-frame matrix comes from one _piece_entries_batch call,
+       and the matrix of each pair of pieces (0, 1), (2, 3), ... from one
+       _product_entries call;
+    2. two pieces per step, inner boundaries recovered in bulk: a loop over
+       Python floats (_push_pairs) pushes the unit vector (psi, psi'/k)
+       through the pair matrices, renormalizing once per pair, and numpy
+       then steps each pair's entering vector through its first piece and
+       the result through its second (_piece_steps), which gives the vector
+       between the two and the norm of every piece.  An odd last piece is a
+       single step of the same kind.  A pair whose product norm is 0 or not
+       finite, or one of whose pieces annihilates its vector, is walked as
+       two single steps instead, and the loop resumes after it;
     3. the winding is counted in numpy.  The increment across a piece is the
        difference of its boundary-vector angles plus the multiple of 2 pi
        that brings it nearest an estimate from the piece's closed form.  An
@@ -221,49 +230,126 @@ def walk_chain(values: np.ndarray, lengths: np.ndarray, frame: EnergyFrame,
        vectors, so they share a branch with the vector angles.  Hyperbolic
        increments lie in (-pi, pi) and degenerate ones in [0, pi).
 
-    log r sums the exp(a) prescales and the logs of the normalizations; a
+    log r sums the exp(a) prescales and the logs of the piece norms; a
     zero-potential gap at lam > 0 is an exact rotation and gains exactly 0.
     """
     lam = frame.lam
     k = frame.k_norm
     values = np.asarray(values, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
+    n = values.size
+    n_pairs = n // 2
     diag, upper, lower, pre = _piece_entries_batch(values, lengths, lam, k)
+    first = diag[0::2], upper[0::2], lower[0::2]
+    second = diag[1::2], upper[1::2], lower[1::2]
+    paired = tuple(m[:n_pairs] for m in first) if n % 2 else first
+    pairs = [m.tolist() for m in _product_entries(paired, second)]
+    chain = (values, lengths, lam, k)
 
-    p = math.sin(theta)
-    q = math.cos(theta)
-    psi_list = [p]
-    psik_list = [q]
-    norms: List[float] = []
-    dead = {}  # piece index -> log gain of a dead-direction step
-    hypot = math.hypot
-    for c, b, e in zip(diag.tolist(), upper.tolist(), lower.tolist()):
-        x = c * p + b * q
-        y = e * p + c * q
-        nrm = hypot(x, y)
-        if nrm == 0.0:
-            j = len(norms)
-            x, y, dead[j] = _dead_direction(p, q, float(values[j]), float(lengths[j]), lam, k)
-            nrm = hypot(x, y)
-        p = x / nrm
-        q = y / nrm
-        psi_list.append(p)
-        psik_list.append(q)
-        norms.append(nrm)
+    ends = [math.sin(theta), math.cos(theta)]  # unit vectors entering each pair, flat
+    stepped = set()  # pairs walked as two single steps
+    done = _push_pairs(pairs, 0, ends)
+    while True:
+        if done == n_pairs:
+            # every boundary vector (psi, psi'/k) by row, the odd ones recovered
+            bounds = np.empty((n + 1, 2))
+            bounds[0::2] = np.array(ends, dtype=float).reshape(-1, 2)
+            norms = np.empty(n)
+            dead = {}  # piece index -> log gain of a dead-direction step
+            _piece_steps(first, bounds[0:n:2], norms[0::2], bounds[1::2], 0, chain, dead)
+            _piece_steps(second, bounds[1:n:2], norms[1::2], None, 1, chain, dead)
+            redo = [j // 2 for j in dead if j < 2 * n_pairs and j // 2 not in stepped]
+            if not redo:
+                break
+            done = min(redo)  # the loop walked past a dead-direction step
+            del ends[2 * done + 2:]
+        ends += _step_pair(first, second, done, ends[-2:], chain)
+        stepped.add(done)
+        done = _push_pairs(pairs, done + 1, ends)
 
-    norm_arr = np.array(norms)
-    if not np.all(np.isfinite(norm_arr)):
-        raise SaturationError("chain walk left representable range")
-    gains = pre + np.log(norm_arr)
+    gains = pre + np.log(norms)
     if lam > 0.0:
         gains[values == 0.0] = 0.0
     for j, gain in dead.items():
         gains[j] = gain
-    log_rs = np.concatenate(([0.0], np.cumsum(gains)))
-
-    thetas = _unwind_boundaries(np.array(psi_list), np.array(psik_list), values, lengths,
-                               lam, k, theta)
+    log_rs = np.zeros(n + 1)
+    np.add.accumulate(gains, out=log_rs[1:])
+    if not math.isfinite(log_rs[-1]):  # a non-finite gain leaves the sum non-finite
+        raise SaturationError("chain walk left representable range")
+    thetas = _unwind_boundaries(bounds[:, 0], bounds[:, 1], values, lengths, lam, k, theta)
     return thetas, log_rs
+
+
+def _push_pairs(pairs, start: int, ends: list) -> int:
+    """Push the unit vector at the end of ends through the pairs from start on.
+
+    pairs holds the entry lists (m00, m01, m10, m11) of the pair matrices.
+    Every step renormalizes and appends its unit vector to the flat list
+    ends.  Stops before the first pair whose product norm is 0 or not
+    finite; returns the index of that pair, or the number of pairs.
+    """
+    p, q = ends[-2:]
+    append = ends.append
+    hypot = math.hypot
+    inf = math.inf
+    for m00, m01, m10, m11 in zip(*(m[start:] for m in pairs) if start else pairs):
+        x = m00 * p + m01 * q
+        y = m10 * p + m11 * q
+        nrm = hypot(x, y)
+        if not 0.0 < nrm < inf:
+            break
+        p = x / nrm
+        q = y / nrm
+        append(p)
+        append(q)
+    return len(ends) // 2 - 1
+
+
+def _step_pair(first, second, j: int, vec, chain) -> list:
+    """The unit vector after pair j, walked as two single steps from the unit vector vec.
+
+    first and second hold the entries of the pairs' first and second pieces.
+    A step whose norm is not finite raises SaturationError.
+    """
+    pair = slice(j, j + 1)
+    vecs = np.empty((3, 2))  # the pair's entering, inner and leaving vectors
+    vecs[0] = vec
+    norms = np.empty(2)
+    _piece_steps([m[pair] for m in first], vecs[0:1], norms[:1], vecs[1:2], 2 * j, chain, {})
+    _piece_steps([m[pair] for m in second], vecs[1:2], norms[1:], vecs[2:], 2 * j + 1, chain, {})
+    if not np.isfinite(norms).all():
+        raise SaturationError("chain walk left representable range")
+    return vecs[2].tolist()
+
+
+def _piece_steps(entries, vecs, norms, units, piece: int, chain, dead: dict) -> None:
+    """Single-piece steps of the rows of vecs, in bulk.
+
+    entries holds the (diagonal, upper, lower) entries of piece matrices and
+    vecs (m, 2) unit vectors (psi, psi'/k); row r is piece number
+    piece + 2 r of the chain whose (values, lengths, lam, k) chain holds.
+    Each step is the arithmetic of a single-piece step.  The norms go into
+    norms and, unless units is None, the unit vectors after the steps into
+    the rows of units.  A vector that its piece annihilates takes
+    _dead_direction instead, whose log gain goes into dead under the piece
+    number.
+    """
+    c, b, e = entries
+    p = vecs[:, 0]
+    q = vecs[:, 1]
+    x = c * p + b * q
+    y = e * p + c * q
+    np.hypot(x, y, out=norms)
+    if np.count_nonzero(norms) < norms.size:
+        values, lengths, lam, k = chain
+        for r in np.flatnonzero(norms == 0.0).tolist():
+            j = piece + 2 * r
+            x[r], y[r], dead[j] = _dead_direction(float(p[r]), float(q[r]), float(values[j]),
+                                                  float(lengths[j]), lam, k)
+            norms[r] = math.hypot(x[r], y[r])
+    if units is not None:
+        np.divide(x, norms, out=units[:, 0])
+        np.divide(y, norms, out=units[:, 1])
 
 
 def _unwind_boundaries(psi: np.ndarray, psik: np.ndarray, values: np.ndarray,
@@ -278,10 +364,9 @@ def _unwind_boundaries(psi: np.ndarray, psik: np.ndarray, values: np.ndarray,
     angle = np.arctan2(psi, psik)
     turns = _piece_turns((psi[:-1], psik[:-1], angle[:-1]), (psi[1:], psik[1:], angle[1:]),
                          values, lengths, lam, k, start)
-    phi = angle.copy()
-    phi[0] = start
-    phi[1:] += _TWO_PI * np.cumsum(turns)
-    return phi
+    angle[0] = start
+    angle[1:] += _TWO_PI * np.add.accumulate(turns)
+    return angle
 
 
 def _piece_turns(before, after, values, lengths, lam: float, k: float, start=None) -> np.ndarray:
@@ -300,30 +385,32 @@ def _piece_turns(before, after, values, lengths, lam: float, k: float, start=Non
     p0, q0, a0 = before
     p1, q1, a1 = after
     diff = a1 - a0
-    if start is not None:
-        diff[:1] = a1[:1] - start
     u = np.asarray((lam - values) * lengths * lengths)
-    if u.size and u.min() > 0.0:
-        # every piece oscillatory (a NaN min fails): whole arrays, no gathers
-        estimate = _oscillatory_estimate(u, lengths, p0, q0, a0, p1, q1, a1, k)
+    osc = u > 0.0
+    if u.size and np.count_nonzero(osc) == u.size:
+        # every piece oscillatory (a NaN fails the test): whole arrays, no gathers
+        estimate = diff + _oscillatory_turns(u, lengths, p0, q0, p1, q1, k)
     else:
         estimate = np.where(u == 0.0, 0.5 * _PI, 0.0)
-        osc = np.flatnonzero(u > 0.0)
+        osc = np.flatnonzero(osc)
         if osc.size:  # then u has one element per piece
-            estimate.reshape(-1)[osc] = _oscillatory_estimate(
+            estimate.reshape(-1)[osc] = diff.reshape(-1)[osc] + _oscillatory_turns(
                 *(x if np.ndim(x) == 0 else x.reshape(-1)[osc]
-                  for x in (u, lengths, p0, q0, a0, p1, q1, a1)), k)
-    return np.round((estimate - diff) / _TWO_PI)
+                  for x in (u, lengths, p0, q0, p1, q1)), k)
+    if start is not None:
+        diff[:1] = a1[:1] - start
+    return ((estimate - diff) / _TWO_PI).round()
 
 
-def _oscillatory_estimate(u, length, p0, q0, a0, p1, q1, a1, k: float):
-    """Phase increment estimates of oscillatory pieces from their boundary vectors.
+def _oscillatory_turns(u, length, p0, q0, p1, q1, k: float):
+    """2 pi times the whole turns of oscillatory pieces beyond their angle difference.
 
-    The conjugate angle atan2(rho psi, psi'/k) turns by exactly omega l.
+    The conjugate angle atan2(rho psi, psi'/k) turns by exactly omega l, so
+    the increment estimate of a piece is the difference of its boundary
+    angles plus what this returns.
     """
     w = np.sqrt(u)
     rho = w / (k * length)
     conj0 = np.arctan2(rho * p0, q0)
     conj1 = np.arctan2(rho * p1, q1)
-    return a1 - a0 + _TWO_PI * np.round((conj0 + w - conj1) / _TWO_PI)
-
+    return _TWO_PI * ((conj0 + w - conj1) / _TWO_PI).round()

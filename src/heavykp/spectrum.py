@@ -9,9 +9,11 @@ turns eigenvalue location into a one-dimensional bracketed root search, with
 no matrices to diagonalize and no mesh.
 
 Every phase evaluation is one walk of the truncated chain at a single energy
-(prufer.walk_chain): all piece matrices are built in one vectorized call, a
-plain float loop carries the unit solution vector across them, and the
-winding is counted in bulk from the stored boundary vectors.  A BoxProblem
+(prufer.walk_chain): all piece matrices, and the products of each two
+consecutive pieces, are built in a few vectorized calls, a plain float loop
+carries the unit solution vector across the products, the boundary vectors
+between the two pieces of each product are recovered in bulk, and the
+winding is counted in bulk from all the boundary vectors.  A BoxProblem
 cuts the realization's (values, lengths) columns once, at construction, so
 the search rebuilds nothing between evaluations.  The cut keeps every piece
 that ends before L_box whole and ends the box with exactly one cut piece,

@@ -11,10 +11,12 @@ by the single combination u = (lam - V) l**2:
 
 _piece_entries_batch builds these matrices in bulk, with the exp(a) growth of
 a heavy piece (a single one already reaches exp(700)) moved into a separate
-log prescale.  It is the one piece kernel: prufer.walk_chain pushes one
-chain's solution vectors through its matrices, and the estimator sweeps push
-many seeds' vectors at once, so no workload forms a product matrix entry by
-entry.  det_defect checks the SL(2,R) identity analytically.
+log prescale.  It is the one piece kernel.  _product_entries multiplies two
+pieces into one step, the one statement of "piece after piece":
+prufer.walk_chain pushes one chain's solution vector through the products
+of its pieces two by two, and the estimator sweeps push many seeds' vectors
+at once through the products of each gap with its bump.  No workload forms
+a longer product.  det_defect checks the SL(2,R) identity analytically.
 """
 from __future__ import annotations
 
@@ -193,8 +195,8 @@ def _piece_entries_batch(value: np.ndarray, length, lam, k):
     c = np.empty(u.shape)
     s = np.empty(u.shape)
     pre = np.zeros(u.shape)
-    # a NaN piece makes the min NaN and takes the branch path
-    if u.size and u.min() >= U_SERIES_WINDOW:
+    # a NaN piece fails the test and takes the branch path
+    if u.size and np.count_nonzero(u >= U_SERIES_WINDOW) == u.size:
         w = np.sqrt(u)
         np.cos(w, out=c)
         np.sin(w, out=s)
@@ -205,6 +207,21 @@ def _piece_entries_batch(value: np.ndarray, length, lam, k):
     m01 = k * length * s
     m10 = (value - lam) * length * s / k
     return c, m01, m10, pre
+
+
+def _product_entries(first, second):
+    """Entries (m00, m01, m10, m11) of second @ first, first acting first.
+
+    first and second are the (diagonal, upper, lower) entries of piece
+    matrices, as from _piece_entries_batch, and broadcast against each other.
+    Entry (i, j) is second[i, 0] first[0, j] + second[i, 1] first[1, j]: two
+    products and their sum, each rounded once, so every caller gets the same
+    bits for the same pieces.
+    """
+    fc, fb, fe = first
+    sc, sb, se = second
+    diagonal = sc * fc
+    return diagonal + sb * fe, sc * fb + sb * fc, se * fc + sc * fe, se * fb + diagonal
 
 
 def push_piece(bp: BatchProducts, value, length, frame: EnergyFrame) -> None:
