@@ -268,19 +268,20 @@ def _dead_step(gap, values, j: int, seed: int, p: float, q: float, lam: float, k
     return x, y, gain + dead_gain
 
 
-def _unwind_segment(vecs, gap, values, gaps, lam: float, k: float, start):
-    """Angles and whole turns of the theta lane (lane 0) over a segment's bumps.
+def _unwind_segment(vecs, gap, values, gaps, lam: float, k: float, start=None):
+    """Angles after a segment's bumps and whole turns of its pieces, on the theta lane (lane 0).
 
-    Returns (angles, turns), both (bumps, seeds): angles[j] is the angle
-    arctan2(psi, psi'/k) of the vector after bump j, and turns[j] the whole
-    turns of 2 pi across step j, its gap's turns plus its bump's.  theta
-    after bump j is angles[j] + 2 pi (turns[0] + ... + turns[j]); start is
-    theta at the segment's start, and its own whole turns land in turns[0].
-    With gaps, the vector after each gap is recovered from the vector before
-    it, so the winding rule sees every piece boundary; it is scaled to a
-    largest component of 1, which keeps the conjugate angles clear of
-    overflow.  The gaps and the bumps are then unwound as two runs of
-    boundary pairs, and the two counts add exactly, being whole numbers.
+    Returns (angles, turns): angles[j] (bumps, seeds) is the angle
+    arctan2(psi, psi'/k) of the vector after bump j, and turns (pieces,
+    seeds) the whole turns of 2 pi across each piece, in piece order: one row
+    per bump, or, with gaps, each gap's row before its bump's.  theta after
+    bump j is angles[j] plus 2 pi times the turns of the pieces up to it.
+    start, if given, is theta at the segment's start and stands in for the
+    entering vector's angle, so its own whole turns land in turns[0].  With
+    gaps, the vector after each gap is recovered from the vector before it,
+    so the winding rule sees every piece boundary; it is scaled to a largest
+    component of 1, which keeps the conjugate angles clear of overflow.  The
+    gaps and the bumps are then unwound as two runs of boundary pairs.
     """
     p = np.ascontiguousarray(vecs[:, 0, 0])
     q = np.ascontiguousarray(vecs[:, 1, 0])
@@ -296,19 +297,10 @@ def _unwind_segment(vecs, gap, values, gaps, lam: float, k: float, start):
     gp /= size
     gq /= size
     mid = (gp, gq, np.arctan2(gp, gq))
-    turns = _piece_turns(enter, mid, 0.0, gaps, lam, k, start)
-    turns += _piece_turns(mid, leave, values, 1.0, lam, k)
+    turns = np.empty((2 * len(gp),) + gp.shape[1:])
+    turns[0::2] = _piece_turns(enter, mid, 0.0, gaps, lam, k, start)
+    turns[1::2] = _piece_turns(mid, leave, values, 1.0, lam, k)
     return leave[2], turns
-
-
-def _theta_after(angles, turns, r: int):
-    """Unwound theta after the first r bumps of a segment unwound by _unwind_segment.
-
-    The whole turns are summed exactly while below 2**53, in any order; the
-    sum starts from -0.0 so that it keeps the sign of zero that adding them
-    in order gives.
-    """
-    return angles[r - 1] + _TWO_PI * turns[:r].sum(axis=0, initial=-0.0)
 
 
 def sweep_chains(
@@ -340,24 +332,24 @@ def sweep_chains(
        multiplied into the bump after it, so that one step covers one bump;
     2. a loop over the bumps pushes every lane through its step matrix, in
        numpy across lanes, renormalizing into preallocated buffers;
-    3. the whole turns of every bump step are counted from the stored
-       boundary vectors by walk_chain's winding rule (_unwind_segment), and
-       theta at the segment's end is the vector's angle plus 2 pi times the
-       turns so far; log|M e_i| adds up the prescales and the logs of the
-       norms, and at the end log||M|| (Frobenius) is
-       log sqrt(|M e1|**2 + |M e2|**2).
+    3. the whole turns of every piece are counted from the stored boundary
+       vectors by walk_chain's winding rule (_unwind_segment) and added to
+       a running sum, one piece at a time; log|M e_i| adds up the prescales
+       and the logs of the norms.
 
-    A segment holds _segment_length(seeds in the block) bumps.  Positions
-    and log norms are added in piece order, and theta carries its unwound
-    value across segments.  While |theta| < 2**53 the whole turns are exact,
-    so no value depends on the segment length or on the order in which turns
-    are added.  Past that the carried theta is rounded where a longer
-    segment keeps adding turns, and theta can move in its last digits with
-    the segment length, so with the number of seeds per call (model II at
-    alpha1 = 0.02 winds to 1e77 and more in 128 bumps).  Each lane depends
-    on its own seed only.  A log-norm lane that leaves float range raises
-    SaturationError; a theta lane fed an infinite bump height turns NaN.  Gap models accept any energy: at
-    lam <= 0 gaps are ordinary hyperbolic or degenerate pieces.
+    At the end theta is the last vector's angle plus 2 pi times the sum of
+    the turns, as walk_chain forms it, and log||M|| (Frobenius) is
+    log sqrt(|M e1|**2 + |M e2|**2).  Only the first segment starts from the
+    boundary phase; each later one starts from its entering vector's own
+    angle, which is the angle the segment before left.  A segment holds
+    _segment_length(seeds in the block) bumps.  Positions, log norms and
+    turns are added in piece order, so no value depends on the segment
+    length or on how the seeds are split into calls, at any size of theta
+    (model II at alpha1 = 0.02 winds to 1e77 and more in 128 bumps).  Each
+    lane depends on its own seed only.  A log-norm lane that leaves float
+    range raises SaturationError; a theta lane fed an infinite bump height
+    turns NaN.  Gap models accept any energy: at lam <= 0 gaps are ordinary
+    hyperbolic or degenerate pieces.
     """
     if n_bumps < 1 or n_seeds < 1:
         raise ValueError("n_bumps and n_seeds must be positive")
@@ -381,7 +373,7 @@ def sweep_chains(
         s = hi - lo
         seg = _segment_length(s)
         lanes = _LaneWalk(starts, seg, s, value_blk, lam, k)
-        theta = theta_start
+        whole = np.full(s, -0.0)  # whole turns so far; -0.0 adds as nothing
         logs = np.zeros((2, s))
         pos = np.zeros(s)
 
@@ -406,8 +398,13 @@ def sweep_chains(
                 pre, gap, dead = lanes.walk(nj, values, gaps)
             if want_theta:
                 angles, turns = _unwind_segment(lanes.vecs[:nj + 1], gap, values, gaps, lam, k,
-                                                theta)
-                theta = _theta_after(angles, turns, nj)
+                                                theta_start if j0 == 0 else None)
+                # an axis-0 reduce adds the rows in order, as a loop would,
+                # while a row holds two seeds or more; it would sum one
+                # seed's column pairwise, which accumulate does not
+                turns[0] += whole
+                whole = (np.add.reduce(turns, axis=0) if s > 1
+                         else np.add.accumulate(turns, axis=0)[-1])
             if want_log_norm:
                 gains = pre[:, None, :] + np.log(lanes.norms[:nj, first_col:])
                 for (j, lane, seed), gain in dead.items():
@@ -423,7 +420,7 @@ def sweep_chains(
 
         rec.x[lo:hi] = pos
         if want_theta:
-            rec.theta[lo:hi] = theta
+            rec.theta[lo:hi] = angles[-1] + _TWO_PI * whole
         if want_log_norm:
             rec.log_norm[lo:hi] = 0.5 * np.logaddexp(2.0 * logs[0], 2.0 * logs[1])
 

@@ -7,21 +7,21 @@ BLOCK_SEEDS (1024) seeds: a lyapunov, ids, nonlinear or darling cell is cut
 at the multiples of 1024, and a mixing or spectrum cell is one block.  At
 --workers N the parent process is one of the N: it runs every N-th block
 itself and a pool of N - 1 child processes runs the rest; a grid of one
-block runs without a pool.  The parent joins each cell's blocks in seed
-order and builds the cell's summary and results.csv text from them, so
-results are byte-identical for any --workers.  (In cells of more than 1024
-seeds a theta of 2**53 or more can move in its last digit against versions
-that swept a cell in one call; see the segment-length note of
-estimators.sweep_chains.)  Outputs land in one directory:
+block runs without a pool.  A block's values do not depend on how the
+cell is cut, so results are byte-identical for any --workers, and equal to
+a sweep of the whole cell in one call.  Outputs land in one directory:
 
     results.csv     one row per (cell, seed, observable), repr-encoded floats
     summary.json    per-cell aggregates plus experiment-level statistics
     manifest.json   config echo, code version, master seed
 
-A cell's rows are formatted once, when its outcome is built (_cell_outcome),
-and results.csv is the header, then each cell's text in task order.  The
-three files are written as one set, manifest.json last, so a manifest.json
-marks a complete set from one run (_write_outputs).
+A block's rows are formatted once, by the process that measured it
+(run_task), so the pool children share that work.  The parent joins each
+cell's blocks in seed order and builds the cell's summary from their
+columns (_cell_outcome); results.csv is the header, then the blocks' texts
+in task and seed order.  The three files are written as one set,
+manifest.json last, so a manifest.json marks a complete set from one run
+(_write_outputs).
 
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numeric
 saturation (the offending task is named in the diagnostic and the summary;
@@ -134,21 +134,22 @@ class TaskSpec:
 
 @dataclass
 class BlockOutcome:
-    """A block's columns (see _BODIES), or None and the error that stopped it."""
+    """A block's columns (see _BODIES) and its rows' text, or the error that stopped it."""
 
     columns: Optional[Dict[str, object]]
+    text: str = ""
     error: Optional[str] = None
     saturated: bool = False
 
 
 @dataclass
 class TaskOutcome:
-    """A cell's joined columns, its summary and its results.csv text, or, for a
-    failed cell, no columns, no text and the error that stopped it."""
+    """A cell's joined columns, summary and blocks' texts in seed order, or, for
+    a failed cell, no columns, no texts and the error that stopped it."""
 
     columns: Optional[Dict[str, object]]
     cell_summary: Dict[str, object]
-    text: str = ""
+    texts: List[str] = field(default_factory=list)
     error: Optional[str] = None
     saturated: bool = False
 
@@ -347,65 +348,69 @@ def build_tasks(cfg: ExperimentConfig) -> List[TaskSpec]:
 
 
 # ── Per-experiment task bodies ───────────────────────────────────────────────
-# Each experiment has two bodies.  The first measures seeds lo..hi-1 of a
+# Each experiment has three bodies.  The first measures seeds lo..hi-1 of a
 # cell and returns their columns, arrays or lists over those seeds (a mixing
-# cell, one block, returns its KS distances); the second turns a cell's
-# columns, its blocks' joined in seed order, into its rows and summary.  A
-# unit of work is one block of a cell (_blocks), and run_task runs the first
-# body on it.
+# cell, one block, returns its KS distances), and the second formats them as
+# the block's results.csv text: run_task runs both on a block (_blocks).  The
+# third builds a cell's summary from its blocks' columns joined in seed order.
 
 
 def _task_stream(spec: TaskSpec) -> RngStream:
     return split_stream(RngStream(spec.master_seed), spec.index)
 
 
-def _sweep_block(spec: TaskSpec, lo: int, hi: int, **want):
-    return sweep_chains(spec.cell_config, spec.n, hi - lo, _task_stream(spec), first_seed=lo,
-                        **want)
+def _row_prefix(spec: TaskSpec) -> str:
+    """The cell's leading columns; every float of a row is written as repr(float(x))."""
+    return (f"{spec.experiment},{spec.cell_config.model.value},"
+            f"{float(spec.alpha)!r},{float(spec.energy)!r},{spec.n},")
 
 
-def _lyapunov_block(spec: TaskSpec, lo: int, hi: int) -> dict:
-    rec = _sweep_block(spec, lo, hi, want_log_norm=True)
-    return {"log_norm": rec.log_norm, "over_x": rec.log_norm / rec.x}
+# experiment -> its (column, observable) pairs: a lyapunov, ids, nonlinear or
+# darling block writes one row per pair for each seed, in this order
+_OBSERVABLES = {
+    "lyapunov": (("log_norm", "log_norm"), ("over_x", "log_norm_over_x")),
+    "ids": (("rotation", "rotation_per_unit_length"),),
+    "nonlinear": (("lyapunov", "lyapunov_scaled"), ("ids", "ids_scaled")),
+    "darling": (("max_over_sum", "max_over_sum"),),
+}
 
 
-def _lyapunov_rows(spec: TaskSpec, cols, rows, summary) -> None:
-    over_x = cols["over_x"]
-    for seed, (log_norm, ratio) in enumerate(zip(cols["log_norm"].tolist(), over_x.tolist())):
-        rows.append((seed, "log_norm", log_norm))
-        rows.append((seed, "log_norm_over_x", ratio))
-    summary["median_log_norm_over_x"] = float(np.median(over_x))
-    if spec.n_seeds > 1:
-        ci = mean_ci(over_x)
-        summary["mean_log_norm_over_x"] = ci.mean
-        summary["ci_half_width"] = ci.half_width
+def _seed_rows(spec: TaskSpec, cols, lo: int) -> str:
+    """The block's rows by _OBSERVABLES, its seeds numbered from lo."""
+    pairs = _OBSERVABLES[spec.experiment]
+    prefix = _row_prefix(spec)
+    lines = [""] * (len(pairs) * len(cols[pairs[0][0]]))
+    for i, (name, obs) in enumerate(pairs):
+        lines[i::len(pairs)] = [f"{prefix}{seed},{obs},{v!r}\n"
+                                for seed, v in enumerate(cols[name].tolist(), lo)]
+    return "".join(lines)
 
 
-def _ids_block(spec: TaskSpec, lo: int, hi: int) -> dict:
-    rec = _sweep_block(spec, lo, hi, want_theta=True)
-    return {"rotation": rec.theta / (math.pi * rec.x)}
+def _medians(spec: TaskSpec, cols, summary) -> None:
+    """The ids and nonlinear summary: median_<observable> of every column."""
+    for name, obs in _OBSERVABLES[spec.experiment]:
+        summary[f"median_{obs}"] = float(np.median(cols[name]))
 
 
-def _ids_rows(spec: TaskSpec, cols, rows, summary) -> None:
-    values = cols["rotation"]
-    rows.extend([(seed, "rotation_per_unit_length", v)
-                 for seed, v in enumerate(values.tolist())])
-    summary["median_rotation_per_unit_length"] = float(np.median(values))
-
-
-def _nonlinear_block(spec: TaskSpec, lo: int, hi: int) -> dict:
-    rec = _sweep_block(spec, lo, hi, want_theta=True, want_log_norm=True)
+def _sweep_block(spec: TaskSpec, lo: int, hi: int) -> dict:
+    """The lyapunov, ids or nonlinear columns of seeds lo..hi-1, from one sweep."""
+    experiment = spec.experiment
+    rec = sweep_chains(spec.cell_config, spec.n, hi - lo, _task_stream(spec), first_seed=lo,
+                       want_theta=experiment != "lyapunov", want_log_norm=experiment != "ids")
+    if experiment == "lyapunov":
+        return {"log_norm": rec.log_norm, "over_x": rec.log_norm / rec.x}
+    if experiment == "ids":
+        return {"rotation": rec.theta / (math.pi * rec.x)}
     lya_norm, rot_norm = nonlinear_normalizers(spec.cell_config, spec.n, rec.x)
     return {"lyapunov": rec.log_norm / lya_norm, "ids": rec.theta / (math.pi * rot_norm)}
 
 
-def _nonlinear_rows(spec: TaskSpec, cols, rows, summary) -> None:
-    lya, ids = cols["lyapunov"], cols["ids"]
-    for seed, (lya_v, ids_v) in enumerate(zip(lya.tolist(), ids.tolist())):
-        rows.append((seed, "lyapunov_scaled", lya_v))
-        rows.append((seed, "ids_scaled", ids_v))
-    summary["median_lyapunov_scaled"] = float(np.median(lya))
-    summary["median_ids_scaled"] = float(np.median(ids))
+def _lyapunov_summary(spec: TaskSpec, cols, summary) -> None:
+    over_x = cols["over_x"]
+    summary["median_log_norm_over_x"] = float(np.median(over_x))
+    if spec.n_seeds > 1:
+        ci = mean_ci(over_x)
+        summary["mean_log_norm_over_x"], summary["ci_half_width"] = ci.mean, ci.half_width
 
 
 def _darling_block(spec: TaskSpec, lo: int, hi: int) -> dict:
@@ -429,13 +434,11 @@ def _darling_block(spec: TaskSpec, lo: int, hi: int) -> dict:
     return {"max_over_sum": values}
 
 
-def _darling_rows(spec: TaskSpec, cols, rows, summary) -> None:
+def _darling_summary(spec: TaskSpec, cols, summary) -> None:
     values = cols["max_over_sum"]
-    rows.extend([(seed, "max_over_sum", v) for seed, v in enumerate(values.tolist())])
-    ci = mean_ci(values) if spec.n_seeds > 1 else None
     summary["mean_max_over_sum"] = float(values.mean())
-    if ci is not None:
-        summary["ci_half_width"] = ci.half_width
+    if spec.n_seeds > 1:
+        summary["ci_half_width"] = mean_ci(values).half_width
 
 
 def _mixing_block(spec: TaskSpec, lo: int, hi: int) -> dict:
@@ -444,18 +447,21 @@ def _mixing_block(spec: TaskSpec, lo: int, hi: int) -> dict:
                                spec.n_seeds, _task_stream(spec))}
 
 
-def _mixing_rows(spec: TaskSpec, cols, rows, summary) -> None:
-    ks = cols["ks"]
-    m = len(spec.mixing.initial_points)
-    for step, dist in enumerate(ks.tolist(), start=1):
-        for i in range(m):
-            for j in range(i + 1, m):
-                rows.append((-1, f"ks_step{step:03d}_pair{i}_{j}", dist[i][j]))
+def _mixing_rows(spec: TaskSpec, cols, lo: int) -> str:
+    """One seed -1 row per step and pair of starting points."""
+    prefix = _row_prefix(spec)
+    points = range(len(spec.mixing.initial_points))
+    pairs = [(i, j) for i in points for j in points if i < j]
+    return "".join([f"{prefix}-1,ks_step{step:03d}_pair{i}_{j},{dist[i][j]!r}\n"
+                    for step, dist in enumerate(cols["ks"].tolist(), start=1) for i, j in pairs])
+
+
+def _mixing_summary(spec: TaskSpec, cols, summary) -> None:
     # Doubling ratios are meaningful only while the earlier KS value sits
     # above the quantization floor of n_seeds-sample ECDFs (a single-count
     # difference is 1/n_seeds; below 1.5 counts the chains have collapsed).
     floor = 1.5 / spec.n_seeds
-    per_step_max = ks.max(axis=(1, 2))
+    per_step_max = cols["ks"].max(axis=(1, 2))
     summary["ks_final_max"] = float(per_step_max[-1])
     ratios: Dict[str, float] = {}
     s = 5
@@ -479,9 +485,8 @@ def _spectrum_block(spec: TaskSpec, lo: int, hi: int) -> dict:
     for seed in range(lo, hi):
         real = generate(cfg, spec.n, split_stream(base, seed))
         problem = BoxProblem(realization=real, theta0=cfg.theta0, L_box=real.total_length)
-        lam_min = opts.lambda_min
-        if lam_min is None:
-            lam_min = min(0.0, float(problem.values.min())) - 1.0
+        lam_min = (opts.lambda_min if opts.lambda_min is not None
+                   else min(0.0, float(problem.values.min())) - 1.0)
         lam_max = opts.lambda_max if opts.lambda_max is not None else cfg.energy
         found = [float(lam) for lam in find_eigenvalues(problem, lam_min, lam_max,
                                                          max_count=opts.max_eigenvalues)]
@@ -498,36 +503,37 @@ def _spectrum_block(spec: TaskSpec, lo: int, hi: int) -> dict:
     return cols
 
 
-def _spectrum_rows(spec: TaskSpec, cols, rows, summary) -> None:
-    slopes: List[float] = []
-    rsqs: List[float] = []
-    refused = 0
-    for seed, (found, fits) in enumerate(zip(cols["eigenvalues"], cols["fits"])):
+def _spectrum_rows(spec: TaskSpec, cols, lo: int) -> str:
+    """Per seed from lo, each eigenvalue's row, then its decay fit's two unless refused."""
+    prefix = _row_prefix(spec)
+    lines = []
+    for seed, (found, fits) in enumerate(zip(cols["eigenvalues"], cols["fits"]), lo):
         for i, (lam, fit) in enumerate(zip(found, fits)):
-            rows.append((seed, f"eigenvalue_{i}", lam))
-            if fit is None:
-                refused += 1
-                continue
-            slope, rsq = fit
-            slopes.append(slope)
-            rsqs.append(rsq)
-            rows.append((seed, f"decay_slope_{i}", slope))
-            rows.append((seed, f"decay_r_squared_{i}", rsq))
-    summary["decay_fits_refused"] = refused
-    if slopes:
-        arr = np.asarray(slopes)
-        summary["fraction_negative_slope"] = float((arr < 0.0).mean())
-        summary["median_r_squared"] = float(np.median(np.asarray(rsqs)))
+            lines.append(f"{prefix}{seed},eigenvalue_{i},{lam!r}\n")
+            if fit is not None:
+                lines.append(f"{prefix}{seed},decay_slope_{i},{fit[0]!r}\n")
+                lines.append(f"{prefix}{seed},decay_r_squared_{i},{fit[1]!r}\n")
+    return "".join(lines)
 
 
-# experiment -> (columns of a block, rows and summary of a cell's columns)
+def _spectrum_summary(spec: TaskSpec, cols, summary) -> None:
+    fits = [fit for seed_fits in cols["fits"] for fit in seed_fits]
+    done = [fit for fit in fits if fit is not None]
+    summary["decay_fits_refused"] = len(fits) - len(done)
+    if done:
+        slopes, rsqs = np.asarray(done).T
+        summary["fraction_negative_slope"] = float((slopes < 0.0).mean())
+        summary["median_r_squared"] = float(np.median(rsqs))
+
+
+# experiment -> (columns of a block, the block's rows, summary of a cell's columns)
 _BODIES = {
-    "lyapunov": (_lyapunov_block, _lyapunov_rows),
-    "ids": (_ids_block, _ids_rows),
-    "nonlinear": (_nonlinear_block, _nonlinear_rows),
-    "darling": (_darling_block, _darling_rows),
-    "mixing": (_mixing_block, _mixing_rows),
-    "spectrum": (_spectrum_block, _spectrum_rows),
+    "lyapunov": (_sweep_block, _seed_rows, _lyapunov_summary),
+    "ids": (_sweep_block, _seed_rows, _medians),
+    "nonlinear": (_sweep_block, _seed_rows, _medians),
+    "darling": (_darling_block, _seed_rows, _darling_summary),
+    "mixing": (_mixing_block, _mixing_rows, _mixing_summary),
+    "spectrum": (_spectrum_block, _spectrum_rows, _spectrum_summary),
 }
 
 
@@ -552,34 +558,31 @@ def _attempt(body, *args) -> Tuple[object, Optional[str], bool]:
 
 
 def run_task(spec: TaskSpec, lo: int, hi: int) -> BlockOutcome:
-    """Measure seeds lo..hi-1 of one grid cell; never raises (errors are carried
-    in the outcome)."""
-    columns, error, saturated = _attempt(_BODIES[spec.experiment][0], spec, lo, hi)
-    return BlockOutcome(columns=columns, error=error, saturated=saturated)
+    """Measure seeds lo..hi-1 of one grid cell and format their results.csv
+    rows; never raises (errors are carried in the outcome)."""
+    block, rows, _ = _BODIES[spec.experiment]
+    columns, error, saturated = _attempt(block, spec, lo, hi)
+    if error is None:
+        text, error, saturated = _attempt(rows, spec, columns, lo)
+    if error is not None:
+        return BlockOutcome(None, error=error, saturated=saturated)
+    return BlockOutcome(columns, text)
 
 
 def _cell_outcome(spec: TaskSpec, parts: List[BlockOutcome]) -> TaskOutcome:
-    """A cell's columns, summary and results.csv text from its blocks'
-    outcomes in seed order; the lowest failed block's error fails the cell.
-
-    The rows body's (seed, observable, value) rows are formatted here, once,
-    behind the cell's leading columns; floats are written as repr(float(x)),
-    and row values are Python floats already.
-    """
+    """A cell's joined columns, its summary and its blocks' texts, from the
+    blocks' outcomes in seed order; the rows were formatted in the blocks.
+    The lowest failed block's error fails the cell, which keeps no text."""
     for part in parts:
         if part.error is not None:
             return TaskOutcome(None, {}, error=part.error, saturated=part.saturated)
     cols = parts[0].columns if len(parts) == 1 else {
         key: np.concatenate([part.columns[key] for part in parts]) for key in parts[0].columns}
-    rows: List[Tuple[int, str, float]] = []
     summary: Dict[str, object] = {}
-    _, error, saturated = _attempt(_BODIES[spec.experiment][1], spec, cols, rows, summary)
+    _, error, saturated = _attempt(_BODIES[spec.experiment][2], spec, cols, summary)
     if error is not None:
         return TaskOutcome(None, {}, error=error, saturated=saturated)
-    prefix = (f"{spec.experiment},{spec.cell_config.model.value},"
-              f"{float(spec.alpha)!r},{float(spec.energy)!r},{spec.n},")
-    text = "".join([f"{prefix}{seed},{obs},{value!r}\n" for seed, obs, value in rows])
-    return TaskOutcome(cols, summary, text)
+    return TaskOutcome(cols, summary, [part.text for part in parts])
 
 
 # ── Orchestration, output, CLI ───────────────────────────────────────────────
@@ -671,11 +674,11 @@ def _nonlinear_doubling(tasks, outcomes) -> List[Dict[str, object]]:
 def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
     """Run the grid and write outputs; returns (exit_code, diagnostic).
 
-    The grid's cells are cut into blocks (_blocks), run by _collect, and each
-    cell's summary and results.csv text are built from its blocks' joined
-    columns (_cell_outcome).  A child process that dies (killed, or exiting
-    without a result) breaks the pool: the run then returns exit code 5 and
-    writes no output file.  The three files are written as one set
+    The grid's cells are cut into blocks (_blocks) and run by _collect; each
+    block comes back with its rows' text, and each cell's summary is built
+    from its blocks' joined columns (_cell_outcome).  A child process that
+    dies (killed, or exiting without a result) breaks the pool: the run then
+    returns exit code 5 and writes no output file.  The three files are written as one set
     (_write_outputs); a failed write returns exit code 3.
     """
     tasks = build_tasks(cfg)
@@ -714,14 +717,11 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
         if ratios:
             summary["fitted_doubling_ratio"] = max(ratios)
 
-    manifest = {
-        "config": _config_echo(cfg),
-        "code_version": _code_version(),
-        "master_seed": cfg.master_seed,
-    }
+    manifest = {"config": _config_echo(cfg), "code_version": _code_version(),
+                "master_seed": cfg.master_seed}
     failure = _write_outputs(cfg.output_dir, (
         ("results.csv", lambda fh: fh.writelines([CSV_HEADER + "\n",
-                                                  *(o.text for o in outcomes)])),
+                                                  *(t for o in outcomes for t in o.texts)])),
         ("summary.json", lambda fh: _write_json(fh, summary)),
         ("manifest.json", lambda fh: _write_json(fh, manifest)),
     ))

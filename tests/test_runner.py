@@ -360,34 +360,105 @@ def _row_by_row_csv(cfg, tasks, cell_rows):
 
 
 def test_csv_writer_keeps_repr_bytes_and_row_order(tmp_path, monkeypatch):
-    # each cell's rows body hands over these rows, and the run formats them
-    # into results.csv through _cell_outcome
-    out = str(tmp_path / "out")
-    cfg = config_from_dict(_base_config(alpha_grid=[0.3, 0.6], energy_grid=[1.0, 2.5],
-                                        n_grid=[50, 7], output_dir=out))
-    tasks = build_tasks(cfg)
+    # each ids block hands over a column of special floats, and the real
+    # rows body formats them into results.csv; cell 1 fails and writes no
+    # rows.  A mixing cell, one block, writes its seed -1 rows the same way
     special = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1 + 0.2]
-    cell_rows = [[(seed, f"obs_{t.index}", v)
-                  for seed, v in enumerate(special[t.index % 7:] + special[:t.index % 7])]
-                 for t in tasks]
-    cell_rows[1] = []  # a failed cell writes no rows
-    cell_rows[2].append((-1, "aggregate", 1.5))
 
-    def rows_body(spec, cols, rows, summary):
+    def column(index):
+        return special[index % 7:] + special[:index % 7]
+
+    def block(spec, lo, hi):
         if spec.index == 1:
             raise RuntimeError("cell 1 fails")
-        rows.extend(cell_rows[spec.index])
-        summary["median_rotation_per_unit_length"] = 0.5  # read by the ids aggregate
+        return {"rotation": np.array(column(spec.index))[lo:hi]}
 
-    monkeypatch.setitem(runner._BODIES, "ids", (lambda spec, lo, hi: {}, rows_body))
-    assert run_experiment(cfg) == (0, "")
+    out = str(tmp_path / "out")
+    cfg = config_from_dict(_base_config(alpha_grid=[0.3, 0.6], energy_grid=[1.0, 2.5],
+                                        n_grid=[50, 7], n_seeds=7, output_dir=out))
+    tasks = build_tasks(cfg)
+    cell_rows = [[(seed, "rotation_per_unit_length", v)
+                  for seed, v in enumerate(column(t.index))] for t in tasks]
+    cell_rows[1] = []  # a failed cell writes no rows
+    _, rows, summary = runner._BODIES["ids"]
+    monkeypatch.setitem(runner._BODIES, "ids", (block, rows, summary))
+    with np.errstate(invalid="ignore"):
+        assert run_experiment(cfg) == (0, "")
     assert [f["task_index"] for f in _read_summary(out)["failed_tasks"]] == [1]
     with open(os.path.join(out, "results.csv")) as fh:
         text = fh.read()
     assert text == _row_by_row_csv(cfg, tasks, cell_rows)
-    assert text.splitlines()[4:7] == ["ids,III,0.3,1.0,50,3,obs_0,nan",
-                                      "ids,III,0.3,1.0,50,4,obs_0,inf",
-                                      "ids,III,0.3,1.0,50,5,obs_0,-inf"]
+    assert text.splitlines()[4:7] == ["ids,III,0.3,1.0,50,3,rotation_per_unit_length,nan",
+                                      "ids,III,0.3,1.0,50,4,rotation_per_unit_length,inf",
+                                      "ids,III,0.3,1.0,50,5,rotation_per_unit_length,-inf"]
+
+    out = str(tmp_path / "mixing")
+    cfg = config_from_dict(_base_config(experiment="mixing", n_grid=[2], n_seeds=7,
+                                        model={"model": "I", "energy": 2.0, "alpha1": 0.5},
+                                        output_dir=out))
+    ks = np.array(special[1:5] + special[:5]).reshape(1, 3, 3)
+    _, rows, summary = runner._BODIES["mixing"]
+    monkeypatch.setitem(runner._BODIES, "mixing",
+                        (lambda spec, lo, hi: {"ks": ks}, rows, summary))
+    assert run_experiment(cfg) == (0, "")
+    with open(os.path.join(out, "results.csv")) as fh:
+        text = fh.read()
+    mixing_rows = [(-1, f"ks_step001_pair{i}_{j}", ks[0, i, j])
+                   for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert text == _row_by_row_csv(cfg, build_tasks(cfg), [mixing_rows])
+    assert text.splitlines()[1:] == ["mixing,I,0.5,2.0,2,-1,ks_step001_pair0_1,1e+308",
+                                     "mixing,I,0.5,2.0,2,-1,ks_step001_pair0_2,nan",
+                                     "mixing,I,0.5,2.0,2,-1,ks_step001_pair1_2,5e-324"]
+
+
+def test_one_failed_block_drops_the_whole_cells_text(tmp_path, monkeypatch):
+    # the middle one of cell 0's three blocks fails: the cell writes none of
+    # its rows, whichever process formatted the other two, and cell 1 of
+    # the grid writes all of its own
+    block, rows, summary = runner._BODIES["lyapunov"]
+
+    def failing(spec, lo, hi):
+        if spec.index == 0 and lo == runner.BLOCK_SEEDS:
+            raise RuntimeError(f"block {lo}..{hi - 1} fails")
+        return block(spec, lo, hi)
+
+    monkeypatch.setitem(runner._BODIES, "lyapunov", (failing, rows, summary))
+    path = _write_config(tmp_path, experiment="lyapunov",
+                         model={"model": "I", "energy": 1.0, "alpha1": 0.5},
+                         n_grid=[8, 9], n_seeds=_SPLIT_SEEDS)
+    (task, _) = build_tasks(load_config(path))
+    parts = [runner.run_task(task, lo, hi) for lo, hi in runner._blocks(task)]
+    assert [part.text != "" for part in parts] == [True, False, True]
+    cell = runner._cell_outcome(task, parts)
+    assert cell.texts == [] and cell.columns is None
+    assert cell.error == "RuntimeError: block 1024..2047 fails"
+    for workers in (1, 2):
+        out = str(tmp_path / f"w{workers}")
+        assert runner.main(["run", path, "--output-dir", out, "--workers", str(workers)]) == 0
+        rows = _read_rows(out)
+        assert {r[4] for r in rows} == {"9"} and len(rows) == 2 * _SPLIT_SEEDS
+        assert [f["error"] for f in _read_summary(out)["failed_tasks"]] == [cell.error]
+
+
+@pytest.mark.parametrize("experiment, model, n", [
+    ("lyapunov", {"model": "I", "energy": 1.0, "alpha1": 0.5}, 16),
+    ("spectrum", {"model": "II", "energy": 1.0, "alpha1": 0.5}, 20),
+])
+def test_block_text_numbers_its_seeds_from_lo(experiment, model, n):
+    # a block's rows carry the cell's seed numbers, lo first, and the
+    # blocks' texts joined in seed order are the text of one whole block
+    cfg = config_from_dict(_base_config(experiment=experiment, model=model, n_grid=[n],
+                                        n_seeds=5))
+    (task,) = build_tasks(cfg)
+    whole = runner.run_task(task, 0, 5)
+    parts = [runner.run_task(task, lo, hi) for lo, hi in ((0, 2), (2, 3), (3, 5))]
+    for (lo, hi), part in zip(((0, 2), (2, 3), (3, 5)), parts):
+        seeds = [int(line.split(",")[5]) for line in part.text.splitlines()]
+        assert seeds[0] == lo and sorted(set(seeds)) == list(range(lo, hi))
+    assert "".join(part.text for part in parts) == whole.text
+    if experiment == "lyapunov":  # the observables of a seed, in table order
+        assert [line.split(",")[6] for line in whole.text.splitlines()[:2]] == [
+            "log_norm", "log_norm_over_x"]
 
 
 @pytest.mark.parametrize("experiment, model", [
@@ -404,10 +475,11 @@ def test_task_bodies_hand_over_python_floats(experiment, model):
     cfg = config_from_dict(_base_config(experiment=experiment, model=model, n_grid=[40],
                                         n_seeds=4))
     (task,) = build_tasks(cfg)
-    out = runner._cell_outcome(task, [runner.run_task(task, 0, task.n_seeds)])
-    assert out.error is None and out.text
-    assert "np.float64(" not in out.text
-    values = [line.rsplit(",", 1)[1] for line in out.text.splitlines()]
+    part = runner.run_task(task, 0, task.n_seeds)
+    out = runner._cell_outcome(task, [part])
+    assert out.error is None and out.texts == [part.text] and part.text
+    assert "np.float64(" not in part.text
+    values = [line.rsplit(",", 1)[1] for line in part.text.splitlines()]
     assert all(value == repr(float(value)) for value in values)
 
 
@@ -455,6 +527,53 @@ def test_split_cell_outputs_do_not_depend_on_the_worker_count(tmp_path, experime
                         for name in ("results.csv", "summary.json", "manifest.json")])
     assert digests[0] == digests[1] == digests[2]
     assert len(_read_rows(str(tmp_path / "w1"))) >= _SPLIT_SEEDS
+
+
+def test_the_parent_formats_only_the_blocks_it_ran(tmp_path, monkeypatch):
+    # a spy on the rows body of a three-block cell: at --workers 2 the
+    # parent formats blocks 0 and 2, which it ran, and the pool child block
+    # 1; at --workers 1 the parent formats all three.  The bytes agree
+    block, rows, summary = runner._BODIES["lyapunov"]
+    seen = []
+
+    def spy(spec, cols, lo):
+        seen.append((os.getpid(), lo))
+        return rows(spec, cols, lo)
+
+    monkeypatch.setitem(runner._BODIES, "lyapunov", (block, spy, summary))
+    path = _write_config(tmp_path, experiment="lyapunov",
+                         model={"model": "I", "energy": 1.0, "alpha1": 0.5},
+                         n_grid=[16], n_seeds=_SPLIT_SEEDS)
+    digests = []
+    for workers, formatted in ((2, [0, 2048]), (1, [0, 1024, 2048])):
+        seen.clear()
+        out = str(tmp_path / f"w{workers}")
+        assert runner.main(["run", path, "--output-dir", out, "--workers", str(workers)]) == 0
+        assert seen == [(os.getpid(), lo) for lo in formatted]
+        digests.append(_sha256(os.path.join(out, "results.csv")))
+    assert digests[0] == digests[1]
+
+
+def test_oversubscribed_pool_writes_the_serial_bytes(tmp_path):
+    # --workers 4 on a five-block cell, more processes than most hosts'
+    # cores: the run ends within its timeout and writes the --workers 1 bytes
+    path = _write_config(tmp_path, experiment="lyapunov",
+                         model={"model": "I", "energy": 1.0, "alpha1": 0.5},
+                         n_grid=[16], n_seeds=4 * runner.BLOCK_SEEDS + 50)
+    (task,) = build_tasks(load_config(path))
+    assert len(runner._blocks(task)) == 5
+    pythonpath = (str(Path(runner.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    digests = []
+    for workers in (1, 4):
+        out = str(tmp_path / f"w{workers}")
+        proc = subprocess.run([sys.executable, "-m", "heavykp.runner", "run", path,
+                               "--output-dir", out, "--workers", str(workers)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        digests.append([_sha256(os.path.join(out, name))
+                        for name in ("results.csv", "summary.json", "manifest.json")])
+    assert digests[0] == digests[1]
 
 
 def test_second_block_saturation_fails_the_cell_alike_at_every_worker_count(tmp_path, capsys):
