@@ -27,14 +27,11 @@ from .potentials import (
     generate,
     realization_from_csv,
 )
-from .prufer import TraceRecord, boundary_theta
+from .prufer import boundary_theta
 from .rng import (
     RngStream,
     TailKind,
     TailLaw,
-    frechet_cdf,
-    frechet_from_uniform,
-    frechet_tail,
     sample_stable_oracle,
     split_stream,
 )
@@ -45,7 +42,6 @@ from .spectrum import (
     count_below,
     decay_fit,
     find_eigenvalues,
-    phase_trace,
 )
 from .stats import Ecdf, LinearFit, MeanCi, ks_distance, linear_fit, mean_ci
 from .transfer import EnergyFrame, SaturationError, det_defect
@@ -54,19 +50,19 @@ __all__ = [
     "__version__",
     # rng
     "RngStream", "TailKind", "TailLaw", "split_stream",
-    "sample_stable_oracle", "frechet_from_uniform", "frechet_tail", "frechet_cdf",
+    "sample_stable_oracle",
     # transfer
     "EnergyFrame", "SaturationError", "det_defect",
     # potentials
     "Model", "ModelConfig", "Piece", "PieceKind", "Realization",
     "generate", "realization_from_csv",
     # prufer
-    "TraceRecord", "boundary_theta",
+    "boundary_theta",
     # estimators
     "sweep_chains", "nonlinear_normalizers",
     "chain_trace", "darling_ratio", "chain_mixing",
     # spectrum
-    "BoxProblem", "boundary_phase", "phase_trace",
+    "BoxProblem", "boundary_phase",
     "count_below", "find_eigenvalues", "decay_fit", "EigenvalueSearchError",
     # stats
     "Ecdf", "LinearFit", "MeanCi", "ks_distance", "linear_fit", "mean_ci",

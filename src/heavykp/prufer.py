@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -62,12 +62,6 @@ class PruferState:
     theta: float
     log_r: float
     x: float
-
-
-class TraceRecord(NamedTuple):
-    x: float
-    theta: float
-    log_r: float
 
 
 def boundary_theta(theta0: float, frame: EnergyFrame) -> float:

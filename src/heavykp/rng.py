@@ -1,8 +1,9 @@
 """Deterministic splittable random streams and heavy-tailed variate generation.
 
-Every law here is an explicit transform of uniforms, so each sampler doubles
-as its own distributional oracle: the Frechet family inverts a closed-form
-CDF, and the one-sided stable sampler realizes a known Laplace transform.
+Every law here is an explicit transform of uniforms: the Frechet family
+inverts a closed-form CDF, stated once in ``_frechet_in_place`` for the
+samplers and the block draws, and the one-sided stable sampler realizes a
+known Laplace transform.  The tests check the samplers against these laws.
 
 Streams are value-like handles (seed, stream_id).  Two handles with equal
 fields always reproduce the same variate sequence, independent of process,
@@ -29,7 +30,6 @@ bit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Sequence, Union
@@ -212,28 +212,17 @@ def _maybe_scalar(x: np.ndarray, size) -> Union[float, np.ndarray]:
     return x
 
 
-def frechet_from_uniform(alpha: float, u) -> Union[float, np.ndarray]:
-    """Inverse-CDF transform of uniforms: P(Z > z) = 1 - exp(-z**-alpha).
+def sample_frechet(alpha: float, stream: StreamLike, size=None):
+    """Frechet(alpha) variates: positive, infinite mean for alpha < 1.
 
-    Accepts scalars or arrays of uniforms in (0, 1).  Exposed separately from
-    the samplers so the transform itself can be pinned against known values.
-    A scalar goes through the same array power as an array element (numpy's
-    scalar power can differ from it in the last bit), so a uniform gives the
-    same bits either way.
+    A scalar draw goes through _frechet_in_place as a one-element array
+    (numpy's scalar power can differ from the array power in the last bit),
+    so a uniform gives the same bits either way.
     """
     _check_alpha(alpha)
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    arr = np.where(arr < _U_FLOOR, _U_FLOOR, arr)
-    z = (-np.log(arr)) ** (-1.0 / alpha)
-    if np.ndim(u) == 0:
-        return float(z[0])
-    return z
-
-
-def sample_frechet(alpha: float, stream: StreamLike, size=None):
-    """Frechet(alpha) variates: positive, infinite mean for alpha < 1."""
-    gen = _as_generator(stream)
-    return frechet_from_uniform(alpha, gen.random(size) if size is not None else gen.random())
+    u = _as_generator(stream).random(1 if size is None else size)
+    _frechet_in_place(alpha, u)
+    return float(u[0]) if size is None else u
 
 
 def sample_bump_height(law: TailLaw, stream: StreamLike, size=None):
@@ -252,7 +241,11 @@ def sample_gap_length(law: TailLaw, stream: StreamLike, size=None):
 
 
 def _frechet_in_place(alpha: float, u: np.ndarray) -> None:
-    """frechet_from_uniform on a float array of uniforms, overwriting it."""
+    """Inverse-CDF transform of uniforms, in place: P(Z > z) = 1 - exp(-z**-alpha).
+
+    Takes a float array of uniforms in [0, 1); those below _U_FLOOR are
+    raised to it first.
+    """
     np.maximum(u, _U_FLOOR, out=u)
     np.log(u, out=u)
     np.negative(u, out=u)
@@ -342,24 +335,3 @@ def sample_stable_oracle(alpha: float, stream: StreamLike, size=None):
     )
     s = (a / w) ** ((1.0 - alpha) / alpha)
     return _maybe_scalar(s, size)
-
-
-def frechet_tail(alpha: float, z) -> Union[float, np.ndarray]:
-    """Survival function P(Z > z) = 1 - exp(-z**-alpha) of the Frechet law."""
-    _check_alpha(alpha)
-    arr = np.asarray(z, dtype=float)
-    out = -np.expm1(-arr ** (-alpha))
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
-
-
-def frechet_cdf(alpha: float, z) -> Union[float, np.ndarray]:
-    """CDF exp(-z**-alpha) of the Frechet law, 0 for z <= 0."""
-    _check_alpha(alpha)
-    arr = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.where(arr > 0.0, np.exp(-np.where(arr > 0.0, arr, 1.0) ** (-alpha)), 0.0)
-    if np.ndim(z) == 0:
-        return float(out)
-    return out

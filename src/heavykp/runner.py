@@ -273,9 +273,9 @@ def config_from_dict(raw: dict, *, workers: Optional[int] = None,
         raise ConfigError(
             f"experiment must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}")
     model = _model_from_dict(_require(raw, "model", "configuration"))
-    primary_alpha = model.alpha2 if model.model is Model.III else model.alpha1
     alpha_grid = (_entries(raw["alpha_grid"], "alpha_grid", _number, "finite numbers")
-                  if "alpha_grid" in raw else (primary_alpha,))
+                  if "alpha_grid" in raw
+                  else (model.alpha2 if _sweeps_gaps(model.model) else model.alpha1,))
     energy_grid = (_entries(raw["energy_grid"], "energy_grid", _number, "finite numbers")
                    if "energy_grid" in raw else (model.energy,))
     n_grid = _entries(_require(raw, "n_grid", "configuration"), "n_grid", _integer,
@@ -315,14 +315,21 @@ def config_from_dict(raw: dict, *, workers: Optional[int] = None,
     return cfg
 
 
+def _sweeps_gaps(model: Model) -> bool:
+    """Whether an alpha grid sweeps alpha2 (model III's gap lengths) rather than
+    alpha1 (the bump heights of the other models): the index of the model's
+    primary heavy-tailed block, the first of its draws."""
+    return model is Model.III
+
+
 def _cell_model(base: ModelConfig, alpha: float, energy: float) -> ModelConfig:
     """Rebuild the model with the cell's swept alpha and energy.
 
-    The swept alpha fills the model's primary tail index: alpha1 for models
-    I, II, IV (IV keeps alpha2 from the model block) and alpha2 for model III.
+    The swept alpha fills the index _sweeps_gaps names; model IV keeps alpha2
+    from the model block.
     """
     kwargs = dict(energy=energy, theta0=base.theta0)
-    if base.model is Model.III:
+    if _sweeps_gaps(base.model):
         kwargs["alpha2"] = alpha
     else:
         kwargs["alpha1"] = alpha
@@ -414,13 +421,9 @@ def _lyapunov_summary(spec: TaskSpec, cols, summary) -> None:
 
 
 def _darling_block(spec: TaskSpec, lo: int, hi: int) -> dict:
-    """Max-over-sum of the model's primary heavy-tailed block, one value per seed.
-
-    The primary block is the first one of the chain's draws: the bump
-    heights, or model III's gap lengths.
-    """
+    """Max-over-sum of the model's primary heavy-tailed block, one value per seed."""
     cfg = spec.cell_config
-    law = cfg.gap_law() if cfg.model is Model.III else cfg.bump_law()
+    law = cfg.gap_law() if _sweeps_gaps(cfg.model) else cfg.bump_law()
     base = _task_stream(spec)
     values = np.empty(hi - lo)
     chunk = max(1, _DARLING_BLOCK_ELEMENTS // spec.n)

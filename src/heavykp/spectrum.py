@@ -48,7 +48,7 @@ from .potentials import Realization
 # advance_interval is not called here; it remains as the tests' one-lane flow
 # reference, bound here because the benchmark tracer (bench/spans.py) wraps
 # heavykp.spectrum.advance_interval by module attribute.
-from .prufer import TraceRecord, advance_interval, boundary_theta, walk_chain
+from .prufer import advance_interval, boundary_theta, walk_chain
 from .stats import linear_fit
 from .transfer import EnergyFrame
 
@@ -117,30 +117,17 @@ def _truncated_pieces(realization: Realization,
     return realization.values[:n + 1], lengths
 
 
-def _walk(problem: BoxProblem, lam: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(theta, log_r) at 0 and at every piece boundary up to L_box."""
-    frame = EnergyFrame.from_lambda(lam)
-    return walk_chain(problem.values, problem.lengths, frame,
-                      boundary_theta(problem.theta0, frame))
-
-
 def _end_state(problem: BoxProblem, lam: float) -> Tuple[float, float]:
     """(theta, log_r) at L_box: one walk of the truncated chain at lam."""
-    thetas, log_rs = _walk(problem, lam)
+    frame = EnergyFrame.from_lambda(lam)
+    thetas, log_rs = walk_chain(problem.values, problem.lengths, frame,
+                                boundary_theta(problem.theta0, frame))
     return float(thetas[-1]), float(log_rs[-1])
 
 
 def boundary_phase(problem: BoxProblem, lam: float) -> float:
     """Unwound phase theta_lambda(L_box) of the left-boundary solution."""
     return _end_state(problem, lam)[0]
-
-
-def phase_trace(problem: BoxProblem, lam: float) -> Tuple[TraceRecord, ...]:
-    """(x, theta, log_r) at 0 and at every piece boundary up to L_box."""
-    thetas, log_rs = _walk(problem, lam)
-    xs = np.concatenate(([0.0], np.cumsum(problem.lengths)))
-    return tuple(TraceRecord(x, t, r) for x, t, r in
-                 zip(xs.tolist(), thetas.tolist(), log_rs.tolist()))
 
 
 def _winding_count(theta: float) -> int:

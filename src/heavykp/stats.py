@@ -38,20 +38,15 @@ class Ecdf:
         return out
 
 
-def _coerce_ecdf(x) -> Ecdf:
-    if isinstance(x, Ecdf):
-        return x
-    return Ecdf.from_samples(x)
-
-
 def ks_distance(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov distance sup_q |F_a(q) - F_b(q)|.
 
-    Accepts raw samples or prebuilt Ecdf objects.  The supremum over the
-    union of jump points, taken in any order, is exact for step functions.
+    Takes two samples, each refused as Ecdf.from_samples refuses it.  The
+    supremum over the union of jump points, taken in any order, is exact for
+    step functions.
     """
-    fa = _coerce_ecdf(a)
-    fb = _coerce_ecdf(b)
+    fa = Ecdf.from_samples(a)
+    fb = Ecdf.from_samples(b)
     grid = np.concatenate([fa.sorted_values, fb.sorted_values])
     da = fa.evaluate(grid) - fb.evaluate(grid)
     return float(np.max(np.abs(da)))

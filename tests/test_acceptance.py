@@ -24,7 +24,7 @@ from heavykp.estimators import (
     sweep_chains,
 )
 from heavykp.potentials import Model, ModelConfig, generate
-from heavykp.prufer import PruferState, advance_interval, walk_chain
+from heavykp.prufer import PruferState, advance_interval, boundary_theta, walk_chain
 from heavykp.rng import (
     RngStream,
     TailKind,
@@ -34,7 +34,7 @@ from heavykp.rng import (
     sample_stable_oracle,
     split_stream,
 )
-from heavykp.spectrum import BoxProblem, count_below, decay_fit, find_eigenvalues, phase_trace
+from heavykp.spectrum import BoxProblem, count_below, decay_fit, find_eigenvalues
 from heavykp.stats import ks_distance, mean_ci
 from heavykp.transfer import EnergyFrame, _piece_entries_batch, det_defect
 
@@ -531,9 +531,10 @@ def _dense_zero_count(problem, lam):
     """Sign changes of psi on (0, L_box], sampled piecewise in closed form."""
     frame = EnergyFrame.from_lambda(lam)
     k = frame.k_norm
-    trace = phase_trace(problem, lam)
+    thetas, _ = walk_chain(problem.values, problem.lengths, frame,
+                           boundary_theta(problem.theta0, frame))
     signs = []
-    psi0 = math.sin(trace[0].theta)
+    psi0 = math.sin(thetas[0])
     if psi0 != 0.0:
         signs.append(math.copysign(1.0, psi0))
     left = 0.0
@@ -544,9 +545,9 @@ def _dense_zero_count(problem, lam):
         length = min(p.length, problem.L_box - left)
         pieces.append((p.value, length))
         left += length
-    for rec, (value, length) in zip(trace, pieces):
-        s0 = math.sin(rec.theta)
-        c0 = math.cos(rec.theta)
+    for theta, (value, length) in zip(thetas.tolist(), pieces):
+        s0 = math.sin(theta)
+        c0 = math.cos(theta)
         if lam > value:
             b = math.sqrt(lam - value)
             t = np.linspace(0.0, length, max(64, int(10.0 * b * length / _PI)) + 1)[1:]

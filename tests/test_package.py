@@ -1,6 +1,7 @@
-"""The package root's public surface: exactly these names, each resolving,
-the fields and parameters of the chain and sweep types, and the README's
+"""The package root's public surface: exactly these names, each resolving
+and each used outside the tests, the fields and parameters of the chain and sweep types, and the README's
 quick start running as written."""
+import ast
 import dataclasses
 import inspect
 import re
@@ -13,19 +14,19 @@ PUBLIC = {
     "__version__",
     # rng
     "RngStream", "TailKind", "TailLaw", "split_stream",
-    "sample_stable_oracle", "frechet_from_uniform", "frechet_tail", "frechet_cdf",
+    "sample_stable_oracle",
     # transfer
     "EnergyFrame", "SaturationError", "det_defect",
     # potentials
     "Model", "ModelConfig", "Piece", "PieceKind", "Realization",
     "generate", "realization_from_csv",
     # prufer
-    "TraceRecord", "boundary_theta",
+    "boundary_theta",
     # estimators
     "sweep_chains", "nonlinear_normalizers",
     "chain_trace", "darling_ratio", "chain_mixing",
     # spectrum
-    "BoxProblem", "boundary_phase", "phase_trace",
+    "BoxProblem", "boundary_phase",
     "count_below", "find_eigenvalues", "decay_fit", "EigenvalueSearchError",
     # stats
     "Ecdf", "LinearFit", "MeanCi", "ks_distance", "linear_fit", "mean_ci",
@@ -33,12 +34,45 @@ PUBLIC = {
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    assert len(heavykp.__all__) == len(PUBLIC) == 39
+    assert len(heavykp.__all__) == len(PUBLIC) == 34
     assert set(heavykp.__all__) == PUBLIC
     namespace = {}
     exec("from heavykp import *", namespace)
     for name in heavykp.__all__:
         assert getattr(heavykp, name) is namespace[name]
+
+
+def _referenced(tree: ast.AST) -> set:
+    """The identifiers a piece of code names: names, attributes and identifier
+    strings (the benchmark tracer binds its targets by attribute name)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public name earns its place by a use in the demos, the benchmark or
+    # the package itself, not counting __init__.py and the name's own
+    # definition; a name only the tests read belongs beside the tests
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        used |= _referenced(ast.parse(path.read_text()))
+    for path in sorted((root / "src" / "heavykp").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            names = _referenced(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            used |= names
+    assert sorted(set(heavykp.__all__) - used) == []
 
 
 def test_flow_and_sampler_internals_live_in_their_modules():

@@ -14,8 +14,9 @@ from heavykp.potentials import (
     generate,
     realization_from_csv,
 )
-from heavykp.rng import RngStream, frechet_cdf
+from heavykp.rng import RngStream
 from heavykp.stats import ks_distance
+from reference import frechet_cdf
 
 
 def _cfg(model: str, **kw) -> ModelConfig:

@@ -14,11 +14,9 @@ from heavykp.rng import (
     TailKind,
     TailLaw,
     _SIGN_ROWS,
+    _frechet_in_place,
     _philox_keys,
     draw_block,
-    frechet_cdf,
-    frechet_from_uniform,
-    frechet_tail,
     sample_bump_height,
     sample_frechet,
     sample_gap_length,
@@ -27,6 +25,7 @@ from heavykp.rng import (
     split_stream,
 )
 from heavykp.stats import ks_distance
+from reference import frechet_cdf, frechet_tail
 
 
 # ── Streams ──────────────────────────────────────────────────────────────────
@@ -169,30 +168,36 @@ def test_draw_block_floors_and_overflows_like_the_samplers():
 # ── Frechet transform ────────────────────────────────────────────────────────
 
 
+def _frechet(alpha, u):
+    z = np.array(u, dtype=float)
+    _frechet_in_place(alpha, z)
+    return z
+
+
 def test_frechet_transform_unit_point():
     # u = e^{-1} maps to z = 1 for every tail index
-    for alpha in (0.3, 0.5, 0.9):
-        assert frechet_from_uniform(alpha, math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
+    for alpha in (0.02, 0.3, 0.5, 0.9):
+        assert _frechet(alpha, [math.exp(-1.0)])[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_frechet_transform_known_value():
     # u = e^{-4}, alpha = 1/2: z = 4^{-2} = 1/16
-    assert frechet_from_uniform(0.5, math.exp(-4.0)) == pytest.approx(0.0625, rel=1e-12)
+    assert _frechet(0.5, [math.exp(-4.0)])[0] == pytest.approx(0.0625, rel=1e-12)
 
 
 def test_frechet_transform_floors_zero_uniform():
-    z0 = frechet_from_uniform(0.5, 0.0)
-    zf = frechet_from_uniform(0.5, 2.0 ** -64)
+    z0, zf = _frechet(0.5, [0.0, 2.0 ** -64])
     assert z0 == zf and z0 > 0.0
 
 
 def test_frechet_transform_vector_matches_scalar():
     # bit for bit: numpy's scalar power differs from the array power in the
     # last bit for about 5% of uniforms, so the scalar path must not use it
-    u = np.random.default_rng(2718).random(20_000)
-    for alpha in (0.3, 0.5, 0.9):
-        vec = frechet_from_uniform(alpha, u)
-        scalars = np.array([frechet_from_uniform(alpha, ui) for ui in u.tolist()])
+    stream = RngStream(2718)
+    for alpha in (0.02, 0.3, 0.5, 0.9):
+        vec = sample_frechet(alpha, stream, size=20_000)
+        gen = stream.generator()
+        scalars = np.array([sample_frechet(alpha, gen) for _ in range(vec.size)])
         assert np.array_equal(vec, scalars)
 
 
@@ -289,6 +294,6 @@ def test_stable_doubling_of_frechet_sums():
     alpha = 0.5
     gen = RngStream(407).generator()
     n, reps = 256, 4000
-    s_small = frechet_from_uniform(alpha, gen.random((reps, n))).sum(axis=1) / n ** (1 / alpha)
-    s_big = frechet_from_uniform(alpha, gen.random((reps, 4 * n))).sum(axis=1) / (4 * n) ** (1 / alpha)
+    s_small = sample_frechet(alpha, gen, size=(reps, n)).sum(axis=1) / n ** (1 / alpha)
+    s_big = sample_frechet(alpha, gen, size=(reps, 4 * n)).sum(axis=1) / (4 * n) ** (1 / alpha)
     assert ks_distance(s_small, s_big) < 0.05

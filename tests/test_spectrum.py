@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from heavykp import spectrum
 from heavykp.potentials import Model, ModelConfig, generate, realization_from_csv
-from heavykp.prufer import PruferState, advance_interval, boundary_theta
+from heavykp.prufer import PruferState, advance_interval, boundary_theta, walk_chain
 from heavykp.rng import RngStream, split_stream
 from heavykp.spectrum import (
     BoxProblem,
@@ -18,7 +18,6 @@ from heavykp.spectrum import (
     count_below,
     decay_fit,
     find_eigenvalues,
-    phase_trace,
 )
 from heavykp.stats import linear_fit
 from heavykp.transfer import EnergyFrame
@@ -190,15 +189,24 @@ def _oracle_decay(problem: BoxProblem, lam: float, scale_exponent: float):
     return fit.slope, fit.r_squared
 
 
+def _walk(problem: BoxProblem, lam: float):
+    """(theta, log_r) at 0 and at every piece boundary of the box: its walk_chain."""
+    frame = EnergyFrame.from_lambda(lam)
+    return walk_chain(problem.values, problem.lengths, frame,
+                      boundary_theta(problem.theta0, frame))
+
+
 def _assert_trace_matches_oracle(problem: BoxProblem, lam: float) -> None:
     want = _oracle_trace(problem, lam)
-    got = phase_trace(problem, lam)
-    assert len(got) == len(want)
-    for rec, (x, theta, log_r) in zip(got, want):
-        assert rec.x == x
-        assert rec.theta == pytest.approx(theta, rel=_THETA_REL, abs=_THETA_ABS)
-        assert abs(rec.log_r - log_r) <= _LOG_R_REL * max(1.0, abs(log_r))
-    assert boundary_phase(problem, lam) == got[-1].theta
+    thetas, log_rs = _walk(problem, lam)
+    xs = np.concatenate(([0.0], np.cumsum(problem.lengths)))
+    assert thetas.size == log_rs.size == xs.size == len(want)
+    for got_x, got_theta, got_log_r, (x, theta, log_r) in zip(
+            xs.tolist(), thetas.tolist(), log_rs.tolist(), want):
+        assert got_x == x
+        assert got_theta == pytest.approx(theta, rel=_THETA_REL, abs=_THETA_ABS)
+        assert abs(got_log_r - log_r) <= _LOG_R_REL * max(1.0, abs(log_r))
+    assert boundary_phase(problem, lam) == thetas[-1]
     assert boundary_phase(problem, lam) == pytest.approx(
         want[-1][1], rel=_THETA_REL, abs=_THETA_ABS)
 
@@ -271,8 +279,8 @@ def test_walk_degenerate_piece():
         prob = BoxProblem(realization=real, theta0=theta0, L_box=real.total_length)
         _assert_trace_matches_oracle(prob, 2.0)
     prob = BoxProblem(realization=real, theta0=3.0, L_box=real.total_length)
-    trace = phase_trace(prob, 2.0)
-    assert trace[1].theta - trace[0].theta > 0.5 * _PI
+    thetas, _ = _walk(prob, 2.0)
+    assert thetas[1] - thetas[0] > 0.5 * _PI
     # lam = 0 on a gap (k = 1 frame) is degenerate too
     prob = BoxProblem(realization=real, theta0=1.1, L_box=real.total_length)
     _assert_trace_matches_oracle(prob, 0.0)
@@ -294,7 +302,8 @@ def test_walk_dead_direction():
     assert bok * math.sin(t) + math.cos(t) == 0.0
     _assert_trace_matches_oracle(prob, 1.0)
     # the dead branch contracts: log r falls by about a ~ 395 on the bump
-    assert phase_trace(prob, 1.0)[1].log_r < -390.0
+    _, log_rs = _walk(prob, 1.0)
+    assert log_rs[1] < -390.0
 
 
 # ── Winding count versus dense sign changes ──────────────────────────────────
@@ -309,14 +318,14 @@ def _dense_zero_count(problem: BoxProblem, lam: float) -> int:
     """
     frame = EnergyFrame.from_lambda(lam)
     k = frame.k_norm
-    trace = phase_trace(problem, lam)
+    thetas, _ = _walk(problem, lam)
     signs: list = []
-    psi0 = math.sin(trace[0].theta)
+    psi0 = math.sin(thetas[0])
     if psi0 != 0.0:
         signs.append(math.copysign(1.0, psi0))
-    for rec, (value, length) in zip(trace, _oracle_pieces(problem)):
-        s0 = math.sin(rec.theta)
-        c0 = math.cos(rec.theta)
+    for theta, (value, length) in zip(thetas.tolist(), _oracle_pieces(problem)):
+        s0 = math.sin(theta)
+        c0 = math.cos(theta)
         if lam > value:
             b = math.sqrt(lam - value)
             t = np.linspace(0.0, length, max(64, int(10.0 * b * length / _PI)) + 1)[1:]
@@ -734,15 +743,13 @@ def test_phase_trace_structure():
     cfg = ModelConfig(model=Model.III, energy=2.0, alpha2=0.5)
     r = generate(cfg, 15, RngStream(9))
     prob = BoxProblem(realization=r, theta0=0.2, L_box=r.total_length)
-    trace = phase_trace(prob, 2.0)
-    assert len(trace) == len(r.pieces) + 1
-    assert trace[0].x == 0.0
-    assert trace[-1].x == pytest.approx(r.total_length)
-    xs = [rec.x for rec in trace]
-    assert all(b > a for a, b in zip(xs, xs[1:]))
+    thetas, log_rs = _walk(prob, 2.0)
+    assert thetas.size == log_rs.size == r.values.size + 1
+    assert log_rs[0] == 0.0
+    assert np.cumsum(prob.lengths)[-1] == pytest.approx(r.total_length)
+    assert np.all(prob.lengths > 0.0)
     # all pieces oscillatory at lam = 2: theta increases along the chain
-    thetas = [rec.theta for rec in trace]
-    assert all(b > a for a, b in zip(thetas, thetas[1:]))
+    assert np.all(np.diff(thetas) > 0.0)
 
 
 def test_decay_fit_needs_interior_boundaries():

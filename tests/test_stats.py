@@ -67,11 +67,6 @@ def test_ks_disjoint_supports():
     assert ks_distance([0.0, 1.0], [5.0, 6.0]) == 1.0
 
 
-def test_ks_accepts_prebuilt_ecdf():
-    a = [1.0, 2.0, 3.0]
-    assert ks_distance(Ecdf.from_samples(a), a) == 0.0
-
-
 def test_ks_uniform_sample_against_grid():
     # classical rate: D_n ~ c/sqrt(n); 1.63/sqrt(n) is the 1% critical value
     rng = np.random.default_rng(11)
