@@ -3,9 +3,10 @@
 Everything here reduces to one sweep over sampled chains, sweep_chains.  It
 walks many independent chains at once, segment by segment, the way
 prufer.walk_chain walks one chain: piece matrices and the products of each
-gap with its bump in bulk, a lean loop over the bumps that pushes unit
-vectors (numpy across seeds), and the results read off the stored vectors,
-with the vector between a gap and its bump recovered from the one before.
+gap with its bump in bulk, a lean loop over the bumps that pushes vectors
+scaled to a largest component of 1 (numpy across seeds), and the results
+read off the stored vectors, with the vector between a gap and its bump
+recovered from the one before.
 It returns each seed's state after the last bump, a SweepRecord:
 
     x           the chain length x_n;
@@ -105,24 +106,6 @@ def _segment_length(n_seeds: int) -> int:
     return max(_MIN_SEGMENT, _SEGMENT_ELEMENTS // n_seeds)
 
 
-# Norm band of the fast step: inside it sqrt(x*x + y*y) neither overflows
-# nor loses digits to underflow.  A lane whose step norm falls outside is
-# redone on its own with hypot, and a norm that is then exactly 0 marks a
-# dead-direction lane.
-_NORM_BAND = (1e-150, 1e150)
-
-
-def _in_band(norms) -> bool:
-    """Whether every norm that is not NaN lies inside _NORM_BAND.
-
-    fmin and fmax skip NaN as the band masks do, so the masks need to be
-    built only where this fails (all-NaN norms fail it too, and the masks
-    then find no lane).
-    """
-    lo, hi = _NORM_BAND
-    return np.fmin.reduce(norms, axis=None) > lo and np.fmax.reduce(norms, axis=None) < hi
-
-
 def _columns(block, j0: int, j1: int):
     """Bumps j0..j1-1 of a (seeds, bumps) block from _draw_blocks as (bumps, seeds).
 
@@ -161,11 +144,12 @@ def _step_matrices(mats, bump, gaps, lam: float, k: float):
 class _LaneWalk:
     """The lanes of one seed block and their buffers, reused from segment to segment.
 
-    vecs holds (steps + 1, 2, lanes, seeds) unit vectors (psi, psi'/k) with
-    the entering ones in row 0, norms (steps, lanes, seeds) the norm of every
-    step and mats (steps, 2, 2, 1, seeds) the step matrices.  value_blk is
-    the block's bump potentials from _draw_blocks; when it is model III's
-    scalar unit bump, its matrix entries are built here once for the walk.
+    vecs holds (steps + 1, 2, lanes, seeds) vectors (psi, psi'/k) with the
+    entering ones in row 0, each step's scaled to a largest component of 1,
+    scales (steps, lanes, seeds) the factor every step divided by, and mats
+    (steps, 2, 2, 1, seeds) the step matrices.  value_blk is the block's bump
+    potentials from _draw_blocks; when it is model III's scalar unit bump,
+    its matrix entries are built here once for the walk.
     """
 
     def __init__(self, starts, n_steps: int, n_seeds: int, value_blk, lam: float, k: float):
@@ -175,7 +159,7 @@ class _LaneWalk:
         self._unit = (_piece_entries_batch(value_blk, 1.0, lam, k)
                       if np.ndim(value_blk) == 0 else None)
         self.vecs = np.empty((n_steps + 1, 2, n_lanes, n_seeds))
-        self.norms = np.empty((n_steps, n_lanes, n_seeds))
+        self.scales = np.empty((n_steps, n_lanes, n_seeds))
         self.mats = np.empty((n_steps, 2, 2, 1, n_seeds))
         self._prod = np.empty((2, 2, n_lanes, n_seeds))
         for lane, (p, q) in enumerate(starts):
@@ -186,65 +170,55 @@ class _LaneWalk:
         """Walk the lanes through a segment of n_steps bumps.
 
         Returns the steps' log prescales, the gap entries and the log gains
-        of dead-direction steps by (step, lane, seed).  Steps run on the fast
-        norm.  At the first step where a lane's norm left _NORM_BAND, each
-        such lane is redone alone with hypot, and the walk resumes after
-        that step; every lane's values therefore depend on that
-        lane alone.  A lane whose norm is then exactly 0 sits on the
-        contracting direction of a factored bump and takes phase_fold's
-        dead-direction arithmetic, after its gap if there is one.  NaN norms
-        (lanes fed an infinite height) pass.
+        of dead-direction steps by (step, lane, seed).  Each step divides its
+        vector by the larger component, max(|psi|, |psi'/k|), which unlike
+        sqrt(psi**2 + (psi'/k)**2) neither overflows nor underflows.  A lane
+        whose step is exactly 0 sits on the contracting direction of a
+        factored bump: it takes phase_fold's dead-direction arithmetic, after
+        its gap if there is one, its vector is divided by its hypot, and the
+        walk resumes after that step, so every lane's values depend on that
+        lane alone.  NaN scales (lanes fed an infinite height) pass.
         """
         lam, k = self.lam, self.k
         mats = self.mats[:n_steps]
         vecs = self.vecs[:n_steps + 1]
-        norms = self.norms[:n_steps]
+        scales = self.scales[:n_steps]
         bump = self._unit if self._unit is not None else _piece_entries_batch(values, 1.0, lam, k)
         pre, gap = _step_matrices(mats, bump, gaps, lam, k)
-        lo, hi = _NORM_BAND
         dead: Dict[tuple, float] = {}
         first = 0
         while first < n_steps:
-            self._push(mats, vecs, norms, first)
-            rest = norms[first:]
-            if _in_band(rest):
-                break
-            out_of_band = (rest <= lo) | (rest >= hi)
-            hits = np.flatnonzero(out_of_band.any(axis=(1, 2)))
+            self._push(mats, vecs, scales, first)
+            zero = scales[first:] == 0.0
+            hits = np.flatnonzero(zero.any(axis=(1, 2)))
             if hits.size == 0:
                 break
             j = first + int(hits[0])
-            for lane, seed in np.argwhere(out_of_band[j - first]):
-                (m00, m01), (m10, m11) = mats[j, :, :, 0, seed].tolist()
+            # a zero-copy view of the bumps, model III's scalar one too
+            bumps = np.broadcast_to(values, pre.shape)
+            for lane, seed in np.argwhere(zero[j - first]):
                 p, q = vecs[j, :, lane, seed].tolist()
-                x = m00 * p + m01 * q
-                y = m10 * p + m11 * q
+                x, y, dead[(j, int(lane), int(seed))] = _dead_step(gap, bumps, j, seed,
+                                                                    p, q, lam, k)
                 size = math.hypot(x, y)
-                if size == 0.0:
-                    # a zero-copy view of the bumps, model III's scalar one too
-                    bumps = np.broadcast_to(values, pre.shape)
-                    x, y, dead[(j, int(lane), int(seed))] = _dead_step(gap, bumps, j, seed,
-                                                                        p, q, lam, k)
-                    size = math.hypot(x, y)
                 vecs[j + 1, :, lane, seed] = (x / size, y / size)
-                norms[j, lane, seed] = size
+                scales[j, lane, seed] = size
             first = j + 1
         return pre, gap, dead
 
-    def _push(self, mats, vecs, norms, first: int) -> None:
+    def _push(self, mats, vecs, scales, first: int) -> None:
         """Push every lane through the steps from first on: the lean loop."""
         prod = self._prod
-        sq = prod[0]  # free again once a step's products are summed
-        prod0, prod1, sq0, sq1 = prod[:, 0], prod[:, 1], sq[0], sq[1]
-        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-            for mat, vec, nxt, nrm in zip(mats[first:], vecs[first:-1], vecs[first + 1:],
-                                          norms[first:]):
+        size = prod[0]  # free again once a step's products are summed
+        prod0, prod1, size0, size1 = prod[:, 0], prod[:, 1], size[0], size[1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for mat, vec, nxt, scale in zip(mats[first:], vecs[first:-1], vecs[first + 1:],
+                                            scales[first:]):
                 np.multiply(mat, vec, out=prod)
                 np.add(prod0, prod1, out=nxt)
-                np.multiply(nxt, nxt, out=sq)
-                np.add(sq0, sq1, out=nrm)
-                np.sqrt(nrm, out=nrm)
-                np.divide(nxt, nrm, out=nxt)
+                np.absolute(nxt, out=size)
+                np.maximum(size0, size1, out=scale)
+                np.divide(nxt, scale, out=nxt)
 
     def carry(self, n_steps: int) -> None:
         """Make the vectors after step n_steps the next segment's start."""
@@ -254,7 +228,8 @@ class _LaneWalk:
 def _dead_step(gap, values, j: int, seed: int, p: float, q: float, lam: float, k: float):
     """(psi, psi'/k, log gain) of step j for a vector its bump annihilates.
 
-    values holds the bump potentials by (step, seed).
+    values holds the bump potentials by (step, seed).  The gain is log|M v|
+    for the step matrix M and v = (p, q), which need not be a unit vector.
     """
     gain = 0.0
     if gap is not None:
@@ -262,8 +237,7 @@ def _dead_step(gap, values, j: int, seed: int, p: float, q: float, lam: float, k
         p, q = gc * p + gb * q, ge * p + gc * q
         size = math.hypot(p, q)
         p, q = p / size, q / size
-        if lam <= 0.0:  # a gap at lam > 0 is a rotation and gains 0
-            gain = gpre + math.log(size)
+        gain = gpre + math.log(size)
     x, y, dead_gain = _dead_direction(p, q, float(values[j, seed]), 1.0, lam, k)
     return x, y, gain + dead_gain
 
@@ -321,24 +295,26 @@ def sweep_chains(
     chains, and the seeds of one stream can be swept in separate calls.
 
     The chains are walked as in prufer.walk_chain, across seeds and one
-    segment of bumps at a time.  The lanes are unit vectors (psi, psi'/k):
-    the boundary-condition vector of every seed for theta, and the two
-    columns M e1, M e2 of every seed's transfer-matrix product for the log
-    norm.  Per segment:
+    segment of bumps at a time.  The lanes are vectors (psi, psi'/k): the
+    boundary-condition vector of every seed for theta, and the two columns
+    M e1, M e2 of every seed's transfer-matrix product for the log norm.
+    Per segment:
 
     1. the piece matrices of all its bumps and seeds come from one
        _piece_entries_batch call (model III's unit bump from one call per
        seed block), and those of its gaps from another; each gap is
        multiplied into the bump after it, so that one step covers one bump;
     2. a loop over the bumps pushes every lane through its step matrix, in
-       numpy across lanes, renormalizing into preallocated buffers;
+       numpy across lanes, into preallocated buffers, and divides each
+       step's vector by its larger component;
     3. the whole turns of every piece are counted from the stored boundary
        vectors by walk_chain's winding rule (_unwind_segment) and added to
        a running sum, one piece at a time; log|M e_i| adds up the prescales
-       and the logs of the norms.
+       and the logs of the steps' scales.
 
     At the end theta is the last vector's angle plus 2 pi times the sum of
-    the turns, as walk_chain forms it, and log||M|| (Frobenius) is
+    the turns, as walk_chain forms it; log|M e_i| adds the log length of its
+    last vector once, and log||M|| (Frobenius) is
     log sqrt(|M e1|**2 + |M e2|**2).  Only the first segment starts from the
     boundary phase; each later one starts from its entering vector's own
     angle, which is the angle the segment before left.  A segment holds
@@ -406,7 +382,7 @@ def sweep_chains(
                 whole = (np.add.reduce(turns, axis=0) if s > 1
                          else np.add.accumulate(turns, axis=0)[-1])
             if want_log_norm:
-                gains = pre[:, None, :] + np.log(lanes.norms[:nj, first_col:])
+                gains = pre[:, None, :] + np.log(lanes.scales[:nj, first_col:])
                 for (j, lane, seed), gain in dead.items():
                     if lane >= first_col:
                         gains[j, lane - first_col, seed] = gain
@@ -422,6 +398,8 @@ def sweep_chains(
         if want_theta:
             rec.theta[lo:hi] = angles[-1] + _TWO_PI * whole
         if want_log_norm:
+            psi, psik = lanes.vecs[0, :, first_col:]  # the last vectors, carried
+            logs += np.log(np.hypot(psi, psik))
             rec.log_norm[lo:hi] = 0.5 * np.logaddexp(2.0 * logs[0], 2.0 * logs[1])
 
     return rec
@@ -554,7 +532,7 @@ def chain_mixing(
 
     The m starts are lanes of one walk over all seeds, as in sweep_chains,
     so each seed's bump matrices are built once.  theta mod pi is read off
-    each lane's unit vector (psi, psi'/k) with its sign made canonical: the
+    each lane's vector (psi, psi'/k) with its sign made canonical: the
     vector is negated where psi < 0, and pi maps to 0, so antiparallel lanes,
     which are the same phase, give the same float.
     """

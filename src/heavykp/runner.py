@@ -228,7 +228,8 @@ def _model_from_dict(v) -> ModelConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _spectrum_from_dict(v, experiment: str, energy_grid: Tuple[float, ...]) -> SpectrumOpts:
+def _spectrum_from_dict(v, experiment: str, model: Model,
+                        energy_grid: Tuple[float, ...]) -> SpectrumOpts:
     """SpectrumOpts whose window is an interval at every energy cell."""
     d = _object(v, SpectrumOpts, "spectrum")
     opts = SpectrumOpts(**{
@@ -243,6 +244,12 @@ def _spectrum_from_dict(v, experiment: str, energy_grid: Tuple[float, ...]) -> S
                 raise ConfigError(
                     f"spectrum.lambda_min {lo!r} must lie below the cell energy "
                     f"{energy!r}, the default lambda_max")
+    if (experiment == "spectrum" and lo is None and hi is not None
+            and model in (Model.I, Model.III) and not -1.0 < hi):
+        # every potential of these models is nonnegative, so _spectrum_block's
+        # default lambda_min is exactly -1
+        raise ConfigError(f"spectrum.lambda_max {hi!r} must lie above -1.0, the default "
+                          f"lambda_min of model {model.value}")
     if not opts.scale_exponent > 0.0:
         raise ConfigError("spectrum.scale_exponent must be a positive number")
     return opts
@@ -299,7 +306,8 @@ def config_from_dict(raw: dict, *, workers: Optional[int] = None,
     if "workers" in raw:
         opts["workers"] = _integer(raw["workers"], "workers")
     if "spectrum" in raw:
-        opts["spectrum"] = _spectrum_from_dict(raw["spectrum"], experiment, energy_grid)
+        opts["spectrum"] = _spectrum_from_dict(raw["spectrum"], experiment, model.model,
+                                                energy_grid)
     if "mixing" in raw:
         opts["mixing"] = _mixing_from_dict(raw["mixing"])
     if experiment == "mixing":  # refused here, or every cell would fail in chain_mixing

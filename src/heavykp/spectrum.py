@@ -45,12 +45,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .potentials import Realization
+from .prufer import boundary_theta, walk_chain
+from .stats import linear_fit
+from .transfer import EnergyFrame
 # advance_interval is not called here; it remains as the tests' one-lane flow
 # reference, bound here because the benchmark tracer (bench/spans.py) wraps
 # heavykp.spectrum.advance_interval by module attribute.
-from .prufer import advance_interval, boundary_theta, walk_chain
-from .stats import linear_fit
-from .transfer import EnergyFrame
+from .prufer import advance_interval  # noqa: F401
 
 _PI = math.pi
 

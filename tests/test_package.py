@@ -1,5 +1,6 @@
 """The package root's public surface: exactly these names, each resolving
-and each used outside the tests, the fields and parameters of the chain and sweep types, and the README's
+and each used outside the tests, the fields and parameters of the chain and
+sweep types, no module importing a name it does not use, and the README's
 quick start running as written."""
 import ast
 import dataclasses
@@ -73,6 +74,35 @@ def test_every_public_name_is_used_outside_the_tests():
                 names.discard(stmt.name)
             used |= names
     assert sorted(set(heavykp.__all__) - used) == []
+
+
+def _unused_imports(source: str) -> list:
+    """(line, name) of each import in source whose name the module never uses,
+    unless its line is marked "# noqa: F401"; __future__ imports aside."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    out.append((alias.lineno, name))
+    return out
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a binding kept only for the benchmark tracer sits on its own line,
+    # marked "# noqa: F401"
+    assert _unused_imports("import os\nfrom a import b, c  # noqa: F401\nfrom d import (\n"
+                           "    e,\n    f,\n)\nprint(f)\n") == [(1, "os"), (4, "e")]
+    root = Path(__file__).resolve().parents[1] / "src" / "heavykp"
+    found = {path.name: _unused_imports(path.read_text())
+             for path in sorted(root.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def test_flow_and_sampler_internals_live_in_their_modules():

@@ -207,6 +207,39 @@ def test_validate_rejects_reversed_spectrum_window(tmp_path, capsys):
     assert "must lie below lambda_max" in err
 
 
+_NONNEGATIVE_MODELS = [{"model": "I", "energy": 1.0, "alpha1": 0.5},
+                       {"model": "III", "energy": 1.0, "alpha2": 0.6}]
+
+
+@pytest.mark.parametrize("model", _NONNEGATIVE_MODELS, ids=["I", "III"])
+def test_validate_rejects_a_window_below_the_default_lambda_min(tmp_path, capsys, model):
+    # every potential of models I and III is nonnegative, so lambda_min
+    # defaults to exactly -1: a window that ends there or below is refused
+    # up front instead of failing every cell
+    for hi in (-2.0, -1.0):
+        path = _write_config(tmp_path, experiment="spectrum", model=model,
+                             spectrum={"lambda_max": hi})
+        assert runner.main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert f"spectrum.lambda_max {hi!r}" in err and "default lambda_min" in err
+        assert "-1.0" in err
+    # model II's default lies below its deepest well, and a lambda_min of
+    # one's own is always the window's
+    config_from_dict(_base_config(experiment="spectrum", spectrum={"lambda_max": -2.0},
+                                  model={"model": "II", "energy": 1.0, "alpha1": 0.5}))
+    config_from_dict(_base_config(experiment="spectrum", model=model,
+                                  spectrum={"lambda_min": -5.0, "lambda_max": -2.0}))
+
+
+def test_a_window_below_a_nonnegative_potential_runs_and_finds_nothing(tmp_path):
+    out = str(tmp_path / "out")
+    path = _write_config(tmp_path, experiment="spectrum", model=_NONNEGATIVE_MODELS[0],
+                         spectrum={"lambda_min": -5.0, "lambda_max": -2.0}, output_dir=out)
+    assert runner.main(["run", path]) == 0
+    assert _read_rows(out) == []
+    assert _read_summary(out)["failed_tasks"] == []
+
+
 def test_mixing_points_need_at_least_two_entries():
     cfg = _base_config(
         experiment="mixing",
