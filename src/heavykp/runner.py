@@ -6,17 +6,19 @@ its own child of that stream.  Work goes out in blocks of at most
 BLOCK_SEEDS (1024) seeds: a lyapunov, ids, nonlinear or darling cell is cut
 at the multiples of 1024, and a mixing or spectrum cell is one block.  At
 --workers N the parent process is one of the N: it runs every N-th block
-itself and a pool of N - 1 child processes runs the rest; a grid of one
-block runs without a pool.  A block's values do not depend on how the
-cell is cut, so results are byte-identical for any --workers, and equal to
-a sweep of the whole cell in one call.  Outputs land in one directory:
+itself and forks N - 1 children (POSIX fork; fewer when the grid has fewer
+blocks), each of which runs its own fixed share of the rest and hands its
+blocks back through a pipe (_collect); a grid of one block forks nothing.
+A block's values do not depend on how the cell is cut, so results are
+byte-identical for any --workers, and equal to a sweep of the whole cell in
+one call.  Outputs land in one directory:
 
     results.csv     one row per (cell, seed, observable), repr-encoded floats
     summary.json    per-cell aggregates plus experiment-level statistics
     manifest.json   config echo, code version, master seed
 
 A block's rows are formatted once, by the process that measured it
-(run_task), so the pool children share that work.  The parent joins each
+(run_task), so the children share that work.  The parent joins each
 cell's blocks in seed order and builds the cell's summary from their
 columns (_cell_outcome); results.csv is the header, then the blocks' texts
 in task and seed order.  The three files are written as one set,
@@ -26,10 +28,11 @@ manifest.json last, so a manifest.json marks a complete set from one run
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numeric
 saturation (the offending task is named in the diagnostic and the summary;
 in a cell of several blocks, the lowest failed block's error), 5 a child
-process died (the pool broke; no output file is written), 130 or 143 the
-run was interrupted by SIGINT or SIGTERM (128 + the signal number).  On an
-interrupt the run stops its own share of the blocks, cancels the queued
-ones and ends the child processes at once; an interrupt during the grid
+process exited without handing back its blocks (it was killed, exited
+nonzero or wrote an unreadable result; no output file is written), 130 or
+143 the run was interrupted by SIGINT or SIGTERM (128 + the signal number).
+On an interrupt the run stops its own share of the blocks and kills and
+reaps the child processes at once; an interrupt during the grid
 writes nothing, and one during the final writes leaves no manifest.json or
 a complete set, as a failed write does.  Children ignore SIGINT, so a
 terminal's Ctrl-C reaches the parent alone.  A hard crash of the parent in
@@ -45,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -602,56 +606,95 @@ def _cell_outcome(spec: TaskSpec, parts: List[BlockOutcome]) -> TaskOutcome:
 def _collect(workers: int,
              units: List[Tuple[TaskSpec, int, int]]) -> Tuple[List[BlockOutcome], Optional[str]]:
     """Every unit's outcome in unit order and None, or no outcomes and the
-    pool's error when a worker process died.
+    first failed child's error when a worker process did not hand back its
+    units.
 
-    At workers N > 1 the parent runs units 0, N, 2N, ... itself, and a pool
-    of N - 1 child processes (fewer when fewer units are left for them) runs
-    the rest.  A grid of one unit runs without a pool.  concurrent.futures
-    is imported here, when a pool runs, so that importing the runner does
-    not load it.
+    At workers N > 1 the work is split statically among n = min(N, len(units))
+    processes: the parent runs units 0, n, 2n, ... itself and forks n - 1
+    children, child w running units w, w + n, w + 2n, ...  Each child sends
+    its outcomes back pickled through its own pipe.  Once its share is done,
+    the parent reads each pipe to EOF and reaps its child; a child that exits
+    nonzero, is killed, or sends a result that does not unpickle fails the
+    run.  A grid of one unit forks nothing.
 
     An exception in the parent (an Interrupted, a KeyboardInterrupt or a
-    crash in its own share) kills the children before it propagates, so
-    that none outlives the run or runs more of its queue.
+    crash in its own share) kills and reaps the children before it
+    propagates, so that none outlives the run or is left a zombie.
     """
     if workers == 1 or len(units) == 1:
         return [run_task(*unit) for unit in units], None
     import signal
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    theirs = [i for i in range(len(units)) if i % workers]
+    n = min(workers, len(units))
     outcomes: List[Optional[BlockOutcome]] = [None] * len(units)
-    pool = ProcessPoolExecutor(max_workers=min(workers - 1, len(theirs)),
-                               initializer=_child_signals)
+    children: Dict[int, object] = {}  # pid -> the read end of its pipe, until reaped
+    failure = None
     try:
-        # The pool forks its children and starts its thread inside submit; an
-        # interrupt there would leave it half started, with a child it cannot
-        # end, so SIGINT and SIGTERM wait until the submits are done.
+        # A child must not run the parent's handlers before it has set its
+        # own, and the parent must not stop between a fork and recording the
+        # child, so SIGINT and SIGTERM wait until the forks are done.
         held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
         try:
-            futures = [(i, pool.submit(run_task, *units[i])) for i in theirs]
+            for w in range(1, n):
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    os.close(read_end)
+                    for pipe in children.values():
+                        pipe.close()
+                    _run_child(units[w::n], write_end)
+                os.close(write_end)
+                children[pid] = open(read_end, "rb")
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        for i in range(0, len(units), workers):
-            outcomes[i] = run_task(*units[i])
-        for i, future in futures:
-            outcomes[i] = future.result()
-    except BrokenProcessPool as exc:
-        return [], str(exc)
+        outcomes[::n] = [run_task(*unit) for unit in units[::n]]
+        for w, (pid, pipe) in enumerate(list(children.items()), 1):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if failure is not None:
+                continue
+            if code != 0:
+                failure = f"worker process {pid} " + (
+                    f"exited with status {code}" if code > 0 else f"was killed by signal {-code}")
+                continue
+            try:
+                outcomes[w::n] = pickle.loads(data)
+            except Exception as exc:  # unpickling raises more than UnpicklingError
+                failure = f"worker process {pid} handed back an unreadable result: {exc!r}"
     except BaseException:
-        # End the children at once, or the shutdown below would wait for every
-        # queued unit; the pool has no public way to end its workers.
-        for process in list(pool._processes.values()):
-            process.kill()
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         raise
-    finally:
-        pool.shutdown()
+    if failure is not None:
+        return [], failure
     return outcomes, None
 
 
+def _run_child(units: List[Tuple[TaskSpec, int, int]], write_end: int) -> None:
+    """The body of a forked child of _collect: run the units and write their
+    outcomes, pickled, to write_end.  It leaves by os._exit, with status 0
+    only once the whole result is written, so that it never returns into
+    the caller's stack, flushes the parent's buffers or runs its exit
+    handlers."""
+    code = 1
+    try:
+        _child_signals()
+        outcomes = [run_task(*unit) for unit in units]
+        with open(write_end, "wb") as fh:
+            pickle.dump(outcomes, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(code)
+
+
 def _child_signals() -> None:
-    """A pool child ignores SIGINT, which a terminal sends the whole process
+    """A forked child ignores SIGINT, which a terminal sends the whole process
     group, and dies on SIGTERM, whatever handlers and signal mask it
     inherited."""
     import signal
@@ -688,9 +731,10 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[int, str]:
     The grid's cells are cut into blocks (_blocks) and run by _collect; each
     block comes back with its rows' text, and each cell's summary is built
     from its blocks' joined columns (_cell_outcome).  A child process that
-    dies (killed, or exiting without a result) breaks the pool: the run then
-    returns exit code 5 and writes no output file.  The three files are written as one set
-    (_write_outputs); a failed write returns exit code 3.
+    does not hand back its blocks (killed, exiting nonzero, or writing an
+    unreadable result) makes the run return exit code 5 and write no output
+    file.  The three files are written as one set (_write_outputs); a failed
+    write returns exit code 3.
     """
     tasks = build_tasks(cfg)
     units = [(t, lo, hi) for t in tasks for lo, hi in _blocks(t)]

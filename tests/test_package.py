@@ -105,6 +105,24 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def test_no_module_imports_threads_or_process_pools():
+    # the runner forks its workers, and a process that holds threads when it
+    # forks can deadlock its children
+    root = Path(__file__).resolve().parents[1] / "src" / "heavykp"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [(path.name, node.lineno, module) for module in modules
+                      if module.split(".")[0] in ("threading", "concurrent", "multiprocessing")]
+    assert found == []
+
+
 def test_flow_and_sampler_internals_live_in_their_modules():
     from heavykp import prufer, rng
 

@@ -815,9 +815,11 @@ def test_saturated_task_stops_the_run_with_its_identity(tmp_path, monkeypatch, c
     assert os.path.exists(os.path.join(out, "summary.json"))
 
 
-# A forked pool child inherits this module with the test process's pid in it.
+# A forked child inherits this module with the test process's pid in it.
 _TEST_PID = os.getpid()
 _run_task = runner.run_task
+_needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                                 reason="finding the children needs /proc")
 
 
 def _die_in_child(*unit):
@@ -827,14 +829,24 @@ def _die_in_child(*unit):
     return _run_task(*unit)
 
 
-def _assert_dead_child_exits_5(tmp_path, monkeypatch, capsys, **over):
-    # a child that dies breaks the pool (forked children inherit the patch)
-    monkeypatch.setattr(runner, "run_task", _die_in_child)
+def _assert_failed_child_exits_5(tmp_path, capsys, **over):
+    """Run at --workers 2, where a child is set to fail: exit 5, nothing
+    written, every child reaped; returns the diagnostic."""
     out = str(tmp_path / "out")
     path = _write_config(tmp_path, output_dir=out, workers=2, **over)
     assert runner.main(["run", path]) == 5
-    assert capsys.readouterr().err.startswith("worker process failed, no outputs written:")
+    err = capsys.readouterr().err
+    assert err.startswith("worker process failed, no outputs written:")
     assert not os.path.exists(out)
+    if os.path.exists("/proc/self/stat"):
+        assert _child_pids(os.getpid()) == []  # zombies included
+    return err
+
+
+def _assert_dead_child_exits_5(tmp_path, monkeypatch, capsys, **over):
+    # a child that dies fails the run (forked children inherit the patch)
+    monkeypatch.setattr(runner, "run_task", _die_in_child)
+    _assert_failed_child_exits_5(tmp_path, capsys, **over)
 
 
 def test_dead_worker_exits_5_and_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -845,6 +857,82 @@ def test_dead_worker_in_a_split_cell_exits_5_and_writes_nothing(tmp_path, monkey
     # one cell of two blocks: the parent runs the first, the child dies on the second
     _assert_dead_child_exits_5(tmp_path, monkeypatch, capsys, n_grid=[8],
                                n_seeds=runner.BLOCK_SEEDS + 5)
+
+
+@_needs_proc
+def test_child_killed_mid_run_exits_5_and_is_reaped(tmp_path, monkeypatch, capsys):
+    # the parent, in its own first unit, SIGKILLs the child waiting in its
+    # first unit: the run exits 5, names the signal and reaps the child
+    def kill_child_or_wait(*unit):
+        if os.getpid() == _TEST_PID:
+            for pid in _child_pids(_TEST_PID):
+                os.kill(pid, signal.SIGKILL)
+        else:
+            time.sleep(60)
+        return _run_task(*unit)
+
+    monkeypatch.setattr(runner, "run_task", kill_child_or_wait)
+    err = _assert_failed_child_exits_5(tmp_path, capsys, n_grid=[40, 80])
+    assert f"was killed by signal {int(signal.SIGKILL)}" in err
+
+
+def test_child_exiting_nonzero_after_its_whole_result_exits_5(tmp_path, monkeypatch, capsys):
+    # the child writes its whole result and then leaves with status 3: the
+    # status fails the run, however complete the result
+    leave = os._exit
+    monkeypatch.setattr(os, "_exit", lambda code: leave(code or 3))
+    err = _assert_failed_child_exits_5(tmp_path, capsys, n_grid=[40, 80])
+    assert "exited with status 3" in err
+
+
+@_needs_proc
+@pytest.mark.parametrize("workers", [2, 3])
+def test_in_process_run_leaves_no_child(tmp_path, workers):
+    out = str(tmp_path / "out")
+    cfg = load_config(_write_config(tmp_path, output_dir=out, n_grid=[40, 80, 120]),
+                      workers=workers)
+    assert run_experiment(cfg) == (0, "")
+    assert _child_pids(os.getpid()) == []  # zombies included
+
+
+def test_more_workers_than_units_fork_one_child_per_unit_past_the_first(tmp_path,
+                                                                          monkeypatch):
+    # --workers 3 on a grid of two units forks one child, not two, and
+    # writes the --workers 1 bytes
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    path = _write_config(tmp_path, n_grid=[40, 80])
+    digests = []
+    for workers in (3, 1):
+        out = str(tmp_path / f"w{workers}")
+        assert runner.main(["run", path, "--output-dir", out, "--workers", str(workers)]) == 0
+        digests.append([_sha256(os.path.join(out, name))
+                        for name in ("results.csv", "summary.json", "manifest.json")])
+    assert forks == [os.getpid()]
+    assert digests[0] == digests[1]
+
+
+def test_a_forked_run_loads_no_thread_or_process_pool_module(tmp_path):
+    # the children are forked directly: neither concurrent.futures nor
+    # multiprocessing, which start threads, is ever imported
+    out = str(tmp_path / "out")
+    path = _write_config(tmp_path, output_dir=out, workers=2, n_grid=[40, 80])
+    script = ("import sys\nfrom heavykp import runner\n"
+              f"assert runner.main(['run', {path!r}]) == 0\n"
+              "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n")
+    pythonpath = (str(Path(runner.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
 # ── Experiment bodies through the CLI ────────────────────────────────────────
