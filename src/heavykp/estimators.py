@@ -485,13 +485,14 @@ def _lane_ks(phases) -> np.ndarray:
     """KS distances between the lanes of phases (steps, lanes, seeds), every step at once.
 
     Entry [s, i, j] is the float ks_distance gives for lanes i and j at step
-    s.  The lanes of a step are merged in one sort; the count of lane i's
-    samples at or below a value is the running count of lane i read at the
-    last element of the value's run of equal values, as searchsorted(side
-    = "right") counts it.  The sup of |F_i - F_j| over the values of any
-    lanes is the sup over those of lanes i and j: between their jumps the
-    difference is constant.  The refusal is Ecdf.from_samples' own (arctan2
-    gives no inf, and sorting puts NaN last).
+    s: the largest count difference over the lane size, divided once.  The
+    lanes of a step are merged in one sort; the count of lane i's samples at
+    or below a value is the running count of lane i read at the last element
+    of the value's run of equal values, as searchsorted(side = "right")
+    counts it.  The sup of |c_i - c_j| over the values of any lanes is the
+    sup over those of lanes i and j: between their jumps the difference is
+    constant.  The refusal is Ecdf.from_samples' own (arctan2 gives no inf,
+    and sorting puts NaN last).
     """
     n_steps, m, s = phases.shape
     merged = phases.reshape(n_steps, m * s)
@@ -503,14 +504,14 @@ def _lane_ks(phases) -> np.ndarray:
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_end[:, :-1])
     run_end[:, -1] = True
     lane = order // s
-    # each lane's ECDF at every merged value, as Ecdf.evaluate divides its counts
-    cdf = [np.cumsum(lane == i, axis=1) / s for i in range(m)]
+    # each lane's count at every merged value; a lane holds fewer than 2^31 seeds
+    counts = [np.cumsum(lane == i, axis=1, dtype=np.int32) for i in range(m)]
     out = np.zeros((n_steps, m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            gap = np.abs(cdf[i] - cdf[j])
-            gap[~run_end] = 0.0
-            out[:, i, j] = out[:, j, i] = gap.max(axis=1)
+            gap = np.abs(counts[i] - counts[j])
+            gap *= run_end
+            out[:, i, j] = out[:, j, i] = gap.max(axis=1) / s
     return out
 
 

@@ -861,6 +861,18 @@ def test_lane_ks_is_ks_distance_of_every_step_and_pair(m):
                     assert got[step, i, j] == ks_distance(phases[step, i], phases[step, j])
 
 
+def test_a_one_count_distance_reads_exactly_one_over_n():
+    # two 2000-seed samples one count apart at q = 1999 alone, where the
+    # fractions 1 and 1999/2000 differ by 1/2000 only up to rounding: both
+    # KS forms divide the count difference once
+    a = np.arange(2000.0)
+    b = a.copy()
+    b[-1] = 1999.5
+    assert ks_distance(a, b) == 1 / 2000
+    got = estimators._lane_ks(np.stack([a, b])[None])
+    assert got[0, 0, 1] == got[0, 1, 0] == 1 / 2000
+
+
 def test_mixing_refuses_phases_of_infinite_heights():
     # alpha1 = 0.02 overflows some squared Frechet heights to inf, whose
     # lanes turn NaN: the seed-empirical laws refuse them as Ecdf does

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_ks_symmetry_and_bounds():
 
 def test_ks_disjoint_supports():
     assert ks_distance([0.0, 1.0], [5.0, 6.0]) == 1.0
+
+
+def _exact_ks(a, b) -> Fraction:
+    """sup_q |F_a(q) - F_b(q)| in exact rational arithmetic, over every sample value."""
+    return max(abs(Fraction(sum(x <= q for x in a), len(a))
+                   - Fraction(sum(x <= q for x in b), len(b))) for q in {*a, *b})
+
+
+@pytest.mark.parametrize("na, nb", [(50, 50), (37, 53), (1, 7), (300, 301)])
+def test_ks_is_the_correctly_rounded_fraction(na, nb):
+    # ties within and across the samples; float() of a Fraction rounds correctly
+    rng = np.random.default_rng(na * nb)
+    a = rng.integers(0, 20, na).astype(float)
+    b = rng.integers(3, 25, nb).astype(float)
+    assert ks_distance(a, b) == float(_exact_ks(a.tolist(), b.tolist()))
 
 
 def test_ks_uniform_sample_against_grid():
