@@ -51,7 +51,7 @@ import os
 import pickle
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -627,8 +627,8 @@ def _collect(workers: int,
 
     n = min(workers, len(units))
     outcomes: List[Optional[BlockOutcome]] = [None] * len(units)
-    children: Dict[int, object] = {}  # pid -> the read end of its pipe, until reaped
-    failure = None
+    children: Dict[int, BinaryIO] = {}  # pid -> the read end of its pipe, until reaped
+    failures: List[str] = []
     try:
         # A child must not run the parent's handlers before it has set its
         # own, and the parent must not stop between a fork and recording the
@@ -653,24 +653,24 @@ def _collect(workers: int,
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            if failure is not None:
-                continue
-            if code != 0:
-                failure = f"worker process {pid} " + (
-                    f"exited with status {code}" if code > 0 else f"was killed by signal {-code}")
-                continue
-            try:
-                outcomes[w::n] = pickle.loads(data)
-            except Exception as exc:  # unpickling raises more than UnpicklingError
-                failure = f"worker process {pid} handed back an unreadable result: {exc!r}"
+            if code > 0:
+                failures.append(f"worker process {pid} exited with status {code}")
+            elif code < 0:
+                failures.append(f"worker process {pid} was killed by signal {-code}")
+            else:
+                try:
+                    outcomes[w::n] = pickle.loads(data)
+                except Exception as exc:  # unpickling raises more than UnpicklingError
+                    failures.append(f"worker process {pid} handed back an unreadable "
+                                    f"result: {exc!r}")
     except BaseException:
         for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise
-    if failure is not None:
-        return [], failure
+    if failures:
+        return [], failures[0]
     return outcomes, None
 
 

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -883,6 +884,13 @@ def test_child_exiting_nonzero_after_its_whole_result_exits_5(tmp_path, monkeypa
     monkeypatch.setattr(os, "_exit", lambda code: leave(code or 3))
     err = _assert_failed_child_exits_5(tmp_path, capsys, n_grid=[40, 80])
     assert "exited with status 3" in err
+
+
+def test_child_result_that_does_not_unpickle_exits_5(tmp_path, monkeypatch, capsys):
+    # the child exits 0 having written bytes that are no pickle
+    monkeypatch.setattr(pickle, "dump", lambda obj, fh, protocol: fh.write(b"no pickle"))
+    err = _assert_failed_child_exits_5(tmp_path, capsys, n_grid=[40, 80])
+    assert "handed back an unreadable result" in err
 
 
 @_needs_proc
