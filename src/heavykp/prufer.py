@@ -215,7 +215,10 @@ def walk_chain(values: np.ndarray, lengths: np.ndarray, frame: EnergyFrame,
        between the two and the norm of every piece.  An odd last piece is a
        single step of the same kind.  A pair whose product norm is 0 or not
        finite, or one of whose pieces annihilates its vector, is walked as
-       two single steps instead, and the loop resumes after it;
+       two single steps instead, and the loop resumes after it.  As barrier
+       entries are bounded, only a barrier next to a piece of far larger
+       upper entry k l s (a resonant piece of length 1e200 after a barrier
+       of height 1e300, say) makes a product of finite pieces overflow;
     3. the winding is counted in numpy.  The increment across a piece is the
        difference of its boundary-vector angles plus the multiple of 2 pi
        that brings it nearest an estimate from the piece's closed form.  An

@@ -28,9 +28,10 @@ manifest.json last, so a manifest.json marks a complete set from one run
 Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 numeric
 saturation (the offending task is named in the diagnostic and the summary;
 in a cell of several blocks, the lowest failed block's error), 5 a child
-process exited without handing back its blocks (it was killed, exited
-nonzero or wrote an unreadable result; no output file is written), 130 or
-143 the run was interrupted by SIGINT or SIGTERM (128 + the signal number).
+process could not be started or exited without handing back its blocks (it
+was killed, exited nonzero or wrote an unreadable result; no output file is
+written), 130 or 143 the run was interrupted by SIGINT or SIGTERM (128 +
+the signal number).
 On an interrupt the run stops its own share of the blocks and kills and
 reaps the child processes at once; an interrupt during the grid
 writes nothing, and one during the final writes leaves no manifest.json or
@@ -122,7 +123,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One grid cell: everything a worker needs, picklable."""
+    """One grid cell: everything a worker needs.  The children of _collect
+    receive their specs by fork; only BlockOutcomes are pickled."""
 
     index: int
     experiment: str
@@ -615,7 +617,8 @@ def _collect(workers: int,
     its outcomes back pickled through its own pipe.  Once its share is done,
     the parent reads each pipe to EOF and reaps its child; a child that exits
     nonzero, is killed, or sends a result that does not unpickle fails the
-    run.  A grid of one unit forks nothing.
+    run, and so does a pipe or fork that fails (the children forked before
+    it are killed and reaped).  A grid of one unit forks nothing.
 
     An exception in the parent (an Interrupted, a KeyboardInterrupt or a
     crash in its own share) kills and reaps the children before it
@@ -637,7 +640,12 @@ def _collect(workers: int,
         try:
             for w in range(1, n):
                 read_end, write_end = os.pipe()
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
                 if pid == 0:
                     os.close(read_end)
                     for pipe in children.values():
@@ -645,6 +653,8 @@ def _collect(workers: int,
                     _run_child(units[w::n], write_end)
                 os.close(write_end)
                 children[pid] = open(read_end, "rb")
+        except OSError as exc:  # no pipe or no process (EMFILE, EAGAIN)
+            return [], f"could not start a worker process: {exc}"
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
         outcomes[::n] = [run_task(*unit) for unit in units[::n]]
@@ -663,12 +673,11 @@ def _collect(workers: int,
                 except Exception as exc:  # unpickling raises more than UnpicklingError
                     failures.append(f"worker process {pid} handed back an unreadable "
                                     f"result: {exc!r}")
-    except BaseException:
+    finally:  # kill and reap the children an exception or a failed start left
         for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        raise
     if failures:
         return [], failures[0]
     return outcomes, None

@@ -9,14 +9,15 @@ by the single combination u = (lam - V) l**2:
     u < 0   hyperbolic piece, growth exp(sqrt(-u)) along the expanding line,
     u ~ 0   parabolic shear, evaluated by series to avoid 0/0.
 
-_piece_entries_batch builds these matrices in bulk, with the exp(a) growth of
-a heavy piece (a single one already reaches exp(700)) moved into a separate
-log prescale.  It is the one piece kernel.  _product_entries multiplies two
-pieces into one step, the one statement of "piece after piece":
-prufer.walk_chain pushes one chain's solution vector through the products
-of its pieces two by two, and the estimator sweeps push many seeds' vectors
-at once through the products of each gap with its bump.  No workload forms
-a longer product.  det_defect checks the SL(2,R) identity analytically.
+_piece_entries_batch, the one piece kernel, builds these matrices in bulk,
+every hyperbolic one with its exp(a) growth (one heavy piece reaches
+exp(700)) moved into a log prescale, which bounds its entries: c in [1/2, 1],
+b <= k l, e <= a/(2 k l).  _product_entries multiplies two pieces into one
+step, the one statement of "piece after piece": prufer.walk_chain pushes one
+chain's solution vector through the products of its pieces two by two, and
+the estimator sweeps push many seeds' vectors at once through the products
+of each gap with its bump.  No workload forms a longer product.  det_defect
+checks the SL(2,R) identity analytically.
 """
 from __future__ import annotations
 
@@ -29,9 +30,9 @@ import numpy as np
 # for cos-like and sinc-like factors are exact to double precision.
 U_SERIES_WINDOW = 1e-8
 
-# Above this value of a = sqrt(-u), cosh(a)**2 would overflow intermediate
-# Frobenius computations, so the matrix is built in factored form with the
-# exp(a) growth moved directly into the log scale.
+# Past this value of a = sqrt(-u), cosh(a)**2 overflows.  The kernel, which
+# builds every hyperbolic piece in the factored form, does not read it; the
+# benchmark tracer's branch tally (bench/spans.py) does.
 A_FACTORED = 300.0
 
 # Log-scale ceiling; beyond it downstream exponentiation is meaningless.
@@ -81,13 +82,6 @@ def _cs_pair(u):
     return c, s
 
 
-def _validate_piece(value: float, length: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError("potential value must be finite")
-    if not (length > 0.0) or not math.isfinite(length):
-        raise ValueError("piece length must be positive and finite")
-
-
 def det_defect(value: float, length: float, frame: EnergyFrame) -> float:
     """|det - 1| of the piece propagator, evaluated without cancellation.
 
@@ -99,7 +93,10 @@ def det_defect(value: float, length: float, frame: EnergyFrame) -> float:
     analytically by the factored construction, with the growth carried in the
     log prescale, and the defect is exactly zero.
     """
-    _validate_piece(value, length)
+    if not math.isfinite(value):
+        raise ValueError("potential value must be finite")
+    if not (length > 0.0) or not math.isfinite(length):
+        raise ValueError("piece length must be positive and finite")
     u = (frame.lam - value) * length * length
     if abs(u) < U_SERIES_WINDOW:
         c, s = _cs_pair(u)
@@ -157,20 +154,12 @@ def _branch_entries(uf, cf, sf, pref) -> None:
 
     hyp = np.flatnonzero(uf <= -U_SERIES_WINDOW)
     if hyp.size:
+        # factored form: e^(-a) cosh(a) and e^(-a) sinh(a)/a, exp(a) in the prescale
         ah = np.sqrt(-uf[hyp])
-        with np.errstate(over="ignore", invalid="ignore"):
-            ch = np.cosh(ah)
-            sh = np.sinh(ah) / ah
-        fac = np.flatnonzero(ah > A_FACTORED)
-        if fac.size:
-            # factored form: exp(a) moved into the prescale
-            af = ah[fac]
-            q = np.exp(-2.0 * af)
-            ch[fac] = 0.5 * (1.0 + q)
-            sh[fac] = 0.5 * (1.0 - q) / af
-            pref[hyp[fac]] = af
-        cf[hyp] = ch
-        sf[hyp] = sh
+        em = -np.expm1(-2.0 * ah)
+        cf[hyp] = 1.0 - 0.5 * em
+        sf[hyp] = 0.5 * em / ah
+        pref[hyp] = ah
 
 
 def _piece_entries_batch(value: np.ndarray, length, lam, k):
@@ -182,11 +171,12 @@ def _piece_entries_batch(value: np.ndarray, length, lam, k):
     k per piece, k = sqrt(|lam|) or 1 at lam = 0); every element comes out
     bit for bit as from a call on that piece alone.
     Lanes are grouped by branch through flat index arrays, which gather and
-    scatter several times faster than boolean masks.  Every hyperbolic lane
-    takes cosh/sinh; the factored ones, where those overflow, are then
-    overwritten.  When every piece is oscillatory, as gaps are at lam > 0,
-    the oscillatory formulas run on the whole arrays without the gathers,
-    which gives the same elements.
+    scatter several times faster than boolean masks.  A hyperbolic lane
+    carries a = sqrt(-u) as its prescale and e^(-a) times its entries, built
+    from expm1(-2a) without cosh or sinh; the other lanes have prescale 0.
+    When every piece is oscillatory, as gaps are at lam > 0, the oscillatory
+    formulas run on the whole arrays without the gathers, which gives the
+    same elements.
     """
     value = np.asarray(value, dtype=float)
     length = np.asarray(length, dtype=float)
@@ -230,11 +220,7 @@ def push_piece(bp: BatchProducts, value, length, frame: EnergyFrame) -> None:
     value may be an array (one independent draw per chain) or a scalar;
     length likewise.
     """
-    k = frame.k_norm
-    ones = np.ones_like(bp.a)
-    value = np.asarray(value, dtype=float) * ones if np.ndim(value) == 0 else np.asarray(value, dtype=float)
-    length = np.asarray(length, dtype=float) * ones if np.ndim(length) == 0 else np.asarray(length, dtype=float)
-    p00, p01, p10, pre = _piece_entries_batch(value, length, frame.lam, k)
+    p00, p01, p10, pre = _piece_entries_batch(value, length, frame.lam, frame.k_norm)
 
     na = p00 * bp.a + p01 * bp.c
     nb = p00 * bp.b + p01 * bp.d

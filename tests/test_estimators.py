@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heavykp.estimators as estimators
+import heavykp.prufer as prufer
 from heavykp.estimators import (
     chain_mixing,
     chain_trace,
@@ -522,15 +523,23 @@ DEAD_HEIGHT = 2256465.4763044724
 DEAD_THETA0 = 3.140926942662913
 
 
-def _dead_draws(monkeypatch, child: RngStream):
-    """Make the first bump of stream child's chain DEAD_HEIGHT, after a 1e-300 gap."""
+# (gap length, V) at lam = 1: the gap turns the column e2 = (0, 1) onto the
+# contracting direction of a unit bump of height V, and both the product of
+# the two matrices and the bump's own matrix map it to (0, 0) in floating
+# point, so the lane walk and walk_chain both take the dead step.  Found by
+# scanning V ulp by ulp.
+DEAD_E2_GAP, DEAD_E2_HEIGHT = 3.092250021336823, 411.06249999999454
+
+
+def _dead_draws(monkeypatch, child: RngStream, height=DEAD_HEIGHT, gap=1e-300):
+    """Make the first bump of stream child's chain height, after a gap of that length."""
     def draw(config, seed, stream_ids, n):
         values, gaps = _draw_blocks(config, seed, stream_ids, n)
         row = np.asarray(stream_ids) == child.stream_id
         assert seed == child.seed and row.sum() == 1
-        values[row, 0] = DEAD_HEIGHT
+        values[row, 0] = height
         if gaps is not None:
-            gaps[row, 0] = 1e-300
+            gaps[row, 0] = gap
         return values, gaps
 
     monkeypatch.setattr(estimators, "_draw_blocks", draw)
@@ -559,6 +568,46 @@ def test_sweep_dead_direction_lane(model, monkeypatch):
             assert abs(rec.theta[i] - want) <= THETA_TOL * max(1.0, abs(want)), (nb, i)
             ln = _walk_log_norm(cfg, nb, child, seed_edit)
             assert abs(rec.log_norm[i] - ln) <= LOG_NORM_TOL * max(1.0, abs(ln)), (nb, i)
+
+
+def test_sweep_dead_log_norm_lane(monkeypatch):
+    # the first step annihilates the column M e2 of one seed: its dead step's
+    # gain, not the log of its scale, goes into log|M e2|, with and without
+    # a theta lane before the columns (from theta0 = 0 that lane is e2 as
+    # well, and dies with it)
+    cfg = _cfg(Model.IV, alpha1=0.5, alpha2=0.6, energy=1.0)
+    parent = RngStream(12)
+    n_seeds, dead = 3, 1
+    _dead_draws(monkeypatch, split_stream(parent, dead), DEAD_E2_HEIGHT, DEAD_E2_GAP)
+    steps, walked = [], []  # the sweep's (step, seed) and walk_chain's heights
+    dead_step, dead_direction = estimators._dead_step, prufer._dead_direction
+
+    def spy_step(gap, values, j, seed, *rest):
+        steps.append((j, seed))
+        return dead_step(gap, values, j, seed, *rest)
+
+    def spy_direction(p, q, value, *rest):
+        walked.append(value)
+        return dead_direction(p, q, value, *rest)
+
+    monkeypatch.setattr(estimators, "_dead_step", spy_step)
+    monkeypatch.setattr(prufer, "_dead_direction", spy_direction)
+
+    def edit(values, lengths):
+        values[1] = DEAD_E2_HEIGHT
+        lengths[0] = DEAD_E2_GAP
+
+    for nb in (1, 60):
+        for want_theta in (False, True):
+            steps.clear()
+            walked.clear()
+            rec = sweep_chains(cfg, nb, n_seeds, parent, want_theta=want_theta,
+                               want_log_norm=True)
+            assert steps == [(0, dead)] * (2 if want_theta else 1)
+            for i in range(n_seeds):
+                ln = _walk_log_norm(cfg, nb, split_stream(parent, i), edit if i == dead else None)
+                assert abs(rec.log_norm[i] - ln) <= LOG_NORM_TOL * max(1.0, abs(ln)), (nb, i)
+            assert set(walked) == {DEAD_E2_HEIGHT}  # in the walk of M e2 alone
 
 
 @pytest.mark.parametrize("gap_length", [None, 0.3, 2.5])

@@ -4,6 +4,7 @@ End-to-end runs go through ``runner.main`` with JSON configs written into
 tmp_path, so the exit codes, stderr diagnostics, and output files are
 exercised exactly as a shell user would see them.
 """
+import errno
 import hashlib
 import json
 import math
@@ -382,6 +383,35 @@ def test_rerun_is_byte_identical(tmp_path):
         assert _sha256(os.path.join(out_a, name)) == _sha256(os.path.join(out_b, name))
 
 
+def test_rerun_of_another_config_replaces_the_earlier_set(tmp_path, monkeypatch):
+    # a second config run into the directory of a first: the three files
+    # are the second run's bytes, the first run's manifest.json is gone
+    # before any new file lands, and no temporary stays behind
+    names = ("results.csv", "summary.json", "manifest.json")
+    out = tmp_path / "out"
+    fresh = tmp_path / "fresh"
+    first = _write_config(tmp_path, name="first.json")
+    second = _write_config(tmp_path, name="second.json", master_seed=7, n_grid=[30, 60])
+    assert runner.main(["run", first, "--output-dir", str(out)]) == 0
+    old = {name: (out / name).read_bytes() for name in names}
+    assert runner.main(["run", second, "--output-dir", str(fresh)]) == 0
+    new = {name: (fresh / name).read_bytes() for name in names}
+    assert all(old[name] != new[name] for name in names)
+    landed = []
+    replace = os.replace
+
+    def spy(src, dst):
+        landed.append((os.path.basename(dst), (out / "manifest.json").exists()))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    assert runner.main(["run", second, "--output-dir", str(out)]) == 0
+    # each file lands while no manifest.json exists, the new manifest last
+    assert landed == [(name, False) for name in names]
+    assert {name: (out / name).read_bytes() for name in names} == new
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
 def _row_by_row_csv(cfg, tasks, cell_rows):
     """results.csv as formatted one f-string and three repr(float(x)) calls per row."""
     def cell(x):
@@ -565,7 +595,7 @@ def test_split_cell_outputs_do_not_depend_on_the_worker_count(tmp_path, experime
 
 def test_the_parent_formats_only_the_blocks_it_ran(tmp_path, monkeypatch):
     # a spy on the rows body of a three-block cell: at --workers 2 the
-    # parent formats blocks 0 and 2, which it ran, and the pool child block
+    # parent formats blocks 0 and 2, which it ran, and the forked child block
     # 1; at --workers 1 the parent formats all three.  The bytes agree
     block, rows, summary = runner._BODIES["lyapunov"]
     seen = []
@@ -743,10 +773,10 @@ def _child_pids(pid):
 @pytest.mark.parametrize("signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)])
 def test_interrupted_run_ends_its_children_and_writes_nothing(tmp_path, signum, code):
     # a grid of many blocks at --workers 2, signalled in the parent alone once
-    # its pool child exists: the run stops its share, ends the child without
+    # its forked child exists: the run stops its share, ends the child without
     # its queued blocks, writes nothing and exits 128 + signum with one line
     if not os.path.exists("/proc/self/stat"):
-        pytest.skip("finding the pool child needs /proc")
+        pytest.skip("finding the forked child needs /proc")
     out = tmp_path / "out"
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
@@ -763,7 +793,7 @@ def test_interrupted_run_ends_its_children_and_writes_nothing(tmp_path, signum, 
     try:
         deadline = time.monotonic() + 60.0
         while not kids:
-            assert proc.poll() is None and time.monotonic() < deadline, "no pool child started"
+            assert proc.poll() is None and time.monotonic() < deadline, "no child forked"
             time.sleep(0.01)
             kids = _child_pids(proc.pid)
         proc.send_signal(signum)
@@ -891,6 +921,35 @@ def test_child_result_that_does_not_unpickle_exits_5(tmp_path, monkeypatch, caps
     monkeypatch.setattr(pickle, "dump", lambda obj, fh, protocol: fh.write(b"no pickle"))
     err = _assert_failed_child_exits_5(tmp_path, capsys, n_grid=[40, 80])
     assert "handed back an unreadable result" in err
+
+
+@_needs_proc
+def test_failed_fork_exits_5_and_ends_the_children_it_started(tmp_path, monkeypatch, capsys):
+    # --workers 3 on three units: the first fork starts a child, the second
+    # fails with EAGAIN.  The run exits 5 and writes nothing, the child is
+    # killed and reaped, and the pipes of both forks are closed
+    fork = os.fork
+    forks = []
+
+    def fork_once():
+        forks.append(os.getpid())
+        if len(forks) > 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    out = str(tmp_path / "out")
+    path = _write_config(tmp_path, output_dir=out, n_grid=[40, 80, 120])
+    fds = len(os.listdir("/proc/self/fd"))
+    assert runner.main(["run", path, "--workers", "3"]) == 5
+    assert forks == [os.getpid()] * 2
+    err = capsys.readouterr().err
+    assert err.startswith("worker process failed, no outputs written: "
+                          "could not start a worker process: ")
+    assert os.strerror(errno.EAGAIN) in err
+    assert not os.path.exists(out)
+    assert _child_pids(os.getpid()) == []  # zombies included
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 @_needs_proc

@@ -8,10 +8,13 @@ checked on the entries of _piece_entries_batch, the one piece kernel, and
 chains on the push_piece products built from it.
 """
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heavykp.prufer import walk_chain
 from heavykp.transfer import (
@@ -21,6 +24,7 @@ from heavykp.transfer import (
     SaturationError,
     U_SERIES_WINDOW,
     _piece_entries_batch,
+    _product_entries,
     det_defect,
     push_piece,
     push_rotation,
@@ -56,7 +60,7 @@ def _entries(value: float, length: float, frame: EnergyFrame):
 def _piece(value: float, length: float, frame: EnergyFrame):
     """(log Frobenius norm, entries) of one piece matrix from the kernel."""
     m, pre = _entries(value, length, frame)
-    return pre + 0.5 * math.log(sum(x * x for x in m)), m
+    return pre + math.log(math.hypot(*m)), m
 
 
 def _product(bp: BatchProducts, j: int = 0):
@@ -69,7 +73,7 @@ def _assert_matches(got, oracle: mp.matrix, log_rel=1e-12, dir_abs=1e-12):
     log_norm, m = got
     f = _mp_frobenius(oracle)
     assert log_norm == pytest.approx(float(mp.log(f)), rel=log_rel, abs=1e-11)
-    fro = math.sqrt(sum(x * x for x in m))
+    fro = math.hypot(*m)
     want = [oracle[0, 0] / f, oracle[0, 1] / f, oracle[1, 0] / f, oracle[1, 1] / f]
     for g, w in zip(m, want):
         assert g / fro == pytest.approx(float(w), abs=dir_abs)
@@ -112,16 +116,16 @@ def test_resonant_shear():
 
 
 def test_deep_well_reconstructs_cosh():
-    # V = lam + 100: a = 10, comfortably inside the unfactored branch
+    # V = lam + 100: a = 10, its exp(a) growth carried in the prescale
     frame = EnergyFrame.from_lambda(1.0)
     (a, b, c, d), pre = _entries(101.0, 1.0, frame)
-    assert pre == 0.0
+    assert pre == 10.0
     bp = BatchProducts(1)
     push_piece(bp, 101.0, 1.0, frame)
     scale = math.exp(bp.log[0])
     for entry, stored, want in ((a, bp.a, math.cosh(10.0)), (b, bp.b, math.sinh(10.0) / 10.0),
                                 (c, bp.c, 10.0 * math.sinh(10.0)), (d, bp.d, math.cosh(10.0))):
-        assert entry == pytest.approx(want, rel=1e-10)
+        assert entry * math.exp(pre) == pytest.approx(want, rel=1e-10)
         assert scale * stored[0] == pytest.approx(want, rel=1e-10)
         assert abs(stored[0]) <= 1.0  # the product is renormalized to unit norm
 
@@ -195,7 +199,7 @@ def test_all_oscillatory_call_equals_the_branch_path():
         assert lam or u.min() == U_SERIES_WINDOW
         whole = _piece_entries_batch(value.reshape(20, 10), length.reshape(20, 10), lam, k)
         mixed = _piece_entries_batch(np.append(value, lam + 5.0), np.append(length, 1.0), lam, k)
-        assert mixed[3][-1] == 0.0 and mixed[0][-1] > 1.0  # the hyperbolic piece
+        assert mixed[3][-1] == math.sqrt(5.0)  # the hyperbolic piece
         for got, want in zip(whole, mixed):
             assert got.reshape(-1).tobytes() == want[:-1].tobytes()
         for i in (0, 1, 77, 199):
@@ -296,6 +300,51 @@ def test_moderate_pieces_match_oracle():
             continue
         _assert_matches(_piece(value, length, frame), _mp_piece(value, length, lam, frame.k_norm),
                         dir_abs=5e-12)
+
+
+# a barrier as (log10 a, log10 length): a from 1e-4 to 1e150
+_barrier = st.tuples(st.floats(-4.0, 150.0), st.floats(-3.0, 3.0))
+
+
+def _barrier_piece(lam: float, log_a: float, log_length: float):
+    """(value, length, a) of the barrier of a = 10**log_a and that length at lam."""
+    length = 10.0 ** log_length
+    value = lam + (10.0 ** log_a / length) ** 2
+    u = (lam - value) * length * length
+    assume(u <= -U_SERIES_WINDOW)
+    return value, length, math.sqrt(-u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_lam=st.floats(-323.31, 2.0), negative=st.booleans(), first=_barrier, second=_barrier)
+def test_barrier_entries_are_bounded(log_lam, negative, first, second):
+    # at k = sqrt(|lam|) from sqrt(5e-324) to 10, every barrier is built in
+    # the factored form: c = e^(-a) cosh(a) in [1/2, 1], b = k l e^(-a)
+    # sinh(a)/a <= k l, e = a e^(-a) sinh(a)/(k l) <= a/(2 k l), and exp(a)
+    # in the prescale
+    mp.mp.dps = 80
+    lam = math.copysign(10.0 ** log_lam, -1.0 if negative else 1.0)
+    frame = EnergyFrame.from_lambda(lam)
+    pieces = []
+    for log_a, log_length in (first, second):
+        value, length, a = _barrier_piece(lam, log_a, log_length)
+        c, b, e, pre = _piece_entries_batch(value, length, lam, frame.k_norm)
+        assert 0.5 <= c <= 1.0 and pre == a
+        if not max(b, e) < sys.float_info.max / 2.0:
+            continue  # an entry near or past float range at tiny k l
+        pieces.append((c, b, e))
+        oracle = _mp_piece(value, length, lam, frame.k_norm)
+        if a > A_FACTORED:  # as in test_factored_form_matches_oracle
+            _assert_matches(_piece(value, length, frame), oracle, log_rel=1e-13)
+        else:  # as in test_moderate_pieces_match_oracle
+            _assert_matches(_piece(value, length, frame), oracle, dir_abs=5e-12)
+    # each product entry is a sum of two terms: c1 c2 <= 1, the sums of two
+    # entries stay below float range, and b2 e1 = sqrt((V1 - lam)/(V2 - lam))
+    # (1 - e^(-2 a1)) (1 - e^(-2 a2))/4 is at most l2 a1/(2 l1) (and the same
+    # with the pieces swapped for e2 b1)
+    if len(pieces) == 2:
+        for entry in _product_entries(pieces[0], pieces[1]):
+            assert math.isfinite(entry)
 
 
 def test_random_chain_matches_oracle():

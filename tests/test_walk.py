@@ -161,20 +161,31 @@ def test_dead_direction_in_second_piece(events):
 
 @pytest.mark.parametrize("lam", [1e-100, -1e-100])
 def test_overflowing_pair(lam, events):
-    # two unfactored barriers (a = 299) in one pair at k = 1e-50: each piece
-    # matrix stays below 1e183, their product passes float range
+    # two barriers (a = 299) in one pair at k = 1e-50: every entry of a
+    # barrier matrix is bounded once exp(a) sits in the prescale, so their
+    # product stays in float range and the pair walks as a pair
+    frame = EnergyFrame.from_lambda(lam)
     height = (A_FACTORED - 1.0) ** 2
     values = [height, height, 0.0, 2.0, height, height, 0.0]
-    frame = EnergyFrame.from_lambda(lam)
+    for theta in (0.3, 2.0):
+        _assert_matches_reference(values, np.ones(7), frame, theta)
+    # and at k = 1e-150 one such barrier of length 1e-30 walks finite
+    tiny = EnergyFrame.from_lambda(math.copysign(1e-300, lam))
+    _assert_matches_reference([0.0, height * 1e60, 0.0], [0.5, 1e-30, 0.5], tiny, 0.3)
+    assert events == []
+    # a barrier of height 1e300 before a resonant piece (V = lam) of length
+    # 1e200: both matrices are finite, and their product passes float range
+    values = [1e300, lam, 0.0, 2.0, 1e300, lam, 0.0]
+    lengths = [1.0, 1e200, 1.0, 1.0, 1.0, 1e200, 1.0]
     for theta in (0.3, 2.0):
         events.clear()
         with np.errstate(over="ignore", invalid="ignore"):
-            _assert_matches_reference(values, np.ones(7), frame, theta)
+            _assert_matches_reference(values, lengths, frame, theta)
         assert events == [("stop", 0), ("step", 0), ("stop", 2), ("step", 2)]
-    # at k = 1e-150 the lower entry of one such barrier of length 1e-30
-    # passes float range: both walks raise
-    frame = EnergyFrame.from_lambda(math.copysign(1e-300, lam))
-    values, lengths = [0.0, height * 1e60, 0.0], [0.5, 1e-30, 0.5]
+    # at k = 2.2e-162 the lower entry of that barrier passes float range:
+    # both walks raise
+    frame = EnergyFrame.from_lambda(math.copysign(5e-324, lam))
+    values, lengths = [0.0, 1e300, 0.0], [0.5, 1.0, 0.5]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SaturationError, match="chain walk left representable range"):
             _reference_walk(values, lengths, frame, 0.3)
