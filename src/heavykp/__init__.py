@@ -43,7 +43,7 @@ from .spectrum import (
     decay_fit,
     find_eigenvalues,
 )
-from .stats import Ecdf, LinearFit, MeanCi, ks_distance, linear_fit, mean_ci
+from .stats import LinearFit, MeanCi, ks_distance, linear_fit, mean_ci
 from .transfer import EnergyFrame, SaturationError, det_defect
 
 __all__ = [
@@ -65,5 +65,5 @@ __all__ = [
     "BoxProblem", "boundary_phase",
     "count_below", "find_eigenvalues", "decay_fit", "EigenvalueSearchError",
     # stats
-    "Ecdf", "LinearFit", "MeanCi", "ks_distance", "linear_fit", "mean_ci",
+    "LinearFit", "MeanCi", "ks_distance", "linear_fit", "mean_ci",
 ]

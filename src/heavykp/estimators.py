@@ -50,9 +50,11 @@ from .prufer import (
     walk_chain,
 )
 from .rng import RngStream, split_ids
+from .stats import _ks_distances
 from .transfer import SaturationError, _piece_entries_batch, _product_entries
 # Nothing here calls these samplers, the matrix-product folds, phase_fold or
-# ks_distance (chain_mixing computes its KS distances in bulk, _lane_ks).
+# ks_distance (chain_mixing takes its KS distances in bulk, from
+# stats._ks_distances, the kernel ks_distance calls).
 # The names stay bound only because the benchmark tracer (bench/spans.py)
 # wraps them at this module by attribute; the tests use the folds as
 # references from their own modules.
@@ -481,40 +483,6 @@ def _tangent_phase(t: float) -> float:
     return theta + _PI if theta < 0.0 else theta
 
 
-def _lane_ks(phases) -> np.ndarray:
-    """KS distances between the lanes of phases (steps, lanes, seeds), every step at once.
-
-    Entry [s, i, j] is the float ks_distance gives for lanes i and j at step
-    s: the largest count difference over the lane size, divided once.  The
-    lanes of a step are merged in one sort; the count of lane i's samples at
-    or below a value is the running count of lane i read at the last element
-    of the value's run of equal values, as searchsorted(side = "right")
-    counts it.  The sup of |c_i - c_j| over the values of any lanes is the
-    sup over those of lanes i and j: between their jumps the difference is
-    constant.  The refusal is Ecdf.from_samples' own (arctan2 gives no inf,
-    and sorting puts NaN last).
-    """
-    n_steps, m, s = phases.shape
-    merged = phases.reshape(n_steps, m * s)
-    order = np.argsort(merged, axis=1)
-    ordered = np.take_along_axis(merged, order, axis=1)
-    if np.isnan(ordered[:, -1]).any():
-        raise ValueError("samples must be finite")
-    run_end = np.empty(ordered.shape, dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_end[:, :-1])
-    run_end[:, -1] = True
-    lane = order // s
-    # each lane's count at every merged value; a lane holds fewer than 2^31 seeds
-    counts = [np.cumsum(lane == i, axis=1, dtype=np.int32) for i in range(m)]
-    out = np.zeros((n_steps, m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            gap = np.abs(counts[i] - counts[j])
-            gap *= run_end
-            out[:, i, j] = out[:, j, i] = gap.max(axis=1) / s
-    return out
-
-
 def chain_mixing(
     config: ModelConfig,
     n_steps: int,
@@ -535,7 +503,11 @@ def chain_mixing(
     so each seed's bump matrices are built once.  theta mod pi is read off
     each lane's vector (psi, psi'/k) with its sign made canonical: the
     vector is negated where psi < 0, and pi maps to 0, so antiparallel lanes,
-    which are the same phase, give the same float.
+    which are the same phase, give the same float.  Each walk segment's
+    steps go to stats._ks_distances as rows of m lanes laid end to end, so
+    every entry is the float ks_distance gives for its two lanes, and a
+    lane's NaN phase (a height that overflowed) is refused as ks_distance
+    refuses it.
     """
     if config.model is not Model.I:
         raise ValueError("the phase chain is a Model I construction")
@@ -558,6 +530,6 @@ def chain_mixing(
         psi, psik = lanes.vecs[1:nj + 1, 0], lanes.vecs[1:nj + 1, 1]
         phases = np.arctan2(np.abs(psi), np.where(psi < 0.0, -psik, psik))
         phases[phases == _PI] = 0.0
-        out[j0:j0 + nj] = _lane_ks(phases)
+        out[j0:j0 + nj] = _ks_distances(phases.reshape(nj, m * n_seeds), (n_seeds,) * m)
         lanes.carry(nj)
     return out

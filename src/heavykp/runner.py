@@ -303,6 +303,8 @@ def config_from_dict(raw: dict, *, workers: Optional[int] = None,
     n_seeds = _integer(_require(raw, "n_seeds", "configuration"), "n_seeds")
     master_seed = _integer(_require(raw, "master_seed", "configuration"), "master_seed",
                            least=0)
+    if master_seed >= 2 ** 64:  # the streams take it modulo 2^64
+        raise ConfigError(f"master_seed must be below 2^64, got {master_seed}")
 
     opts = {}
     if "output_dir" in raw:
@@ -611,21 +613,20 @@ def _collect(workers: int,
     first failed child's error when a worker process did not hand back its
     units.
 
-    At workers N > 1 the work is split statically among n = min(N, len(units))
-    processes: the parent runs units 0, n, 2n, ... itself and forks n - 1
-    children, child w running units w, w + n, w + 2n, ...  Each child sends
-    its outcomes back pickled through its own pipe.  Once its share is done,
-    the parent reads each pipe to EOF and reaps its child; a child that exits
-    nonzero, is killed, or sends a result that does not unpickle fails the
-    run, and so does a pipe or fork that fails (the children forked before
-    it are killed and reaped).  A grid of one unit forks nothing.
+    The work is split statically among n = min(N, len(units)) processes at
+    --workers N: the parent runs units 0, n, 2n, ... itself and forks n - 1
+    children, child w running units w, w + n, w + 2n, ...  At n = 1 (one
+    worker or one unit) nothing forks and the parent runs every unit.  Each
+    child sends its outcomes back pickled through its own pipe.  Once its
+    share is done, the parent reads each pipe to EOF and reaps its child; a
+    child that exits nonzero, is killed, or sends a result that does not
+    unpickle fails the run, and so does a pipe or fork that fails (the
+    children forked before it are killed and reaped).
 
     An exception in the parent (an Interrupted, a KeyboardInterrupt or a
     crash in its own share) kills and reaps the children before it
     propagates, so that none outlives the run or is left a zombie.
     """
-    if workers == 1 or len(units) == 1:
-        return [run_task(*unit) for unit in units], None
     import signal
 
     n = min(workers, len(units))
@@ -633,12 +634,13 @@ def _collect(workers: int,
     children: Dict[int, BinaryIO] = {}  # pid -> the read end of its pipe, until reaped
     failures: List[str] = []
     try:
-        # A child must not run the parent's handlers before it has set its
-        # own, and the parent must not stop between a fork and recording the
-        # child, so SIGINT and SIGTERM wait until the forks are done.
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
-        try:
-            for w in range(1, n):
+        for w in range(1, n):
+            # A child must not run the parent's handlers before it has set
+            # its own, and the parent must not stop between a fork and
+            # recording the child, so SIGINT and SIGTERM wait while each
+            # child is forked.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+            try:
                 read_end, write_end = os.pipe()
                 try:
                     pid = os.fork()
@@ -653,10 +655,10 @@ def _collect(workers: int,
                     _run_child(units[w::n], write_end)
                 os.close(write_end)
                 children[pid] = open(read_end, "rb")
-        except OSError as exc:  # no pipe or no process (EMFILE, EAGAIN)
-            return [], f"could not start a worker process: {exc}"
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            except OSError as exc:  # no pipe or no process (EMFILE, EAGAIN)
+                return [], f"could not start a worker process: {exc}"
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
         outcomes[::n] = [run_task(*unit) for unit in units[::n]]
         for w, (pid, pipe) in enumerate(list(children.items()), 1):
             with pipe:

@@ -1,4 +1,4 @@
-"""Small statistics kit: empirical CDFs, KS distance, least squares, mean CIs.
+"""Small statistics kit: KS distances, least squares, mean CIs.
 
 Kept deliberately minimal and self-contained; estimator modules build on
 these primitives so their numerical behavior is pinned down in one place.
@@ -6,55 +6,66 @@ these primitives so their numerical behavior is pinned down in one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Ecdf:
-    """Right-continuous empirical CDF of a finite sample."""
-
-    sorted_values: np.ndarray
-
-    @classmethod
-    def from_samples(cls, values) -> "Ecdf":
-        arr = np.asarray(values, dtype=float).ravel()
-        if arr.size == 0:
-            raise ValueError("empirical CDF needs at least one sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        return cls(sorted_values=np.sort(arr))
-
-    def evaluate(self, q) -> Union[float, np.ndarray]:
-        """F(q) = fraction of samples <= q (right-continuous step function)."""
-        n = self.sorted_values.size
-        idx = np.searchsorted(self.sorted_values, q, side="right")
-        out = idx / n
-        if np.ndim(q) == 0:
-            return float(out)
-        return out
 
 
 def ks_distance(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov distance sup_q |F_a(q) - F_b(q)|.
 
-    Takes two samples, each refused as Ecdf.from_samples refuses it.  The
-    supremum over the union of jump points, taken in any order, is exact for
-    step functions.  It is taken over the integer counts c_a, c_b of samples
-    at or below each point and divided once, max |c_a n_b - c_b n_a| / (n_a n_b),
-    so the distance is the correctly rounded fraction (k/n for two samples
-    of n) wherever the supremum sits.
+    Takes two samples of any shape, flattened.  An empty sample is refused,
+    and so is a sample holding NaN or +-inf.  The distance is _ks_distances'
+    count difference divided once, so it is the correctly rounded fraction
+    (k/n for two samples of n) wherever the supremum sits.
     """
-    fa = Ecdf.from_samples(a)
-    fb = Ecdf.from_samples(b)
-    na, nb = fa.sorted_values.size, fb.sorted_values.size
-    grid = np.concatenate([fa.sorted_values, fb.sorted_values])
-    ca = np.searchsorted(fa.sorted_values, grid, side="right")
-    cb = np.searchsorted(fb.sorted_values, grid, side="right")
-    return int(np.max(np.abs(ca * nb - cb * na))) / (na * nb)
+    xa = np.asarray(a, dtype=float).ravel()
+    xb = np.asarray(b, dtype=float).ravel()
+    if xa.size == 0 or xb.size == 0:
+        raise ValueError("empirical CDF needs at least one sample")
+    return float(_ks_distances(np.concatenate([xa, xb])[None], (xa.size, xb.size))[0, 0, 1])
+
+
+def _ks_distances(samples: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """KS distances between the samples laid end to end in each row of samples.
+
+    samples is (rows, N), each row holding m samples of the given sizes
+    (summing to N) one after another.  Entry [r, i, j] of the (rows, m, m)
+    result is sup_q |F_i(q) - F_j(q)| in row r.  The supremum over the jump
+    points, taken in any order, is exact for step functions; between the
+    jumps of samples i and j their difference is constant, so the jump
+    points of the whole row serve every pair.  Each row is sorted once, and
+    sample i's count c_i of values at or below a point is its running count
+    read at the end of the point's run of equal values.  The distance is
+    taken over these integer counts and divided once,
+    max |c_i n_j - c_j n_i| / (n_i n_j).  A row whose first or last sorted
+    value is not finite holds NaN (sorted last) or +-inf and is refused.
+    """
+    rows, total = samples.shape
+    order = np.argsort(samples, axis=1)
+    ordered = np.take_along_axis(samples, order, axis=1)
+    if not (np.isfinite(ordered[:, 0]).all() and np.isfinite(ordered[:, -1]).all()):
+        raise ValueError("samples must be finite")
+    run_end = np.empty(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_end[:, :-1])
+    run_end[:, -1] = True
+    del ordered
+    m = len(sizes)
+    sample = np.repeat(np.arange(m, dtype=np.min_scalar_type(m - 1)), sizes)[order]
+    del order
+    # c_i n_j <= n_i n_j <= N max(n): int32 is exact below 2^31 and faster
+    int_t = np.int32 if total * max(sizes) < 2 ** 31 else np.int64
+    counts = [np.cumsum(sample == i, axis=1, dtype=int_t) for i in range(m)]
+    out = np.zeros((rows, m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            gap = counts[i] * int_t(sizes[j])
+            gap -= counts[j] * int_t(sizes[i])
+            np.abs(gap, out=gap)
+            gap *= run_end
+            out[:, i, j] = out[:, j, i] = gap.max(axis=1) / (sizes[i] * sizes[j])
+    return out
 
 
 class LinearFit(NamedTuple):

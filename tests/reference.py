@@ -3,7 +3,13 @@
 The Frechet law's CDF and survival function, in closed form.  The package
 samples this law by inverting the CDF (heavykp.rng); these functions are the
 law itself, which the samplers' empirical distributions are compared with.
+
+The two-sample KS distance in exact rational arithmetic, by its definition:
+every KS distance of the package (ks_distance and chain_mixing's) comes from
+one kernel, stats._ks_distances, which is checked against this.
 """
+from bisect import bisect_right
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -26,3 +32,12 @@ def frechet_cdf(alpha: float, z) -> Union[float, np.ndarray]:
     if np.ndim(z) == 0:
         return float(out)
     return out
+
+
+def exact_ks(a, b) -> Fraction:
+    """sup_q |F_a(q) - F_b(q)| in exact rational arithmetic, over every sample
+    value: F(q) is the count of values <= q, found by bisection in the sorted
+    sample, over the sample size."""
+    sa, sb = sorted(a), sorted(b)
+    return max(abs(Fraction(bisect_right(sa, q), len(sa)) - Fraction(bisect_right(sb, q), len(sb)))
+               for q in {*sa, *sb})

@@ -74,3 +74,11 @@ def test_validate_refuses_integers_beyond_float_range(tmp_path, capsys, where):
     assert _validate(tmp_path, where, 10**400) == 2
     err = capsys.readouterr().err
     assert _key(where) in err and "finite" in err
+
+
+@pytest.mark.parametrize("seed, code", [(0, 0), (2**64 - 1, 0), (2**64, 2), (2**64 + 5, 2)])
+def test_validate_refuses_master_seeds_past_64_bits(tmp_path, capsys, seed, code):
+    # the streams take the seed modulo 2^64, so 2^64 + 5 would run as 5
+    assert _validate(tmp_path, ("master_seed",), seed) == code
+    if code:
+        assert "master_seed must be below 2^64" in capsys.readouterr().err

@@ -49,8 +49,9 @@ from heavykp.prufer import (
     walk_chain,
 )
 from heavykp.rng import RngStream, sample_bump_height, sample_gap_length, split_ids, split_stream
-from heavykp.stats import ks_distance, mean_ci
+from heavykp.stats import _ks_distances, ks_distance, mean_ci
 from heavykp.transfer import BatchProducts, SaturationError, push_piece
+from reference import exact_ks
 
 _PI = math.pi
 THETA_TOL = 1e-12
@@ -891,40 +892,42 @@ def test_mixing_matches_phase_fold_reference(energy, alpha, n_steps, n_seeds, se
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_lane_ks_is_ks_distance_of_every_step_and_pair(m):
-    # the bulk KS of chain_mixing against ks_distance step by step and pair
-    # by pair: the same floats, with ties within a lane, across lanes, whole
-    # lanes collapsed onto one another, and -0.0 beside 0.0
+    # the bulk KS of chain_mixing, steps as rows of m lanes laid end to end,
+    # against the exact rational KS step by step and pair by pair: the
+    # correctly rounded fractions, with ties within a lane, across lanes,
+    # whole lanes collapsed onto one another, and -0.0 beside 0.0
     rng = np.random.default_rng(m)
     phases = rng.choice(np.linspace(0.0, 3.0, 25), size=(6, m, 37))
     phases[3:] = rng.random((3, m, 37))
     phases[::2, 1] = phases[::2, 0]
     phases[0, 0, :3] = -0.0
     phases[0, -1, :5] = 0.0
-    got = estimators._lane_ks(phases)
+    got = _ks_distances(phases.reshape(6, m * 37), (37,) * m)
     assert got.shape == (6, m, m)
     for step in range(6):
         assert np.all(np.diag(got[step]) == 0.0)
         for i in range(m):
             for j in range(m):
                 if i != j:
-                    assert got[step, i, j] == ks_distance(phases[step, i], phases[step, j])
+                    want = exact_ks(phases[step, i].tolist(), phases[step, j].tolist())
+                    assert got[step, i, j] == float(want)
 
 
 def test_a_one_count_distance_reads_exactly_one_over_n():
     # two 2000-seed samples one count apart at q = 1999 alone, where the
-    # fractions 1 and 1999/2000 differ by 1/2000 only up to rounding: both
-    # KS forms divide the count difference once
+    # fractions 1 and 1999/2000 differ by 1/2000 only up to rounding: the
+    # kernel divides the count difference once, as the exact KS rounds it
     a = np.arange(2000.0)
     b = a.copy()
     b[-1] = 1999.5
-    assert ks_distance(a, b) == 1 / 2000
-    got = estimators._lane_ks(np.stack([a, b])[None])
+    assert float(exact_ks(a.tolist(), b.tolist())) == 1 / 2000
+    got = _ks_distances(np.concatenate([a, b])[None], (2000, 2000))
     assert got[0, 0, 1] == got[0, 1, 0] == 1 / 2000
 
 
 def test_mixing_refuses_phases_of_infinite_heights():
     # alpha1 = 0.02 overflows some squared Frechet heights to inf, whose
-    # lanes turn NaN: the seed-empirical laws refuse them as Ecdf does
+    # lanes turn NaN: the seed-empirical laws refuse them as ks_distance does
     cfg = _cfg(Model.I, alpha1=0.02, energy=0.5)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="samples must be finite"):
         chain_mixing(cfg, 100, [-1.0, 1.0], 200, RngStream(1))

@@ -985,6 +985,20 @@ def test_more_workers_than_units_fork_one_child_per_unit_past_the_first(tmp_path
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("workers, n_grid", [(1, [40, 80, 120]), (4, [40])])
+def test_one_worker_or_one_unit_forks_nothing(tmp_path, monkeypatch, workers, n_grid):
+    # --workers 1 on three units, or one unit at --workers 4, runs every
+    # unit in the parent: a fork would fail the run with exit 5
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = str(tmp_path / "out")
+    path = _write_config(tmp_path, output_dir=out, n_grid=n_grid)
+    assert runner.main(["run", path, "--workers", str(workers)]) == 0
+    assert len(_read_summary(out)["cells"]) == len(n_grid)
+
+
 def test_a_forked_run_loads_no_thread_or_process_pool_module(tmp_path):
     # the children are forked directly: neither concurrent.futures nor
     # multiprocessing, which start threads, is ever imported

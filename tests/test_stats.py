@@ -1,43 +1,15 @@
-"""Statistics primitives: empirical CDFs, KS distance, OLS, mean CIs."""
+"""Statistics primitives: KS distance, OLS, mean CIs."""
 import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import heavykp
-from heavykp.stats import Ecdf, ks_distance, linear_fit, mean_ci
-
-
-# ── Ecdf ─────────────────────────────────────────────────────────────────────
-
-
-def test_ecdf_step_values():
-    f = Ecdf.from_samples([1.0, 2.0, 2.0, 5.0])
-    assert f.evaluate(0.5) == 0.0
-    assert f.evaluate(1.0) == 0.25  # right-continuous: jump included at the point
-    assert f.evaluate(2.0) == 0.75
-    assert f.evaluate(4.9) == 0.75
-    assert f.evaluate(5.0) == 1.0
-    assert f.evaluate(100.0) == 1.0
-
-
-def test_ecdf_vector_evaluation():
-    f = Ecdf.from_samples([1.0, 2.0, 3.0])
-    out = f.evaluate(np.array([0.0, 1.5, 3.0]))
-    assert np.array_equal(out, np.array([0.0, 1 / 3, 1.0]))
-
-
-def test_ecdf_rejects_empty_and_nonfinite():
-    with pytest.raises(ValueError):
-        Ecdf.from_samples([])
-    with pytest.raises(ValueError):
-        Ecdf.from_samples([1.0, math.nan])
-    with pytest.raises(ValueError):
-        Ecdf.from_samples([1.0, math.inf])
+from heavykp.stats import ks_distance, linear_fit, mean_ci
+from reference import exact_ks
 
 
 # ── KS distance ──────────────────────────────────────────────────────────────
@@ -68,10 +40,32 @@ def test_ks_disjoint_supports():
     assert ks_distance([0.0, 1.0], [5.0, 6.0]) == 1.0
 
 
-def _exact_ks(a, b) -> Fraction:
-    """sup_q |F_a(q) - F_b(q)| in exact rational arithmetic, over every sample value."""
-    return max(abs(Fraction(sum(x <= q for x in a), len(a))
-                   - Fraction(sum(x <= q for x in b), len(b))) for q in {*a, *b})
+def test_ks_rejects_empty_and_nonfinite():
+    # NaN sorts last and -inf first, so each is refused wherever it sits
+    with pytest.raises(ValueError, match="at least one sample"):
+        ks_distance([], [1.0])
+    with pytest.raises(ValueError, match="at least one sample"):
+        ks_distance([1.0], np.empty((3, 0)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            ks_distance([1.0, bad, 2.0], [1.5])
+        with pytest.raises(ValueError, match="samples must be finite"):
+            ks_distance([1.5], [bad])
+
+
+@pytest.mark.parametrize("n, b, ks", [
+    # the last value moved: one count apart at q = n - 1 alone
+    (40_000, np.append(np.arange(39_999.0), 40_000.5), 1 / 40_000),
+    # every other value: F_b leads F_a by one count in n at each even value
+    (40_000, np.arange(0.0, 40_000.0, 2.0), 1 / 40_000),
+    # disjoint: c_a n_b - c_b n_a reaches n^2 > 2^31, where int32 would wrap
+    (50_000, np.arange(50_000.0, 100_000.0), 1.0),
+], ids=["moved", "halved", "disjoint"])
+def test_ks_in_wide_counts(n, b, ks):
+    # N max(n) passes 2^31, so the counts are taken in int64
+    a = np.arange(float(n))
+    assert n * (n + b.size) >= 2 ** 31
+    assert ks_distance(a, b) == ks_distance(b, a) == ks
 
 
 @pytest.mark.parametrize("na, nb", [(50, 50), (37, 53), (1, 7), (300, 301)])
@@ -80,7 +74,7 @@ def test_ks_is_the_correctly_rounded_fraction(na, nb):
     rng = np.random.default_rng(na * nb)
     a = rng.integers(0, 20, na).astype(float)
     b = rng.integers(3, 25, nb).astype(float)
-    assert ks_distance(a, b) == float(_exact_ks(a.tolist(), b.tolist()))
+    assert ks_distance(a, b) == float(exact_ks(a.tolist(), b.tolist()))
 
 
 def test_ks_uniform_sample_against_grid():
