@@ -10,18 +10,24 @@ recovered from the one before.
 It returns each seed's state after the last bump, a SweepRecord:
 
     x           the chain length x_n;
-    theta       the unwound Prufer phase of the boundary-condition vector;
-    log norm    log||M|| of the transfer-matrix product, from its columns
-                M e1 and M e2.
+    theta       the unwound Prufer phase of the boundary-condition vector
+                v0 = (sin theta_s, cos theta_s), read off M v0;
+    log norm    log||M|| (Frobenius) of the transfer-matrix product, from
+                M v0 and M v0' with v0' = (cos theta_s, -sin theta_s):
+                v0 and v0' are an orthonormal basis, so
+                ||M||**2 = |M v0|**2 + |M v0'|**2.
+
+A record with both walks two lanes, M v0 serving theta and the log norm at
+once.
 
 The sweep draws each block of seeds at once through potentials._draw_blocks,
 the one statement of the canonical draw order and of the map from draws to
 bump potentials and gap lengths, and walks its pieces as they come;
 potentials.generate lays out the same pieces.  chain_trace walks generate's
-chain with prufer.walk_chain and records the same three values after every
-bump, so its last entries retrace a sweep seed, which is what the oracle
-tests pin down.  chain_mixing walks its starting points as lanes of the same
-lane walk.
+chain with prufer.walk_chain from v0 and from v0' and records the same three
+values after every bump, so its last entries retrace a sweep seed, which is
+what the oracle tests pin down.  chain_mixing walks its starting points as
+lanes of the same lane walk.
 
 The paper's objects are ratios of a record's lanes:
 
@@ -46,6 +52,7 @@ from .potentials import Model, ModelConfig, _draw_blocks, generate
 from .prufer import (
     _dead_direction,
     _piece_turns,
+    _rotation_turns,
     boundary_theta,
     walk_chain,
 )
@@ -146,12 +153,15 @@ def _step_matrices(mats, bump, gaps, lam: float, k: float):
 class _LaneWalk:
     """The lanes of one seed block and their buffers, reused from segment to segment.
 
-    vecs holds (steps + 1, 2, lanes, seeds) vectors (psi, psi'/k) with the
-    entering ones in row 0, each step's scaled to a largest component of 1,
-    scales (steps, lanes, seeds) the factor every step divided by, and mats
-    (steps, 2, 2, 1, seeds) the step matrices.  value_blk is the block's bump
-    potentials from _draw_blocks; when it is model III's scalar unit bump,
-    its matrix entries are built here once for the walk.
+    A lane is one start vector pushed through every seed's chain: in
+    sweep_chains M v0, then M v0' when the log norm is wanted, in
+    chain_mixing one lane per initial point.  vecs holds (steps + 1, 2,
+    lanes, seeds) vectors (psi, psi'/k) with the entering ones in row 0, each
+    step's scaled to a largest component of 1, scales (steps, lanes, seeds)
+    the factor every step divided by, and mats (steps, 2, 2, 1, seeds) the
+    step matrices.  value_blk is the block's bump potentials from
+    _draw_blocks; when it is model III's scalar unit bump, its matrix entries
+    are built here once for the walk.
     """
 
     def __init__(self, starts, n_steps: int, n_seeds: int, value_blk, lam: float, k: float):
@@ -257,7 +267,9 @@ def _unwind_segment(vecs, gap, values, gaps, lam: float, k: float, start=None):
     gaps, the vector after each gap is recovered from the vector before it,
     so the winding rule sees every piece boundary; it is scaled to a largest
     component of 1, which keeps the conjugate angles clear of overflow.  The
-    gaps and the bumps are then unwound as two runs of boundary pairs.
+    gaps and the bumps are then unwound as two runs of boundary pairs; at
+    lam > 0 a gap is an exact rotation, whose turns _rotation_turns reads
+    off the two boundary angles alone.
     """
     p = np.ascontiguousarray(vecs[:, 0, 0])
     q = np.ascontiguousarray(vecs[:, 1, 0])
@@ -274,7 +286,10 @@ def _unwind_segment(vecs, gap, values, gaps, lam: float, k: float, start=None):
     gq /= size
     mid = (gp, gq, np.arctan2(gp, gq))
     turns = np.empty((2 * len(gp),) + gp.shape[1:])
-    turns[0::2] = _piece_turns(enter, mid, 0.0, gaps, lam, k, start)
+    if lam > 0.0:  # every gap an exact rotation
+        turns[0::2] = _rotation_turns(enter[2], mid[2], gaps, lam, start)
+    else:
+        turns[0::2] = _piece_turns(enter, mid, 0.0, gaps, lam, k, start)
     turns[1::2] = _piece_turns(mid, leave, values, 1.0, lam, k)
     return leave[2], turns
 
@@ -297,10 +312,13 @@ def sweep_chains(
     chains, and the seeds of one stream can be swept in separate calls.
 
     The chains are walked as in prufer.walk_chain, across seeds and one
-    segment of bumps at a time.  The lanes are vectors (psi, psi'/k): the
-    boundary-condition vector of every seed for theta, and the two columns
-    M e1, M e2 of every seed's transfer-matrix product for the log norm.
-    Per segment:
+    segment of bumps at a time.  The lanes are vectors (psi, psi'/k): M v0,
+    the image of the boundary-condition vector v0 = (sin theta_s,
+    cos theta_s) under every seed's transfer-matrix product, whose angle is
+    theta, and, for the log norm, M v0' with v0' = (cos theta_s,
+    -sin theta_s) as well.  v0 and v0' are an orthonormal basis, so
+    ||M||**2 (Frobenius) = |M v0|**2 + |M v0'|**2, and a record with both
+    theta and the log norm walks two lanes.  Per segment:
 
     1. the piece matrices of all its bumps and seeds come from one
        _piece_entries_batch call (model III's unit bump from one call per
@@ -310,24 +328,24 @@ def sweep_chains(
        numpy across lanes, into preallocated buffers, and divides each
        step's vector by its larger component;
     3. the whole turns of every piece are counted from the stored boundary
-       vectors by walk_chain's winding rule (_unwind_segment) and added to
-       a running sum, one piece at a time; log|M e_i| adds up the prescales
-       and the logs of the steps' scales.
+       vectors of M v0 by walk_chain's winding rule (_unwind_segment) and
+       added to a running sum, one piece at a time; log|M v| of each log
+       lane adds up the prescales and the logs of the steps' scales.
 
     At the end theta is the last vector's angle plus 2 pi times the sum of
-    the turns, as walk_chain forms it; log|M e_i| adds the log length of its
-    last vector once, and log||M|| (Frobenius) is
-    log sqrt(|M e1|**2 + |M e2|**2).  Only the first segment starts from the
-    boundary phase; each later one starts from its entering vector's own
-    angle, which is the angle the segment before left.  A segment holds
-    _segment_length(seeds in the block) bumps.  Positions, log norms and
-    turns are added in piece order, so no value depends on the segment
-    length or on how the seeds are split into calls, at any size of theta
-    (model II at alpha1 = 0.02 winds to 1e77 and more in 128 bumps).  Each
-    lane depends on its own seed only.  A log-norm lane that leaves float
-    range raises SaturationError; a theta lane fed an infinite bump height
-    turns NaN.  Gap models accept any energy: at lam <= 0 gaps are ordinary
-    hyperbolic or degenerate pieces.
+    the turns, as walk_chain forms it; log|M v| adds the log length of its
+    last vector once, and log||M|| is log sqrt(|M v0'|**2 + |M v0|**2).
+    At theta_s = 0, v0 and v0' are e2 and e1, the columns of M.  Only the
+    first segment starts from the boundary phase; each later one starts from
+    its entering vector's own angle, which is the angle the segment before
+    left.  A segment holds _segment_length(seeds in the block) bumps.
+    Positions, log norms and turns are added in piece order, so no value
+    depends on the segment length or on how the seeds are split into calls,
+    at any size of theta (model II at alpha1 = 0.02 winds to 1e77 and more
+    in 128 bumps).  Each lane depends on its own seed only.  A log-norm lane
+    that leaves float range raises SaturationError; a theta lane fed an
+    infinite bump height turns NaN.  Gap models accept any energy: at
+    lam <= 0 gaps are ordinary hyperbolic or degenerate pieces.
     """
     if n_bumps < 1 or n_seeds < 1:
         raise ValueError("n_bumps and n_seeds must be positive")
@@ -339,11 +357,11 @@ def sweep_chains(
                       theta=np.empty(n_seeds) if want_theta else None,
                       log_norm=np.empty(n_seeds) if want_log_norm else None)
 
-    # lanes: the theta vector, then the columns e1 and e2
-    starts = ([(math.sin(theta_start), math.cos(theta_start))] if want_theta else []) \
-        + ([(1.0, 0.0), (0.0, 1.0)] if want_log_norm else [])
+    # lanes: M v0 for theta and the log norm, M v0' for the log norm
+    sin_s, cos_s = math.sin(theta_start), math.cos(theta_start)
+    starts = ([(sin_s, cos_s)] if want_theta or want_log_norm else []) \
+        + ([(cos_s, -sin_s)] if want_log_norm else [])
     n_lanes = len(starts)
-    first_col = 1 if want_theta else 0
 
     for lo, hi in _chunk_sizes(n_seeds, n_bumps):
         value_blk, gap_blk = _draw_blocks(
@@ -384,10 +402,9 @@ def sweep_chains(
                 whole = (np.add.reduce(turns, axis=0) if s > 1
                          else np.add.accumulate(turns, axis=0)[-1])
             if want_log_norm:
-                gains = pre[:, None, :] + np.log(lanes.scales[:nj, first_col:])
+                gains = pre[:, None, :] + np.log(lanes.scales[:nj])
                 for (j, lane, seed), gain in dead.items():
-                    if lane >= first_col:
-                        gains[j, lane - first_col, seed] = gain
+                    gains[j, lane, seed] = gain
                 # an axis-0 reduce adds the rows in order, as a loop would
                 gains[0] += logs
                 logs = np.add.reduce(gains, axis=0)
@@ -400,9 +417,9 @@ def sweep_chains(
         if want_theta:
             rec.theta[lo:hi] = angles[-1] + _TWO_PI * whole
         if want_log_norm:
-            psi, psik = lanes.vecs[0, :, first_col:]  # the last vectors, carried
+            psi, psik = lanes.vecs[0]  # the last vectors, carried
             logs += np.log(np.hypot(psi, psik))
-            rec.log_norm[lo:hi] = 0.5 * np.logaddexp(2.0 * logs[0], 2.0 * logs[1])
+            rec.log_norm[lo:hi] = 0.5 * np.logaddexp(2.0 * logs[1], 2.0 * logs[0])
 
     return rec
 
@@ -415,17 +432,17 @@ def chain_trace(config: ModelConfig, n_bumps: int, stream: RngStream) -> SweepRe
 
     The chain is generate's on stream, the one sweep_chains walks for a seed
     drawing from stream, so the last entries are that seed's record.  It is
-    walked with walk_chain from the boundary-condition vector for theta, and
-    from theta = pi/2 and 0 for the columns M e1 and M e2 of the log norm.
+    walked with walk_chain twice, as the sweep walks its lanes: from the
+    boundary-condition vector v0 at phase theta_s, for theta and log|M v0|,
+    and from v0' at phase theta_s + pi/2 for log|M v0'|.
     """
     real = generate(config, n_bumps, stream)
     frame = config.frame()
-    thetas, _ = walk_chain(real.values, real.lengths, frame,
-                           boundary_theta(config.theta0, frame))
-    (_, log_e1), (_, log_e2) = (walk_chain(real.values, real.lengths, frame, t)
-                                for t in (0.5 * _PI, 0.0))
+    theta_start = boundary_theta(config.theta0, frame)
+    thetas, log_v0 = walk_chain(real.values, real.lengths, frame, theta_start)
+    _, log_v1 = walk_chain(real.values, real.lengths, frame, theta_start + 0.5 * _PI)
     ends = np.flatnonzero(real.is_bump)
-    log_norm = 0.5 * np.logaddexp(2.0 * log_e1[ends + 1], 2.0 * log_e2[ends + 1])
+    log_norm = 0.5 * np.logaddexp(2.0 * log_v1[ends + 1], 2.0 * log_v0[ends + 1])
     return SweepRecord(x=real.boundaries[ends], theta=thetas[ends + 1], log_norm=log_norm)
 
 

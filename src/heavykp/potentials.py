@@ -224,7 +224,11 @@ def _draw_blocks(config: ModelConfig, seed: int, stream_ids, n: int):
     if model is Model.IV:
         values, gaps, eps = draw_block(seed, stream_ids, n,
                                        [config.bump_law(), config.gap_law()], signs=True)
-        np.negative(values, out=values, where=eps == 1)
+        # (-1)**eps as 1 - 2 eps, in place in the int64 signs, then one
+        # multiply by +-1, which changes no bit but the sign
+        eps *= -2
+        eps += 1
+        np.multiply(values, eps, out=values)
         return values, gaps
     (values,) = draw_block(seed, stream_ids, n, [config.bump_law()])
     if model is Model.II:

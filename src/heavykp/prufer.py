@@ -399,6 +399,27 @@ def _piece_turns(before, after, values, lengths, lam: float, k: float, start=Non
     return ((estimate - diff) / _TWO_PI).round()
 
 
+def _rotation_turns(a0, a1, lengths, lam: float, start=None) -> np.ndarray:
+    """_piece_turns of a run of zero-potential gaps at lam > 0, from their boundary angles.
+
+    Such a gap is an exact rotation: rho = 1, so its conjugate angle is the
+    vector angle itself, which turns by exactly omega l, and the whole turns
+    are round((a0 + omega l - a1) / 2 pi) with no further angle.  a0 and a1
+    are the entering and leaving angles.  The turns are _piece_turns' floats
+    while omega l is below about 1e16, past which neither count has a
+    meaning: -0.0 reads 0.0 as there, and start, if given, stands in for the
+    first gap's entering angle with _piece_turns' arithmetic, at any size.
+    """
+    w = np.sqrt(lam * lengths * lengths)
+    turns = ((a0 + w - a1) / _TWO_PI).round()
+    if start is not None:
+        estimate = (a1[:1] - a0[:1]) + _TWO_PI * turns[:1]
+    turns += 0.0
+    if start is not None:
+        turns[:1] = ((estimate - (a1[:1] - start)) / _TWO_PI).round()
+    return turns
+
+
 def _oscillatory_turns(u, length, p0, q0, p1, q1, k: float):
     """2 pi times the whole turns of oscillatory pieces beyond their angle difference.
 

@@ -235,6 +235,28 @@ def test_sweep_matches_walk_and_product_oracles(name, budget, monkeypatch):
                                RngStream(55, stream_id=3))
 
 
+# the log-norm lanes M v0 and M v0' off the coordinate axes: v0 is neither
+# e1 nor e2 at these boundary phases
+_OFF_AXIS_CONFIGS = {
+    f"{name}-lam{energy:g}-theta{theta0:g}": _cfg(model, energy=energy, theta0=theta0, **kw)
+    for theta0 in (0.7, 2.9)
+    for name, model, kw, energies in (
+        ("I", Model.I, {"alpha1": 0.5}, (1.0,)),
+        ("II", Model.II, {"alpha1": 0.5}, (1.0, -1.0)),
+        ("III", Model.III, {"alpha2": 0.6}, (1.0,)),
+        ("IV", Model.IV, {"alpha1": 0.5, "alpha2": 0.6}, (1.0, -1.0)))
+    for energy in energies
+}
+
+
+@pytest.mark.parametrize("name", _OFF_AXIS_CONFIGS)
+def test_sweep_log_norm_lanes_off_the_axes(name):
+    # ||M||**2 = |M v0|**2 + |M v0'|**2 for any orthonormal v0, v0'
+    cfg = _OFF_AXIS_CONFIGS[name]
+    for n_bumps in (37, 1000):
+        _check_against_oracles(cfg, n_bumps, 4, RngStream(61, stream_id=2))
+
+
 def test_sweep_gap_models_at_nonpositive_energy():
     # gaps at lam <= 0 are ordinary hyperbolic (lam < 0) or degenerate
     # (lam = 0) pieces of the walk; model IV accepts any real energy
@@ -443,6 +465,35 @@ def test_two_run_unwind_equals_one_interleaved_run(cfg, lam):
     assert not np.isnan(want[-1]).all()
 
 
+@pytest.mark.parametrize("lam", [1.0, 2.0, 0.3, 7e-5])
+def test_rotation_turns_equal_the_conjugate_angle_turns(lam):
+    # a zero-potential gap at lam > 0 rotates the vector by omega l, so its
+    # whole turns come from the two boundary angles alone: on random
+    # entering vectors and their images under the gap, omega l from 1e-6
+    # to 1e12, the same floats as the conjugate-angle rule of _piece_turns,
+    # with and without a start row, huge starts too
+    k = math.sqrt(lam)
+    rng = np.random.default_rng(29)
+    shape = (40, 256)  # (gaps, seeds)
+    lengths = 10.0 ** rng.uniform(-6.0, 12.0, shape) / k
+    angle = rng.uniform(-_PI, _PI, shape)
+    p, q = np.sin(angle), np.cos(angle)
+    size = np.maximum(np.abs(p), np.abs(q))
+    p, q = p / size, q / size
+    gc, gb, ge, _ = estimators._piece_entries_batch(0.0, lengths, lam, k)
+    gp, gq = gc * p + gb * q, ge * p + gc * q
+    size = np.maximum(np.abs(gp), np.abs(gq))
+    gp, gq = gp / size, gq / size
+    before = (p, q, np.arctan2(p, q))
+    after = (gp, gq, np.arctan2(gp, gq))
+    turns = [0.0, 1.0, -3.0, 2.0**40, -(2.0**62)]
+    for start in [None, before[2][0]] + [before[2][0] + 2.0 * _PI * t for t in turns]:
+        want = prufer._piece_turns(before, after, 0.0, lengths, lam, k, start)
+        got = prufer._rotation_turns(before[2], after[2], lengths, lam, start)
+        assert got.tobytes() == want.tobytes(), start
+    assert np.abs(want[1:]).max() > 1e10
+
+
 def test_sweep_working_set_stays_near_its_measured_peak():
     # tracemalloc's peak over one model IV sweep of 256 seeds x 1024 bumps
     # with theta and log norm lanes: 7.20 MB measured with numpy 2.4, in the
@@ -574,8 +625,8 @@ def test_sweep_dead_direction_lane(model, monkeypatch):
 def test_sweep_dead_log_norm_lane(monkeypatch):
     # the first step annihilates the column M e2 of one seed: its dead step's
     # gain, not the log of its scale, goes into log|M e2|, with and without
-    # a theta lane before the columns (from theta0 = 0 that lane is e2 as
-    # well, and dies with it)
+    # theta.  From theta0 = 0 the lane M v0 is M e2, which serves theta and
+    # the log norm at once, so the dead step fires once either way
     cfg = _cfg(Model.IV, alpha1=0.5, alpha2=0.6, energy=1.0)
     parent = RngStream(12)
     n_seeds, dead = 3, 1
@@ -604,7 +655,7 @@ def test_sweep_dead_log_norm_lane(monkeypatch):
             walked.clear()
             rec = sweep_chains(cfg, nb, n_seeds, parent, want_theta=want_theta,
                                want_log_norm=True)
-            assert steps == [(0, dead)] * (2 if want_theta else 1)
+            assert steps == [(0, dead)]
             for i in range(n_seeds):
                 ln = _walk_log_norm(cfg, nb, split_stream(parent, i), edit if i == dead else None)
                 assert abs(rec.log_norm[i] - ln) <= LOG_NORM_TOL * max(1.0, abs(ln)), (nb, i)

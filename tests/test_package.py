@@ -1,11 +1,16 @@
 """The package root's public surface: exactly these names, each resolving
 and each used outside the tests, the fields and parameters of the chain and
-sweep types, no module importing a name it does not use, and the README's
-quick start running as written."""
+sweep types, no module importing a name it does not use, an import that
+loads nothing beyond the standard library and numpy, and the README's quick
+start running as written."""
 import ast
 import dataclasses
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import heavykp
@@ -121,6 +126,33 @@ def test_no_module_imports_threads_or_process_pools():
             found += [(path.name, node.lineno, module) for module in modules
                       if module.split(".")[0] in ("threading", "concurrent", "multiprocessing")]
     assert found == []
+
+
+# What the benchmark's setup_s times, in a fresh interpreter: the top-level
+# modules that importing heavykp and the config loader adds.  numpy is
+# imported first, so Cython's runtime modules, which numpy's compiled
+# modules load, are not counted against heavykp.
+_IMPORT_PROBE = """
+import json, sys
+import numpy, numpy.random
+before = set(sys.modules)
+import heavykp
+from heavykp.runner import load_config
+print(json.dumps(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_import_loads_only_the_standard_library_numpy_and_heavykp():
+    # every module the import loads costs setup_s time; scipy, say, would
+    # cost more than the rest together
+    src = str(Path(heavykp.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                         check=True)
+    loaded = set(json.loads(out.stdout))
+    assert "heavykp" in loaded
+    assert sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "heavykp"}) == []
 
 
 def test_flow_and_sampler_internals_live_in_their_modules():
