@@ -49,13 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .potentials import Model, ModelConfig, _draw_blocks, generate
-from .prufer import (
-    _dead_direction,
-    _piece_turns,
-    _rotation_turns,
-    boundary_theta,
-    walk_chain,
-)
+from .prufer import _piece_turns, _rotation_turns, _step_pieces, boundary_theta, walk_chain
 from .rng import RngStream, split_ids
 from .stats import _ks_distances
 from .transfer import SaturationError, _piece_entries_batch, _product_entries
@@ -182,14 +176,14 @@ class _LaneWalk:
         """Walk the lanes through a segment of n_steps bumps.
 
         Returns the steps' log prescales, the gap entries and the log gains
-        of dead-direction steps by (step, lane, seed).  Each step divides its
+        of fallback steps by (step, lane, seed).  Each step divides its
         vector by the larger component, max(|psi|, |psi'/k|), which unlike
-        sqrt(psi**2 + (psi'/k)**2) neither overflows nor underflows.  A lane
-        whose step is exactly 0 sits on the contracting direction of a
-        factored bump: it takes phase_fold's dead-direction arithmetic, after
-        its gap if there is one, its vector is divided by its hypot, and the
-        walk resumes after that step, so every lane's values depend on that
-        lane alone.  NaN scales (lanes fed an infinite height) pass.
+        sqrt(psi**2 + (psi'/k)**2) neither overflows nor underflows.  A step
+        that maps a lane's vector to exactly 0, or whose gap alone does (at
+        lam < 0 a long gap is rank one), is walked by prufer._step_pieces,
+        where the piece that annihilates the vector takes the dead direction.
+        The walk resumes after it, so every lane's values depend on that lane
+        alone.  NaN scales (lanes fed an infinite height) pass.
         """
         lam, k = self.lam, self.k
         mats = self.mats[:n_steps]
@@ -202,19 +196,24 @@ class _LaneWalk:
         while first < n_steps:
             self._push(mats, vecs, scales, first)
             zero = scales[first:] == 0.0
+            if gaps is not None and lam < 0.0:
+                gc, gb, ge = (g[first:, None] for g in gap[:3])
+                p, q = vecs[first:-1, 0], vecs[first:-1, 1]
+                zero |= (gc * p + gb * q == 0.0) & (ge * p + gc * q == 0.0)
             hits = np.flatnonzero(zero.any(axis=(1, 2)))
             if hits.size == 0:
                 break
             j = first + int(hits[0])
             # a zero-copy view of the bumps, model III's scalar one too
             bumps = np.broadcast_to(values, pre.shape)
-            for lane, seed in np.argwhere(zero[j - first]):
+            for lane, seed in np.argwhere(zero[j - first]).tolist():
+                pieces = [(bumps[j, seed], 1.0)]
+                if gaps is not None:
+                    pieces.insert(0, (0.0, gaps[j, seed]))
                 p, q = vecs[j, :, lane, seed].tolist()
-                x, y, dead[(j, int(lane), int(seed))] = _dead_step(gap, bumps, j, seed,
-                                                                    p, q, lam, k)
-                size = math.hypot(x, y)
-                vecs[j + 1, :, lane, seed] = (x / size, y / size)
-                scales[j, lane, seed] = size
+                x, y, dead[(j, lane, seed)] = _step_pieces(pieces, p, q, lam, k)
+                vecs[j + 1, :, lane, seed] = x, y  # a unit vector, scale 1
+                scales[j, lane, seed] = 1.0
             first = j + 1
         return pre, gap, dead
 
@@ -237,39 +236,22 @@ class _LaneWalk:
         self.vecs[0] = self.vecs[n_steps]
 
 
-def _dead_step(gap, values, j: int, seed: int, p: float, q: float, lam: float, k: float):
-    """(psi, psi'/k, log gain) of step j for a vector its bump annihilates.
-
-    values holds the bump potentials by (step, seed).  The gain is log|M v|
-    for the step matrix M and v = (p, q), which need not be a unit vector.
-    """
-    gain = 0.0
-    if gap is not None:
-        gc, gb, ge, gpre = (float(g[j, seed]) for g in gap)
-        p, q = gc * p + gb * q, ge * p + gc * q
-        size = math.hypot(p, q)
-        p, q = p / size, q / size
-        gain = gpre + math.log(size)
-    x, y, dead_gain = _dead_direction(p, q, float(values[j, seed]), 1.0, lam, k)
-    return x, y, gain + dead_gain
-
-
-def _unwind_segment(vecs, gap, values, gaps, lam: float, k: float, start=None):
+def _unwind_segment(vecs, gap, values, gaps, lam: float, k: float):
     """Angles after a segment's bumps and whole turns of its pieces, on the theta lane (lane 0).
 
     Returns (angles, turns): angles[j] (bumps, seeds) is the angle
     arctan2(psi, psi'/k) of the vector after bump j, and turns (pieces,
     seeds) the whole turns of 2 pi across each piece, in piece order: one row
     per bump, or, with gaps, each gap's row before its bump's.  theta after
-    bump j is angles[j] plus 2 pi times the turns of the pieces up to it.
-    start, if given, is theta at the segment's start and stands in for the
-    entering vector's angle, so its own whole turns land in turns[0].  With
-    gaps, the vector after each gap is recovered from the vector before it,
-    so the winding rule sees every piece boundary; it is scaled to a largest
-    component of 1, which keeps the conjugate angles clear of overflow.  The
-    gaps and the bumps are then unwound as two runs of boundary pairs; at
-    lam > 0 a gap is an exact rotation, whose turns _rotation_turns reads
-    off the two boundary angles alone.
+    bump j is angles[j] plus 2 pi times the turns of the pieces up to it,
+    from the entering vector's angle.  With gaps, the vector after each gap
+    is recovered from the vector before it, so the winding rule sees every
+    piece boundary; it is scaled to a largest component of 1, which keeps
+    the conjugate angles clear of overflow, and one that is exactly 0 (a
+    long gap at lam < 0) comes from prufer._step_pieces, as in the lane
+    walk.  The gaps and the bumps are then unwound as two runs of boundary
+    pairs; at lam > 0 a gap is an exact rotation, whose turns
+    _rotation_turns reads off the two boundary angles alone.
     """
     p = np.ascontiguousarray(vecs[:, 0, 0])
     q = np.ascontiguousarray(vecs[:, 1, 0])
@@ -277,19 +259,22 @@ def _unwind_segment(vecs, gap, values, gaps, lam: float, k: float, start=None):
     enter = (p[:-1], q[:-1], angle[:-1])
     leave = (p[1:], q[1:], angle[1:])
     if gap is None:
-        return leave[2], _piece_turns(enter, leave, values, 1.0, lam, k, start)
+        return leave[2], _piece_turns(enter, leave, values, 1.0, lam, k)
     gc, gb, ge, _ = gap
     gp = gc * enter[0] + gb * enter[1]
     gq = ge * enter[0] + gc * enter[1]
     size = np.maximum(np.abs(gp), np.abs(gq))
+    for j, s in np.argwhere(size == 0.0).tolist():  # (step, seed)
+        gp[j, s], gq[j, s], _ = _step_pieces([(0.0, gaps[j, s])], p[j, s], q[j, s], lam, k)
+        size[j, s] = 1.0
     gp /= size
     gq /= size
     mid = (gp, gq, np.arctan2(gp, gq))
     turns = np.empty((2 * len(gp),) + gp.shape[1:])
     if lam > 0.0:  # every gap an exact rotation
-        turns[0::2] = _rotation_turns(enter[2], mid[2], gaps, lam, start)
+        turns[0::2] = _rotation_turns(enter[2], mid[2], gaps, lam)
     else:
-        turns[0::2] = _piece_turns(enter, mid, 0.0, gaps, lam, k, start)
+        turns[0::2] = _piece_turns(enter, mid, 0.0, gaps, lam, k)
     turns[1::2] = _piece_turns(mid, leave, values, 1.0, lam, k)
     return leave[2], turns
 
@@ -335,10 +320,10 @@ def sweep_chains(
     At the end theta is the last vector's angle plus 2 pi times the sum of
     the turns, as walk_chain forms it; log|M v| adds the log length of its
     last vector once, and log||M|| is log sqrt(|M v0'|**2 + |M v0|**2).
-    At theta_s = 0, v0 and v0' are e2 and e1, the columns of M.  Only the
-    first segment starts from the boundary phase; each later one starts from
-    its entering vector's own angle, which is the angle the segment before
-    left.  A segment holds _segment_length(seeds in the block) bumps.
+    At theta_s = 0, v0 and v0' are e2 and e1, the columns of M.  Each
+    segment is unwound from its entering vector's angle, which is theta_s in
+    [0, pi] for the first and the angle the segment before left for the
+    rest.  A segment holds _segment_length(seeds in the block) bumps.
     Positions, log norms and turns are added in piece order, so no value
     depends on the segment length or on how the seeds are split into calls,
     at any size of theta (model II at alpha1 = 0.02 winds to 1e77 and more
@@ -393,8 +378,7 @@ def sweep_chains(
             if n_lanes:
                 pre, gap, dead = lanes.walk(nj, values, gaps)
             if want_theta:
-                angles, turns = _unwind_segment(lanes.vecs[:nj + 1], gap, values, gaps, lam, k,
-                                                theta_start if j0 == 0 else None)
+                angles, turns = _unwind_segment(lanes.vecs[:nj + 1], gap, values, gaps, lam, k)
                 # an axis-0 reduce adds the rows in order, as a loop would,
                 # while a row holds two seeds or more; it would sum one
                 # seed's column pairwise, which accumulate does not

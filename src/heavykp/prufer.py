@@ -35,7 +35,8 @@ each two pieces in bulk, and counts the winding from the boundary vectors
 estimates, so it agrees with a chain of closed-form steps to rounding.  The
 box spectrum and the single-chain trace call it directly; the estimator
 sweeps and the phase-chain mixing estimator walk many seeds the same way,
-one gap and its bump per step, with the same winding rule.  The closed
+one gap and its bump per step, with the same winding rule; a step that
+any of these products cannot take falls back to _step_pieces.  The closed
 forms themselves are stated once, in phase_fold, which advances many chains
 one piece at a time from the phase itself; advance_interval is its one-lane
 form.  No workload calls either.  They remain as the tests' per-piece
@@ -184,16 +185,47 @@ def advance_interval(state: PruferState, value: float, length: float,
 
 def _dead_direction(p: float, q: float, value: float, length: float,
                     lam: float, k: float) -> Tuple[float, float, float]:
-    """(psi, psi'/k, log gain) of a unit vector a factored bump annihilates.
+    """(psi, psi'/k, log gain) of a vector (p, q) a factored hyperbolic piece annihilates.
 
     Same arithmetic as the dead branch of phase_fold: the vector sits
-    exactly on the contracting direction and exp(-2a) has underflowed.
+    exactly on the contracting direction and exp(-2a) has underflowed.  The
+    gain is log|M v| for v = (p, q); only _step_pieces calls this.
     """
     u = (lam - value) * length * length
     a = math.sqrt(-u)
     bok = a / (k * length)
     qd = p - q / bok
     return qd, -bok * qd, -a + math.log(0.5 * math.hypot(qd, bok * qd))
+
+
+def _step_pieces(pieces, p: float, q: float, lam: float, k: float) -> Tuple[float, float, float]:
+    """(psi, psi'/k, log gain) of the vector (p, q) stepped through pieces one at a time.
+
+    pieces holds (value, length) pairs in chain order.  This is the walks'
+    one fallback for a step their products cannot take: walk_chain's pairs
+    and single steps, the sweep's lane steps and its recovery of the vector
+    after a gap.  Each piece steps the vector by its own _piece_entries_batch
+    matrix and renormalizes it; a piece whose image of the vector is exactly
+    (0, 0), a factored bump or (at lam < 0) gap on its contracting
+    direction, takes _dead_direction instead.  The vector comes back a unit
+    vector, and the gain is log|M v| for the product M of the pieces and
+    v = (p, q), which need not be a unit vector.
+    """
+    values, lengths = np.array(pieces, dtype=float).T
+    entries = zip(*(m.tolist() for m in _piece_entries_batch(values, lengths, lam, k)))
+    gain = 0.0
+    for value, length, (c, b, e, pre) in zip(values.tolist(), lengths.tolist(), entries):
+        x = c * p + b * q
+        y = e * p + c * q
+        nrm = float(np.hypot(x, y))  # as walk_chain's bulk steps, bit for bit
+        if nrm == 0.0:
+            x, y, step = _dead_direction(p, q, value, length, lam, k)
+            nrm = float(np.hypot(x, y))
+        else:
+            step = pre + math.log(nrm)
+        p, q = x / nrm, y / nrm
+        gain += step
+    return p, q, gain
 
 
 def walk_chain(values: np.ndarray, lengths: np.ndarray, frame: EnergyFrame,
@@ -214,11 +246,12 @@ def walk_chain(values: np.ndarray, lengths: np.ndarray, frame: EnergyFrame,
        the result through its second (_piece_steps), which gives the vector
        between the two and the norm of every piece.  An odd last piece is a
        single step of the same kind.  A pair whose product norm is 0 or not
-       finite, or one of whose pieces annihilates its vector, is walked as
-       two single steps instead, and the loop resumes after it.  As barrier
-       entries are bounded, only a barrier next to a piece of far larger
-       upper entry k l s (a resonant piece of length 1e200 after a barrier
-       of height 1e300, say) makes a product of finite pieces overflow;
+       finite, or one of whose pieces annihilates its vector, is walked by
+       _step_pieces instead (a non-finite gain raises SaturationError), and
+       the loop resumes after it.  As barrier entries are bounded, only a
+       barrier next to a piece of far larger upper entry k l s (a resonant
+       piece of length 1e200 after a barrier of height 1e300, say) makes a
+       product of finite pieces overflow;
     3. the winding is counted in numpy.  The increment across a piece is the
        difference of its boundary-vector angles plus the multiple of 2 pi
        that brings it nearest an estimate from the piece's closed form.  An
@@ -244,7 +277,7 @@ def walk_chain(values: np.ndarray, lengths: np.ndarray, frame: EnergyFrame,
     chain = (values, lengths, lam, k)
 
     ends = [math.sin(theta), math.cos(theta)]  # unit vectors entering each pair, flat
-    stepped = set()  # pairs walked as two single steps
+    stepped = set()  # pairs walked by _step_pieces
     done = _push_pairs(pairs, 0, ends)
     while True:
         if done == n_pairs:
@@ -260,7 +293,11 @@ def walk_chain(values: np.ndarray, lengths: np.ndarray, frame: EnergyFrame,
                 break
             done = min(redo)  # the loop walked past a dead-direction step
             del ends[2 * done + 2:]
-        ends += _step_pair(first, second, done, ends[-2:], chain)
+        pair = slice(2 * done, 2 * done + 2)
+        p, q, gain = _step_pieces(list(zip(values[pair], lengths[pair])), *ends[-2:], lam, k)
+        if not math.isfinite(gain):
+            raise SaturationError("chain walk left representable range")
+        ends += p, q
         stepped.add(done)
         done = _push_pairs(pairs, done + 1, ends)
 
@@ -302,23 +339,6 @@ def _push_pairs(pairs, start: int, ends: list) -> int:
     return len(ends) // 2 - 1
 
 
-def _step_pair(first, second, j: int, vec, chain) -> list:
-    """The unit vector after pair j, walked as two single steps from the unit vector vec.
-
-    first and second hold the entries of the pairs' first and second pieces.
-    A step whose norm is not finite raises SaturationError.
-    """
-    pair = slice(j, j + 1)
-    vecs = np.empty((3, 2))  # the pair's entering, inner and leaving vectors
-    vecs[0] = vec
-    norms = np.empty(2)
-    _piece_steps([m[pair] for m in first], vecs[0:1], norms[:1], vecs[1:2], 2 * j, chain, {})
-    _piece_steps([m[pair] for m in second], vecs[1:2], norms[1:], vecs[2:], 2 * j + 1, chain, {})
-    if not np.isfinite(norms).all():
-        raise SaturationError("chain walk left representable range")
-    return vecs[2].tolist()
-
-
 def _piece_steps(entries, vecs, norms, units, piece: int, chain, dead: dict) -> None:
     """Single-piece steps of the rows of vecs, in bulk.
 
@@ -327,9 +347,9 @@ def _piece_steps(entries, vecs, norms, units, piece: int, chain, dead: dict) -> 
     piece + 2 r of the chain whose (values, lengths, lam, k) chain holds.
     Each step is the arithmetic of a single-piece step.  The norms go into
     norms and, unless units is None, the unit vectors after the steps into
-    the rows of units.  A vector that its piece annihilates takes
-    _dead_direction instead, whose log gain goes into dead under the piece
-    number.
+    the rows of units.  A vector that its piece annihilates is stepped by
+    _step_pieces instead: its unit vector stands in with norm 1, and its log
+    gain goes into dead under the piece number.
     """
     c, b, e = entries
     p = vecs[:, 0]
@@ -341,9 +361,9 @@ def _piece_steps(entries, vecs, norms, units, piece: int, chain, dead: dict) -> 
         values, lengths, lam, k = chain
         for r in np.flatnonzero(norms == 0.0).tolist():
             j = piece + 2 * r
-            x[r], y[r], dead[j] = _dead_direction(float(p[r]), float(q[r]), float(values[j]),
-                                                  float(lengths[j]), lam, k)
-            norms[r] = math.hypot(x[r], y[r])
+            x[r], y[r], dead[j] = _step_pieces([(values[j], lengths[j])], float(p[r]),
+                                               float(q[r]), lam, k)
+            norms[r] = 1.0
     if units is not None:
         np.divide(x, norms, out=units[:, 0])
         np.divide(y, norms, out=units[:, 1])
@@ -399,7 +419,7 @@ def _piece_turns(before, after, values, lengths, lam: float, k: float, start=Non
     return ((estimate - diff) / _TWO_PI).round()
 
 
-def _rotation_turns(a0, a1, lengths, lam: float, start=None) -> np.ndarray:
+def _rotation_turns(a0, a1, lengths, lam: float) -> np.ndarray:
     """_piece_turns of a run of zero-potential gaps at lam > 0, from their boundary angles.
 
     Such a gap is an exact rotation: rho = 1, so its conjugate angle is the
@@ -407,16 +427,11 @@ def _rotation_turns(a0, a1, lengths, lam: float, start=None) -> np.ndarray:
     are round((a0 + omega l - a1) / 2 pi) with no further angle.  a0 and a1
     are the entering and leaving angles.  The turns are _piece_turns' floats
     while omega l is below about 1e16, past which neither count has a
-    meaning: -0.0 reads 0.0 as there, and start, if given, stands in for the
-    first gap's entering angle with _piece_turns' arithmetic, at any size.
+    meaning; -0.0 reads 0.0 as there.
     """
     w = np.sqrt(lam * lengths * lengths)
     turns = ((a0 + w - a1) / _TWO_PI).round()
-    if start is not None:
-        estimate = (a1[:1] - a0[:1]) + _TWO_PI * turns[:1]
     turns += 0.0
-    if start is not None:
-        turns[:1] = ((estimate - (a1[:1] - start)) / _TWO_PI).round()
     return turns
 
 

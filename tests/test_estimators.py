@@ -50,7 +50,7 @@ from heavykp.prufer import (
 )
 from heavykp.rng import RngStream, sample_bump_height, sample_gap_length, split_ids, split_stream
 from heavykp.stats import _ks_distances, ks_distance, mean_ci
-from heavykp.transfer import BatchProducts, SaturationError, push_piece
+from heavykp.transfer import BatchProducts, EnergyFrame, SaturationError, push_piece
 from reference import exact_ks
 
 _PI = math.pi
@@ -269,6 +269,35 @@ def test_sweep_gap_models_at_nonpositive_energy():
     _check_against_oracles(cfg, 200, 64, RngStream(5))
 
 
+# (energy, theta0, seed) of model IV chains drawn from RngStream(2024) in
+# which a gap of length l with sqrt(-lam) l past about 18.4 meets the walked
+# vector on its contracting direction: expm1(-2a) rounds to -1, the gap's
+# factored matrix is [[1, 1], [1, 1]] / 2, and the vector maps to exactly 0.
+# Seeds 44 and 23 once divided by that 0, seed 46 handed the well after the
+# gap to the dead-direction arithmetic, whose sqrt(-u) failed.  At seed 62
+# the gap-bump product maps the vector to a rounding-size one, not to 0, so
+# only a check of the gap itself finds the step; without it theta is off by pi
+_DEAD_GAP_CHAINS = [(-4.736, 2.710859123055398, 44), (-4.77, 2.71221454141428, 23),
+                    (-4.77, 2.71221454141428, 46), (-4.77, 2.71221454141428, 62)]
+
+
+@pytest.mark.parametrize("energy, theta0, seed", _DEAD_GAP_CHAINS)
+def test_sweep_walks_a_gap_that_annihilates_its_vector(energy, theta0, seed):
+    # every lane set matches chain_trace, with no 0/0 or other invalid
+    # operation left in the lane walk or in the theta lane's gap recovery
+    cfg = _cfg(Model.IV, alpha1=0.5, alpha2=0.6, energy=energy, theta0=theta0)
+    want = chain_trace(cfg, 40, split_stream(RngStream(2024), seed))
+    theta, log_norm = want.theta[-1], want.log_norm[-1]
+    for want_theta, want_log_norm in ((True, False), (False, True), (True, True)):
+        with np.errstate(divide="raise", invalid="raise"):
+            rec = sweep_chains(cfg, 40, 1, RngStream(2024), first_seed=seed,
+                               want_theta=want_theta, want_log_norm=want_log_norm)
+        if want_theta:
+            assert abs(rec.theta[0] - theta) <= THETA_TOL * max(1.0, abs(theta))
+        if want_log_norm:
+            assert abs(rec.log_norm[0] - log_norm) <= LOG_NORM_TOL * max(1.0, abs(log_norm))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     model=st.sampled_from(list(Model)),
@@ -451,15 +480,14 @@ def test_two_run_unwind_equals_one_interleaved_run(cfg, lam):
         lanes = estimators._LaneWalk([(math.sin(th0), math.cos(th0))], n, n_seeds, value_blk,
                                      lam, k)
         _, gap, _ = lanes.walk(n, values, gaps)
-        # a start carried from an earlier segment, with whole turns of its own
-        for start in (th0, th0 + 2.0 * _PI * np.arange(-32.0, 32.0)):
-            angles, turns = estimators._unwind_segment(lanes.vecs, gap, values, gaps, lam, k,
-                                                       start)
-            # the turns of the pieces up to each bump, added in piece order
-            sums = np.add.accumulate(turns, axis=0)[turns.shape[0] // n - 1::turns.shape[0] // n]
-            got = angles + 2.0 * _PI * sums
-            want = _interleaved_thetas(lanes.vecs, gap, values, gaps, lam, k, start)
-            assert _same_bits(got, want)
+        angles, turns = estimators._unwind_segment(lanes.vecs, gap, values, gaps, lam, k)
+        # the turns of the pieces up to each bump, added in piece order
+        sums = np.add.accumulate(turns, axis=0)[turns.shape[0] // n - 1::turns.shape[0] // n]
+        got = angles + 2.0 * _PI * sums
+        # the interleaved run started at the entering vector's own angle
+        start = np.arctan2(lanes.vecs[0, 0, 0], lanes.vecs[0, 1, 0])
+        want = _interleaved_thetas(lanes.vecs, gap, values, gaps, lam, k, start)
+        assert _same_bits(got, want)
     # lanes fed an infinite height turn NaN, the others stay finite
     assert np.isnan(want).any() == (cfg.alpha1 == 0.02)
     assert not np.isnan(want[-1]).all()
@@ -470,8 +498,7 @@ def test_rotation_turns_equal_the_conjugate_angle_turns(lam):
     # a zero-potential gap at lam > 0 rotates the vector by omega l, so its
     # whole turns come from the two boundary angles alone: on random
     # entering vectors and their images under the gap, omega l from 1e-6
-    # to 1e12, the same floats as the conjugate-angle rule of _piece_turns,
-    # with and without a start row, huge starts too
+    # to 1e12, the same floats as the conjugate-angle rule of _piece_turns
     k = math.sqrt(lam)
     rng = np.random.default_rng(29)
     shape = (40, 256)  # (gaps, seeds)
@@ -486,12 +513,10 @@ def test_rotation_turns_equal_the_conjugate_angle_turns(lam):
     gp, gq = gp / size, gq / size
     before = (p, q, np.arctan2(p, q))
     after = (gp, gq, np.arctan2(gp, gq))
-    turns = [0.0, 1.0, -3.0, 2.0**40, -(2.0**62)]
-    for start in [None, before[2][0]] + [before[2][0] + 2.0 * _PI * t for t in turns]:
-        want = prufer._piece_turns(before, after, 0.0, lengths, lam, k, start)
-        got = prufer._rotation_turns(before[2], after[2], lengths, lam, start)
-        assert got.tobytes() == want.tobytes(), start
-    assert np.abs(want[1:]).max() > 1e10
+    want = prufer._piece_turns(before, after, 0.0, lengths, lam, k)
+    got = prufer._rotation_turns(before[2], after[2], lengths, lam)
+    assert got.tobytes() == want.tobytes()
+    assert np.abs(want).max() > 1e10
 
 
 def test_sweep_working_set_stays_near_its_measured_peak():
@@ -631,18 +656,18 @@ def test_sweep_dead_log_norm_lane(monkeypatch):
     parent = RngStream(12)
     n_seeds, dead = 3, 1
     _dead_draws(monkeypatch, split_stream(parent, dead), DEAD_E2_HEIGHT, DEAD_E2_GAP)
-    steps, walked = [], []  # the sweep's (step, seed) and walk_chain's heights
-    dead_step, dead_direction = estimators._dead_step, prufer._dead_direction
+    steps, walked = [], []  # the sweep's fallback pieces and the dead heights
+    step_pieces, dead_direction = estimators._step_pieces, prufer._dead_direction
 
-    def spy_step(gap, values, j, seed, *rest):
-        steps.append((j, seed))
-        return dead_step(gap, values, j, seed, *rest)
+    def spy_step(pieces, *rest):
+        steps.append(pieces)
+        return step_pieces(pieces, *rest)
 
     def spy_direction(p, q, value, *rest):
         walked.append(value)
         return dead_direction(p, q, value, *rest)
 
-    monkeypatch.setattr(estimators, "_dead_step", spy_step)
+    monkeypatch.setattr(estimators, "_step_pieces", spy_step)
     monkeypatch.setattr(prufer, "_dead_direction", spy_direction)
 
     def edit(values, lengths):
@@ -655,29 +680,55 @@ def test_sweep_dead_log_norm_lane(monkeypatch):
             walked.clear()
             rec = sweep_chains(cfg, nb, n_seeds, parent, want_theta=want_theta,
                                want_log_norm=True)
-            assert steps == [(0, dead)]
+            assert steps == [[(0.0, DEAD_E2_GAP), (DEAD_E2_HEIGHT, 1.0)]]
             for i in range(n_seeds):
                 ln = _walk_log_norm(cfg, nb, split_stream(parent, i), edit if i == dead else None)
                 assert abs(rec.log_norm[i] - ln) <= LOG_NORM_TOL * max(1.0, abs(ln)), (nb, i)
-            assert set(walked) == {DEAD_E2_HEIGHT}  # in the walk of M e2 alone
+            # in the sweep's lane M e2 and the walk of M e2 alone
+            assert set(walked) == {DEAD_E2_HEIGHT}
 
 
 @pytest.mark.parametrize("gap_length", [None, 0.3, 2.5])
 def test_dead_step_gain_counts_the_entering_length(gap_length):
-    # the lane walk's stored vectors are not unit vectors, so a dead step's
-    # gain is log|M v| for the vector v it is given: doubling v adds log 2,
-    # after a gap at lam > 0 (a rotation) as well
+    # the lane walk's stored vectors are not unit vectors, so the gain of its
+    # fallback step is log|M v| for the vector v it is given: doubling v adds
+    # log 2 and leaves the unit vector after the step as it is.  Alone, the
+    # bump annihilates the boundary vector of DEAD_THETA0 and takes the dead
+    # direction; after a gap at lam > 0 (a rotation) the gap's step counts v
     lam, k = 1.0, 1.0
-    values = np.full((1, 1), DEAD_HEIGHT)
-    gap = (None if gap_length is None
-           else estimators._piece_entries_batch(0.0, np.full((1, 1), gap_length), lam, k))
-    p, q = 0.6, -0.8
-    x, y, gain = estimators._dead_step(gap, values, 0, 0, p, q, lam, k)
-    x2, y2, gain2 = estimators._dead_step(gap, values, 0, 0, 2.0 * p, 2.0 * q, lam, k)
-    # a gap's image is scaled to unit length before the bump
-    ratio = 2.0 if gap is None else 1.0
-    assert math.hypot(x2, y2) / math.hypot(x, y) == pytest.approx(ratio)
+    pieces = [(DEAD_HEIGHT, 1.0)]
+    if gap_length is not None:
+        pieces.insert(0, (0.0, gap_length))
+    theta = boundary_theta(DEAD_THETA0, EnergyFrame.from_lambda(lam))
+    p, q = math.sin(theta), math.cos(theta)
+    x, y, gain = prufer._step_pieces(pieces, p, q, lam, k)
+    x2, y2, gain2 = prufer._step_pieces(pieces, 2.0 * p, 2.0 * q, lam, k)
+    assert (x2, y2) == (x, y) and math.hypot(x, y) == pytest.approx(1.0, rel=1e-15)
     assert gain2 - gain == pytest.approx(math.log(2.0), abs=1e-12)
+    if gap_length is None:
+        assert gain == prufer._dead_direction(p, q, DEAD_HEIGHT, 1.0, lam, k)[2]
+
+
+def test_dead_step_of_a_gap_below_zero_energy():
+    # at lam = -1 a gap of length 20 has a = 20, where expm1(-2a) rounds to
+    # -1: its factored matrix is [[1, 1], [1, 1]] / 2, which maps (p, -p) to
+    # exactly 0, so the gap, not the well after it, takes the dead direction.
+    # M (p, -p) = p exp(-20) (1, -1) exactly, and the well (u = 2 > 0) then
+    # steps the unit vector as a rotation-like piece
+    lam, k = -1.0, 1.0
+    gap, well = (0.0, 20.0), (-3.0, 1.0)
+    half = math.sqrt(0.5)
+    x, y, gain = prufer._step_pieces([gap], 0.6, -0.6, lam, k)
+    assert (x, y) == pytest.approx((half, -half), rel=1e-15)
+    assert gain == pytest.approx(math.log(0.6 * math.sqrt(2.0)) - 20.0, rel=1e-15)
+    w = math.sqrt(2.0)
+    c, b, e = math.cos(w), math.sin(w) / w, -w * math.sin(w)
+    want = (c * half - b * half, e * half - c * half)
+    for scale in (1.0, 2.0):
+        x, y, gain2 = prufer._step_pieces([gap, well], 0.6 * scale, -0.6 * scale, lam, k)
+        size = math.hypot(*want)
+        assert (x, y) == pytest.approx((want[0] / size, want[1] / size), rel=1e-14)
+        assert gain2 == pytest.approx(gain + math.log(scale * size), rel=1e-14)
 
 
 def test_joint_sweep_equals_separate_estimates_bitwise():

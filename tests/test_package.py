@@ -1,8 +1,9 @@
 """The package root's public surface: exactly these names, each resolving
 and each used outside the tests, the fields and parameters of the chain and
-sweep types, no module importing a name it does not use, an import that
-loads nothing beyond the standard library and numpy, and the README's quick
-start running as written."""
+sweep types, no module importing a name it does not use, no module but
+prufer naming the dead-direction step, an import that loads nothing beyond
+the standard library and numpy, and the README's quick start running as
+written."""
 import ast
 import dataclasses
 import inspect
@@ -126,6 +127,21 @@ def test_no_module_imports_threads_or_process_pools():
             found += [(path.name, node.lineno, module) for module in modules
                       if module.split(".")[0] in ("threading", "concurrent", "multiprocessing")]
     assert found == []
+
+
+def test_only_prufer_names_the_dead_direction():
+    # a step that a walk's products cannot take has one fallback,
+    # prufer._step_pieces, and only it takes the dead direction; a module
+    # that names _dead_direction states that exceptional path a second time
+    root = Path(__file__).resolve().parents[1] / "src" / "heavykp"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = _referenced(tree) | {node.name for node in ast.walk(tree)
+                                     if isinstance(node, ast.alias)}
+        if "_dead_direction" in names:
+            found.append(path.name)
+    assert found == ["prufer.py"]
 
 
 # What the benchmark's setup_s times, in a fresh interpreter: the top-level

@@ -504,6 +504,22 @@ def test_one_failed_block_drops_the_whole_cells_text(tmp_path, monkeypatch):
         assert [f["error"] for f in _read_summary(out)["failed_tasks"]] == [cell.error]
 
 
+def test_model_four_cell_below_zero_energy_runs_where_a_gap_annihilates(tmp_path):
+    # at energy -4.736 a gap of one of these chains is long enough that its
+    # factored matrix has rank one and maps the walked vector to exactly 0;
+    # the sweep walks that step piece by piece, so the cell runs instead of
+    # failing with a math domain error
+    out = str(tmp_path / "out")
+    path = _write_config(tmp_path, experiment="lyapunov", n_grid=[40], n_seeds=300,
+                         master_seed=1,
+                         model={"model": "IV", "energy": -4.736, "alpha1": 0.5,
+                                "alpha2": 0.6, "theta0": 2.710859123055398})
+    assert runner.main(["run", path, "--output-dir", out]) == 0
+    assert _read_summary(out)["failed_tasks"] == []
+    rows = _read_rows(out)
+    assert len(rows) == 2 * 300 and all(math.isfinite(float(r[-1])) for r in rows)
+
+
 @pytest.mark.parametrize("experiment, model, n", [
     ("lyapunov", {"model": "I", "energy": 1.0, "alpha1": 0.5}, 16),
     ("spectrum", {"model": "II", "energy": 1.0, "alpha1": 0.5}, 20),

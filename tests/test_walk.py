@@ -8,9 +8,10 @@ rounding, theta within 1e-13 max(1, |theta|) and log r within
 
 A pair whose product norm is 0 or not finite, or one of whose pieces
 annihilates the vector it is handed (a factored bump's dead direction), is
-walked as two single steps instead (prufer._step_pair).  The pair loop
-either stops before such a pair, or walks past it and the bulk recovery
-finds the dead step; the tests below check which of the two ran.
+walked one piece at a time instead, by prufer._step_pieces, the fallback the
+sweeps share.  The pair loop either stops before such a pair, or walks past
+it and the bulk recovery finds the dead step, which it also hands to
+_step_pieces; the tests below check which of the two ran.
 """
 import math
 
@@ -69,11 +70,12 @@ def _reference_walk(values, lengths, frame: EnergyFrame, theta: float):
 
 @pytest.fixture
 def events(monkeypatch):
-    """Record ("stop", j) where the pair loop stopped before pair j, ("step", j)
-    for every pair walked as two single steps and ("dead", height) for every
-    dead-direction step."""
+    """Record ("stop", j) where the pair loop stopped before pair j, ("step",
+    values) for every call of the fallback step, with the values of its pieces
+    (two for a pair, one for a dead piece of the bulk recovery), and ("dead",
+    height) for every dead-direction step."""
     seen = []
-    push, step, dead = prufer._push_pairs, prufer._step_pair, prufer._dead_direction
+    push, step, dead = prufer._push_pairs, prufer._step_pieces, prufer._dead_direction
 
     def spy_push(pairs, start, ends):
         done = push(pairs, start, ends)
@@ -81,16 +83,16 @@ def events(monkeypatch):
             seen.append(("stop", done))
         return done
 
-    def spy_step(first, second, j, vec, chain):
-        seen.append(("step", j))
-        return step(first, second, j, vec, chain)
+    def spy_step(pieces, p, q, lam, k):
+        seen.append(("step", tuple(value for value, _ in pieces)))
+        return step(pieces, p, q, lam, k)
 
     def spy_dead(p, q, value, length, lam, k):
         seen.append(("dead", value))
         return dead(p, q, value, length, lam, k)
 
     monkeypatch.setattr(prufer, "_push_pairs", spy_push)
-    monkeypatch.setattr(prufer, "_step_pair", spy_step)
+    monkeypatch.setattr(prufer, "_step_pieces", spy_step)
     monkeypatch.setattr(prufer, "_dead_direction", spy_dead)
     return seen
 
@@ -132,12 +134,12 @@ def test_dead_direction_in_first_piece(events):
     theta = boundary_theta(2.35, frame)
     values, lengths = [_DEAD_HEIGHT, 0.0, 3.0], [400.0, 0.5, 1.0]
     _assert_matches_reference(values, lengths, frame, theta)
-    assert ("step", 0) in events and ("dead", _DEAD_HEIGHT) in events
+    assert ("step", (_DEAD_HEIGHT, 0.0)) in events and ("dead", _DEAD_HEIGHT) in events
     assert not any(kind == "stop" for kind, _ in events)
     # alone, the bump is an odd last piece: a single step of the bulk recovery
     events.clear()
     _assert_matches_reference(values[:1], lengths[:1], frame, theta)
-    assert events == [("dead", _DEAD_HEIGHT)]
+    assert events == [("step", (_DEAD_HEIGHT,)), ("dead", _DEAD_HEIGHT)]
 
 
 def test_dead_direction_in_second_piece(events):
@@ -147,14 +149,15 @@ def test_dead_direction_in_second_piece(events):
     # the bulk recovery finds the dead second step
     values, lengths = [0.0, _DEAD_HEIGHT, 0.0, 3.0], [0.5, 400.0, 0.5, 1.0]
     _assert_matches_reference(values, lengths, frame, 1.85)
-    assert ("step", 0) in events and ("dead", _DEAD_HEIGHT) in events
+    assert ("step", (0.0, _DEAD_HEIGHT)) in events and ("dead", _DEAD_HEIGHT) in events
     assert not any(kind == "stop" for kind, _ in events)
     # a gap of length 1e-20 leaves the boundary vector as it is, and the pair
     # product annihilates it exactly: the loop stops before the pair
     events.clear()
     lengths[0] = 1e-20
     _assert_matches_reference(values, lengths, frame, boundary_theta(2.35, frame))
-    assert events[:2] == [("stop", 0), ("step", 0)] and ("dead", _DEAD_HEIGHT) in events
+    assert events[:2] == [("stop", 0), ("step", (0.0, _DEAD_HEIGHT))]
+    assert ("dead", _DEAD_HEIGHT) in events
     walked = walk_chain(values, lengths, frame, boundary_theta(2.35, frame))
     assert walked[1][2] < -390.0  # the dead branch contracts by about a ~ 395
 
@@ -181,7 +184,8 @@ def test_overflowing_pair(lam, events):
         events.clear()
         with np.errstate(over="ignore", invalid="ignore"):
             _assert_matches_reference(values, lengths, frame, theta)
-        assert events == [("stop", 0), ("step", 0), ("stop", 2), ("step", 2)]
+        pair = ("step", (1e300, lam))
+        assert events == [("stop", 0), pair, ("stop", 2), pair]
     # at k = 2.2e-162 the lower entry of that barrier passes float range:
     # both walks raise
     frame = EnergyFrame.from_lambda(math.copysign(5e-324, lam))
