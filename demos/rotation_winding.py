@@ -21,7 +21,7 @@ from heavykp.transfer import EnergyFrame
 # as value and length columns, and returns both at every piece boundary.
 
 # free flow: theta advances at exactly k per unit length
-frame = EnergyFrame.from_lambda(4.0)
+frame = EnergyFrame(4.0)
 thetas, _ = walk_chain([0.0] * 5, [5.0] * 5, frame, 0.0)
 print(f"free flow at k = 2, five gaps of length 5: theta(0, 5, ..., 25) = "
       f"{', '.join(f'{t:.6f}' for t in thetas)} (= 2 x)")

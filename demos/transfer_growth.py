@@ -19,7 +19,7 @@ from heavykp.prufer import walk_chain
 from heavykp.rng import RngStream
 from heavykp.transfer import EnergyFrame, det_defect
 
-frame = EnergyFrame.from_lambda(2.0)
+frame = EnergyFrame(2.0)
 
 
 def product(values, lengths):

@@ -21,8 +21,6 @@ from .estimators import (
 from .potentials import (
     Model,
     ModelConfig,
-    Piece,
-    PieceKind,
     Realization,
     generate,
     realization_from_csv,
@@ -54,7 +52,7 @@ __all__ = [
     # transfer
     "EnergyFrame", "SaturationError", "det_defect",
     # potentials
-    "Model", "ModelConfig", "Piece", "PieceKind", "Realization",
+    "Model", "ModelConfig", "Realization",
     "generate", "realization_from_csv",
     # prufer
     "boundary_theta",

@@ -13,11 +13,11 @@ A Realization is the pieces as columns, values, lengths and an is_bump
 mask, which is what the chain walks read, plus the piece boundaries summed
 from the lengths, so every downstream consumer (flows, products, spectra)
 reads the identical geometry.  generate fills the columns straight from one
-bulk draw; Piece objects are built only on request, for inspection.  The
-draw order per model, and the map from the draws to bump potentials and gap
-lengths, are stated once, in ``_draw_blocks``; ``generate``, the estimator
-sweeps and the phase-chain mixing all read its pieces as they come, and a
-bump's height, sign or position is read off the columns where it is needed.
+bulk draw.  The draw order per model, and the map from the draws to bump
+potentials and gap lengths, are stated once, in ``_draw_blocks``;
+``generate``, the estimator sweeps and the phase-chain mixing all read its
+pieces as they come, and a bump's height, sign or position is read off the
+columns where it is needed.
 """
 from __future__ import annotations
 
@@ -43,9 +43,8 @@ class Model(Enum):
     IV = "IV"
 
 
-class PieceKind(Enum):
-    BUMP = "bump"
-    GAP = "gap"
+# The kind field of a to_csv dump, indexed by is_bump.
+_KINDS = ("gap", "bump")
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class ModelConfig:
             raise ValueError(f"Model {self.model.value} requires energy > 0")
 
     def frame(self) -> EnergyFrame:
-        return EnergyFrame.from_lambda(self.energy)
+        return EnergyFrame(self.energy)
 
     def bump_law(self) -> TailLaw:
         if self.model is Model.III:
@@ -100,22 +99,13 @@ def _need_alpha(value: Optional[float], name: str, model: Model) -> None:
 
 
 @dataclass(frozen=True)
-class Piece:
-    """One constant piece of the potential: V = value on an interval of len length."""
-
-    value: float
-    length: float
-    index: int
-    kind: PieceKind
-
-
-@dataclass(frozen=True)
 class Realization:
     """One sampled chain as piece columns.
 
-    Piece i has potential values[i] on an interval of length lengths[i], and
-    is_bump[i] tells a bump from a gap.  boundaries[i] is the right edge of
-    piece i, summed in piece order at construction.
+    The i-th piece has potential values[i] on an interval of length
+    lengths[i], and is_bump[i] tells a bump from a gap.  boundaries[i] is the
+    right edge of piece i, summed in piece order at construction.  pieces
+    gives the same columns as (value, length, is_bump) rows.
     """
 
     values: np.ndarray
@@ -135,19 +125,16 @@ class Realization:
         return int(np.count_nonzero(self.is_bump))
 
     @property
-    def pieces(self) -> Tuple[Piece, ...]:
-        """The columns as Piece objects, built on every access."""
-        return tuple(
-            Piece(value=v, length=l, index=i, kind=PieceKind.BUMP if b else PieceKind.GAP)
-            for i, (v, l, b) in enumerate(zip(self.values.tolist(), self.lengths.tolist(),
-                                              self.is_bump.tolist())))
+    def pieces(self) -> Tuple[Tuple[float, float, bool], ...]:
+        """The columns as (value, length, is_bump) rows, built on every access."""
+        return tuple(zip(self.values.tolist(), self.lengths.tolist(), self.is_bump.tolist()))
 
     def to_csv(self, fileobj: IO[str]) -> None:
         """Columnar piece dump (index, kind, value, length); values round-trip."""
         fileobj.write("index,kind,value,length\n")
         for i, (v, l, b) in enumerate(zip(self.values.tolist(), self.lengths.tolist(),
                                           self.is_bump.tolist())):
-            fileobj.write(f"{i},{'bump' if b else 'gap'},{v!r},{l!r}\n")
+            fileobj.write(f"{i},{_KINDS[b]},{v!r},{l!r}\n")
 
 
 def realization_from_csv(config: ModelConfig, fileobj: IO[str]) -> Realization:
@@ -175,7 +162,7 @@ def realization_from_csv(config: ModelConfig, fileobj: IO[str]) -> Realization:
         idx_s, kind_s, value_s, length_s = fields
         if _parse_field(row, "index", idx_s, int, "an integer") != row:
             raise ValueError(f"realization CSV row {row}: index {idx_s} is not the row position")
-        kind = _parse_field(row, "kind", kind_s, PieceKind, "bump or gap")
+        bump = _parse_field(row, "kind", kind_s, _KINDS.index, "bump or gap") == 1
         length = _parse_field(row, "length", length_s, float, "a number")
         if not (0.0 < length < math.inf):
             raise ValueError(f"realization CSV row {row}: length {length_s} is not "
@@ -183,12 +170,12 @@ def realization_from_csv(config: ModelConfig, fileobj: IO[str]) -> Realization:
         value = _parse_field(row, "value", value_s, float, "a number")
         if math.isnan(value):
             raise ValueError(f"realization CSV row {row}: value {value_s} is NaN")
-        if config.model is Model.II and kind is PieceKind.BUMP and value > 0.0:
+        if config.model is Model.II and bump and value > 0.0:
             raise ValueError(f"realization CSV row {row}: Model II bump values must be "
                              "nonpositive")
         values.append(value)
         lengths.append(length)
-        is_bump.append(kind is PieceKind.BUMP)
+        is_bump.append(bump)
     if not values:
         raise ValueError("realization CSV holds no piece rows")
     return Realization(values=np.array(values, dtype=float),

@@ -103,10 +103,10 @@ def _truncated_pieces(realization: Realization,
                       L_box: float) -> Tuple[np.ndarray, np.ndarray]:
     """(values, lengths) of the pieces covering exactly [0, L_box].
 
-    Piece n is the first whose right edge reaches L_box (the last piece when
-    L_box lies past the chain end, within the allowed slack); the pieces
-    before it are whole.  A box that ends on piece n's right edge keeps it
-    whole too, otherwise it is the one cut piece, of length
+    The n-th piece is the first whose right edge reaches L_box (the last
+    piece when L_box lies past the chain end, within the allowed slack); the
+    pieces before it are whole.  A box that ends on piece n's right edge
+    keeps it whole too, otherwise it is the one cut piece, of length
     L_box - boundaries[n-1].
     """
     edges = realization.boundaries
@@ -120,7 +120,7 @@ def _truncated_pieces(realization: Realization,
 
 def _end_state(problem: BoxProblem, lam: float) -> Tuple[float, float]:
     """(theta, log_r) at L_box: one walk of the truncated chain at lam."""
-    frame = EnergyFrame.from_lambda(lam)
+    frame = EnergyFrame(lam)
     thetas, log_rs = walk_chain(problem.values, problem.lengths, frame,
                                 boundary_theta(problem.theta0, frame))
     return float(thetas[-1]), float(log_rs[-1])
@@ -362,7 +362,7 @@ def decay_fit(
     if not (scale_exponent > 0.0):
         raise ValueError("scale_exponent must be positive")
     _, log_rs = walk_chain(problem.values[::-1], problem.lengths[::-1],
-                           EnergyFrame.from_lambda(lambda_eigen), 0.0)
+                           EnergyFrame(lambda_eigen), 0.0)
     xs = problem.L_box - np.cumsum(problem.lengths[::-1])
     middle = (0.25 * problem.L_box <= xs) & (xs <= 0.75 * problem.L_box)
     if np.count_nonzero(middle) < 10:

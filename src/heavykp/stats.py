@@ -6,7 +6,6 @@ these primitives so their numerical behavior is pinned down in one place.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -105,25 +104,26 @@ def linear_fit(x, y) -> LinearFit:
     return LinearFit(slope=slope, intercept=intercept, r_squared=1.0 - ss_res / ss_tot)
 
 
+# The standard normal quantile at 0.975, the z of a 95% interval: the double
+# that statistics.NormalDist().inv_cdf(0.975) returns.
+_Z_95 = 1.9599639845400536
+
+
 class MeanCi(NamedTuple):
     mean: float
     half_width: float
-    level: float
 
 
-def mean_ci(values, level: float = 0.95) -> MeanCi:
-    """Normal-approximation confidence interval for the mean.
+def mean_ci(values) -> MeanCi:
+    """Normal-approximation 95% confidence interval for the mean.
 
     half_width = z * s / sqrt(n) with s the ddof=1 sample standard deviation
-    and z the standard normal quantile at (1 + level)/2.
+    and z = _Z_95, the standard normal quantile at 0.975.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size < 2:
         raise ValueError("need at least two samples for a confidence interval")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
-    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     s = float(arr.std(ddof=1))
-    return MeanCi(mean=float(arr.mean()), half_width=z * s / math.sqrt(arr.size), level=level)
+    return MeanCi(mean=float(arr.mean()), half_width=_Z_95 * s / math.sqrt(arr.size))

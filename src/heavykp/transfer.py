@@ -22,7 +22,7 @@ checks the SL(2,R) identity analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,24 +48,20 @@ class EnergyFrame:
     """Spectral parameter together with its frame normalization k = sqrt(|lam|).
 
     The frame constant is what converts psi' into the second Prufer
-    coordinate psi'/k; it is strictly positive even at lam = 0, where the
-    conventional choice k = 1 keeps the frame nondegenerate.
+    coordinate psi'/k; it is derived from lam and strictly positive even at
+    lam = 0, where the conventional choice k = 1 keeps the frame
+    nondegenerate.
     """
 
     lam: float
-    k_norm: float
+    k_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.lam):
+        lam = float(self.lam)
+        if not math.isfinite(lam):
             raise ValueError("lam must be finite")
-        if not (self.k_norm > 0.0) or not math.isfinite(self.k_norm):
-            raise ValueError("k_norm must be positive and finite")
-
-    @classmethod
-    def from_lambda(cls, lam: float) -> "EnergyFrame":
-        lam = float(lam)
-        k = math.sqrt(abs(lam)) if lam != 0.0 else 1.0
-        return cls(lam=lam, k_norm=k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "k_norm", math.sqrt(abs(lam)) if lam != 0.0 else 1.0)
 
 
 def _cs_pair(u):

@@ -78,7 +78,7 @@ def model1_lyapunov_pair():
 
 
 def _frame_constants(lam: np.ndarray) -> np.ndarray:
-    """k = sqrt(|lam|) per piece, 1 at lam = 0, as EnergyFrame.from_lambda sets it."""
+    """k = sqrt(|lam|) per piece, 1 at lam = 0, as EnergyFrame sets it."""
     return np.where(lam == 0.0, 1.0, np.sqrt(np.abs(lam)))
 
 
@@ -91,7 +91,7 @@ def test_criterion_01_transfer_determinants():
     def check(val, ell, lam):
         # one kernel call builds the whole block; det_defect measures each piece
         _piece_entries_batch(val, ell, lam, _frame_constants(lam))
-        return max(det_defect(v, l, EnergyFrame.from_lambda(e))
+        return max(det_defect(v, l, EnergyFrame(e))
                    for v, l, e in zip(val.tolist(), ell.tolist(), lam.tolist()))
 
     # oscillatory pieces, moderate to fast
@@ -218,7 +218,7 @@ def test_criterion_02_flow_matches_ode_oracle():
     th_o, lr_o = _rk4_flow_batch(theta0, lam, value, ell, 32_768)
     worst_th = worst_lr = worst_walk_th = worst_walk_lr = 0.0
     for i in range(m):
-        frame = EnergyFrame.from_lambda(lam[i])
+        frame = EnergyFrame(lam[i])
         out = advance_interval(PruferState(theta0[i], 0.0, 0.0), value[i], ell[i], frame)
         thetas, log_rs = walk_chain(value[i:i + 1], ell[i:i + 1], frame, theta0[i])
         scale_th, scale_lr = max(1.0, abs(th_o[i])), max(1.0, abs(lr_o[i]))
@@ -529,7 +529,7 @@ def test_criterion_10_phase_chain_mixing():
 
 def _dense_zero_count(problem, lam):
     """Sign changes of psi on (0, L_box], sampled piecewise in closed form."""
-    frame = EnergyFrame.from_lambda(lam)
+    frame = EnergyFrame(lam)
     k = frame.k_norm
     thetas, _ = walk_chain(problem.values, problem.lengths, frame,
                            boundary_theta(problem.theta0, frame))
@@ -539,11 +539,12 @@ def _dense_zero_count(problem, lam):
         signs.append(math.copysign(1.0, psi0))
     left = 0.0
     pieces = []
-    for p in problem.realization.pieces:
+    real = problem.realization
+    for value, length in zip(real.values.tolist(), real.lengths.tolist()):
         if left >= problem.L_box:
             break
-        length = min(p.length, problem.L_box - left)
-        pieces.append((p.value, length))
+        length = min(length, problem.L_box - left)
+        pieces.append((value, length))
         left += length
     for theta, (value, length) in zip(thetas.tolist(), pieces):
         s0 = math.sin(theta)
@@ -614,7 +615,7 @@ def test_criterion_12a_deep_well_decay_slopes():
     for i in range(50):
         real = generate(cfg, 1000, split_stream(parent, i))
         prob = BoxProblem(realization=real, theta0=0.0, L_box=real.total_length)
-        bottom = min(p.value for p in real.pieces) - 1.0
+        bottom = float(real.values.min()) - 1.0
         found = find_eigenvalues(prob, bottom, 0.0, max_count=1)
         if not found:
             continue

@@ -699,7 +699,7 @@ def test_dead_step_gain_counts_the_entering_length(gap_length):
     pieces = [(DEAD_HEIGHT, 1.0)]
     if gap_length is not None:
         pieces.insert(0, (0.0, gap_length))
-    theta = boundary_theta(DEAD_THETA0, EnergyFrame.from_lambda(lam))
+    theta = boundary_theta(DEAD_THETA0, EnergyFrame(lam))
     p, q = math.sin(theta), math.cos(theta)
     x, y, gain = prufer._step_pieces(pieces, p, q, lam, k)
     x2, y2, gain2 = prufer._step_pieces(pieces, 2.0 * p, 2.0 * q, lam, k)

@@ -1,20 +1,25 @@
 """The package root's public surface: exactly these names, each resolving
 and each used outside the tests, the fields and parameters of the chain and
-sweep types, no module importing a name it does not use, no module but
-prufer naming the dead-direction step, an import that loads nothing beyond
-the standard library and numpy, and the README's quick start running as
-written."""
+sweep types, the energy frame and the mean interval, no module importing a
+name it does not use, no module but prufer naming the dead-direction step,
+an import that loads nothing beyond the standard library and numpy (and not
+statistics), and the README's quick start running as written."""
 import ast
 import dataclasses
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
+
+import pytest
 
 import heavykp
+from heavykp import stats
 from heavykp.estimators import SweepRecord
 
 PUBLIC = {
@@ -25,7 +30,7 @@ PUBLIC = {
     # transfer
     "EnergyFrame", "SaturationError", "det_defect",
     # potentials
-    "Model", "ModelConfig", "Piece", "PieceKind", "Realization",
+    "Model", "ModelConfig", "Realization",
     "generate", "realization_from_csv",
     # prufer
     "boundary_theta",
@@ -41,7 +46,7 @@ PUBLIC = {
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    assert len(heavykp.__all__) == len(PUBLIC) == 33
+    assert len(heavykp.__all__) == len(PUBLIC) == 31
     assert set(heavykp.__all__) == PUBLIC
     namespace = {}
     exec("from heavykp import *", namespace)
@@ -169,6 +174,9 @@ def test_import_loads_only_the_standard_library_numpy_and_heavykp():
     loaded = set(json.loads(out.stdout))
     assert "heavykp" in loaded
     assert sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "heavykp"}) == []
+    # statistics, and the fractions and decimal modules it loads, cost setup_s
+    # time for one constant, which stats keeps as _Z_95
+    assert sorted(loaded & {"statistics", "fractions", "decimal"}) == []
 
 
 def test_flow_and_sampler_internals_live_in_their_modules():
@@ -199,6 +207,33 @@ def test_chain_and_sweep_surfaces_are_pinned():
     ]
     assert parameters(heavykp.nonlinear_normalizers) == ["config", "n_bumps", "x"]
     assert parameters(heavykp.chain_trace) == ["config", "n_bumps", "stream"]
+
+
+def test_energy_frame_takes_only_lam():
+    # k = sqrt(|lam|), 1 at lam = 0, is derived, never passed
+    assert list(inspect.signature(heavykp.EnergyFrame).parameters) == ["lam"]
+    with pytest.raises(TypeError):
+        heavykp.EnergyFrame(lam=1.0, k_norm=2.0)
+    for lam in (4.0, -4.0, -0.7, 1e-300):
+        assert heavykp.EnergyFrame(lam).k_norm == math.sqrt(abs(lam))
+    assert heavykp.EnergyFrame(0.0).k_norm == heavykp.EnergyFrame(-0.0).k_norm == 1.0
+
+
+def test_mean_ci_is_one_95_percent_interval():
+    assert list(inspect.signature(heavykp.mean_ci).parameters) == ["values"]
+    assert heavykp.MeanCi._fields == ("mean", "half_width")
+    assert stats._Z_95 == NormalDist().inv_cdf(0.975)
+
+
+@pytest.mark.parametrize("model,kw", [("I", {"alpha1": 0.5}), ("II", {"alpha1": 0.5}),
+                                      ("III", {"alpha2": 0.5}),
+                                      ("IV", {"alpha1": 0.5, "alpha2": 0.7})])
+def test_pieces_are_the_column_rows(model, kw):
+    # the benchmark tracer counts a chain's pieces as len(r.pieces)
+    cfg = heavykp.ModelConfig(model=heavykp.Model(model), energy=1.0, **kw)
+    r = heavykp.generate(cfg, 20, heavykp.RngStream(5))
+    assert len(r.pieces) == r.values.size
+    assert r.pieces == tuple(zip(r.values.tolist(), r.lengths.tolist(), r.is_bump.tolist()))
 
 
 def test_readme_quick_start_runs():

@@ -1,5 +1,6 @@
 """Chain model configs, sampled realizations, CSV round-trips."""
 import io
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,6 @@ import pytest
 from heavykp.potentials import (
     Model,
     ModelConfig,
-    Piece,
-    PieceKind,
     Realization,
     generate,
     realization_from_csv,
@@ -89,33 +88,30 @@ def test_config_law_accessors():
 
 def test_model1_geometry():
     r = generate(_cfg("I", alpha1=0.5), 50, RngStream(1))
-    assert len(r.pieces) == 50
+    assert r.values.size == 50
     assert r.n_bumps == 50
-    assert all(p.kind is PieceKind.BUMP and p.length == 1.0 for p in r.pieces)
-    assert all(p.value > 0.0 for p in r.pieces)
+    assert np.all(r.lengths == 1.0)
+    assert np.all(r.values > 0.0)
     assert r.total_length == 50.0
     assert np.all(r.is_bump)  # no gaps
-    assert np.array_equal(r.values, [p.value for p in r.pieces])
     assert np.array_equal(r.boundaries[r.is_bump], np.arange(1.0, 51.0))
 
 
 def test_model2_geometry():
     r = generate(_cfg("II", alpha1=0.5, energy=2.0), 30, RngStream(2))
-    assert all(p.value < 0.0 for p in r.pieces)
+    assert np.all(r.values < 0.0)
     heights, _ = _heights_signs(r)
     assert np.all(heights > 0.0)
-    assert np.array_equal(heights, [-p.value for p in r.pieces])
+    assert np.array_equal(heights, -r.values)
 
 
 def test_model3_geometry():
     r = generate(_cfg("III", alpha2=0.5), 40, RngStream(3))
-    assert len(r.pieces) == 80  # gap, bump alternating
+    assert r.values.size == 80  # gap, bump alternating
     assert r.n_bumps == 40
-    for i, p in enumerate(r.pieces):
-        if i % 2 == 0:
-            assert p.kind is PieceKind.GAP and p.value == 0.0
-        else:
-            assert p.kind is PieceKind.BUMP and p.value == 1.0 and p.length == 1.0
+    assert not np.any(r.is_bump[0::2]) and np.all(r.values[0::2] == 0.0)
+    assert np.all(r.is_bump[1::2])
+    assert np.all(r.values[1::2] == 1.0) and np.all(r.lengths[1::2] == 1.0)
     gaps = r.lengths[~r.is_bump]
     assert gaps.size == 40
     assert np.all(r.values[r.is_bump] == 1.0)  # unit bumps, no height draws
@@ -126,8 +122,8 @@ def test_model3_geometry():
 
 def test_model4_geometry():
     r = generate(_cfg("IV", alpha1=0.5, alpha2=0.7), 200, RngStream(4))
-    assert len(r.pieces) == 400
-    bump_vals = np.array([p.value for p in r.pieces if p.kind is PieceKind.BUMP])
+    assert r.values.size == 400
+    bump_vals = r.values[r.is_bump]
     heights, signs = _heights_signs(r)
     assert np.array_equal(np.abs(bump_vals), heights)
     assert np.array_equal(signs, (bump_vals < 0).astype(np.int64))
@@ -147,11 +143,8 @@ def test_model4_geometry():
 def test_columns_match_pieces(model, kw):
     r = generate(_cfg(model, **kw), 20, RngStream(5))
     assert r.values.dtype == r.lengths.dtype == float and r.is_bump.dtype == bool
-    assert [p.index for p in r.pieces] == list(range(r.values.size))
-    assert np.array_equal(r.values, [p.value for p in r.pieces])
-    assert np.array_equal(r.lengths, [p.length for p in r.pieces])
-    assert np.array_equal(r.is_bump, [p.kind is PieceKind.BUMP for p in r.pieces])
-    assert np.array_equal(r.boundaries, np.add.accumulate([p.length for p in r.pieces]))
+    assert r.values.shape == r.lengths.shape == r.is_bump.shape == r.boundaries.shape
+    assert np.array_equal(r.boundaries, np.add.accumulate(r.lengths))
 
 
 def test_assemble_infinite_heights():
@@ -174,14 +167,13 @@ def test_generate_rejects_empty_chain():
 def test_generate_is_reproducible():
     a = generate(_cfg("IV", alpha1=0.4, alpha2=0.6), 25, RngStream(99, stream_id=7))
     b = generate(_cfg("IV", alpha1=0.4, alpha2=0.6), 25, RngStream(99, stream_id=7))
-    assert a.pieces == b.pieces
-    assert np.array_equal(a.boundaries, b.boundaries)
+    for name in ("values", "lengths", "is_bump", "boundaries"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_boundaries_accumulate_exactly():
     r = generate(_cfg("III", alpha2=0.5), 60, RngStream(8))
-    lengths = np.array([p.length for p in r.pieces])
-    assert np.array_equal(r.boundaries, np.add.accumulate(lengths))
+    assert r.boundaries.tolist() == list(itertools.accumulate(r.lengths.tolist()))
 
 
 # ── Tail distributions ───────────────────────────────────────────────────────
@@ -230,7 +222,6 @@ def test_csv_roundtrip_bit_exact(model, kw):
     r.to_csv(buf)
     buf.seek(0)
     back = realization_from_csv(cfg, buf)
-    assert back.pieces == r.pieces
     assert np.array_equal(back.boundaries, r.boundaries)
     for name in ("values", "lengths", "is_bump"):
         assert getattr(back, name).tobytes() == getattr(r, name).tobytes()

@@ -24,7 +24,7 @@ _PI = math.pi
 
 def _advance(theta0: float, value: float, length: float, lam: float):
     st = advance_interval(PruferState(theta=theta0, log_r=0.0, x=0.0), value, length,
-                          EnergyFrame.from_lambda(lam))
+                          EnergyFrame(lam))
     return st.theta, st.log_r
 
 
@@ -32,7 +32,7 @@ def _advance(theta0: float, value: float, length: float, lam: float):
 
 
 def test_boundary_theta_rescales_tangent():
-    frame = EnergyFrame.from_lambda(4.0)  # k = 2
+    frame = EnergyFrame(4.0)  # k = 2
     for theta0 in (0.1, 0.7, 1.3, 2.0, 2.9):
         t = boundary_theta(theta0, frame)
         assert math.tan(t) == pytest.approx(2.0 * math.tan(theta0), rel=1e-12)
@@ -40,16 +40,16 @@ def test_boundary_theta_rescales_tangent():
 
 
 def test_boundary_theta_fixed_points():
-    frame = EnergyFrame.from_lambda(4.0)
+    frame = EnergyFrame(4.0)
     assert boundary_theta(0.0, frame) == 0.0
     assert boundary_theta(_PI / 2, frame) == pytest.approx(_PI / 2, abs=1e-15)
     # k = 1 frame leaves the parameter unchanged
-    unit = EnergyFrame.from_lambda(1.0)
+    unit = EnergyFrame(1.0)
     assert boundary_theta(0.7, unit) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_boundary_theta_range_checked():
-    frame = EnergyFrame.from_lambda(1.0)
+    frame = EnergyFrame(1.0)
     with pytest.raises(ValueError):
         boundary_theta(-0.1, frame)
     with pytest.raises(ValueError):
@@ -60,7 +60,7 @@ def test_boundary_theta_range_checked():
 
 
 def test_gap_advance_is_exact_rotation():
-    frame = EnergyFrame.from_lambda(9.0)  # k = 3
+    frame = EnergyFrame(9.0)  # k = 3
     st = PruferState(theta=1.234, log_r=0.5, x=2.0)
     out = advance_interval(st, 0.0, 1.75, frame)
     assert out.theta == 1.234 + 3.0 * 1.75  # bit-exact fast path
@@ -70,7 +70,7 @@ def test_gap_advance_is_exact_rotation():
 
 def test_free_phase_velocity():
     # zero potential at lam = k^2: theta/(pi x) = k/pi identically
-    frame = EnergyFrame.from_lambda(4.0)
+    frame = EnergyFrame(4.0)
     st = advance_interval(PruferState(0.0, 0.0, 0.0), 0.0, 12.5, frame)
     assert st.theta / (_PI * st.x) == pytest.approx(2.0 / _PI, rel=1e-15)
 
@@ -260,7 +260,7 @@ def test_winding_count_matches_zero_count():
 
 def test_advance_interval_validation():
     with pytest.raises(ValueError):
-        advance_interval(PruferState(0.0, 0.0, 0.0), 1.0, 0.0, EnergyFrame.from_lambda(1.0))
+        advance_interval(PruferState(0.0, 0.0, 0.0), 1.0, 0.0, EnergyFrame(1.0))
 
 
 # ── Tangent-map oracles ──────────────────────────────────────────────────────
@@ -302,7 +302,7 @@ def test_from_tangent_quadrants():
 
 
 def test_tangent_map_hyperbolic_matches_chain():
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
     rng = np.random.default_rng(55)
     for _ in range(40):
         t = float(rng.uniform(-5.0, 5.0))
@@ -315,7 +315,7 @@ def test_tangent_map_hyperbolic_matches_chain():
 
 
 def test_tangent_map_oscillatory_matches_chain():
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
     rng = np.random.default_rng(56)
     for _ in range(40):
         t = float(rng.uniform(-5.0, 5.0))
@@ -329,7 +329,7 @@ def test_tangent_map_oscillatory_matches_chain():
 
 def test_tangent_map_full_period_identity():
     # y = pi: tan(y) vanishes to rounding, so G is the identity to ~1e-12
-    frame = EnergyFrame.from_lambda(1.0 + _PI * _PI)
+    frame = EnergyFrame(1.0 + _PI * _PI)
     for t in (-2.0, 0.0, 0.4, 10.0):
         assert _tan_update_G(t, _PI, frame) == pytest.approx(t, rel=1e-10, abs=1e-12)
         # the flow agrees: a bump of height 1 at lam = 1 + pi^2 turns the phase by pi
@@ -338,7 +338,7 @@ def test_tangent_map_full_period_identity():
 
 def test_tangent_map_pole_returns_inf():
     # y = 1/2 at k = 1: t = -1/(y tanh y) zeroes the denominator bit-exactly
-    frame = EnergyFrame.from_lambda(1.0)
+    frame = EnergyFrame(1.0)
     y = 0.5
     t = -1.0 / (y * math.tanh(y))
     assert _tan_update_F(t, y, frame) == math.inf
@@ -348,7 +348,7 @@ def test_tangent_map_pole_returns_inf():
 
 
 def test_phase_fold_matches_scalar_all_branches():
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
     rng = np.random.default_rng(31337)
     n = 256
     thetas = rng.uniform(-8.0, 8.0, size=n)
@@ -377,7 +377,7 @@ def test_phase_fold_matches_scalar_all_branches():
 
 
 def test_phase_fold_without_logs():
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
     thetas = np.array([0.1, 0.2, 0.3])
     ref = thetas.copy()
     phase_fold(thetas, 1.0, 1.0, frame)
@@ -387,7 +387,7 @@ def test_phase_fold_without_logs():
 
 
 def test_phase_fold_scalar_broadcast():
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
     thetas = np.full(5, 0.7)
     logs = np.zeros(5)
     phase_fold(thetas, 3.0, 1.0, frame, logs)

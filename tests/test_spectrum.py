@@ -149,13 +149,14 @@ def _oracle_pieces(problem: BoxProblem):
     """
     out = []
     left = 0.0
-    pieces = problem.realization.pieces
-    for i, p in enumerate(pieces):
-        right = left + p.length
-        if right >= problem.L_box or i == len(pieces) - 1:
-            out.append((p.value, p.length if right == problem.L_box else problem.L_box - left))
+    real = problem.realization
+    last = real.values.size - 1
+    for i, (value, length) in enumerate(zip(real.values.tolist(), real.lengths.tolist())):
+        right = left + length
+        if right >= problem.L_box or i == last:
+            out.append((value, length if right == problem.L_box else problem.L_box - left))
             return out
-        out.append((p.value, p.length))
+        out.append((value, length))
         left = right
 
 
@@ -169,14 +170,14 @@ def _oracle_records(pieces, frame, theta):
 
 
 def _oracle_trace(problem: BoxProblem, lam: float):
-    frame = EnergyFrame.from_lambda(lam)
+    frame = EnergyFrame(lam)
     return _oracle_records(_oracle_pieces(problem), frame,
                            boundary_theta(problem.theta0, frame))
 
 
 def _oracle_decay(problem: BoxProblem, lam: float, scale_exponent: float):
     records = _oracle_records(reversed(_oracle_pieces(problem)),
-                              EnergyFrame.from_lambda(lam), 0.0)[1:]
+                              EnergyFrame(lam), 0.0)[1:]
     xs, logs = [], []
     for x_swept, _, log_r in records:
         x = problem.L_box - x_swept
@@ -191,7 +192,7 @@ def _oracle_decay(problem: BoxProblem, lam: float, scale_exponent: float):
 
 def _walk(problem: BoxProblem, lam: float):
     """(theta, log_r) at 0 and at every piece boundary of the box: its walk_chain."""
-    frame = EnergyFrame.from_lambda(lam)
+    frame = EnergyFrame(lam)
     return walk_chain(problem.values, problem.lengths, frame,
                       boundary_theta(problem.theta0, frame))
 
@@ -295,7 +296,7 @@ def test_walk_dead_direction():
     real = _csv_realization(["0,bump,1.975525874775178,400.0\n",
                              "1,gap,0.0,0.5\n", "2,bump,3.0,1.0\n"])
     prob = BoxProblem(realization=real, theta0=2.35, L_box=real.total_length)
-    frame = EnergyFrame.from_lambda(1.0)
+    frame = EnergyFrame(1.0)
     t = boundary_theta(2.35, frame)
     bok = math.sqrt((1.975525874775178 - 1.0) * 400.0 * 400.0) / 400.0
     assert math.sin(t) + math.cos(t) / bok == 0.0
@@ -316,7 +317,7 @@ def _dense_zero_count(problem: BoxProblem, lam: float) -> int:
     under test plays no role here.  Hyperbolic pieces use the tanh form, so
     arbitrarily heavy bumps cannot overflow.
     """
-    frame = EnergyFrame.from_lambda(lam)
+    frame = EnergyFrame(lam)
     k = frame.k_norm
     thetas, _ = _walk(problem, lam)
     signs: list = []
@@ -382,7 +383,7 @@ def test_model2_ground_states_decay():
     for i in range(10):
         r = generate(cfg, 60, split_stream(parent, i))
         prob = BoxProblem(realization=r, theta0=0.0, L_box=r.total_length)
-        lam_min = min(p.value for p in r.pieces) - 1.0
+        lam_min = float(r.values.min()) - 1.0
         eigs = find_eigenvalues(prob, lam_min, 0.0, max_count=1)
         assert len(eigs) == 1
         slope, r2 = decay_fit(prob, eigs[0])

@@ -130,12 +130,6 @@ def test_mean_ci_two_points():
     ci = mean_ci([0.0, 2.0])
     assert ci.mean == 1.0
     assert ci.half_width == pytest.approx(1.9599639845400545, rel=1e-12)
-    assert ci.level == 0.95
-
-
-def test_mean_ci_level_monotone():
-    vals = np.arange(20, dtype=float)
-    assert mean_ci(vals, level=0.99).half_width > mean_ci(vals, level=0.9).half_width
 
 
 def test_mean_ci_coverage():
@@ -155,5 +149,3 @@ def test_mean_ci_rejects_bad_input():
         mean_ci([1.0])
     with pytest.raises(ValueError):
         mean_ci([1.0, math.inf])
-    with pytest.raises(ValueError):
-        mean_ci([1.0, 2.0], level=1.0)

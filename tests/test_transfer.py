@@ -83,18 +83,19 @@ def _assert_matches(got, oracle: mp.matrix, log_rel=1e-12, dir_abs=1e-12):
 
 
 def test_frame_normalization():
-    assert EnergyFrame.from_lambda(4.0).k_norm == 2.0
-    assert EnergyFrame.from_lambda(-9.0).k_norm == 3.0
-    assert EnergyFrame.from_lambda(0.0).k_norm == 1.0
+    assert EnergyFrame(4.0).k_norm == 2.0
+    assert EnergyFrame(-9.0).k_norm == 3.0
+    assert EnergyFrame(0.0).k_norm == 1.0
 
 
 def test_frame_rejects_bad_input():
     with pytest.raises(ValueError):
-        EnergyFrame.from_lambda(math.nan)
+        EnergyFrame(math.nan)
     with pytest.raises(ValueError):
-        EnergyFrame(lam=1.0, k_norm=0.0)
-    with pytest.raises(ValueError):
-        EnergyFrame(lam=math.inf, k_norm=1.0)
+        EnergyFrame(lam=math.inf)
+    # k is derived from lam, never passed
+    with pytest.raises(TypeError):
+        EnergyFrame(lam=1.0, k_norm=2.0)
 
 
 # ── Closed-form piece matrices ───────────────────────────────────────────────
@@ -102,7 +103,7 @@ def test_frame_rejects_bad_input():
 
 def test_free_quarter_rotation():
     # V = 0, lam = 1, length pi/2: a quarter turn of the frame
-    (a, b, c, d), pre = _entries(0.0, math.pi / 2, EnergyFrame.from_lambda(1.0))
+    (a, b, c, d), pre = _entries(0.0, math.pi / 2, EnergyFrame(1.0))
     assert pre == 0.0
     assert a == pytest.approx(0.0, abs=1e-12)
     assert b == pytest.approx(1.0, abs=1e-12)
@@ -112,12 +113,12 @@ def test_free_quarter_rotation():
 
 def test_resonant_shear():
     # V = lam gives u = 0 exactly: unit shear in the k = 1 frame
-    assert _entries(1.0, 1.0, EnergyFrame.from_lambda(1.0)) == ((1.0, 1.0, 0.0, 1.0), 0.0)
+    assert _entries(1.0, 1.0, EnergyFrame(1.0)) == ((1.0, 1.0, 0.0, 1.0), 0.0)
 
 
 def test_deep_well_reconstructs_cosh():
     # V = lam + 100: a = 10, its exp(a) growth carried in the prescale
-    frame = EnergyFrame.from_lambda(1.0)
+    frame = EnergyFrame(1.0)
     (a, b, c, d), pre = _entries(101.0, 1.0, frame)
     assert pre == 10.0
     bp = BatchProducts(1)
@@ -132,7 +133,7 @@ def test_deep_well_reconstructs_cosh():
 
 def test_unit_bump_trig_form():
     # k^2 = 2: oscillatory unit bump
-    (a, b, c, d), pre = _entries(1.0, 1.0, EnergyFrame.from_lambda(2.0))
+    (a, b, c, d), pre = _entries(1.0, 1.0, EnergyFrame(2.0))
     assert pre == 0.0
     assert a == pytest.approx(math.cos(1.0), abs=1e-12)
     assert b == pytest.approx(math.sqrt(2.0) * math.sin(1.0), abs=1e-12)
@@ -142,15 +143,15 @@ def test_unit_bump_trig_form():
 
 def test_unit_bump_resonant_and_hyperbolic():
     # k^2 = 1 degenerates to the shear; k^2 = 1/2 is hyperbolic with det 1
-    assert _entries(1.0, 1.0, EnergyFrame.from_lambda(1.0)) == ((1.0, 1.0, 0.0, 1.0), 0.0)
+    assert _entries(1.0, 1.0, EnergyFrame(1.0)) == ((1.0, 1.0, 0.0, 1.0), 0.0)
 
-    frame = EnergyFrame.from_lambda(0.5)
+    frame = EnergyFrame(0.5)
     _assert_matches(_piece(1.0, 1.0, frame), _mp_piece(1.0, 1.0, 0.5, frame.k_norm))
     assert det_defect(1.0, 1.0, frame) <= 1e-12
 
 
 def test_piece_validation():
-    frame = EnergyFrame.from_lambda(1.0)
+    frame = EnergyFrame(1.0)
     with pytest.raises(ValueError):
         det_defect(math.nan, 1.0, frame)
     with pytest.raises(ValueError):
@@ -213,7 +214,7 @@ def test_all_oscillatory_call_equals_the_branch_path():
 
 
 def test_gap_is_free_transfer():
-    frame = EnergyFrame.from_lambda(3.0)
+    frame = EnergyFrame(3.0)
     g = BatchProducts(1)
     push_rotation(g, 1.7, frame)
     t = BatchProducts(1)
@@ -225,7 +226,7 @@ def test_gap_is_free_transfer():
 
 
 def test_gap_composition():
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
     for y1, y2 in [(0.3, 1.1), (5.0, 0.02), (12.7, 9.9)]:
         combined = BatchProducts(1)
         push_rotation(combined, y1 + y2, frame)
@@ -240,7 +241,7 @@ def test_gap_composition():
 def test_long_rotation_chain_stays_orthogonal():
     # 1e5 rotation products: drift must stay at rounding level
     rng = np.random.default_rng(10)
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
     gaps = rng.random(100_000) * 3.0 + 1e-3
     bp = BatchProducts(1)
     for y in gaps:
@@ -267,7 +268,7 @@ def test_series_window_matches_oracle():
         (5.0, 1e-3, 5.0 - 1e-3),
     ]
     for value, length, lam in cases:
-        frame = EnergyFrame.from_lambda(lam)
+        frame = EnergyFrame(lam)
         u = (lam - value) * length * length
         assert abs(u) < U_SERIES_WINDOW
         _assert_matches(_piece(value, length, frame), _mp_piece(value, length, lam, frame.k_norm),
@@ -277,7 +278,7 @@ def test_series_window_matches_oracle():
 def test_factored_form_matches_oracle():
     # a = sqrt(-u) beyond the cosh overflow threshold, including a > 700
     mp.mp.dps = 120
-    frame = EnergyFrame.from_lambda(1.0)
+    frame = EnergyFrame(1.0)
     for a in (305.0, 500.0, 1000.0, 3000.0):
         value = 1.0 + a * a
         assert math.sqrt((value - 1.0)) > A_FACTORED
@@ -295,7 +296,7 @@ def test_moderate_pieces_match_oracle():
             lam = 0.5
         value = float(rng.uniform(-20.0, 40.0))
         length = float(rng.uniform(0.05, 3.0))
-        frame = EnergyFrame.from_lambda(lam)
+        frame = EnergyFrame(lam)
         if abs((lam - value) * length * length) < 10 * U_SERIES_WINDOW:
             continue
         _assert_matches(_piece(value, length, frame), _mp_piece(value, length, lam, frame.k_norm),
@@ -324,7 +325,7 @@ def test_barrier_entries_are_bounded(log_lam, negative, first, second):
     # in the prescale
     mp.mp.dps = 80
     lam = math.copysign(10.0 ** log_lam, -1.0 if negative else 1.0)
-    frame = EnergyFrame.from_lambda(lam)
+    frame = EnergyFrame(lam)
     pieces = []
     for log_a, log_length in (first, second):
         value, length, a = _barrier_piece(lam, log_a, log_length)
@@ -351,7 +352,7 @@ def test_random_chain_matches_oracle():
     # 30-piece products with mixed regimes, against an exact mpmath product
     mp.mp.dps = 120
     rng = np.random.default_rng(5150)
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
     for _ in range(5):
         pieces = []
         for _ in range(30):
@@ -373,7 +374,7 @@ def test_random_chain_matches_oracle():
 
 def test_det_defect_sweep():
     rng = np.random.default_rng(909)
-    frames = [EnergyFrame.from_lambda(l) for l in (-5.0, 0.3, 2.0, 25.0)]
+    frames = [EnergyFrame(l) for l in (-5.0, 0.3, 2.0, 25.0)]
     worst = 0.0
     for _ in range(2000):
         frame = frames[rng.integers(len(frames))]
@@ -390,7 +391,7 @@ def test_product_det_weak_disorder_chain():
     # the stored det is reliable only while the product norm is moderate, so
     # pin it on a weak-disorder chain whose log scale stays near zero
     rng = np.random.default_rng(31)
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
     bp = BatchProducts(1)
     for _ in range(200):
         push_piece(bp, float(rng.uniform(-0.5, 0.5)), 1.0, frame)
@@ -403,7 +404,7 @@ def test_product_det_weak_disorder_chain():
 
 
 def test_push_piece_saturates_on_log_ceiling():
-    frame = EnergyFrame.from_lambda(1.0)
+    frame = EnergyFrame(1.0)
     bp = BatchProducts(1)
     bp.log[:] = 1.8e300
     with pytest.raises(SaturationError):
@@ -434,7 +435,7 @@ def test_batch_matches_scalar_products():
     # Python float loop over the same pieces
     rng = np.random.default_rng(2718)
     n_chains, n_pieces = 64, 40
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
 
     values = rng.uniform(-3.0, 3.0, size=(n_pieces, n_chains))
     # sprinkle heavy bumps to hit the factored branch and tiny u for the series
@@ -467,7 +468,7 @@ def test_batch_matches_scalar_products():
 
 def test_batch_scalar_broadcast():
     # scalar value/length (the unit-bump chains) must broadcast across chains
-    frame = EnergyFrame.from_lambda(2.0)
+    frame = EnergyFrame(2.0)
     bp = BatchProducts(3)
     push_piece(bp, 1.0, 1.0, frame)
     want, _ = _piece(1.0, 1.0, frame)
@@ -478,4 +479,4 @@ def test_push_rotation_requires_positive_lambda():
     bp = BatchProducts(2)
     for lam in (-2.0, 0.0):
         with pytest.raises(ValueError):
-            push_rotation(bp, np.array([1.0, 1.0]), EnergyFrame.from_lambda(lam))
+            push_rotation(bp, np.array([1.0, 1.0]), EnergyFrame(lam))

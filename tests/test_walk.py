@@ -118,7 +118,7 @@ _MODELS = {
 def test_walk_matches_reference(name, lam, events):
     # the pieces of generated chains, every model at lam on both sides of 0;
     # dropping the last piece makes the count odd
-    frame = EnergyFrame.from_lambda(lam)
+    frame = EnergyFrame(lam)
     for i in range(4):
         real = generate(_MODELS[name], 150 + i, split_stream(RngStream(4242), i))
         for n in (real.values.size, real.values.size - 1, 1, 2, 3):
@@ -130,7 +130,7 @@ def test_walk_matches_reference(name, lam, events):
 def test_dead_direction_in_first_piece(events):
     # the bump annihilates the boundary vector: the loop walks past pair 0
     # (bump, gap) and the bulk recovery finds the dead first step
-    frame = EnergyFrame.from_lambda(1.0)
+    frame = EnergyFrame(1.0)
     theta = boundary_theta(2.35, frame)
     values, lengths = [_DEAD_HEIGHT, 0.0, 3.0], [400.0, 0.5, 1.0]
     _assert_matches_reference(values, lengths, frame, theta)
@@ -143,7 +143,7 @@ def test_dead_direction_in_first_piece(events):
 
 
 def test_dead_direction_in_second_piece(events):
-    frame = EnergyFrame.from_lambda(1.0)
+    frame = EnergyFrame(1.0)
     # the gap turns theta = 1.85 onto the bump's dead direction; the pair
     # product leaves a vector of rounding size, which the loop walks on, and
     # the bulk recovery finds the dead second step
@@ -167,13 +167,13 @@ def test_overflowing_pair(lam, events):
     # two barriers (a = 299) in one pair at k = 1e-50: every entry of a
     # barrier matrix is bounded once exp(a) sits in the prescale, so their
     # product stays in float range and the pair walks as a pair
-    frame = EnergyFrame.from_lambda(lam)
+    frame = EnergyFrame(lam)
     height = (A_FACTORED - 1.0) ** 2
     values = [height, height, 0.0, 2.0, height, height, 0.0]
     for theta in (0.3, 2.0):
         _assert_matches_reference(values, np.ones(7), frame, theta)
     # and at k = 1e-150 one such barrier of length 1e-30 walks finite
-    tiny = EnergyFrame.from_lambda(math.copysign(1e-300, lam))
+    tiny = EnergyFrame(math.copysign(1e-300, lam))
     _assert_matches_reference([0.0, height * 1e60, 0.0], [0.5, 1e-30, 0.5], tiny, 0.3)
     assert events == []
     # a barrier of height 1e300 before a resonant piece (V = lam) of length
@@ -188,7 +188,7 @@ def test_overflowing_pair(lam, events):
         assert events == [("stop", 0), pair, ("stop", 2), pair]
     # at k = 2.2e-162 the lower entry of that barrier passes float range:
     # both walks raise
-    frame = EnergyFrame.from_lambda(math.copysign(5e-324, lam))
+    frame = EnergyFrame(math.copysign(5e-324, lam))
     values, lengths = [0.0, 1e300, 0.0], [0.5, 1.0, 0.5]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SaturationError, match="chain walk left representable range"):
