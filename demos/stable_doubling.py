@@ -12,23 +12,16 @@ Run:  python3 demos/stable_doubling.py
 import numpy as np
 
 from heavykp.estimators import darling_ratio
-from heavykp.rng import (
-    RngStream,
-    TailKind,
-    TailLaw,
-    sample_gap_length,
-    sample_stable_oracle,
-)
+from heavykp.rng import RngStream, sample_gap_length, sample_stable_oracle
 from heavykp.stats import ks_distance, mean_ci
 
 ALPHA = 0.5
 REPS = 4000
-law = TailLaw(alpha=ALPHA, kind=TailKind.GAP_LENGTH)
 gen = RngStream(55).generator()
 
 
 def scaled_sums(n):
-    block = sample_gap_length(law, gen, size=REPS * n).reshape(REPS, n)
+    block = sample_gap_length(ALPHA, gen, size=REPS * n).reshape(REPS, n)
     return block.sum(axis=1) / float(n) ** (1.0 / ALPHA), block
 
 

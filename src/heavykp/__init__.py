@@ -28,8 +28,6 @@ from .potentials import (
 from .prufer import boundary_theta
 from .rng import (
     RngStream,
-    TailKind,
-    TailLaw,
     sample_stable_oracle,
     split_stream,
 )
@@ -47,7 +45,7 @@ from .transfer import EnergyFrame, SaturationError, det_defect
 __all__ = [
     "__version__",
     # rng
-    "RngStream", "TailKind", "TailLaw", "split_stream",
+    "RngStream", "split_stream",
     "sample_stable_oracle",
     # transfer
     "EnergyFrame", "SaturationError", "det_defect",

@@ -21,8 +21,8 @@ A record with both walks two lanes, M v0 serving theta and the log norm at
 once.
 
 The sweep draws each block of seeds at once through potentials._draw_blocks,
-the one statement of the canonical draw order and of the map from draws to
-bump potentials and gap lengths, and walks its pieces as they come;
+the one statement of the map from draws to bump potentials and gap lengths
+(drawn in rng.draw_block's order), and walks its pieces as they come;
 potentials.generate lays out the same pieces.  chain_trace walks generate's
 chain with prufer.walk_chain from v0 and from v0' and records the same three
 values after every bump, so its last entries retrace a sweep seed, which is

@@ -13,8 +13,8 @@ A Realization is the pieces as columns, values, lengths and an is_bump
 mask, which is what the chain walks read, plus the piece boundaries summed
 from the lengths, so every downstream consumer (flows, products, spectra)
 reads the identical geometry.  generate fills the columns straight from one
-bulk draw.  The draw order per model, and the map from the draws to bump
-potentials and gap lengths, are stated once, in ``_draw_blocks``;
+bulk draw.  The map from the draws to bump potentials and gap lengths is
+stated once, in ``_draw_blocks``, which draws in ``rng.draw_block``'s order;
 ``generate``, the estimator sweeps and the phase-chain mixing all read its
 pieces as they come, and a bump's height, sign or position is read off the
 columns where it is needed.
@@ -28,7 +28,7 @@ from typing import IO, Optional, Tuple
 
 import numpy as np
 
-from .rng import RngStream, TailKind, TailLaw, draw_block
+from .rng import RngStream, draw_block
 # generate draws through draw_block; the per-seed samplers remain only as
 # test references, bound here because the benchmark tracer (bench/spans.py)
 # wraps them at this module too.
@@ -80,16 +80,6 @@ class ModelConfig:
     def frame(self) -> EnergyFrame:
         return EnergyFrame(self.energy)
 
-    def bump_law(self) -> TailLaw:
-        if self.model is Model.III:
-            raise ValueError("Model III bumps are deterministic")
-        return TailLaw(alpha=self.alpha1, kind=TailKind.BUMP_HEIGHT)
-
-    def gap_law(self) -> TailLaw:
-        if self.model in (Model.I, Model.II):
-            raise ValueError(f"Model {self.model.value} has no gaps")
-        return TailLaw(alpha=self.alpha2, kind=TailKind.GAP_LENGTH)
-
 
 def _need_alpha(value: Optional[float], name: str, model: Model) -> None:
     if value is None:
@@ -119,10 +109,6 @@ class Realization:
     @property
     def total_length(self) -> float:
         return float(self.boundaries[-1])
-
-    @property
-    def n_bumps(self) -> int:
-        return int(np.count_nonzero(self.is_bump))
 
     @property
     def pieces(self) -> Tuple[Tuple[float, float, bool], ...]:
@@ -194,10 +180,10 @@ def _parse_field(row: int, name: str, text: str, parse, expected: str):
 def _draw_blocks(config: ModelConfig, seed: int, stream_ids, n: int):
     """Bump potentials and gap lengths of the chains RngStream(seed, i), i in stream_ids.
 
-    The canonical draw order, and the only statement of it: each chain's
-    stream draws n bump heights X (models I, II, IV), then n gap lengths Y
-    (models III, IV), then n fair signs eps in {0, 1} (model IV), each as one
-    block.  The one map from draws to pieces too: bump j has potential X_j
+    The map from draws to pieces, and the only statement of it: each chain's
+    stream draws, in rng.draw_block's order, n bump heights X of index
+    alpha1 (models I, II, IV), n gap lengths Y of index alpha2 (models III,
+    IV) and n fair signs eps in {0, 1} (model IV).  Bump j has potential X_j
     (I), -X_j (II), 1 (III) or (-1)**eps_j X_j (IV), and gap j, of length
     Y_j, lies just before it.  Returns (values, gaps): values as a
     (chains, n) array, row r from stream stream_ids[r], or the scalar 1.0
@@ -206,18 +192,18 @@ def _draw_blocks(config: ModelConfig, seed: int, stream_ids, n: int):
     """
     model = config.model
     if model is Model.III:
-        (gaps,) = draw_block(seed, stream_ids, n, [config.gap_law()])
+        (gaps,) = draw_block(seed, stream_ids, n, gaps=config.alpha2)
         return 1.0, gaps
     if model is Model.IV:
-        values, gaps, eps = draw_block(seed, stream_ids, n,
-                                       [config.bump_law(), config.gap_law()], signs=True)
+        values, gaps, eps = draw_block(seed, stream_ids, n, heights=config.alpha1,
+                                       gaps=config.alpha2, signs=True)
         # (-1)**eps as 1 - 2 eps, in place in the int64 signs, then one
         # multiply by +-1, which changes no bit but the sign
         eps *= -2
         eps += 1
         np.multiply(values, eps, out=values)
         return values, gaps
-    (values,) = draw_block(seed, stream_ids, n, [config.bump_law()])
+    (values,) = draw_block(seed, stream_ids, n, heights=config.alpha1)
     if model is Model.II:
         np.negative(values, out=values)
     return values, None

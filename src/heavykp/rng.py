@@ -1,9 +1,11 @@
 """Deterministic splittable random streams and heavy-tailed variate generation.
 
-Every law here is an explicit transform of uniforms: the Frechet family
-inverts a closed-form CDF, stated once in ``_frechet_in_place`` for the
-samplers and the block draws, and the one-sided stable sampler realizes a
-known Laplace transform.  The tests check the samplers against these laws.
+The chains' randomness has two roles, each with its own tail index alpha in
+(0, 1): bump heights, whose square roots are Frechet(alpha), and gap
+lengths, which are Frechet(alpha).  ``sample_bump_height`` and
+``sample_gap_length`` draw one role each; both invert the Frechet CDF,
+stated once in ``_frechet_in_place``.  The one-sided stable sampler realizes
+a known Laplace transform.  The tests check the samplers against these laws.
 
 Streams are value-like handles (seed, stream_id).  Two handles with equal
 fields always reproduce the same variate sequence, independent of process,
@@ -14,7 +16,7 @@ is what makes chunked and multiprocess sweeps bit-reproducible.
 numpy's SeedSequence(entropy=seed, spawn_key=(stream_id,)), counter 0.  The
 estimators draw whole blocks of streams at once with ``draw_block``, which
 gives the same variates without building a SeedSequence or a Generator per
-stream:
+stream, and whose keywords state the canonical draw order:
 
 1. ``_philox_keys`` runs SeedSequence's hash mixing and ``generate_state(2,
    uint64)`` in numpy over all stream ids of the block.  The streams share
@@ -22,7 +24,7 @@ stream:
    and only the one or two spawn-key words of each id are mixed per stream.
 2. One Philox, reused for the whole block, is reset to each stream's key
    (counter 0, empty buffer) and draws that stream's uniforms straight into
-   its row of the block, law after law, then its fair signs.
+   its row of the block, role after role, then its fair signs.
 3. The Frechet transform runs once per block, in place.
 
 The tests hold ``draw_block`` to ``generator()`` and the samplers bit for
@@ -31,8 +33,7 @@ bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import List, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,14 +43,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Smallest uniform we ever feed into a log; avoids the measure-zero u == 0
 # draw turning into a degenerate variate.
 _U_FLOOR = 2.0 ** -64
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer: a bijective scrambling of a 64-bit word."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -79,14 +72,12 @@ def split_stream(stream: RngStream, task_index: int) -> RngStream:
     function of (parent, task_index): the same split always returns the same
     child no matter what was sampled before.
     """
-    if task_index < 0:
-        raise ValueError("task_index must be nonnegative")
-    child = _mix64(stream.stream_id ^ _mix64((task_index + 1) * _GOLDEN))
-    return RngStream(seed=stream.seed, stream_id=child)
+    return RngStream(stream.seed, split_ids(stream, task_index, task_index + 1).tolist()[0])
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """_mix64 over a uint64 array (numpy's uint64 products wrap like the masks)."""
+    """SplitMix64 finalizer over a uint64 array: a bijective scrambling of each
+    64-bit word (numpy's uint64 products wrap modulo 2**64)."""
     z = z ^ (z >> 30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> 27
@@ -95,7 +86,11 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def split_ids(stream: RngStream, lo: int, hi: int) -> np.ndarray:
-    """stream_id of split_stream(stream, i) for i in lo..hi-1, as a uint64 array."""
+    """stream_id of split_stream(stream, i) for i in lo..hi-1, as a uint64 array.
+
+    The SplitMix64 child rule, and the only statement of it: child i of a
+    stream has id mix(stream_id ^ mix((i + 1) * golden)), modulo 2**64.
+    """
     if lo < 0:
         raise ValueError("task_index must be nonnegative")
     golden = _mix64_array(np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
@@ -168,76 +163,25 @@ def _philox_keys(seed: int, stream_ids) -> np.ndarray:
     return keys
 
 
-class TailKind(Enum):
-    BUMP_HEIGHT = "bump_height"
-    GAP_LENGTH = "gap_length"
-
-
-@dataclass(frozen=True)
-class TailLaw:
-    """Tail family for the structural randomness, indexed by alpha in (0,1).
-
-    ``kind`` records which structural role the law plays: bump heights are
-    squared Frechet variates (so their square roots are Frechet), gap lengths
-    are plain Frechet variates.  This is the single knob a variant tail
-    family would be swapped through.
-    """
-
-    alpha: float
-    kind: TailKind
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        if not isinstance(self.kind, TailKind):
-            raise ValueError("kind must be a TailKind")
-
-
-StreamLike = Union[RngStream, np.random.Generator]
-
-
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
-def _as_generator(stream: StreamLike) -> np.random.Generator:
-    if isinstance(stream, np.random.Generator):
-        return stream
-    return stream.generator()
-
-
-def _maybe_scalar(x: np.ndarray, size) -> Union[float, np.ndarray]:
-    if size is None:
-        return float(x)
-    return x
-
-
-def sample_frechet(alpha: float, stream: StreamLike, size=None):
-    """Frechet(alpha) variates: positive, infinite mean for alpha < 1.
-
-    A scalar draw goes through _frechet_in_place as a one-element array
-    (numpy's scalar power can differ from the array power in the last bit),
-    so a uniform gives the same bits either way.
-    """
-    _check_alpha(alpha)
-    u = _as_generator(stream).random(1 if size is None else size)
-    _frechet_in_place(alpha, u)
-    return float(u[0]) if size is None else u
-
-
-def sample_bump_height(law: TailLaw, stream: StreamLike, size=None):
+def sample_bump_height(alpha: float, gen: np.random.Generator, size) -> np.ndarray:
     """Bump heights X with sqrt(X) Frechet(alpha): P(X > x) = 1 - exp(-x**(-alpha/2))."""
-    if law.kind is not TailKind.BUMP_HEIGHT:
-        raise ValueError("law.kind must be BUMP_HEIGHT")
-    z = sample_frechet(law.alpha, stream, size)
-    return z * z if size is not None else float(z * z)
+    _check_alpha(alpha)
+    z = gen.random(size)
+    _frechet_in_place(alpha, z)
+    return z * z
 
 
-def sample_gap_length(law: TailLaw, stream: StreamLike, size=None):
+def sample_gap_length(alpha: float, gen: np.random.Generator, size) -> np.ndarray:
     """Gap lengths Y, Frechet(alpha): P(Y > y) = 1 - exp(-y**-alpha)."""
-    if law.kind is not TailKind.GAP_LENGTH:
-        raise ValueError("law.kind must be GAP_LENGTH")
-    return sample_frechet(law.alpha, stream, size)
+    _check_alpha(alpha)
+    y = gen.random(size)
+    _frechet_in_place(alpha, y)
+    return y
 
 
 def _frechet_in_place(alpha: float, u: np.ndarray) -> None:
@@ -257,20 +201,26 @@ def _frechet_in_place(alpha: float, u: np.ndarray) -> None:
 _SIGN_ROWS = 64
 
 
-def draw_block(seed: int, stream_ids, n: int, laws: Sequence[TailLaw],
-               signs: bool = False) -> List[np.ndarray]:
-    """n variates of each law, then optionally n fair signs, for many streams at once.
+def draw_block(seed: int, stream_ids, n: int, heights: Optional[float] = None,
+               gaps: Optional[float] = None, signs: bool = False) -> List[np.ndarray]:
+    """n variates of each role asked for, for many streams at once.
 
-    Row r of the returned arrays belongs to the stream RngStream(seed,
-    stream_ids[r]).  Returns one (streams, n) float array per law, in order:
-    row r of the k-th is what sample_bump_height or sample_gap_length(laws[k],
-    gen, size=n) returns on that stream's generator() after the draws of
-    laws[:k].  With signs, a last (streams, n) int64 array holds
-    gen.integers(0, 2, size=n), drawn after all the laws.
+    heights and gaps are tail indices in (0, 1), or None to skip that role.
+    The order of the keywords is the canonical draw order, and this is the
+    only statement of it: each stream draws n bump heights, then n gap
+    lengths, then n fair signs, each as one block.  Row r of every returned
+    array belongs to the stream RngStream(seed, stream_ids[r]) and is what
+    sample_bump_height(heights, gen, n), then sample_gap_length(gaps, gen,
+    n), then gen.integers(0, 2, size=n) return in turn on that stream's
+    generator().  Returns a (streams, n) float array per role asked for, in
+    that order, and with signs a last (streams, n) int64 array.
     """
+    alphas = [alpha for alpha in (heights, gaps) if alpha is not None]
+    for alpha in alphas:
+        _check_alpha(alpha)
     keys = _philox_keys(seed, stream_ids)
     m = keys.shape[0]
-    blocks = [np.empty((m, n)) for _ in laws]
+    blocks = [np.empty((m, n)) for _ in alphas]
     if signs:
         eps = np.empty((m, n), dtype=np.int64)
         # the raw words of up to _SIGN_ROWS streams at a time, stored
@@ -296,16 +246,16 @@ def draw_block(seed: int, stream_ids, n: int, laws: Sequence[TailLaw],
                 # gen.integers(0, 2, size=n) is the top bit of n 32-bit
                 # halves of raw words, each word's low half first
                 np.right_shift(words.view("<u4")[:i + 1, :n], 31, out=eps[r - i:r + 1])
-    for law, block in zip(laws, blocks):
-        _frechet_in_place(law.alpha, block)
-        if law.kind is TailKind.BUMP_HEIGHT:
-            np.multiply(block, block, out=block)
+    for alpha, block in zip(alphas, blocks):
+        _frechet_in_place(alpha, block)
+    if heights is not None:
+        np.multiply(blocks[0], blocks[0], out=blocks[0])
     if signs:
         blocks.append(eps)
     return blocks
 
 
-def sample_stable_oracle(alpha: float, stream: StreamLike, size=None):
+def sample_stable_oracle(alpha: float, gen: np.random.Generator, size) -> np.ndarray:
     """One-sided alpha-stable variates with E[exp(-s S)] = exp(-s**alpha).
 
     Kanter's construction: with U uniform on (0,1), W standard exponential,
@@ -318,14 +268,8 @@ def sample_stable_oracle(alpha: float, stream: StreamLike, size=None):
     Used as the independent comparison law for nonlinear-scale limit checks.
     """
     _check_alpha(alpha)
-    gen = _as_generator(stream)
-    u = np.asarray(gen.random(size) if size is not None else gen.random(), dtype=float)
-    w = np.asarray(
-        gen.standard_exponential(size) if size is not None else gen.standard_exponential(),
-        dtype=float,
-    )
-    u = np.where(u < _U_FLOOR, _U_FLOOR, u)
-    w = np.where(w < _U_FLOOR, _U_FLOOR, w)
+    u = np.maximum(gen.random(size), _U_FLOOR)
+    w = np.maximum(gen.standard_exponential(size), _U_FLOOR)
     theta = np.pi * u
     ratio = alpha / (1.0 - alpha)
     a = (
@@ -333,5 +277,4 @@ def sample_stable_oracle(alpha: float, stream: StreamLike, size=None):
         * np.sin(alpha * theta) ** ratio
         / np.sin(theta) ** (1.0 + ratio)
     )
-    s = (a / w) ** ((1.0 - alpha) / alpha)
-    return _maybe_scalar(s, size)
+    return (a / w) ** ((1.0 - alpha) / alpha)

@@ -439,13 +439,14 @@ def _lyapunov_summary(spec: TaskSpec, cols, summary) -> None:
 def _darling_block(spec: TaskSpec, lo: int, hi: int) -> dict:
     """Max-over-sum of the model's primary heavy-tailed block, one value per seed."""
     cfg = spec.cell_config
-    law = cfg.gap_law() if _sweeps_gaps(cfg.model) else cfg.bump_law()
+    heights, gaps = (None, cfg.alpha2) if _sweeps_gaps(cfg.model) else (cfg.alpha1, None)
     base = _task_stream(spec)
     values = np.empty(hi - lo)
     chunk = max(1, _DARLING_BLOCK_ELEMENTS // spec.n)
     for a in range(lo, hi, chunk):
         b = min(hi, a + chunk)
-        (draws,) = draw_block(base.seed, split_ids(base, a, b), spec.n, [law])
+        (draws,) = draw_block(base.seed, split_ids(base, a, b), spec.n,
+                              heights=heights, gaps=gaps)
         try:
             values[a - lo:b - lo] = darling_ratios(draws)
         except SaturationError as exc:  # name the seed: row 0 of the draws is seed a

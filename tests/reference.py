@@ -4,6 +4,10 @@ The Frechet law's CDF and survival function, in closed form.  The package
 samples this law by inverting the CDF (heavykp.rng); these functions are the
 law itself, which the samplers' empirical distributions are compared with.
 
+The SplitMix64 child rule of the stream tree in Python integers: the package
+computes it over uint64 arrays (heavykp.rng.split_ids), and split_stream and
+split_ids are both checked against this.
+
 The two-sample KS distance in exact rational arithmetic, by its definition:
 every KS distance of the package (ks_distance and chain_mixing's) comes from
 one kernel, stats._ks_distances, which is checked against this.
@@ -32,6 +36,23 @@ def frechet_cdf(alpha: float, z) -> Union[float, np.ndarray]:
     if np.ndim(z) == 0:
         return float(out)
     return out
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z: int) -> int:
+    """SplitMix64 finalizer: a bijective scrambling of a 64-bit word."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK64
+
+
+def splitmix_child(stream_id: int, task_index: int) -> int:
+    """stream_id of a stream's child task_index: mix(id ^ mix((task_index + 1) * golden))."""
+    return splitmix64(stream_id ^ splitmix64((task_index + 1) * _GOLDEN))
 
 
 def exact_ks(a, b) -> Fraction:

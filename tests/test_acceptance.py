@@ -27,8 +27,6 @@ from heavykp.potentials import Model, ModelConfig, generate
 from heavykp.prufer import PruferState, advance_interval, boundary_theta, walk_chain
 from heavykp.rng import (
     RngStream,
-    TailKind,
-    TailLaw,
     sample_bump_height,
     sample_gap_length,
     sample_stable_oracle,
@@ -373,16 +371,14 @@ def test_criterion_07_heavy_bump_lyapunov_scales():
 # ── 8: stable-limit doubling across the four sample families ─────────────────
 
 
-def _scaled_block_sums(kind, alpha, tail, n, reps, stream):
-    law = TailLaw(alpha=alpha, kind=kind)
-    draw = sample_bump_height if kind is TailKind.BUMP_HEIGHT else sample_gap_length
+def _scaled_block_sums(draw, alpha, tail, n, reps, stream):
     gen = stream.generator()
     out = np.empty(reps)
     step = max(1, (1 << 22) // n)
     lo = 0
     while lo < reps:
         hi = min(reps, lo + step)
-        block = draw(law, gen, size=(hi - lo) * n)
+        block = draw(alpha, gen, size=(hi - lo) * n)
         out[lo:hi] = block.reshape(hi - lo, n).sum(axis=1)
         lo = hi
     return out / float(n) ** (1.0 / tail)
@@ -391,10 +387,10 @@ def _scaled_block_sums(kind, alpha, tail, n, reps, stream):
 def test_criterion_08_stable_limit_doubling(model1_lyapunov_pair, model2_ids_pair):
     reps = 10_000
     # bump heights are squared draws: tail index alpha1/2
-    bumps_n = _scaled_block_sums(TailKind.BUMP_HEIGHT, 0.5, 0.25, 1024, reps, RngStream(8410))
-    bumps_4n = _scaled_block_sums(TailKind.BUMP_HEIGHT, 0.5, 0.25, 4096, reps, RngStream(8411))
-    gaps_n = _scaled_block_sums(TailKind.GAP_LENGTH, 0.5, 0.5, 1024, reps, RngStream(8420))
-    gaps_4n = _scaled_block_sums(TailKind.GAP_LENGTH, 0.5, 0.5, 4096, reps, RngStream(8421))
+    bumps_n = _scaled_block_sums(sample_bump_height, 0.5, 0.25, 1024, reps, RngStream(8410))
+    bumps_4n = _scaled_block_sums(sample_bump_height, 0.5, 0.25, 4096, reps, RngStream(8411))
+    gaps_n = _scaled_block_sums(sample_gap_length, 0.5, 0.5, 1024, reps, RngStream(8420))
+    gaps_4n = _scaled_block_sums(sample_gap_length, 0.5, 0.5, 4096, reps, RngStream(8421))
 
     ks = {
         "bump sums": ks_distance(bumps_n, bumps_4n),
@@ -467,7 +463,6 @@ def test_criterion_08b_stable_limit_without_fitted_scale(model1_lyapunov_pair,
 
 
 def test_criterion_09_max_over_sum_doubling():
-    law = TailLaw(alpha=0.5, kind=TailKind.GAP_LENGTH)
     gen = RngStream(8900).generator()
     reps = 10_000
 
@@ -477,7 +472,7 @@ def test_criterion_09_max_over_sum_doubling():
         lo = 0
         while lo < reps:
             hi = min(reps, lo + step)
-            block = sample_gap_length(law, gen, size=(hi - lo) * n).reshape(hi - lo, n)
+            block = sample_gap_length(0.5, gen, size=(hi - lo) * n).reshape(hi - lo, n)
             for j in range(hi - lo):
                 out[lo + j] = darling_ratio(block[j])
             lo = hi

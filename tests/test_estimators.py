@@ -553,7 +553,7 @@ def test_theta_sweep_marks_infinite_heights_nan():
     n, n_seeds = 128, 40
     with np.errstate(over="ignore", invalid="ignore"):
         res = sweep_chains(cfg, n, n_seeds, parent, want_theta=True)
-        heights = np.array([sample_bump_height(cfg.bump_law(), split_stream(parent, i).generator(),
+        heights = np.array([sample_bump_height(cfg.alpha1, split_stream(parent, i).generator(),
                                                size=n) for i in range(n_seeds)])
     fed_inf = np.isinf(heights).any(axis=1)
     assert 0 < fed_inf.sum() < n_seeds
@@ -752,9 +752,9 @@ def _per_seed_draws(cfg: ModelConfig, stream: RngStream, n: int):
     gen = stream.generator()
     x = y = eps = None
     if cfg.model is not Model.III:
-        x = sample_bump_height(cfg.bump_law(), gen, size=n)
+        x = sample_bump_height(cfg.alpha1, gen, size=n)
     if cfg.model in (Model.III, Model.IV):
-        y = sample_gap_length(cfg.gap_law(), gen, size=n)
+        y = sample_gap_length(cfg.alpha2, gen, size=n)
     if cfg.model is Model.IV:
         eps = gen.integers(0, 2, size=n)
     return x, y, eps

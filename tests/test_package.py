@@ -25,7 +25,7 @@ from heavykp.estimators import SweepRecord
 PUBLIC = {
     "__version__",
     # rng
-    "RngStream", "TailKind", "TailLaw", "split_stream",
+    "RngStream", "split_stream",
     "sample_stable_oracle",
     # transfer
     "EnergyFrame", "SaturationError", "det_defect",
@@ -46,7 +46,7 @@ PUBLIC = {
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    assert len(heavykp.__all__) == len(PUBLIC) == 31
+    assert len(heavykp.__all__) == len(PUBLIC) == 29
     assert set(heavykp.__all__) == PUBLIC
     namespace = {}
     exec("from heavykp import *", namespace)
@@ -183,8 +183,7 @@ def test_flow_and_sampler_internals_live_in_their_modules():
     from heavykp import prufer, rng
 
     for module, names in ((prufer, ("PruferState", "advance_interval", "phase_fold")),
-                          (rng, ("sample_frechet", "sample_bump_height",
-                                 "sample_gap_length"))):
+                          (rng, ("sample_bump_height", "sample_gap_length"))):
         for name in names:
             assert not hasattr(heavykp, name)
             assert callable(getattr(module, name))

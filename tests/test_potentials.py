@@ -74,12 +74,6 @@ def test_config_theta0_range():
 
 def test_config_law_accessors():
     cfg = _cfg("IV", alpha1=0.3, alpha2=0.7)
-    assert cfg.bump_law().alpha == 0.3
-    assert cfg.gap_law().alpha == 0.7
-    with pytest.raises(ValueError, match="deterministic"):
-        _cfg("III", alpha2=0.5).bump_law()
-    with pytest.raises(ValueError, match="has no gaps"):
-        _cfg("I", alpha1=0.5).gap_law()
     assert cfg.frame().k_norm == 1.0
 
 
@@ -89,7 +83,7 @@ def test_config_law_accessors():
 def test_model1_geometry():
     r = generate(_cfg("I", alpha1=0.5), 50, RngStream(1))
     assert r.values.size == 50
-    assert r.n_bumps == 50
+    assert np.count_nonzero(r.is_bump) == 50
     assert np.all(r.lengths == 1.0)
     assert np.all(r.values > 0.0)
     assert r.total_length == 50.0
@@ -108,7 +102,7 @@ def test_model2_geometry():
 def test_model3_geometry():
     r = generate(_cfg("III", alpha2=0.5), 40, RngStream(3))
     assert r.values.size == 80  # gap, bump alternating
-    assert r.n_bumps == 40
+    assert np.count_nonzero(r.is_bump) == 40
     assert not np.any(r.is_bump[0::2]) and np.all(r.values[0::2] == 0.0)
     assert np.all(r.is_bump[1::2])
     assert np.all(r.values[1::2] == 1.0) and np.all(r.lengths[1::2] == 1.0)
@@ -287,4 +281,4 @@ def test_assemble_supports_synthetic_shapes():
     text = "index,kind,value,length\n0,gap,0.0,7.5\n"
     r = realization_from_csv(_cfg("III", alpha2=0.5), io.StringIO(text))
     assert r.total_length == 7.5
-    assert r.n_bumps == 0
+    assert np.count_nonzero(r.is_bump) == 0

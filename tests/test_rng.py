@@ -4,28 +4,27 @@ The distributional checks pin the samplers against closed-form CDFs and the
 Laplace transform of the one-sided stable family; everything else is about
 reproducibility of the stream tree.
 """
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import heavykp
 from heavykp.rng import (
     RngStream,
-    TailKind,
-    TailLaw,
     _SIGN_ROWS,
     _frechet_in_place,
     _philox_keys,
     draw_block,
     sample_bump_height,
-    sample_frechet,
     sample_gap_length,
     sample_stable_oracle,
     split_ids,
     split_stream,
 )
 from heavykp.stats import ks_distance
-from reference import frechet_cdf, frechet_tail
+from reference import frechet_cdf, frechet_tail, splitmix_child
 
 
 # ── Streams ──────────────────────────────────────────────────────────────────
@@ -102,27 +101,33 @@ def test_philox_keys_match_generator():
 
 @pytest.mark.parametrize("stream_id", EDGE_IDS + [12345])
 def test_split_ids_match_split_stream(stream_id):
+    # both against the SplitMix64 child rule in Python ints (tests/reference.py)
     parent = RngStream(77, stream_id=stream_id)
     for lo, hi in ((0, 40), (3, 9), (1000, 1003)):
         ids = split_ids(parent, lo, hi)
         assert ids.dtype == np.uint64
-        assert ids.tolist() == [split_stream(parent, i).stream_id for i in range(lo, hi)]
+        want = [splitmix_child(stream_id, i) for i in range(lo, hi)]
+        assert ids.tolist() == want
+        assert [split_stream(parent, i) for i in range(lo, hi)] == [
+            RngStream(77, child) for child in want]
     assert split_ids(parent, 5, 5).size == 0
-    with pytest.raises(ValueError):
-        split_ids(parent, -1, 2)
+    for task_index in (-1, -2**40):
+        with pytest.raises(ValueError, match="task_index must be nonnegative"):
+            split_ids(parent, task_index, 2)
+        with pytest.raises(ValueError, match="task_index must be nonnegative"):
+            split_stream(parent, task_index)
 
 
 @pytest.mark.parametrize("seed", BLOCK_SEEDS)
 def test_draw_block_matches_generator(seed):
     # each row equals the samplers, then the signs, on that stream's own
     # generator(): uniforms, the Frechet transform and the sign draws
-    heights = TailLaw(alpha=0.45, kind=TailKind.BUMP_HEIGHT)
-    gaps = TailLaw(alpha=0.7, kind=TailKind.GAP_LENGTH)
+    heights, gaps = 0.45, 0.7
     parent = RngStream(seed, stream_id=2**33 + 1)
     for lo, hi, n in ((0, 5, 64), (6, 9, 37), (250, 251, 1)):
         ids = split_ids(parent, lo, hi)
-        x, y, eps = draw_block(seed, ids, n, [heights, gaps], signs=True)
-        (u,) = draw_block(seed, ids, n, [gaps])
+        x, y, eps = draw_block(seed, ids, n, heights=heights, gaps=gaps, signs=True)
+        (u,) = draw_block(seed, ids, n, gaps=gaps)
         for r, i in enumerate(range(lo, hi)):
             gen = split_stream(parent, i).generator()
             assert np.array_equal(x[r], sample_bump_height(heights, gen, size=n))
@@ -131,7 +136,7 @@ def test_draw_block_matches_generator(seed):
             gen = split_stream(parent, i).generator()
             assert np.array_equal(u[r], sample_gap_length(gaps, gen, size=n))
     ids = EDGE_IDS
-    (z,) = draw_block(seed, ids, 16, [heights])
+    (z,) = draw_block(seed, ids, 16, heights=heights)
     for r, stream_id in enumerate(ids):
         gen = RngStream(seed, stream_id).generator()
         assert np.array_equal(z[r], sample_bump_height(heights, gen, size=16))
@@ -142,10 +147,9 @@ def test_draw_block_signs_across_word_groups(n):
     # the signs come from raw words, a group of streams at a time: rows on
     # both sides of every group boundary match gen.integers(0, 2), for odd
     # n (the last word's high half dropped) and even n
-    law = TailLaw(alpha=0.7, kind=TailKind.GAP_LENGTH)
     parent = RngStream(5)
     m = 2 * _SIGN_ROWS + 5
-    _, eps = draw_block(parent.seed, split_ids(parent, 0, m), n, [law], signs=True)
+    _, eps = draw_block(parent.seed, split_ids(parent, 0, m), n, gaps=0.7, signs=True)
     assert eps.shape == (m, n) and eps.dtype == np.int64
     for r in range(m):
         gen = split_stream(parent, r).generator()
@@ -155,11 +159,10 @@ def test_draw_block_signs_across_word_groups(n):
 
 def test_draw_block_floors_and_overflows_like_the_samplers():
     # alpha = 0.02 sends the largest heights to inf; both paths agree on them
-    law = TailLaw(alpha=0.02, kind=TailKind.BUMP_HEIGHT)
     parent = RngStream(11)
     with np.errstate(over="ignore"):
-        (x,) = draw_block(parent.seed, split_ids(parent, 0, 40), 128, [law])
-        want = np.array([sample_bump_height(law, split_stream(parent, i).generator(), size=128)
+        (x,) = draw_block(parent.seed, split_ids(parent, 0, 40), 128, heights=0.02)
+        want = np.array([sample_bump_height(0.02, split_stream(parent, i).generator(), size=128)
                          for i in range(40)])
     assert np.isinf(want).any()
     assert np.array_equal(x, want)
@@ -190,17 +193,6 @@ def test_frechet_transform_floors_zero_uniform():
     assert z0 == zf and z0 > 0.0
 
 
-def test_frechet_transform_vector_matches_scalar():
-    # bit for bit: numpy's scalar power differs from the array power in the
-    # last bit for about 5% of uniforms, so the scalar path must not use it
-    stream = RngStream(2718)
-    for alpha in (0.02, 0.3, 0.5, 0.9):
-        vec = sample_frechet(alpha, stream, size=20_000)
-        gen = stream.generator()
-        scalars = np.array([sample_frechet(alpha, gen) for _ in range(vec.size)])
-        assert np.array_equal(vec, scalars)
-
-
 def test_frechet_tail_cdf_complement():
     z = np.array([0.01, 0.5, 1.0, 3.0, 10.0, 1e4])
     total = frechet_tail(0.5, z) + frechet_cdf(0.5, z)
@@ -211,7 +203,7 @@ def test_frechet_tail_cdf_complement():
 
 def test_frechet_sample_matches_cdf():
     gen = RngStream(88).generator()
-    z = sample_frechet(0.5, gen, size=10_000)
+    z = sample_gap_length(0.5, gen, size=10_000)
     grid = np.sort(z)
     emp = np.arange(1, grid.size + 1) / grid.size
     dev = np.abs(emp - frechet_cdf(0.5, grid))
@@ -220,9 +212,8 @@ def test_frechet_sample_matches_cdf():
 
 def test_bump_height_is_squared_frechet():
     # X = Z^2 gives P(X <= x) = exp(-x^{-alpha/2})
-    law = TailLaw(alpha=0.5, kind=TailKind.BUMP_HEIGHT)
     gen = RngStream(89).generator()
-    x = sample_bump_height(law, gen, size=20_000)
+    x = sample_bump_height(0.5, gen, size=20_000)
     grid = np.sort(x)
     emp = np.arange(1, grid.size + 1) / grid.size
     dev = np.abs(emp - frechet_cdf(0.25, grid))
@@ -231,34 +222,45 @@ def test_bump_height_is_squared_frechet():
 
 def test_bump_height_median():
     # median of X: Z_med = (ln 2)^{-2}, X_med = (ln 2)^{-4}
-    law = TailLaw(alpha=0.5, kind=TailKind.BUMP_HEIGHT)
     gen = RngStream(90).generator()
-    x = sample_bump_height(law, gen, size=100_000)
+    x = sample_bump_height(0.5, gen, size=100_000)
     assert np.median(x) == pytest.approx(math.log(2.0) ** -4, rel=0.05)
 
 
 def test_gap_length_matches_cdf():
-    law = TailLaw(alpha=0.7, kind=TailKind.GAP_LENGTH)
     gen = RngStream(91).generator()
-    y = sample_gap_length(law, gen, size=20_000)
+    y = sample_gap_length(0.7, gen, size=20_000)
     grid = np.sort(y)
     emp = np.arange(1, grid.size + 1) / grid.size
     assert np.abs(emp - frechet_cdf(0.7, grid)).max() < 0.015
 
 
-def test_tail_law_validation():
-    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-        TailLaw(alpha=1.2, kind=TailKind.BUMP_HEIGHT)
-    with pytest.raises(ValueError):
-        TailLaw(alpha=0.0, kind=TailKind.GAP_LENGTH)
+def test_alpha_outside_unit_interval_refused():
+    # a tail index outside (0, 1) is refused in either role of draw_block
+    # and by every sampler
+    for alpha in (0.0, 1.0, 1.2, math.nan):
+        for role in ("heights", "gaps"):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                draw_block(3, [0, 1], 4, **{role: alpha})
+        for sampler in (sample_bump_height, sample_gap_length, sample_stable_oracle):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                sampler(alpha, RngStream(1).generator(), 4)
 
 
-def test_sampler_kind_mismatch_rejected():
-    gen = RngStream(1).generator()
-    with pytest.raises(ValueError):
-        sample_bump_height(TailLaw(alpha=0.5, kind=TailKind.GAP_LENGTH), gen)
-    with pytest.raises(ValueError):
-        sample_gap_length(TailLaw(alpha=0.5, kind=TailKind.BUMP_HEIGHT), gen)
+def test_rng_surface_is_pinned():
+    # plain tail indices in, one sampler per role, and the draw order as
+    # draw_block's keywords; the law objects are gone
+    def parameters(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert parameters(draw_block) == ["seed", "stream_ids", "n", "heights", "gaps", "signs"]
+    for sampler in (sample_bump_height, sample_gap_length, sample_stable_oracle):
+        assert parameters(sampler) == ["alpha", "gen", "size"]
+    for name in ("TailLaw", "TailKind"):
+        assert not hasattr(heavykp, name)
+        assert not hasattr(heavykp.rng, name)
+    assert not hasattr(heavykp.ModelConfig, "bump_law")
+    assert not hasattr(heavykp.ModelConfig, "gap_law")
 
 
 # ── Stable oracle ────────────────────────────────────────────────────────────
@@ -294,6 +296,6 @@ def test_stable_doubling_of_frechet_sums():
     alpha = 0.5
     gen = RngStream(407).generator()
     n, reps = 256, 4000
-    s_small = sample_frechet(alpha, gen, size=(reps, n)).sum(axis=1) / n ** (1 / alpha)
-    s_big = sample_frechet(alpha, gen, size=(reps, 4 * n)).sum(axis=1) / (4 * n) ** (1 / alpha)
+    s_small = sample_gap_length(alpha, gen, size=(reps, n)).sum(axis=1) / n ** (1 / alpha)
+    s_big = sample_gap_length(alpha, gen, size=(reps, 4 * n)).sum(axis=1) / (4 * n) ** (1 / alpha)
     assert ks_distance(s_small, s_big) < 0.05

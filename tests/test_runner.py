@@ -1140,12 +1140,12 @@ def test_darling_rows_equal_per_seed_ratios(tmp_path, model):
         base = split_stream(RngStream(task.master_seed), task.index)
         cfg = task.cell_config
         if cfg.model is Model.III:
-            law, draw = cfg.gap_law(), sample_gap_length
+            alpha, draw = cfg.alpha2, sample_gap_length
         else:
-            law, draw = cfg.bump_law(), sample_bump_height
+            alpha, draw = cfg.alpha1, sample_bump_height
         want = []
         for i in range(task.n_seeds):
-            sample = draw(law, split_stream(base, i).generator(), size=task.n)
+            sample = draw(alpha, split_stream(base, i).generator(), size=task.n)
             want.append(float(sample.max() / sample.sum()))
         got = [float(r[7]) for r in rows if float(r[2]) == task.alpha]
         assert got == want
@@ -1194,7 +1194,7 @@ def test_darling_overflow_exits_4_naming_the_draw(tmp_path, capsys, master_seed,
     # the named draw is the seed's own, and it is the first infinite one
     base = split_stream(RngStream(master_seed), 0)
     with np.errstate(over="ignore"):
-        sample = sample_bump_height(load_config(path).model.bump_law(),
+        sample = sample_bump_height(load_config(path).model.alpha1,
                                     split_stream(base, seed).generator(), size=256)
     assert np.isinf(sample[variate]) and np.argmax(sample) == variate
 
