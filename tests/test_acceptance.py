@@ -35,6 +35,7 @@ from heavykp.rng import (
 from heavykp.spectrum import BoxProblem, count_below, decay_fit, find_eigenvalues
 from heavykp.stats import ks_distance, mean_ci
 from heavykp.transfer import EnergyFrame, _piece_entries_batch, det_defect
+from reference import box_pieces, dense_zero_count, rk4_polar_flow
 
 _PI = math.pi
 
@@ -157,34 +158,6 @@ def _rk4_matrix_products(u0, lengths, n_steps):
     return y
 
 
-def _rk4_flow_batch(theta0, lam, value, lengths, n_steps):
-    """Phase and log-gain of the same ODE in polar form, batched.
-
-    The polar flow is the frame ODE pushed to (theta, log r); integrating it
-    directly keeps strongly contracted solutions well conditioned, where the
-    matrix-times-vector route would cancel catastrophically.
-    """
-    k = np.sqrt(lam)
-    q = (lam - value) / k
-    th = theta0.astype(float).copy()
-    lr = np.zeros_like(th)
-    h = lengths / n_steps
-
-    def f(th):
-        s = np.sin(th)
-        c = np.cos(th)
-        return k * c * c + q * s * s, (k - q) * s * c
-
-    for _ in range(n_steps):
-        d1t, d1r = f(th)
-        d2t, d2r = f(th + 0.5 * h * d1t)
-        d3t, d3r = f(th + 0.5 * h * d2t)
-        d4t, d4r = f(th + h * d3t)
-        lr = lr + (h / 6.0) * (d1r + 2.0 * d2r + 2.0 * d3r + d4r)
-        th = th + (h / 6.0) * (d1t + 2.0 * d2t + 2.0 * d3t + d4t)
-    return th, lr
-
-
 def test_criterion_02_flow_matches_ode_oracle():
     gen = RngStream(402).generator()
     t0 = time.perf_counter()
@@ -213,7 +186,7 @@ def test_criterion_02_flow_matches_ode_oracle():
     # reference, and walk_chain on a one-piece chain, the flow every
     # workload runs.
     theta0 = gen.uniform(0.0, _PI, m)
-    th_o, lr_o = _rk4_flow_batch(theta0, lam, value, ell, 32_768)
+    th_o, lr_o = rk4_polar_flow(theta0, value, ell, lam, np.sqrt(lam), 32_768)
     worst_th = worst_lr = worst_walk_th = worst_walk_lr = 0.0
     for i in range(m):
         frame = EnergyFrame(lam[i])
@@ -522,44 +495,6 @@ def test_criterion_10_phase_chain_mixing():
 # ── 11: eigenvalue recovery and counting ─────────────────────────────────────
 
 
-def _dense_zero_count(problem, lam):
-    """Sign changes of psi on (0, L_box], sampled piecewise in closed form."""
-    frame = EnergyFrame(lam)
-    k = frame.k_norm
-    thetas, _ = walk_chain(problem.values, problem.lengths, frame,
-                           boundary_theta(problem.theta0, frame))
-    signs = []
-    psi0 = math.sin(thetas[0])
-    if psi0 != 0.0:
-        signs.append(math.copysign(1.0, psi0))
-    left = 0.0
-    pieces = []
-    real = problem.realization
-    for value, length in zip(real.values.tolist(), real.lengths.tolist()):
-        if left >= problem.L_box:
-            break
-        length = min(length, problem.L_box - left)
-        pieces.append((value, length))
-        left += length
-    for theta, (value, length) in zip(thetas.tolist(), pieces):
-        s0 = math.sin(theta)
-        c0 = math.cos(theta)
-        if lam > value:
-            b = math.sqrt(lam - value)
-            t = np.linspace(0.0, length, max(64, int(10.0 * b * length / _PI)) + 1)[1:]
-            vals = s0 * np.cos(b * t) + (k / b) * c0 * np.sin(b * t)
-        elif lam < value:
-            b = math.sqrt(value - lam)
-            t = np.linspace(0.0, length, 65)[1:]
-            vals = s0 + (k / b) * c0 * np.tanh(b * t)  # cosh factor is positive
-        else:
-            t = np.linspace(0.0, length, 65)[1:]
-            vals = s0 + k * c0 * t
-        signs.extend(np.sign(vals)[np.sign(vals) != 0.0])
-    arr = np.array(signs)
-    return int(np.sum(arr[:-1] * arr[1:] < 0.0))
-
-
 def test_criterion_11_eigenvalue_recovery_and_counting():
     import io
 
@@ -578,6 +513,7 @@ def test_criterion_11_eigenvalue_recovery_and_counting():
     free_ok = len(eigs) == 20 and worst_rel <= 1e-10
 
     mismatches = 0
+    frame = EnergyFrame(2.0)
     for model, kw, seed in ((Model.I, {"alpha1": 0.8}, 9101),
                             (Model.III, {"alpha2": 0.8}, 9102)):
         cfg = ModelConfig(model=model, energy=2.0, **kw)
@@ -585,7 +521,9 @@ def test_criterion_11_eigenvalue_recovery_and_counting():
         for i in range(50):
             r = generate(cfg, 8, split_stream(parent, i))
             p = BoxProblem(realization=r, theta0=0.0, L_box=r.total_length)
-            if count_below(p, 2.0) != _dense_zero_count(p, 2.0):
+            thetas, _ = walk_chain(p.values, p.lengths, frame, boundary_theta(p.theta0, frame))
+            pieces = box_pieces(r.values.tolist(), r.lengths.tolist(), p.L_box)
+            if count_below(p, 2.0) != dense_zero_count(pieces, thetas.tolist(), 2.0, frame.k_norm):
                 mismatches += 1
 
     ok = free_ok and mismatches == 0

@@ -18,6 +18,7 @@ from heavykp.prufer import (
     phase_fold,
 )
 from heavykp.transfer import EnergyFrame
+from reference import mp_piece, rk4_polar_flow
 
 _PI = math.pi
 
@@ -140,29 +141,6 @@ def test_contracting_direction_dead_branch():
 # ── ODE oracle ───────────────────────────────────────────────────────────────
 
 
-def _rk4_flow(theta0, value, length, lam, k, n_steps=8192):
-    """4th-order integration of theta' and (log r)'; wholly independent path."""
-    h = length / n_steps
-
-    def dth(t):
-        c = math.cos(t)
-        s = math.sin(t)
-        return k * c * c + ((lam - value) / k) * s * s
-
-    def dlr(t):
-        return (k - (lam - value) / k) * math.sin(t) * math.cos(t)
-
-    theta, logr = theta0, 0.0
-    for _ in range(n_steps):
-        k1, r1 = dth(theta), dlr(theta)
-        k2, r2 = dth(theta + 0.5 * h * k1), dlr(theta + 0.5 * h * k1)
-        k3, r3 = dth(theta + 0.5 * h * k2), dlr(theta + 0.5 * h * k2)
-        k4, r4 = dth(theta + h * k3), dlr(theta + h * k3)
-        theta += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        logr += h * (r1 + 2 * r2 + 2 * r3 + r4) / 6.0
-    return theta, logr
-
-
 @pytest.mark.parametrize(
     "value,length,lam",
     [
@@ -175,55 +153,40 @@ def _rk4_flow(theta0, value, length, lam, k, n_steps=8192):
     ],
 )
 def test_flow_matches_ode_integration(value, length, lam):
-    k = math.sqrt(abs(lam))
-    for theta0 in (0.0, 0.3, 2.8):
-        t_ode, r_ode = _rk4_flow(theta0, value, length, lam, k)
-        t_cf, r_cf = _advance(theta0, value, length, lam)
-        assert t_cf == pytest.approx(t_ode, abs=5e-8)
-        assert r_cf == pytest.approx(r_ode, abs=2e-7)
+    theta0 = np.array([0.0, 0.3, 2.8])
+    t_ode, r_ode = rk4_polar_flow(theta0, value, length, lam, math.sqrt(abs(lam)), 8192)
+    for i, t0 in enumerate(theta0.tolist()):
+        t_cf, r_cf = _advance(t0, value, length, lam)
+        assert t_cf == pytest.approx(t_ode[i], abs=5e-8)
+        assert r_cf == pytest.approx(r_ode[i], abs=2e-7)
 
 
 # ── Matrix oracle (mpmath) ───────────────────────────────────────────────────
 
 
-def _mp_frame_action(theta, value, length, lam, k):
-    """Apply the exact piece propagator to (sin theta, cos theta) at 60 digits."""
-    u = (mp.mpf(lam) - mp.mpf(value)) * mp.mpf(length) ** 2
-    if u == 0:
-        c, s = mp.mpf(1), mp.mpf(1)
-    elif u > 0:
-        w = mp.sqrt(u)
-        c, s = mp.cos(w), mp.sin(w) / w
-    else:
-        a = mp.sqrt(-u)
-        c, s = mp.cosh(a), mp.sinh(a) / a
-    m01 = mp.mpf(k) * mp.mpf(length) * s
-    m10 = (mp.mpf(value) - mp.mpf(lam)) * mp.mpf(length) * s / mp.mpf(k)
-    v0 = mp.sin(mp.mpf(theta))
-    v1 = mp.cos(mp.mpf(theta))
-    w0 = c * v0 + m01 * v1
-    w1 = m10 * v0 + c * v1
-    return mp.atan2(w0, w1), mp.log(mp.sqrt(w0 ** 2 + w1 ** 2))
-
-
 def test_flow_matches_matrix_action():
-    mp.mp.dps = 60
-    rng = np.random.default_rng(404)
-    lam = 2.0
-    k = math.sqrt(lam)
-    specs = [(-50.0, 30.0), (-3.0, 1.9), (2.1, 40.0), (1e4, 1e6), (2.0, 2.0)]
-    for lo, hi in specs:
-        for _ in range(8):
-            theta0 = float(rng.uniform(0.1, _PI - 0.1))
-            value = float(rng.uniform(lo, hi))
-            length = float(rng.uniform(0.3, 1.5))
-            t_new, r_new = _advance(theta0, value, length, lam)
-            ang, gain = _mp_frame_action(theta0, value, length, lam, k)
-            # agreement mod 2pi: direction of the frame vector is preserved
-            diff = float(mp.fmod(mp.mpf(t_new) - ang, 2 * mp.pi))
-            diff = min(abs(diff), abs(abs(diff) - 2 * math.pi))
-            assert diff < 5e-13
-            assert r_new == pytest.approx(float(gain), rel=1e-11, abs=1e-11)
+    # the exact piece propagator applied to (sin theta, cos theta) at 60 digits
+    with mp.workdps(60):
+        rng = np.random.default_rng(404)
+        lam = 2.0
+        k = math.sqrt(lam)
+        specs = [(-50.0, 30.0), (-3.0, 1.9), (2.1, 40.0), (1e4, 1e6), (2.0, 2.0)]
+        for lo, hi in specs:
+            for _ in range(8):
+                theta0 = float(rng.uniform(0.1, _PI - 0.1))
+                value = float(rng.uniform(lo, hi))
+                length = float(rng.uniform(0.3, 1.5))
+                t_new, r_new = _advance(theta0, value, length, lam)
+                m = mp_piece(value, length, lam, k)
+                v0, v1 = mp.sin(mp.mpf(theta0)), mp.cos(mp.mpf(theta0))
+                w0 = m[0, 0] * v0 + m[0, 1] * v1
+                w1 = m[1, 0] * v0 + m[1, 1] * v1
+                ang, gain = mp.atan2(w0, w1), mp.log(mp.sqrt(w0 ** 2 + w1 ** 2))
+                # agreement mod 2pi: direction of the frame vector is preserved
+                diff = float(mp.fmod(mp.mpf(t_new) - ang, 2 * mp.pi))
+                diff = min(abs(diff), abs(abs(diff) - 2 * math.pi))
+                assert diff < 5e-13
+                assert r_new == pytest.approx(float(gain), rel=1e-11, abs=1e-11)
 
 
 # ── Winding oracle (zero counting) ───────────────────────────────────────────

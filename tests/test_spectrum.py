@@ -21,6 +21,7 @@ from heavykp.spectrum import (
 )
 from heavykp.stats import linear_fit
 from heavykp.transfer import EnergyFrame
+from reference import box_pieces, dense_zero_count
 
 _PI = math.pi
 
@@ -140,24 +141,9 @@ _LOG_R_REL = 1e-11
 _FIT_TOL = 1e-11
 
 
-def _oracle_pieces(problem: BoxProblem):
-    """(value, length) of the pieces covering exactly [0, L_box].
-
-    Whole pieces up to the first whose right edge reaches L_box (the last
-    piece if none does); that one is cut to L_box minus its left edge unless
-    its right edge is L_box itself.
-    """
-    out = []
-    left = 0.0
+def _box_pieces(problem: BoxProblem):
     real = problem.realization
-    last = real.values.size - 1
-    for i, (value, length) in enumerate(zip(real.values.tolist(), real.lengths.tolist())):
-        right = left + length
-        if right >= problem.L_box or i == last:
-            out.append((value, length if right == problem.L_box else problem.L_box - left))
-            return out
-        out.append((value, length))
-        left = right
+    return box_pieces(real.values.tolist(), real.lengths.tolist(), problem.L_box)
 
 
 def _oracle_records(pieces, frame, theta):
@@ -171,12 +157,12 @@ def _oracle_records(pieces, frame, theta):
 
 def _oracle_trace(problem: BoxProblem, lam: float):
     frame = EnergyFrame(lam)
-    return _oracle_records(_oracle_pieces(problem), frame,
+    return _oracle_records(_box_pieces(problem), frame,
                            boundary_theta(problem.theta0, frame))
 
 
 def _oracle_decay(problem: BoxProblem, lam: float, scale_exponent: float):
-    records = _oracle_records(reversed(_oracle_pieces(problem)),
+    records = _oracle_records(reversed(_box_pieces(problem)),
                               EnergyFrame(lam), 0.0)[1:]
     xs, logs = [], []
     for x_swept, _, log_r in records:
@@ -267,7 +253,7 @@ def test_box_cut_is_one_piece(model, kw):
         assert np.array_equal(prob.values, r.values[:n + 1])
         assert np.array_equal(prob.lengths[:n], r.lengths[:n])
         assert prob.lengths[n] == last
-        assert list(zip(prob.values.tolist(), prob.lengths.tolist())) == _oracle_pieces(prob)
+        assert list(zip(prob.values.tolist(), prob.lengths.tolist())) == _box_pieces(prob)
 
 
 def test_walk_degenerate_piece():
@@ -310,40 +296,6 @@ def test_walk_dead_direction():
 # ── Winding count versus dense sign changes ──────────────────────────────────
 
 
-def _dense_zero_count(problem: BoxProblem, lam: float) -> int:
-    """Sign changes of psi on (0, L_box], sampled piecewise in closed form.
-
-    Works from the piece-boundary phases only; the within-piece winding logic
-    under test plays no role here.  Hyperbolic pieces use the tanh form, so
-    arbitrarily heavy bumps cannot overflow.
-    """
-    frame = EnergyFrame(lam)
-    k = frame.k_norm
-    thetas, _ = _walk(problem, lam)
-    signs: list = []
-    psi0 = math.sin(thetas[0])
-    if psi0 != 0.0:
-        signs.append(math.copysign(1.0, psi0))
-    for theta, (value, length) in zip(thetas.tolist(), _oracle_pieces(problem)):
-        s0 = math.sin(theta)
-        c0 = math.cos(theta)
-        if lam > value:
-            b = math.sqrt(lam - value)
-            t = np.linspace(0.0, length, max(64, int(10.0 * b * length / _PI)) + 1)[1:]
-            vals = s0 * np.cos(b * t) + (k / b) * c0 * np.sin(b * t)
-        elif lam < value:
-            b = math.sqrt(value - lam)
-            t = np.linspace(0.0, length, 65)[1:]
-            # sign(psi) = sign(s0 + (k/b) c0 tanh(b t)); cosh factor is positive
-            vals = s0 + (k / b) * c0 * np.tanh(b * t)
-        else:
-            t = np.linspace(0.0, length, 65)[1:]
-            vals = s0 + k * c0 * t
-        signs.extend(np.sign(vals)[np.sign(vals) != 0.0])
-    arr = np.array(signs)
-    return int(np.sum(arr[:-1] * arr[1:] < 0.0))
-
-
 @pytest.mark.parametrize("model,kw,theta0", [
     (Model.I, {"alpha1": 0.8}, 0.0),
     (Model.III, {"alpha2": 0.8}, 0.0),
@@ -360,7 +312,10 @@ def test_winding_count_matches_dense_signs(model, kw, theta0):
     for i in range(10):
         r = generate(cfg, 8, split_stream(parent, i))
         prob = BoxProblem(realization=r, theta0=theta0, L_box=r.total_length)
-        assert count_below(prob, cfg.energy) == _dense_zero_count(prob, cfg.energy)
+        thetas, _ = _walk(prob, cfg.energy)
+        k = EnergyFrame(cfg.energy).k_norm
+        assert count_below(prob, cfg.energy) == dense_zero_count(
+            _box_pieces(prob), thetas.tolist(), cfg.energy, k)
 
 
 def test_count_monotone_in_box_size():

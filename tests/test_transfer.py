@@ -29,22 +29,7 @@ from heavykp.transfer import (
     push_piece,
     push_rotation,
 )
-
-
-def _mp_piece(value: float, length: float, lam: float, k: float) -> mp.matrix:
-    """Piece propagator at 80 digits, straight from the defining formulas."""
-    u = (mp.mpf(lam) - mp.mpf(value)) * mp.mpf(length) ** 2
-    if u == 0:
-        c, s = mp.mpf(1), mp.mpf(1)
-    elif u > 0:
-        w = mp.sqrt(u)
-        c, s = mp.cos(w), mp.sin(w) / w
-    else:
-        a = mp.sqrt(-u)
-        c, s = mp.cosh(a), mp.sinh(a) / a
-    m01 = mp.mpf(k) * mp.mpf(length) * s
-    m10 = (mp.mpf(value) - mp.mpf(lam)) * mp.mpf(length) * s / mp.mpf(k)
-    return mp.matrix([[c, m01], [m10, c]])
+from reference import mp_piece
 
 
 def _mp_frobenius(m: mp.matrix) -> mp.mpf:
@@ -146,7 +131,8 @@ def test_unit_bump_resonant_and_hyperbolic():
     assert _entries(1.0, 1.0, EnergyFrame(1.0)) == ((1.0, 1.0, 0.0, 1.0), 0.0)
 
     frame = EnergyFrame(0.5)
-    _assert_matches(_piece(1.0, 1.0, frame), _mp_piece(1.0, 1.0, 0.5, frame.k_norm))
+    with mp.workdps(80):
+        _assert_matches(_piece(1.0, 1.0, frame), mp_piece(1.0, 1.0, 0.5, frame.k_norm))
     assert det_defect(1.0, 1.0, frame) <= 1e-12
 
 
@@ -258,49 +244,49 @@ def test_long_rotation_chain_stays_orthogonal():
 
 def test_series_window_matches_oracle():
     # u within the series window, reached through different (value, length) routes
-    mp.mp.dps = 80
-    cases = [
-        (2.0 - 1e-9, 1.0, 2.0),
-        (2.0 + 1e-9, 1.0, 2.0),
-        (2.0 - 2.5e-13, 1.0, 2.0),
-        (2.0 + 2.5e-13, 1.0, 2.0),
-        (5.0, 1e-3, 5.0 + 1e-3),  # u = 1e-9 via a short piece
-        (5.0, 1e-3, 5.0 - 1e-3),
-    ]
-    for value, length, lam in cases:
-        frame = EnergyFrame(lam)
-        u = (lam - value) * length * length
-        assert abs(u) < U_SERIES_WINDOW
-        _assert_matches(_piece(value, length, frame), _mp_piece(value, length, lam, frame.k_norm),
-                        dir_abs=1e-14)
+    with mp.workdps(80):
+        cases = [
+            (2.0 - 1e-9, 1.0, 2.0),
+            (2.0 + 1e-9, 1.0, 2.0),
+            (2.0 - 2.5e-13, 1.0, 2.0),
+            (2.0 + 2.5e-13, 1.0, 2.0),
+            (5.0, 1e-3, 5.0 + 1e-3),  # u = 1e-9 via a short piece
+            (5.0, 1e-3, 5.0 - 1e-3),
+        ]
+        for value, length, lam in cases:
+            frame = EnergyFrame(lam)
+            u = (lam - value) * length * length
+            assert abs(u) < U_SERIES_WINDOW
+            _assert_matches(_piece(value, length, frame), mp_piece(value, length, lam, frame.k_norm),
+                            dir_abs=1e-14)
 
 
 def test_factored_form_matches_oracle():
     # a = sqrt(-u) beyond the cosh overflow threshold, including a > 700
-    mp.mp.dps = 120
-    frame = EnergyFrame(1.0)
-    for a in (305.0, 500.0, 1000.0, 3000.0):
-        value = 1.0 + a * a
-        assert math.sqrt((value - 1.0)) > A_FACTORED
-        _assert_matches(_piece(value, 1.0, frame), _mp_piece(value, 1.0, 1.0, frame.k_norm),
-                        log_rel=1e-13)
-        assert det_defect(value, 1.0, frame) <= 1e-12
+    with mp.workdps(120):
+        frame = EnergyFrame(1.0)
+        for a in (305.0, 500.0, 1000.0, 3000.0):
+            value = 1.0 + a * a
+            assert math.sqrt((value - 1.0)) > A_FACTORED
+            _assert_matches(_piece(value, 1.0, frame), mp_piece(value, 1.0, 1.0, frame.k_norm),
+                            log_rel=1e-13)
+            assert det_defect(value, 1.0, frame) <= 1e-12
 
 
 def test_moderate_pieces_match_oracle():
-    mp.mp.dps = 80
-    rng = np.random.default_rng(77)
-    for _ in range(60):
-        lam = float(rng.uniform(-10.0, 30.0))
-        if lam == 0.0:
-            lam = 0.5
-        value = float(rng.uniform(-20.0, 40.0))
-        length = float(rng.uniform(0.05, 3.0))
-        frame = EnergyFrame(lam)
-        if abs((lam - value) * length * length) < 10 * U_SERIES_WINDOW:
-            continue
-        _assert_matches(_piece(value, length, frame), _mp_piece(value, length, lam, frame.k_norm),
-                        dir_abs=5e-12)
+    with mp.workdps(80):
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            lam = float(rng.uniform(-10.0, 30.0))
+            if lam == 0.0:
+                lam = 0.5
+            value = float(rng.uniform(-20.0, 40.0))
+            length = float(rng.uniform(0.05, 3.0))
+            frame = EnergyFrame(lam)
+            if abs((lam - value) * length * length) < 10 * U_SERIES_WINDOW:
+                continue
+            _assert_matches(_piece(value, length, frame), mp_piece(value, length, lam, frame.k_norm),
+                            dir_abs=5e-12)
 
 
 # a barrier as (log10 a, log10 length): a from 1e-4 to 1e150
@@ -323,50 +309,50 @@ def test_barrier_entries_are_bounded(log_lam, negative, first, second):
     # the factored form: c = e^(-a) cosh(a) in [1/2, 1], b = k l e^(-a)
     # sinh(a)/a <= k l, e = a e^(-a) sinh(a)/(k l) <= a/(2 k l), and exp(a)
     # in the prescale
-    mp.mp.dps = 80
-    lam = math.copysign(10.0 ** log_lam, -1.0 if negative else 1.0)
-    frame = EnergyFrame(lam)
-    pieces = []
-    for log_a, log_length in (first, second):
-        value, length, a = _barrier_piece(lam, log_a, log_length)
-        c, b, e, pre = _piece_entries_batch(value, length, lam, frame.k_norm)
-        assert 0.5 <= c <= 1.0 and pre == a
-        if not max(b, e) < sys.float_info.max / 2.0:
-            continue  # an entry near or past float range at tiny k l
-        pieces.append((c, b, e))
-        oracle = _mp_piece(value, length, lam, frame.k_norm)
-        if a > A_FACTORED:  # as in test_factored_form_matches_oracle
-            _assert_matches(_piece(value, length, frame), oracle, log_rel=1e-13)
-        else:  # as in test_moderate_pieces_match_oracle
-            _assert_matches(_piece(value, length, frame), oracle, dir_abs=5e-12)
-    # each product entry is a sum of two terms: c1 c2 <= 1, the sums of two
-    # entries stay below float range, and b2 e1 = sqrt((V1 - lam)/(V2 - lam))
-    # (1 - e^(-2 a1)) (1 - e^(-2 a2))/4 is at most l2 a1/(2 l1) (and the same
-    # with the pieces swapped for e2 b1)
-    if len(pieces) == 2:
-        for entry in _product_entries(pieces[0], pieces[1]):
-            assert math.isfinite(entry)
+    with mp.workdps(80):
+        lam = math.copysign(10.0 ** log_lam, -1.0 if negative else 1.0)
+        frame = EnergyFrame(lam)
+        pieces = []
+        for log_a, log_length in (first, second):
+            value, length, a = _barrier_piece(lam, log_a, log_length)
+            c, b, e, pre = _piece_entries_batch(value, length, lam, frame.k_norm)
+            assert 0.5 <= c <= 1.0 and pre == a
+            if not max(b, e) < sys.float_info.max / 2.0:
+                continue  # an entry near or past float range at tiny k l
+            pieces.append((c, b, e))
+            oracle = mp_piece(value, length, lam, frame.k_norm)
+            if a > A_FACTORED:  # as in test_factored_form_matches_oracle
+                _assert_matches(_piece(value, length, frame), oracle, log_rel=1e-13)
+            else:  # as in test_moderate_pieces_match_oracle
+                _assert_matches(_piece(value, length, frame), oracle, dir_abs=5e-12)
+        # each product entry is a sum of two terms: c1 c2 <= 1, the sums of two
+        # entries stay below float range, and b2 e1 = sqrt((V1 - lam)/(V2 - lam))
+        # (1 - e^(-2 a1)) (1 - e^(-2 a2))/4 is at most l2 a1/(2 l1) (and the same
+        # with the pieces swapped for e2 b1)
+        if len(pieces) == 2:
+            for entry in _product_entries(pieces[0], pieces[1]):
+                assert math.isfinite(entry)
 
 
 def test_random_chain_matches_oracle():
     # 30-piece products with mixed regimes, against an exact mpmath product
-    mp.mp.dps = 120
-    rng = np.random.default_rng(5150)
-    frame = EnergyFrame(2.0)
-    for _ in range(5):
-        pieces = []
-        for _ in range(30):
-            if rng.random() < 0.3:
-                value = float(rng.uniform(50.0, 5000.0))  # hyperbolic
-            else:
-                value = float(rng.uniform(-3.0, 1.9))  # oscillatory
-            pieces.append((value, float(rng.uniform(0.1, 1.5))))
-        bp = BatchProducts(1)
-        oracle = mp.matrix([[1, 0], [0, 1]])
-        for value, length in pieces:
-            push_piece(bp, value, length, frame)
-            oracle = _mp_piece(value, length, 2.0, frame.k_norm) * oracle
-        _assert_matches(_product(bp), oracle, log_rel=1e-11, dir_abs=1e-10)
+    with mp.workdps(120):
+        rng = np.random.default_rng(5150)
+        frame = EnergyFrame(2.0)
+        for _ in range(5):
+            pieces = []
+            for _ in range(30):
+                if rng.random() < 0.3:
+                    value = float(rng.uniform(50.0, 5000.0))  # hyperbolic
+                else:
+                    value = float(rng.uniform(-3.0, 1.9))  # oscillatory
+                pieces.append((value, float(rng.uniform(0.1, 1.5))))
+            bp = BatchProducts(1)
+            oracle = mp.matrix([[1, 0], [0, 1]])
+            for value, length in pieces:
+                push_piece(bp, value, length, frame)
+                oracle = mp_piece(value, length, 2.0, frame.k_norm) * oracle
+            _assert_matches(_product(bp), oracle, log_rel=1e-11, dir_abs=1e-10)
 
 
 # ── Determinant exactness ────────────────────────────────────────────────────
